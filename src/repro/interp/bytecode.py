@@ -32,7 +32,7 @@ tree-walker charges, so results, :class:`~repro.interp.metrics.
 ExecutionMetrics` and heap statistics are identical — the tree-walkers
 survive as differential oracles (``execution_engine="tree"``).
 
-Three execution-speed levers sit on top of that contract:
+Four execution-speed levers sit on top of that contract:
 
 * *superinstructions* — :func:`fuse_program` runs a peephole over the
   compiled code arrays that collapses the hot adjacent pairs the
@@ -54,10 +54,16 @@ Three execution-speed levers sit on top of that contract:
   no longer rides ``sys.setrecursionlimit`` and
   :class:`~repro.resilience.budgets.ExecutionBudget` counts VM frames,
   not Python depth.
+* *scalar-specialised runtime calls* — threaded ``rtcall`` sites of the
+  :data:`SCALAR_RTCALLS` builtins (Nat/Int ``add``/``sub``/``mul`` and the
+  comparisons) compute on unboxed ``int`` operands inside the closure and
+  call the generic builtin otherwise, with the generic call's values, heap
+  statistics and charges.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,11 +73,12 @@ from ..dialects.func import CallOp, FuncOp, GetGlobalOp, ReturnOp, SetGlobalOp
 from ..lambda_pure import ir as rc_ir
 from ..runtime import (
     BUILTINS,
+    FALSE,
+    SCALAR_INT_LIMIT,
+    TRUE,
     CtorObject,
     RuntimeContext,
     RuntimeError_,
-    Scalar,
-    Enum,
     call_builtin,
     extend_closure,
     is_builtin,
@@ -225,6 +232,74 @@ _CMP_FNS: Dict[str, Callable[[int, int], int]] = {
     "ugt": lambda a, b: 1 if abs(a) > abs(b) else 0,
     "uge": lambda a, b: 1 if abs(a) >= abs(b) else 0,
 }
+
+#: Runtime builtins whose threaded ``rtcall`` closure computes the result
+#: itself when both operands are unboxed ``int``s: name -> (shape,
+#: operator).  ``nat`` results clamp at 0, ``int`` results do not, ``cmp``
+#: results are the ``Bool`` tags.  A result at or beyond
+#: ±``SCALAR_INT_LIMIT`` goes through ``Heap.alloc_int`` and any other
+#: operand (a ``BigIntObject``) through the generic builtin, so values and
+#: heap statistics are the generic call's; the site's charge is the static
+#: ``runtime_call`` either way.
+SCALAR_RTCALLS: Dict[str, Tuple[str, Callable[[int, int], object]]] = {
+    "lean_nat_add": ("nat", operator.add),
+    "lean_nat_sub": ("nat", operator.sub),
+    "lean_nat_mul": ("nat", operator.mul),
+    "lean_int_add": ("int", operator.add),
+    "lean_int_sub": ("int", operator.sub),
+    "lean_int_mul": ("int", operator.mul),
+    **{
+        f"lean_{domain}_dec_{predicate}": ("cmp", getattr(operator, predicate))
+        for domain in ("nat", "int")
+        for predicate in ("eq", "ne", "lt", "le", "gt", "ge")
+    },
+}
+
+
+def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
+    """The threaded closure of an ``rtcall`` site in :data:`SCALAR_RTCALLS`:
+    ``int`` operands are computed here, any other goes to ``slow`` (the
+    generic builtin)."""
+    shape, fn = scalar
+    lhs, rhs = args
+    if shape == "cmp":
+        def op(regs, s=sites, i=pc, d=dst, a=lhs, b=rhs, f=fn, slow=slow,
+               ctx=ctx, int_=int, yes=TRUE, no=FALSE, n=nxt):
+            s[i] += 1
+            x = regs[a]
+            y = regs[b]
+            if x.__class__ is int_ and y.__class__ is int_:
+                regs[d] = yes if f(x, y) else no
+            else:
+                regs[d] = slow(ctx, [x, y])
+            return n
+    elif shape == "nat":
+        def op(regs, s=sites, i=pc, d=dst, a=lhs, b=rhs, f=fn, slow=slow,
+               ctx=ctx, alloc=alloc, int_=int, lim=SCALAR_INT_LIMIT, n=nxt):
+            s[i] += 1
+            x = regs[a]
+            y = regs[b]
+            if x.__class__ is int_ and y.__class__ is int_:
+                r = f(x, y)
+                if r < 0:
+                    r = 0
+                regs[d] = r if r < lim else alloc(r)
+            else:
+                regs[d] = slow(ctx, [x, y])
+            return n
+    else:
+        def op(regs, s=sites, i=pc, d=dst, a=lhs, b=rhs, f=fn, slow=slow,
+               ctx=ctx, alloc=alloc, int_=int, lim=SCALAR_INT_LIMIT, n=nxt):
+            s[i] += 1
+            x = regs[a]
+            y = regs[b]
+            if x.__class__ is int_ and y.__class__ is int_:
+                r = f(x, y)
+                regs[d] = r if -lim < r < lim else alloc(r)
+            else:
+                regs[d] = slow(ctx, [x, y])
+            return n
+    return op
 
 
 class BytecodeFunction:
@@ -1118,11 +1193,7 @@ class VirtualMachine:
             self._flush_counts()
             self._publish_telemetry()
         snapshot = python_value(result) if result is not None else None
-        if self.program.flavor == "cfg":
-            if result is not None:
-                self.ctx.release(result)
-        elif not isinstance(result, (Scalar, Enum)):
-            self.ctx.release(result)
+        self.ctx.release(result)
         if check_heap:
             self.ctx.heap.check_balanced()
         return RunResult(
@@ -2081,11 +2152,18 @@ class VirtualMachine:
                     regs[d] = alloc(tag, [regs[r] for r in fr])
                     return n
             elif opcode == OP_INT or opcode == OP_BIGINT:
-                def op(regs, s=sites, i=pc, d=ins[1], v=ins[2],
-                       alloc=heap.alloc_int, n=nxt):
-                    s[i] += 1
-                    regs[d] = alloc(v)
-                    return n
+                if -SCALAR_INT_LIMIT < ins[2] < SCALAR_INT_LIMIT:
+                    # Unboxed: alloc_int would return the constant itself.
+                    def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], n=nxt):
+                        s[i] += 1
+                        regs[d] = v
+                        return n
+                else:
+                    def op(regs, s=sites, i=pc, d=ins[1], v=ins[2],
+                           alloc=heap.alloc_int, n=nxt):
+                        s[i] += 1
+                        regs[d] = alloc(v)
+                        return n
             elif opcode == OP_CONST:
                 def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], n=nxt):
                     s[i] += 1
@@ -2128,7 +2206,13 @@ class VirtualMachine:
                 # dead weight on the hot path.  Unknown names keep the
                 # lazy call_builtin error.
                 impl = BUILTINS.get(ins[2])
-                if impl is not None and ins[1] >= 0:
+                scalar = SCALAR_RTCALLS.get(ins[2])
+                if scalar is not None and ins[1] >= 0 and len(ins[3]) == 2:
+                    op = _scalar_rtcall(
+                        scalar, impl, ctx, heap.alloc_int, sites, pc, ins[1],
+                        ins[3], nxt,
+                    )
+                elif impl is not None and ins[1] >= 0:
                     def op(regs, s=sites, i=pc, d=ins[1], fn_=impl,
                            argr=ins[3], ctx=ctx, n=nxt):
                         s[i] += 1

@@ -28,8 +28,6 @@ from ..runtime import (
     RuntimeContext,
     RuntimeError_,
     CtorObject,
-    Scalar,
-    Enum,
     call_builtin,
     extend_closure,
     is_builtin,

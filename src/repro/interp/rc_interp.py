@@ -41,12 +41,9 @@ from ..lambda_pure.ir import (
     Unreachable,
 )
 from ..runtime import (
-    ClosureObject,
     CtorObject,
-    Enum,
     RuntimeContext,
     RuntimeError_,
-    Scalar,
     Value,
     call_builtin,
     extend_closure,
@@ -96,10 +93,7 @@ class RcInterpreter:
         self.metrics.wall_time_seconds = time.perf_counter() - start
         snapshot = python_value(result)
         # The driver owns the returned value; release it and check balance.
-        if isinstance(result, (CtorObject, ClosureObject)) or (
-            not isinstance(result, (Scalar, Enum))
-        ):
-            self.ctx.release(result)
+        self.ctx.release(result)
         if check_heap:
             self.ctx.heap.check_balanced()
         return RunResult(

@@ -1,7 +1,7 @@
 """The simulated LEAN runtime (``libleanrt`` substitute).
 
-* :mod:`repro.runtime.objects` — boxed/unboxed values and the reference-
-  counted heap with leak/double-free detection,
+* :mod:`repro.runtime.objects` — unboxed values as plain ``int``s, the heap
+  objects, and the reference-counted heap with leak/double-free detection,
 * :mod:`repro.runtime.closures` — closure creation and extension
   (``lean_apply_n`` semantics),
 * :mod:`repro.runtime.builtins` — the runtime call table
@@ -19,17 +19,16 @@ from .builtins import (
 from .closures import ApplyOutcome, extend_closure, make_closure
 from .objects import (
     NULL_TOKEN,
+    SCALAR_INT_LIMIT,
     ArrayObject,
     BigIntObject,
     ClosureObject,
     CtorObject,
-    Enum,
     Heap,
     HeapObject,
     HeapStatistics,
     NullToken,
     RuntimeError_,
-    Scalar,
     StringObject,
     Value,
     int_value,
@@ -48,17 +47,16 @@ __all__ = [
     "extend_closure",
     "make_closure",
     "NULL_TOKEN",
+    "SCALAR_INT_LIMIT",
     "ArrayObject",
     "BigIntObject",
     "ClosureObject",
     "CtorObject",
-    "Enum",
     "Heap",
     "HeapObject",
     "HeapStatistics",
     "NullToken",
     "RuntimeError_",
-    "Scalar",
     "StringObject",
     "Value",
     "int_value",

@@ -4,8 +4,15 @@ Every entry models one ``libleanrt`` routine that λrc / the lp dialect lowers
 to (``lean_nat_add``, ``lean_nat_dec_eq``, ``lean_array_push``, ...).  The
 calling convention matches our simplified λrc ownership discipline: **all
 arguments are owned by the callee** and the **result is owned by the
-caller**.  Scalars are unaffected; heap arguments are released (or reused
-in place, in the case of unique arrays) before returning.
+caller**.  Unboxed values (plain ``int``s, see :mod:`repro.runtime.objects`)
+are unaffected; heap arguments are released (or reused in place, in the
+case of unique arrays) before returning.
+
+Integer results below ``SCALAR_INT_LIMIT`` come back as ``int``s, and
+comparisons return the ``Bool`` tags :data:`TRUE` / :data:`FALSE` — ``int``s,
+never Python ``bool``s.  The arithmetic and comparison routines take an
+int×int fast path first; the :func:`~repro.runtime.objects.int_value` slow
+path reads ``BigIntObject`` operands.
 """
 
 from __future__ import annotations
@@ -14,12 +21,9 @@ from typing import Callable, Dict, List
 
 from .objects import (
     ArrayObject,
-    BigIntObject,
-    Enum,
     Heap,
     HeapObject,
     RuntimeError_,
-    Scalar,
     StringObject,
     Value,
     int_value,
@@ -40,11 +44,11 @@ class RuntimeContext:
     # -- helpers ---------------------------------------------------------------
     def release(self, value: Value) -> None:
         """Release a consumed (owned) argument."""
-        if isinstance(value, HeapObject):
+        if value.__class__ is not int and isinstance(value, HeapObject):
             self.heap.dec(value)
 
-    def bool_value(self, flag: bool) -> Value:
-        return Enum(TRUE if flag else FALSE)
+    def bool_value(self, flag: bool) -> int:
+        return TRUE if flag else FALSE
 
     def int_result(self, value: int) -> Value:
         return self.heap.alloc_int(value)
@@ -82,20 +86,25 @@ def call_builtin(ctx: RuntimeContext, name: str, args: List[Value]) -> Value:
 
 def _binary_int(ctx: RuntimeContext, args, op, *, truncate_nat: bool) -> Value:
     a, b = args
-    result = op(int_value(a), int_value(b))
+    if a.__class__ is int and b.__class__ is int:
+        result = op(a, b)
+    else:
+        result = op(int_value(a), int_value(b))
+        ctx.release(a)
+        ctx.release(b)
     if truncate_nat and result < 0:
         result = 0
-    ctx.release(a)
-    ctx.release(b)
-    return ctx.int_result(result)
+    return ctx.heap.alloc_int(result)
 
 
-def _compare(ctx: RuntimeContext, args, op) -> Value:
+def _compare(ctx: RuntimeContext, args, op) -> int:
     a, b = args
+    if a.__class__ is int and b.__class__ is int:
+        return TRUE if op(a, b) else FALSE
     result = op(int_value(a), int_value(b))
     ctx.release(a)
     ctx.release(b)
-    return ctx.bool_value(result)
+    return TRUE if result else FALSE
 
 
 @builtin("lean_nat_add")
@@ -342,4 +351,5 @@ def _io_println(ctx, args):
     else:
         ctx.output.append(str(int_value(value)))
     ctx.release(value)
-    return Enum(0)
+    # ``Unit.unit``: a field-less constructor, so its tag.
+    return 0

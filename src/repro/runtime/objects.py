@@ -3,14 +3,18 @@
 LEAN represents values uniformly as ``lean_object*``:
 
 * small integers and field-less constructors are *scalars* — tagged machine
-  words that are not heap allocated and not reference counted,
+  words (``lean_box``) that are not heap allocated and not reference counted,
 * constructor applications, closures, big integers, arrays and strings are
   heap objects with a reference count.
 
-We mirror that split: :class:`Scalar` / :class:`Enum` values are unboxed,
-:class:`HeapObject` subclasses live on the :class:`Heap`, which tracks
-allocation statistics and verifies reference-count balance (no leaks, no
-double frees) — the property our differential tests assert.
+We mirror that split with plain Python ``int``s as the tagged words: an
+integer whose absolute value is below :data:`SCALAR_INT_LIMIT` is the
+``int`` itself, and a field-less constructor is its tag (a ``Bool`` is the
+``int`` ``0`` or ``1``, never a Python ``bool``).  Everything else is a
+:class:`HeapObject` on the :class:`Heap`, which tracks allocation
+statistics and verifies reference-count balance (no leaks, no double
+frees) — the property our differential tests assert.  Hot paths test
+``value.__class__ is int`` before any ``isinstance`` check.
 """
 
 from __future__ import annotations
@@ -27,31 +31,9 @@ class RuntimeError_(Exception):
 
 
 class Value:
-    """Base class of runtime values."""
+    """Base class of the boxed runtime values (unboxed ones are ``int``)."""
 
-
-class Scalar(Value):
-    """An unboxed machine integer (no reference count)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __repr__(self):
-        return f"Scalar({self.value})"
-
-
-class Enum(Value):
-    """A field-less constructor, represented unboxed as its tag."""
-
-    __slots__ = ("tag",)
-
-    def __init__(self, tag: int):
-        self.tag = tag
-
-    def __repr__(self):
-        return f"Enum({self.tag})"
+    __slots__ = ()
 
 
 class NullToken(Value):
@@ -73,6 +55,8 @@ NULL_TOKEN = NullToken()
 class HeapObject(Value):
     """Base class of reference-counted heap objects."""
 
+    __slots__ = ("rc", "freed")
+
     kind = "object"
 
     def __init__(self):
@@ -80,12 +64,17 @@ class HeapObject(Value):
         self.freed = False
 
     def children(self) -> List[Value]:
-        """Heap references owned by this object (released on free)."""
+        """Heap references owned by this object (released on free).
+
+        Subclasses return their stored list, not a copy.
+        """
         return []
 
 
 class CtorObject(HeapObject):
     """A constructor application with at least one field."""
+
+    __slots__ = ("tag", "fields")
 
     kind = "ctor"
 
@@ -95,7 +84,7 @@ class CtorObject(HeapObject):
         self.fields = list(fields)
 
     def children(self) -> List[Value]:
-        return list(self.fields)
+        return self.fields
 
     def __repr__(self):
         return f"Ctor(tag={self.tag}, fields={len(self.fields)}, rc={self.rc})"
@@ -103,6 +92,8 @@ class CtorObject(HeapObject):
 
 class ClosureObject(HeapObject):
     """A closure: a top-level function plus the arguments captured so far."""
+
+    __slots__ = ("fn_name", "arity", "args")
 
     kind = "closure"
 
@@ -113,7 +104,7 @@ class ClosureObject(HeapObject):
         self.args = list(args)
 
     def children(self) -> List[Value]:
-        return list(self.args)
+        return self.args
 
     @property
     def missing(self) -> int:
@@ -128,6 +119,8 @@ class ClosureObject(HeapObject):
 class BigIntObject(HeapObject):
     """An arbitrary-precision integer too large to be a scalar."""
 
+    __slots__ = ("value",)
+
     kind = "bigint"
 
     def __init__(self, value: int):
@@ -141,6 +134,8 @@ class BigIntObject(HeapObject):
 class ArrayObject(HeapObject):
     """LEAN's dynamic array of boxed values."""
 
+    __slots__ = ("items",)
+
     kind = "array"
 
     def __init__(self, items: Optional[List[Value]] = None):
@@ -148,7 +143,7 @@ class ArrayObject(HeapObject):
         self.items = list(items or [])
 
     def children(self) -> List[Value]:
-        return list(self.items)
+        return self.items
 
     def __repr__(self):
         return f"Array(len={len(self.items)}, rc={self.rc})"
@@ -156,6 +151,8 @@ class ArrayObject(HeapObject):
 
 class StringObject(HeapObject):
     """An immutable string."""
+
+    __slots__ = ("value",)
 
     kind = "string"
 
@@ -200,14 +197,17 @@ class Heap:
 
     # -- allocation --------------------------------------------------------------
     def register(self, obj: HeapObject) -> HeapObject:
-        self.live[id(obj)] = obj
-        self.stats.allocations += 1
-        self.stats.peak_live = max(self.stats.peak_live, len(self.live))
+        live = self.live
+        live[id(obj)] = obj
+        stats = self.stats
+        stats.allocations += 1
+        if len(live) > stats.peak_live:
+            stats.peak_live = len(live)
         return obj
 
     def alloc_ctor(self, tag: int, fields: List[Value]) -> Value:
         if not fields:
-            return Enum(tag)
+            return tag
         return self.register(CtorObject(tag, fields))
 
     def alloc_closure(self, fn_name: str, arity: int, args: List[Value]) -> ClosureObject:
@@ -215,8 +215,8 @@ class Heap:
         return self.register(closure)
 
     def alloc_int(self, value: int) -> Value:
-        if abs(value) < SCALAR_INT_LIMIT:
-            return Scalar(value)
+        if -SCALAR_INT_LIMIT < value < SCALAR_INT_LIMIT:
+            return value
         return self.register(BigIntObject(value))
 
     def alloc_array(self, items: Optional[List[Value]] = None) -> ArrayObject:
@@ -228,6 +228,8 @@ class Heap:
     # -- reference counting -------------------------------------------------------
     def inc(self, value: Value, count: int = 1) -> None:
         self.stats.inc_ops += 1
+        if value.__class__ is int:
+            return
         if isinstance(value, HeapObject):
             if value.freed:
                 raise RuntimeError_("inc of a freed object")
@@ -235,7 +237,7 @@ class Heap:
 
     def dec(self, value: Value, count: int = 1) -> None:
         self.stats.dec_ops += 1
-        if not isinstance(value, HeapObject):
+        if value.__class__ is int or not isinstance(value, HeapObject):
             return
         self._dec_object(value, count)
 
@@ -251,12 +253,32 @@ class Heap:
             self._free(obj)
 
     def _free(self, obj: HeapObject) -> None:
-        obj.freed = True
-        self.live.pop(id(obj), None)
-        self.stats.frees += 1
-        for child in obj.children():
-            if isinstance(child, HeapObject):
-                self._dec_object(child)
+        """Free ``obj`` and every object whose last reference it held.
+
+        An explicit worklist, not recursion: dropping a long constructor
+        chain must not depend on Python's recursion limit.
+        """
+        live = self.live
+        stats = self.stats
+        worklist = [obj]
+        while worklist:
+            obj = worklist.pop()
+            obj.freed = True
+            live.pop(id(obj), None)
+            stats.frees += 1
+            for child in obj.children():
+                if child.__class__ is int or not isinstance(child, HeapObject):
+                    continue
+                if child.freed:
+                    raise RuntimeError_("dec of a freed object (double free)")
+                if child.rc < 1:
+                    raise RuntimeError_(
+                        f"reference count underflow on {child!r} "
+                        f"(rc={child.rc}, dec 1)"
+                    )
+                child.rc -= 1
+                if child.rc == 0:
+                    worklist.append(child)
 
     # -- constructor reuse (reset/reuse tokens) -----------------------------------
     def reset(self, value: Value) -> Value:
@@ -273,7 +295,7 @@ class Heap:
                 raise RuntimeError_("reset of a freed object")
             if value.rc == 1:
                 for child in value.fields:
-                    if isinstance(child, HeapObject):
+                    if child.__class__ is not int and isinstance(child, HeapObject):
                         self._dec_object(child)
                 value.fields = []
                 return value
@@ -292,7 +314,7 @@ class Heap:
             if not fields:
                 # Field-less constructors are unboxed: discard the cell.
                 self._dec_object(token)
-                return Enum(tag)
+                return tag
             token.tag = tag
             token.fields = list(fields)
             self.stats.reuses += 1
@@ -322,34 +344,28 @@ class Heap:
 
 def int_value(value: Value) -> int:
     """Read the integer stored in a scalar or big-integer value."""
-    if isinstance(value, Scalar):
-        return value.value
+    if value.__class__ is int:
+        return value
     if isinstance(value, BigIntObject):
         return value.value
-    if isinstance(value, Enum):
-        return value.tag
     raise RuntimeError_(f"expected an integer value, got {value!r}")
 
 
 def tag_of(value: Value) -> int:
     """Read the constructor tag of a value (``lp.getlabel`` semantics)."""
-    if isinstance(value, Enum):
-        return value.tag
+    if value.__class__ is int:
+        return value
     if isinstance(value, CtorObject):
         return value.tag
-    if isinstance(value, Scalar):
-        return value.value
     raise RuntimeError_(f"value {value!r} has no constructor tag")
 
 
 def python_value(value: Value) -> object:
     """Convert a runtime value into a plain Python value (for tests/reports)."""
-    if isinstance(value, Scalar):
-        return value.value
+    if value.__class__ is int:
+        return value
     if isinstance(value, BigIntObject):
         return value.value
-    if isinstance(value, Enum):
-        return value.tag
     if isinstance(value, CtorObject):
         return (value.tag, tuple(python_value(f) for f in value.fields))
     if isinstance(value, ArrayObject):

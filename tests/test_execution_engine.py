@@ -71,6 +71,7 @@ from repro.interp.bytecode import (
     FUSED_OPCODE_BASES,
     FUSION_RULES,
     OPCODE_NAMES,
+    SCALAR_RTCALLS,
     BytecodeFunction,
     BytecodeProgram,
     VirtualMachine,
@@ -86,7 +87,13 @@ from repro.ir import Builder, FunctionType, InsertionPoint
 from repro.ir.core import Block
 from repro.ir.types import box, i1, i64
 from repro.lambda_pure import ir as rc_ir
-from repro.runtime import RuntimeError_
+from repro.runtime import (
+    BUILTINS,
+    BigIntObject,
+    RuntimeContext,
+    RuntimeError_,
+    python_value,
+)
 
 REGRESSION = regression_programs()
 REGRESSION_BY_NAME = {p.name: p for p in REGRESSION}
@@ -439,10 +446,8 @@ class TestVmErrors:
         body = rc_ir.Case("n", alts=[rc_ir.CaseAlt(7, "seven", rc_ir.Ret("n"))])
         program = rc_program(body, params=("n",))
         vm = VirtualMachine(compile_rc_program(program))
-        from repro.runtime import Scalar
-
         with pytest.raises(RuntimeError_, match="no alternative"):
-            vm.run_main([Scalar(3)])
+            vm.run_main([3])
 
     def test_arity_mismatch_raises(self):
         body = rc_ir.Ret("a")
@@ -1007,3 +1012,99 @@ class TestVm2Cli:
         path = tmp_path / "p.lean"
         path.write_text(self.RECURSIVE)
         assert main([str(path), "--unfused"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Unboxed values: the threaded VM's scalar-specialised closures
+# ---------------------------------------------------------------------------
+
+#: Operand values at the edges of the unboxed range (±2**62).
+_EDGES = (2**62 - 1, 2**62, 2**62 + 1, -(2**62) + 1, -(2**62), -(2**62) - 1)
+
+#: ``(force_boxed, value)``: small values, negatives (the Nat builtins must
+#: clamp exactly as the generic ones do), the unboxed range's edges, values
+#: far past them, and ``BigIntObject`` operands holding small values.
+_OPERANDS = st.tuples(
+    st.booleans(),
+    st.one_of(
+        st.integers(-5, 5),
+        st.sampled_from(_EDGES),
+        st.integers(-(2**64), 2**64),
+    ),
+)
+
+
+def _materialise(heap, operand):
+    """The runtime value of ``operand``: ``alloc_int``'s choice, or a
+    ``BigIntObject`` whatever the size when it asks to be boxed."""
+    force_boxed, value = operand
+    if force_boxed:
+        return heap.register(BigIntObject(value))
+    return heap.alloc_int(value)
+
+
+def _rtcall_program(name):
+    return _vm_program(
+        [(OP_RTCALL, 2, name, (0, 1)), (OP_RET, 2)], 3, num_params=2
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SCALAR_RTCALLS)),
+    lhs=_OPERANDS,
+    rhs=_OPERANDS,
+)
+def test_hypothesis_scalar_rtcall_matches_generic_builtin(name, lhs, rhs):
+    ctx = RuntimeContext()
+    result = BUILTINS[name](
+        ctx, [_materialise(ctx.heap, lhs), _materialise(ctx.heap, rhs)]
+    )
+    expected = python_value(result)
+    ctx.release(result)
+    ctx.heap.check_balanced()
+
+    vm_ctx = RuntimeContext()
+    args = [_materialise(vm_ctx.heap, lhs), _materialise(vm_ctx.heap, rhs)]
+    run = VirtualMachine(_rtcall_program(name), context=vm_ctx).run_main(args)
+    assert run.value == expected
+    assert type(run.value) is int
+    assert run.heap_stats == ctx.heap.stats.as_dict()
+
+
+class TestScalarSpecialisation:
+    def test_table_covers_arithmetic_and_every_comparison(self):
+        comparisons = {
+            name for name in BUILTINS
+            if name.startswith(("lean_nat_dec_", "lean_int_dec_"))
+        }
+        arithmetic = {
+            f"lean_{domain}_{op}"
+            for domain in ("nat", "int")
+            for op in ("add", "sub", "mul")
+        }
+        assert len(comparisons) == 12
+        assert set(SCALAR_RTCALLS) == comparisons | arithmetic
+
+    def test_int_operands_skip_the_generic_builtin(self, monkeypatch):
+        def generic(ctx, args):
+            raise AssertionError("generic builtin called on int operands")
+
+        for name in SCALAR_RTCALLS:
+            monkeypatch.setitem(BUILTINS, name, generic)
+        for name in sorted(SCALAR_RTCALLS):
+            run = VirtualMachine(_rtcall_program(name)).run_main([6, 3])
+            assert type(run.value) is int
+
+    @pytest.mark.parametrize("opcode", [OP_INT, OP_BIGINT])
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, -7, 2**62 - 1, -(2**62) + 1, 2**62, -(2**62), 10**30],
+    )
+    def test_int_constant_matches_alloc_int(self, opcode, value):
+        ctx = RuntimeContext()
+        ctx.release(ctx.heap.alloc_int(value))
+        program = _vm_program([(opcode, 0, value), (OP_RET, 0)], 1)
+        run = VirtualMachine(program).run_main()
+        assert run.value == value and type(run.value) is int
+        assert run.heap_stats == ctx.heap.stats.as_dict()

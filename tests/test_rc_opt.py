@@ -47,7 +47,7 @@ from repro.rc_opt import (
     insert_optimized_rc,
     reuse_critical_params,
 )
-from repro.runtime import Heap, NullToken, RuntimeError_, Scalar
+from repro.runtime import Heap, NullToken, RuntimeError_
 
 SMALL_SIZES = {
     "binarytrees": {"depth": 4},
@@ -328,10 +328,10 @@ class TestFusion:
 class TestReuse:
     def test_heap_reset_unique_cell_yields_live_token(self):
         heap = Heap()
-        cell = heap.alloc_ctor(1, [Scalar(1), Scalar(2)])
+        cell = heap.alloc_ctor(1, [1, 2])
         token = heap.reset(cell)
         assert token is cell
-        reused = heap.reuse(token, 3, [Scalar(4), Scalar(5)])
+        reused = heap.reuse(token, 3, [4, 5])
         assert reused is cell and reused.tag == 3
         assert heap.stats.reuses == 1
         assert heap.stats.allocations == 1  # no second allocation
@@ -340,11 +340,11 @@ class TestReuse:
 
     def test_heap_reset_shared_cell_yields_null_token(self):
         heap = Heap()
-        cell = heap.alloc_ctor(1, [Scalar(1)])
+        cell = heap.alloc_ctor(1, [1])
         heap.inc(cell)
         token = heap.reset(cell)
         assert isinstance(token, NullToken)
-        fresh = heap.reuse(token, 2, [Scalar(9)])
+        fresh = heap.reuse(token, 2, [9])
         assert fresh is not cell
         assert heap.stats.allocations == 2
         heap.dec(cell)
@@ -354,7 +354,7 @@ class TestReuse:
     def test_heap_reuse_rejects_bad_token(self):
         heap = Heap()
         with pytest.raises(RuntimeError_):
-            heap.reuse(Scalar(1), 0, [])
+            heap.reuse(1, 0, [])
 
     def test_reuse_transform_pairs_dec_with_ctor(self):
         source = """
