@@ -24,7 +24,6 @@ runs between RC insertion and backend lowering):
 
 from __future__ import annotations
 
-import copy
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -214,6 +213,18 @@ class Frontend:
         return lower_program(surface, env)
 
 
+class _FrontendEntry:
+    """One source's row in the session cache: its λpure program and the λrc
+    lowerings of it, keyed by (``run_lambda_simplifier``,
+    ``enable_simp_case``, ``rc_mode``)."""
+
+    __slots__ = ("pure", "rc")
+
+    def __init__(self, pure: PureProgram):
+        self.pure = pure
+        self.rc: Dict[tuple, Tuple[PureProgram, RcOptReport]] = {}
+
+
 class CompilationSession:
     """Shares frontend and lowering work across compilations.
 
@@ -221,9 +232,18 @@ class CompilationSession:
     variants; without a session each run re-parses, re-typechecks and
     re-lowers the identical source.  A session adds a *content-keyed*
     frontend cache: the first compile of a source pays the full frontend,
-    later compiles of the same text get a deep copy of the memoised λpure
-    program (a copy, so downstream mutation can never leak between runs —
-    cached and uncached compiles produce byte-identical IR).
+    later compiles of the same text share the memoised λpure program.
+    λpure and λrc programs are persistent values — every pass over them
+    (simplifier, RC insertion, fusion, reuse) builds a new program and
+    leaves its input untouched — so sharing by reference is safe and
+    cached and uncached compiles produce byte-identical IR.
+
+    The same cache entry memoises the **λrc lowering** of its source, keyed
+    by (``run_lambda_simplifier``, ``enable_simp_case``, ``rc_mode``): the
+    baseline and lp+rgn pipelines at one rc mode share one simplifier run
+    and one RC insertion.  These entries live and die with their source's
+    frontend entry (the ``cache.frontend`` corruption ladder drops both);
+    hit/miss counts publish as ``session.rc.hits`` / ``.misses``.
 
     The prelude itself is shared one level deeper: the builtin typing
     tables are resolved once per process (see
@@ -238,7 +258,7 @@ class CompilationSession:
     bytecode translation once.  Entries hold a strong reference to their
     module, so an ``id`` can never be recycled while its cache row lives.
 
-    The third cache drives **incremental recompilation**: optimised
+    The last cache drives **incremental recompilation**: optimised
     per-function rgn IR keyed by (pipeline fingerprint, structural body
     fingerprint) — see :mod:`repro.backend.incremental`.  Recompiling a
     module where one function changed re-runs the rgn-opt pipeline only on
@@ -250,7 +270,7 @@ class CompilationSession:
     """
 
     def __init__(self):
-        self._pure_cache: Dict[str, PureProgram] = {}
+        self._pure_cache: Dict[str, _FrontendEntry] = {}
         self._bytecode_cache: Dict[tuple, tuple] = {}
         self._rgn_opt_cache: Dict[tuple, object] = {}
         self.lowering_context = LoweringContext()
@@ -260,11 +280,14 @@ class CompilationSession:
         self.bytecode_misses = 0
         self.incremental_hits = 0
         self.incremental_misses = 0
+        self.rc_hits = 0
+        self.rc_misses = 0
 
     def frontend(self, source: str) -> PureProgram:
         """λpure program for ``source``, served from the cache when possible.
 
-        Always returns a fresh deep copy — callers own the result.
+        The cached program itself is returned: λpure is persistent, and no
+        pass modifies its input.
         """
         cached = self._pure_cache.get(source)
         hit = cached is not None
@@ -272,8 +295,9 @@ class CompilationSession:
             try:
                 fault_hit("cache.frontend")
             except InjectedFault:
-                # A corrupt cached entry: quarantine it and fall back to a
-                # clean re-parse (counted, never silent).
+                # A corrupt cached entry: quarantine it (and the λrc
+                # lowerings it holds) and fall back to a clean re-parse
+                # (counted, never silent).
                 del self._pure_cache[source]
                 cached = None
                 hit = False
@@ -283,7 +307,7 @@ class CompilationSession:
         with get_tracer().span("session:frontend", category="session", hit=hit):
             if cached is None:
                 self.misses += 1
-                cached = Frontend.to_pure(source)
+                cached = _FrontendEntry(Frontend.to_pure(source))
                 self._pure_cache[source] = cached
             else:
                 self.hits += 1
@@ -292,7 +316,36 @@ class CompilationSession:
                 registry.bump(
                     "session.frontend.hits" if hit else "session.frontend.misses"
                 )
-            return copy.deepcopy(cached)
+            return cached.pure
+
+    def rc_cached(
+        self, source: str, key: tuple
+    ) -> Optional[Tuple[PureProgram, RcOptReport]]:
+        """Cached ``(λrc program, report)`` of ``source`` for ``key``, or
+        None (counts the miss).  Call after :meth:`frontend` of ``source``.
+
+        ``key`` is (``run_lambda_simplifier``, ``enable_simp_case``,
+        ``rc_mode``); hit/miss counts publish as ``session.rc.hits`` /
+        ``.misses``.
+        """
+        lowered = self._pure_cache[source].rc.get(key)
+        registry = get_metrics()
+        if lowered is not None:
+            self.rc_hits += 1
+            if registry.enabled:
+                registry.bump("session.rc.hits")
+            return lowered
+        self.rc_misses += 1
+        if registry.enabled:
+            registry.bump("session.rc.misses")
+        return None
+
+    def rc_store(
+        self, source: str, key: tuple, lowered: Tuple[PureProgram, RcOptReport]
+    ) -> None:
+        """Remember the λrc lowering of ``source`` for ``key`` in its
+        frontend entry."""
+        self._pure_cache[source].rc[key] = lowered
 
     def bytecode_for(
         self,
@@ -415,6 +468,8 @@ class CompilationSession:
             "incremental_hits": self.incremental_hits,
             "incremental_misses": self.incremental_misses,
             "incremental_entries": len(self._rgn_opt_cache),
+            "rc_hits": self.rc_hits,
+            "rc_misses": self.rc_misses,
         }
 
 
@@ -450,6 +505,39 @@ class PhaseTimer:
                         "pipeline.phase." + metric_component(name) + ".seconds",
                         elapsed,
                     )
+
+
+def lower_to_rc(
+    source: str,
+    pure: PureProgram,
+    phases: PhaseTimer,
+    session: Optional[CompilationSession],
+    *,
+    run_simplifier: bool,
+    enable_simp_case: bool,
+    rc_mode: str,
+) -> Tuple[PureProgram, RcOptReport]:
+    """λpure → [simplifier] → λrc, shared by both compilers.
+
+    With a session the result is memoised per (source, simplifier flags, rc
+    mode); a hit runs neither the ``simplify`` nor the ``rc-insert`` phase.
+    """
+    key = (run_simplifier, enable_simp_case, rc_mode)
+    if session is not None:
+        cached = session.rc_cached(source, key)
+        if cached is not None:
+            return cached
+    with phases.phase("simplify"):
+        staged = (
+            simplify_program(pure, enable_simp_case=enable_simp_case)
+            if run_simplifier
+            else pure
+        )
+    with phases.phase("rc-insert"):
+        lowered = insert_optimized_rc(staged, rc_mode)
+    if session is not None:
+        session.rc_store(source, key, lowered)
+    return lowered
 
 
 def pass_instrumentations(options: PipelineOptions) -> List[PassInstrumentation]:
@@ -610,14 +698,12 @@ class BaselineCompiler:
                     if self.session is not None
                     else Frontend.to_pure(source)
                 )
-            with phases.phase("simplify"):
-                optimized = (
-                    simplify_program(copy.deepcopy(pure))
-                    if self.enable_simplifier
-                    else pure
-                )
-            with phases.phase("rc-insert"):
-                rc, rc_report = insert_optimized_rc(optimized, self.rc_mode)
+            rc, rc_report = lower_to_rc(
+                source, pure, phases, self.session,
+                run_simplifier=self.enable_simplifier,
+                enable_simp_case=True,
+                rc_mode=self.rc_mode,
+            )
             with phases.phase("c-emit"):
                 c_source = emit_c_source(rc)
         return CompilationArtifacts(
@@ -703,14 +789,12 @@ class MlirCompiler:
                     if session is not None
                     else Frontend.to_pure(source)
                 )
-            with phases.phase("simplify"):
-                staged = copy.deepcopy(pure)
-                if options.run_lambda_simplifier:
-                    staged = simplify_program(
-                        staged, enable_simp_case=options.enable_simp_case
-                    )
-            with phases.phase("rc-insert"):
-                rc, rc_report = insert_optimized_rc(staged, options.rc_mode)
+            rc, rc_report = lower_to_rc(
+                source, pure, phases, session,
+                run_simplifier=options.run_lambda_simplifier,
+                enable_simp_case=options.enable_simp_case,
+                rc_mode=options.rc_mode,
+            )
             with phases.phase("lp-codegen"):
                 lp_module = generate_lp_module(rc, lowering_context)
             artifacts = CompilationArtifacts(

@@ -271,8 +271,9 @@ def run_suite(
     one worker per benchmark — and merges in suite order.  Every task gets
     its own fresh :class:`CompilationSession` whichever way it is
     scheduled, so sharding changes nothing but wall time: a shared session
-    would turn the second engine's ``frontend`` timings into cache-hit
-    deep copies and make jobs=1 and jobs=N payloads diverge.
+    would turn the second engine's ``frontend``, ``simplify`` and
+    ``rc-insert`` timings into cache hits and make jobs=1 and jobs=N
+    payloads diverge.
     """
     sources = benchmark_sources(sizes or DEFAULT_SIZES)
     tasks = [

@@ -28,6 +28,10 @@ Any violation (or any crash anywhere in a pipeline) raises
 hypothesis shrinks the *program*, and the shrunk source is what lands in
 ``tests/corpus/``.
 
+Every pipeline runs with its fallback ladders off
+(``enable_fallbacks=False``): a VM fault is a finding naming its
+configuration, never a silent re-execution on the tree-walker oracle.
+
 Every execution runs under a per-program step budget
 (:data:`DEFAULT_BUDGET_STEPS`, overridable per call), so a generated
 program that diverges — or an optimisation that breaks termination —
@@ -44,8 +48,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..backend.pipeline import (
     RC_VARIANTS,
+    BaselineCompiler,
     CompilationSession,
-    run_baseline,
     run_mlir,
     run_reference,
 )
@@ -159,6 +163,7 @@ def _mlir_options(config: MatrixConfig, budget_steps: Optional[int] = None):
     )
     options.incremental_rgn_opt = config.incremental
     options.execution_budget_steps = budget_steps
+    options.enable_fallbacks = False
     return options
 
 
@@ -172,9 +177,11 @@ def run_matrix(
 ) -> MatrixReport:
     """Run ``source`` through the configured matrix; raise on any violation.
 
-    ``session`` shares frontend work across the whole matrix (and is what
-    the incremental configurations exercise); the caller may reuse one
-    session across many programs — the cache is content-keyed.
+    ``session`` shares frontend work and the λrc lowering (one per rc mode,
+    for the baselines and lp+rgn configurations alike) across the whole
+    matrix, and is what the incremental configurations exercise; the
+    caller may reuse one session across many programs — the cache is
+    content-keyed.
 
     ``budget_steps`` bounds every execution (reference, baselines and the
     lp+rgn matrix alike); a trip surfaces as a :class:`DifferentialFailure`
@@ -207,13 +214,13 @@ def run_matrix(
                 label = f"baseline/{rc_variant}/{execution_engine}"
                 result = guarded(
                     label,
-                    lambda rc=rc_variant, ee=execution_engine: run_baseline(
-                        source,
+                    lambda rc=rc_variant, ee=execution_engine: BaselineCompiler(
                         rc_mode=rc[len("rc-"):],
                         session=session,
                         execution_engine=ee,
-                        budget_steps=budget_steps,
-                    ),
+                        enable_fallbacks=False,
+                        execution_budget_steps=budget_steps,
+                    ).run(source),
                 )
                 _check_run(report, label, result)
 

@@ -136,9 +136,10 @@ class Simplifier:
 
     # -- program / function entry points -----------------------------------------
     def run(self, program: Program) -> Program:
-        for name, fn in list(program.functions.items()):
-            program.functions[name] = self.run_on_function(fn)
-        return program
+        result = Program(constructors=dict(program.constructors), main=program.main)
+        for name, fn in program.functions.items():
+            result.functions[name] = self.run_on_function(fn)
+        return result
 
     def run_on_function(self, fn: Function) -> Function:
         body = fn.body
@@ -416,5 +417,8 @@ def _rename(body: FnBody, subst: Dict[str, str]) -> FnBody:
 
 
 def simplify_program(program: Program, *, enable_simp_case: bool = True) -> Program:
-    """Run the λpure simplifier over every function of ``program``."""
+    """Run the λpure simplifier over every function of ``program``.
+
+    Returns a new :class:`Program`; the input is not modified.
+    """
     return Simplifier(enable_simp_case=enable_simp_case).run(program)

@@ -139,7 +139,10 @@ def fuse_function(fn: Function, stats: FusionStats) -> Function:
 
 
 def fuse_rc(program: Program) -> Tuple[Program, FusionStats]:
-    """Fuse inc/dec runs in every function; returns a new program + stats."""
+    """Fuse inc/dec runs in every function; returns a new program + stats.
+
+    The input is not modified.
+    """
     stats = FusionStats()
     result = Program(constructors=dict(program.constructors), main=program.main)
     for name, fn in program.functions.items():

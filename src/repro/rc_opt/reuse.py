@@ -166,7 +166,10 @@ def constructor_arities(program: Program) -> Dict[Tuple[str, int], int]:
 
 
 def apply_reuse(program: Program) -> Tuple[Program, ReuseStats]:
-    """Run constructor-reuse analysis over every function of a λrc program."""
+    """Run constructor-reuse analysis over every function of a λrc program.
+
+    Returns a new program + stats; the input is not modified.
+    """
     stats = ReuseStats()
     arities = constructor_arities(program)
     result = Program(constructors=dict(program.constructors), main=program.main)

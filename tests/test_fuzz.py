@@ -36,6 +36,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.__main__ import main as fuzz_main
 from repro.fuzz.differential import MatrixReport, _check_run
+from repro.interp.bytecode import BytecodeError, VirtualMachine
 from repro.lean import ast
 from repro.lean.parser import parse_program
 from repro.lean.printer import PrintError, print_expr, print_pattern, print_program
@@ -304,6 +305,21 @@ class TestDifferentialMatrix:
             run_matrix(source)
         assert excinfo.value.source == source
         assert excinfo.value.reason.startswith("reference:")
+
+    @pytest.mark.parametrize("baselines", [True, False])
+    def test_broken_vm_is_a_finding(self, monkeypatch, baselines):
+        # The fallback ladders would re-execute on the tree-walker oracle
+        # and hide a broken VM; the matrix must run with them off.
+        def broken(self, *args, **kwargs):
+            raise BytecodeError("broken VM")
+
+        monkeypatch.setattr(VirtualMachine, "run_main", broken)
+        _, source = CORPUS[0]
+        with pytest.raises(DifferentialFailure) as excinfo:
+            run_matrix(source, configs=smoke_matrix(), baselines=baselines)
+        label = excinfo.value.reason.split(":", 1)[0]
+        assert "/vm" in label
+        assert "BytecodeError: broken VM" in excinfo.value.reason
 
     def test_value_mismatch_is_detected(self):
         report = MatrixReport(source="s")

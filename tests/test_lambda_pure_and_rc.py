@@ -283,6 +283,30 @@ def main : Nat := sum (upto 15)
         simplified = simplify_program(program)
         assert normalize(ReferenceInterpreter(simplified).run_main()) == expected
 
+    def test_input_program_is_not_modified(self):
+        program = to_pure(
+            """
+inductive Option where
+| none
+| some (v : Nat)
+def main : Nat :=
+  let unused := 5 * 5;
+  match Option.some (2 + 3) with
+  | Option.none => 0
+  | Option.some v => v + 1
+"""
+        )
+        text = str(program)
+        functions = dict(program.functions)
+        simplified = simplify_program(program)
+        assert str(simplified) != text  # the simplifier did rewrite main
+        assert simplified is not program
+        assert str(program) == text
+        assert program.functions == functions
+        assert all(
+            program.functions[name] is fn for name, fn in functions.items()
+        )
+
 
 class TestReferenceCounting:
     def run_balanced(self, src):

@@ -9,11 +9,17 @@ byte-identical figure output).
 """
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
 
 from repro.backend.lowering_context import LabelScope, LoweringContext
 from repro.backend.pipeline import (
+    FIGURE10_VARIANTS,
+    RC_VARIANTS,
+    BaselineCompiler,
     CompilationSession,
+    Frontend,
     MlirCompiler,
+    PipelineOptions,
     run_baseline,
     run_mlir,
     run_reference,
@@ -21,7 +27,14 @@ from repro.backend.pipeline import (
 from repro.eval.benchmarks import benchmark_sources
 from repro.eval.figures import figure9_report, figure10_report, rc_report
 from repro.eval.harness import EvaluationHarness, measurement_options
+from repro.eval.testsuite import regression_programs
+from repro.fuzz import full_matrix, load_corpus, run_matrix, typed_programs
 from repro.ir.printer import print_module
+from repro.lambda_pure.simplifier import simplify_program
+from repro.lean.printer import print_program
+from repro.rc_opt import insert_optimized_rc
+from repro.resilience import FaultPlan, fault_plan
+from repro.telemetry import telemetry_session
 
 SOURCES = benchmark_sources(
     {
@@ -59,24 +72,25 @@ class TestCompilationSession:
             "hits": 1, "misses": 2, "entries": 2,
         }
 
-    def test_frontend_returns_fresh_copies(self):
+    def test_frontend_shares_the_cached_program(self):
         session = CompilationSession()
-        first = session.frontend(TINY)
-        second = session.frontend(TINY)
-        assert first is not second
-        # Mutating one copy must not poison the cache.
-        first.functions.clear()
-        third = session.frontend(TINY)
-        assert third.functions
+        assert session.frontend(TINY) is session.frontend(TINY)
 
-    def test_cached_compile_ir_is_byte_identical(self):
+    @pytest.mark.parametrize("variant", ("rgn",) + RC_VARIANTS)
+    def test_cached_compile_ir_is_byte_identical(self, variant):
         session = CompilationSession()
         source = SOURCES["digits"]
-        options = measurement_options("rgn")
+        options = measurement_options(variant)
         uncached = MlirCompiler(options).compile(source)
         warm_miss = MlirCompiler(options, session=session).compile(source)
         warm_hit = MlirCompiler(options, session=session).compile(source)
         assert session.hits == 1 and session.misses == 1
+        assert session.rc_hits == 1 and session.rc_misses == 1
+        assert (
+            str(uncached.rc_program)
+            == str(warm_miss.rc_program)
+            == str(warm_hit.rc_program)
+        )
         assert (
             print_module(uncached.cfg_module)
             == print_module(warm_miss.cfg_module)
@@ -106,6 +120,141 @@ class TestCompilationSession:
             )
         assert session.lowering_context is context
         assert context.modules_lowered == 2
+
+
+class TestRcLoweringCache:
+    def test_pipelines_share_one_rc_lowering_per_rc_mode(self):
+        session = CompilationSession()
+        source = SOURCES["filter"]
+        baseline = BaselineCompiler(session=session).compile(source)
+        mlir = MlirCompiler(
+            PipelineOptions.variant("rc-naive"), session=session
+        ).compile(source)
+        assert mlir.rc_program is baseline.rc_program
+        assert mlir.rc_report is baseline.rc_report
+        # The hit ran neither the simplifier nor RC insertion.
+        assert "simplify" in baseline.phase_timings
+        assert "rc-insert" in baseline.phase_timings
+        assert "simplify" not in mlir.phase_timings
+        assert "rc-insert" not in mlir.phase_timings
+        assert (session.stats["rc_hits"], session.stats["rc_misses"]) == (1, 1)
+
+    def test_key_separates_simplifier_flags_and_rc_modes(self):
+        session = CompilationSession()
+        source = SOURCES["digits"]
+        lowered = [
+            MlirCompiler(PipelineOptions.variant(variant), session=session)
+            .compile(source)
+            .rc_program
+            for variant in ("simplifier", "rgn", "rc-opt", "rc-opt+reuse")
+        ]
+        assert len({id(program) for program in lowered}) == 4
+        assert (session.stats["rc_hits"], session.stats["rc_misses"]) == (0, 4)
+        BaselineCompiler(enable_simplifier=False, session=session).compile(source)
+        assert (session.stats["rc_hits"], session.stats["rc_misses"]) == (1, 4)
+
+    def test_hits_and_misses_publish_as_metrics(self):
+        session = CompilationSession()
+        with telemetry_session() as t:
+            for _ in range(3):
+                run_baseline(TINY, session=session)
+            snapshot = t.metrics.snapshot()
+        assert snapshot["session.rc.misses"] == 1
+        assert snapshot["session.rc.hits"] == 2
+
+    def test_frontend_corruption_drops_the_rc_lowerings(self):
+        session = CompilationSession()
+        clean = run_baseline(TINY, session=session)
+        with fault_plan(FaultPlan.parse(["cache.frontend:1"])):
+            recovered = run_baseline(TINY, session=session)
+        assert recovered.value == clean.value
+        # The quarantined entry took its λrc with it: lowered again.
+        assert (session.stats["rc_hits"], session.stats["rc_misses"]) == (0, 2)
+
+    def test_full_matrix_lowers_each_rc_mode_once(self):
+        session = CompilationSession()
+        _, source = load_corpus()[0]
+        report = run_matrix(source, session=session, configs=full_matrix())
+        assert report.configurations == 42
+        # 6 baseline runs + 36 lp+rgn configurations, 3 distinct λrc.
+        assert (session.stats["rc_misses"], session.stats["rc_hits"]) == (3, 39)
+
+
+def _observable(program):
+    """What an in-place write to a λpure/λrc program would change."""
+    return (
+        str(program),
+        program.constructors,
+        {
+            name: (fn.params, fn.borrowed_params)
+            for name, fn in program.functions.items()
+        },
+    )
+
+
+def _lowered_fresh(source, key):
+    """The λrc of ``source`` at ``key``, lowered without any session."""
+    run_simplifier, enable_simp_case, rc_mode = key
+    pure = Frontend.to_pure(source)
+    if run_simplifier:
+        pure = simplify_program(pure, enable_simp_case=enable_simp_case)
+    return insert_optimized_rc(pure, rc_mode)[0]
+
+
+def _exercise_and_check(source, session):
+    """Every figure variant, the baseline with the simplifier on and off,
+    and the differential matrix over ``source`` in one session; then every
+    program the session caches for it must equal a fresh lowering."""
+    for variant in FIGURE10_VARIANTS + RC_VARIANTS:
+        run_mlir(source, PipelineOptions.variant(variant), session=session)
+    run_mlir(source, session=session)
+    for enable_simplifier in (True, False):
+        BaselineCompiler(
+            enable_simplifier=enable_simplifier, session=session
+        ).run(source)
+    run_matrix(source, session=session)
+    entry = session._pure_cache[source]
+    assert _observable(entry.pure) == _observable(Frontend.to_pure(source))
+    assert len(entry.rc) == 4
+    for key, (rc_program, _) in entry.rc.items():
+        assert _observable(rc_program) == _observable(
+            _lowered_fresh(source, key)
+        ), key
+
+
+class TestPersistentPrograms:
+    """λpure and λrc programs are shared by reference, so no pipeline may
+    write into one: the cached programs must survive every consumer."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        return CompilationSession()
+
+    @pytest.mark.parametrize(
+        "program", regression_programs(), ids=lambda p: p.name
+    )
+    def test_testsuite_program(self, program, session):
+        _exercise_and_check(program.source, session)
+
+    @pytest.mark.parametrize(
+        "name,source", load_corpus(), ids=[name for name, _ in load_corpus()]
+    )
+    def test_corpus_program(self, name, source, session):
+        _exercise_and_check(source, session)
+
+    def test_generated_programs(self, session):
+        @seed(13)
+        @settings(
+            max_examples=4,
+            database=None,
+            deadline=None,
+            suppress_health_check=list(HealthCheck),
+        )
+        @given(program=typed_programs())
+        def check(program):
+            _exercise_and_check(print_program(program), session)
+
+        check()
 
 
 class TestMeasurementOptions:
