@@ -1,54 +1,19 @@
 """Backends: λrc → lp codegen, lp → rgn and rgn → CFG lowerings, the baseline
 C emitter and the end-to-end pipeline drivers."""
 
-from .c_backend import emit_c_source
-from .lowering_context import LabelScope, LoweringContext
-from .lp_codegen import CodegenError, generate_lp_module
-from .lp_to_rgn import LpToRgnPass, lower_lp_to_rgn
-from .pipeline import (
-    FIGURE10_VARIANTS,
-    RC_VARIANTS,
-    BaselineCompiler,
-    CompilationArtifacts,
-    CompilationSession,
-    Frontend,
-    MlirCompiler,
-    PipelineOptions,
-    build_spec_pipeline,
-    rgn_optimization_pipeline,
-    rgn_pipeline_spec,
-    run_all_backends,
-    run_baseline,
-    run_mlir,
-    run_rc_variant,
-    run_reference,
-)
-from .rgn_to_cf import RgnToCfPass, lower_rgn_to_cf
+from ..lazy import lazy_exports
 
-__all__ = [
-    "emit_c_source",
-    "LabelScope",
-    "LoweringContext",
-    "CodegenError",
-    "generate_lp_module",
-    "LpToRgnPass",
-    "lower_lp_to_rgn",
-    "FIGURE10_VARIANTS",
-    "RC_VARIANTS",
-    "BaselineCompiler",
-    "CompilationArtifacts",
-    "CompilationSession",
-    "Frontend",
-    "MlirCompiler",
-    "PipelineOptions",
-    "build_spec_pipeline",
-    "rgn_optimization_pipeline",
-    "rgn_pipeline_spec",
-    "run_all_backends",
-    "run_baseline",
-    "run_mlir",
-    "run_rc_variant",
-    "run_reference",
-    "RgnToCfPass",
-    "lower_rgn_to_cf",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".c_backend": ("emit_c_source",),
+    ".lowering_context": ("LabelScope", "LoweringContext"),
+    ".lp_codegen": ("CodegenError", "generate_lp_module"),
+    ".lp_to_rgn": ("LpToRgnPass", "lower_lp_to_rgn"),
+    ".pipeline": (
+        "FIGURE10_VARIANTS", "RC_VARIANTS", "BaselineCompiler",
+        "CompilationArtifacts", "CompilationSession", "Frontend",
+        "MlirCompiler", "PipelineOptions", "build_spec_pipeline",
+        "rgn_optimization_pipeline", "rgn_pipeline_spec", "run_all_backends",
+        "run_baseline", "run_mlir", "run_rc_variant", "run_reference",
+    ),
+    ".rgn_to_cf": ("RgnToCfPass", "lower_rgn_to_cf"),
+})

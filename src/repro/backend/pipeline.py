@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..dialects.builtin import ModuleOp
@@ -39,9 +38,7 @@ from ..interp.bytecode import (
     compile_cfg_module,
     compile_rc_program,
 )
-from ..interp.cfg_interp import CfgInterpreter
-from ..interp.rc_interp import RcInterpreter, RunResult
-from ..interp.reference import ReferenceInterpreter, normalize
+from ..interp.metrics import RunResult
 from ..lambda_pure.ir import Program as PureProgram
 from ..lambda_pure.lowering import lower_program
 from ..lambda_pure.simplifier import simplify_program
@@ -49,8 +46,8 @@ from ..ir.printer import print_module
 from ..lean.parser import parse_program
 from ..lean.typecheck import check_program
 from ..rc_opt import RcOptReport, insert_optimized_rc
+from ..record import Record
 from ..resilience.budgets import ExecutionBudget, make_execution_budget
-from ..resilience.bundle import CrashBundleWriter
 from ..resilience.faults import InjectedFault, fault_hit
 from ..rewrite.pass_manager import PassManager
 from ..rewrite.registry import build_pipeline, pipeline_fingerprint
@@ -62,17 +59,18 @@ from ..telemetry import (
     metric_component,
 )
 from ..transforms.canonicalize import canonicalization_patterns
-from .c_backend import emit_c_source
-from .incremental import run_incremental_rgn_opt
 from .lowering_context import LoweringContext
 from .lp_codegen import generate_lp_module
 from .lp_to_rgn import lower_lp_to_rgn
 from .rgn_to_cf import lower_rgn_to_cf
 
 
-@dataclass
-class PipelineOptions:
-    """Configuration knobs of the lp+rgn pipeline."""
+class PipelineOptions(Record):
+    """Configuration knobs of the lp+rgn pipeline.
+
+    Every knob is a class-attribute default; the constructor takes keyword
+    overrides of them and rejects unknown names.
+    """
 
     #: Run the λpure simplifier before reference-count insertion.
     run_lambda_simplifier: bool = True
@@ -141,6 +139,27 @@ class PipelineOptions:
     execution_budget_seconds: Optional[float] = None
     execution_budget_steps: Optional[int] = None
 
+    _fields = (
+        "run_lambda_simplifier", "enable_simp_case", "run_rgn_optimizations",
+        "enable_dead_region_elimination", "enable_region_gvn",
+        "enable_case_elimination", "enable_common_branch_elimination",
+        "enable_constant_fold", "enable_cse", "rc_mode", "rewrite_engine",
+        "execution_engine", "dispatch", "superinstructions", "verify_each",
+        "verbose_passes", "print_ir_after", "print_ir_after_all",
+        "print_ir_on_failure", "incremental_rgn_opt", "capture_ir",
+        "crash_bundle_dir", "enable_fallbacks", "execution_budget_seconds",
+        "execution_budget_steps",
+    )
+
+    def __init__(self, **overrides):
+        for name, value in overrides.items():
+            if name not in self._fields:
+                raise TypeError(
+                    f"PipelineOptions() got an unexpected keyword argument "
+                    f"{name!r}"
+                )
+            setattr(self, name, value)
+
     def execution_budget(self) -> Optional[ExecutionBudget]:
         """A fresh :class:`ExecutionBudget` for one run, or None."""
         return make_execution_budget(
@@ -179,28 +198,52 @@ def _check_dispatch(dispatch: str) -> None:
         )
 
 
-@dataclass
-class CompilationArtifacts:
+class CompilationArtifacts(Record):
     """Everything produced while compiling one program."""
 
-    surface_source: str
-    pure_program: PureProgram
-    rc_program: PureProgram
-    lp_module: Optional[ModuleOp] = None
-    cfg_module: Optional[ModuleOp] = None
-    c_source: Optional[str] = None
-    pass_statistics: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    rc_report: Optional[RcOptReport] = None
-    #: Wall time per compilation phase in seconds (frontend, simplify,
-    #: rc-insert, lp-codegen, lp-fusion, lp-to-rgn, rgn-opt, rgn-to-cf /
-    #: c-emit), populated by the compilers for :mod:`repro.eval.compile_bench`.
-    phase_timings: Dict[str, float] = field(default_factory=dict)
-    #: Module op counts sampled at pipeline points ("lp" after codegen,
-    #: "rgn" entering the rgn optimisations).  The lowerings mutate the
-    #: module in place, so these cannot be recomputed afterwards.
-    module_op_counts: Dict[str, int] = field(default_factory=dict)
-    #: Textual IR snapshots requested via ``PipelineOptions.capture_ir``.
-    captured_ir: Dict[str, str] = field(default_factory=dict)
+    _fields = (
+        "surface_source", "pure_program", "rc_program", "lp_module",
+        "cfg_module", "c_source", "pass_statistics", "rc_report",
+        "phase_timings", "module_op_counts", "captured_ir",
+    )
+
+    def __init__(
+        self,
+        surface_source: str,
+        pure_program: PureProgram,
+        rc_program: PureProgram,
+        lp_module: Optional[ModuleOp] = None,
+        cfg_module: Optional[ModuleOp] = None,
+        c_source: Optional[str] = None,
+        pass_statistics: Optional[Dict[str, Dict[str, int]]] = None,
+        rc_report: Optional[RcOptReport] = None,
+        phase_timings: Optional[Dict[str, float]] = None,
+        module_op_counts: Optional[Dict[str, int]] = None,
+        captured_ir: Optional[Dict[str, str]] = None,
+    ):
+        self.surface_source = surface_source
+        self.pure_program = pure_program
+        self.rc_program = rc_program
+        self.lp_module = lp_module
+        self.cfg_module = cfg_module
+        self.c_source = c_source
+        self.pass_statistics = (
+            {} if pass_statistics is None else pass_statistics
+        )
+        self.rc_report = rc_report
+        #: Wall time per compilation phase in seconds (frontend, simplify,
+        #: rc-insert, lp-codegen, lp-fusion, lp-to-rgn, rgn-opt, rgn-to-cf /
+        #: c-emit), populated by the compilers for
+        #: :mod:`repro.eval.compile_bench`.
+        self.phase_timings = {} if phase_timings is None else phase_timings
+        #: Module op counts sampled at pipeline points ("lp" after codegen,
+        #: "rgn" entering the rgn optimisations).  The lowerings mutate the
+        #: module in place, so these cannot be recomputed afterwards.
+        self.module_op_counts = (
+            {} if module_op_counts is None else module_op_counts
+        )
+        #: Textual IR snapshots requested via ``PipelineOptions.capture_ir``.
+        self.captured_ir = {} if captured_ir is None else captured_ir
 
 
 class Frontend:
@@ -616,11 +659,11 @@ def rgn_pipeline_spec(options: PipelineOptions) -> str:
 
 def build_spec_pipeline(spec: str, options: PipelineOptions) -> PassManager:
     """Build the pipeline of ``spec`` under the knobs of ``options``."""
-    crash_handler = (
-        CrashBundleWriter(options.crash_bundle_dir)
-        if options.crash_bundle_dir is not None
-        else None
-    )
+    crash_handler = None
+    if options.crash_bundle_dir is not None:
+        from ..resilience.bundle import CrashBundleWriter
+
+        crash_handler = CrashBundleWriter(options.crash_bundle_dir)
     return build_pipeline(
         spec,
         verify_each=options.verify_each,
@@ -705,6 +748,8 @@ class BaselineCompiler:
                 rc_mode=self.rc_mode,
             )
             with phases.phase("c-emit"):
+                from .c_backend import emit_c_source
+
                 c_source = emit_c_source(rc)
         return CompilationArtifacts(
             surface_source=source,
@@ -729,9 +774,7 @@ class BaselineCompiler:
         fault and propagate: the tree-walker would only hang longer.
         """
         if self.execution_engine == "tree":
-            return RcInterpreter(
-                rc_program, budget=self._execution_budget()
-            ).run_main(check_heap=check_heap)
+            return self._run_tree(rc_program, check_heap)
         bytecode = (
             self.session.rc_bytecode_for(
                 rc_program,
@@ -752,9 +795,15 @@ class BaselineCompiler:
             registry = get_metrics()
             if registry.enabled:
                 registry.bump("resilience.fallback.vm_to_tree")
-            return RcInterpreter(
-                rc_program, budget=self._execution_budget()
-            ).run_main(check_heap=check_heap)
+            return self._run_tree(rc_program, check_heap)
+
+    def _run_tree(self, rc_program: PureProgram, check_heap: bool) -> RunResult:
+        """Run ``rc_program`` on the λrc tree-walker."""
+        from ..interp.rc_interp import RcInterpreter
+
+        return RcInterpreter(
+            rc_program, budget=self._execution_budget()
+        ).run_main(check_heap=check_heap)
 
 
 class MlirCompiler:
@@ -828,6 +877,8 @@ class MlirCompiler:
                 with phases.phase("rgn-opt"):
                     pipeline = build_spec_pipeline(spec, options)
                     if session is not None and options.incremental_rgn_opt:
+                        from .incremental import run_incremental_rgn_opt
+
                         run_incremental_rgn_opt(
                             cfg_module,
                             pipeline,
@@ -862,9 +913,7 @@ class MlirCompiler:
         """
         options = self.options
         if options.execution_engine == "tree":
-            return CfgInterpreter(
-                cfg_module, budget=options.execution_budget()
-            ).run_main(check_heap=check_heap)
+            return self._run_tree(cfg_module, check_heap)
         bytecode = (
             self.session.bytecode_for(
                 cfg_module,
@@ -885,9 +934,15 @@ class MlirCompiler:
             registry = get_metrics()
             if registry.enabled:
                 registry.bump("resilience.fallback.vm_to_tree")
-            return CfgInterpreter(
-                cfg_module, budget=options.execution_budget()
-            ).run_main(check_heap=check_heap)
+            return self._run_tree(cfg_module, check_heap)
+
+    def _run_tree(self, cfg_module: ModuleOp, check_heap: bool) -> RunResult:
+        """Run ``cfg_module`` on the CFG tree-walker."""
+        from ..interp.cfg_interp import CfgInterpreter
+
+        return CfgInterpreter(
+            cfg_module, budget=self.options.execution_budget()
+        ).run_main(check_heap=check_heap)
 
 
 def run_reference(
@@ -898,6 +953,8 @@ def run_reference(
     budget_steps: Optional[int] = None,
 ):
     """Run the source through the λpure reference interpreter (golden value)."""
+    from ..interp.reference import ReferenceInterpreter, normalize
+
     pure = session.frontend(source) if session is not None else Frontend.to_pure(source)
     budget = make_execution_budget(budget_seconds, budget_steps)
     return normalize(ReferenceInterpreter(pure, budget=budget).run_main())

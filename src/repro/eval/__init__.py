@@ -1,29 +1,14 @@
 """Evaluation: benchmark programs, harness and figure regeneration."""
 
-from .benchmarks import BENCHMARK_NAMES, DEFAULT_SIZES, benchmark_sources
-from .harness import (
-    EvaluationHarness,
-    FigureData,
-    RcTableRow,
-    SpeedupRow,
-    VariantMeasurement,
-    geometric_mean,
-    measurement_options,
-)
-from .testsuite import TestProgram, programs_by_category, regression_programs
+from ..lazy import lazy_exports
 
-__all__ = [
-    "BENCHMARK_NAMES",
-    "DEFAULT_SIZES",
-    "benchmark_sources",
-    "EvaluationHarness",
-    "FigureData",
-    "RcTableRow",
-    "SpeedupRow",
-    "VariantMeasurement",
-    "geometric_mean",
-    "measurement_options",
-    "TestProgram",
-    "programs_by_category",
-    "regression_programs",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".benchmarks": ("BENCHMARK_NAMES", "DEFAULT_SIZES", "benchmark_sources"),
+    ".harness": (
+        "EvaluationHarness", "FigureData", "RcTableRow", "SpeedupRow",
+        "VariantMeasurement", "geometric_mean", "measurement_options",
+    ),
+    ".testsuite": (
+        "TestProgram", "programs_by_category", "regression_programs",
+    ),
+})

@@ -23,18 +23,27 @@ the original suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
+from ..record import FrozenRecord
 
-@dataclass(frozen=True)
-class Benchmark:
+
+class Benchmark(FrozenRecord):
     """One benchmark program: its name, source and expected result."""
 
-    name: str
-    source: str
-    description: str
-    expected: int
+    _fields = ("name", "source", "description", "expected")
+
+    def __init__(
+        self,
+        name: str,
+        source: str,
+        description: str,
+        expected: int,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "expected", expected)
 
 
 def _binarytrees(depth: int) -> str:

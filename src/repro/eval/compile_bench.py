@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..backend.pipeline import CompilationSession, MlirCompiler
@@ -45,6 +44,7 @@ from ..interp.cfg_interp import CfgInterpreter
 from ..ir.builder import Builder, InsertionPoint
 from ..ir.printer import print_module
 from ..ir.types import FunctionType, i1
+from ..record import Record
 from ..rewrite import GreedyRewriteResult, apply_patterns_greedily
 from ..telemetry import (
     MetricsRegistry,
@@ -80,29 +80,50 @@ STRESS_LAYERS = 24
 STRESS_FILLER = 30
 
 
-@dataclass
-class CompileMeasurement:
+class CompileMeasurement(Record):
     """One (benchmark, engine) compile-time measurement."""
 
-    benchmark: str
-    engine: str
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    total_seconds: float = 0.0
-    #: Module size entering the rewrite-heavy part of the pipeline — the
-    #: benchmark's "size" for compile-work purposes.
-    initial_op_count: int = 0
-    #: Op count of the final module after the full pipeline ran.
-    final_op_count: int = 0
-    match_attempts: int = 0
-    applications: int = 0
-    worklist_pushes: int = 0
-    driver_iterations: int = 0
-    #: Printed final IR, used by the differential check (not serialised).
-    ir_text: str = ""
-    #: Unified-telemetry metrics delta recorded while compiling (empty
-    #: unless a telemetry session was active; in-memory only — the
-    #: BENCH_compile.json payload stays schema-stable).
-    metrics: Dict[str, object] = field(default_factory=dict)
+    _fields = (
+        "benchmark", "engine", "phase_seconds", "total_seconds",
+        "initial_op_count", "final_op_count", "match_attempts", "applications",
+        "worklist_pushes", "driver_iterations", "ir_text", "metrics",
+    )
+
+    def __init__(
+        self,
+        benchmark: str,
+        engine: str,
+        phase_seconds: Optional[Dict[str, float]] = None,
+        total_seconds: float = 0.0,
+        initial_op_count: int = 0,
+        final_op_count: int = 0,
+        match_attempts: int = 0,
+        applications: int = 0,
+        worklist_pushes: int = 0,
+        driver_iterations: int = 0,
+        ir_text: str = "",
+        metrics: Optional[Dict[str, object]] = None,
+    ):
+        self.benchmark = benchmark
+        self.engine = engine
+        self.phase_seconds = {} if phase_seconds is None else phase_seconds
+        self.total_seconds = total_seconds
+        #: Module size entering the rewrite-heavy part of the pipeline —
+        #: the benchmark's "size" for compile-work purposes.
+        self.initial_op_count = initial_op_count
+        #: Op count of the final module after the full pipeline ran.
+        self.final_op_count = final_op_count
+        self.match_attempts = match_attempts
+        self.applications = applications
+        self.worklist_pushes = worklist_pushes
+        self.driver_iterations = driver_iterations
+        #: Printed final IR, used by the differential check (not
+        #: serialised).
+        self.ir_text = ir_text
+        #: Unified-telemetry metrics delta recorded while compiling (empty
+        #: unless a telemetry session was active; in-memory only — the
+        #: BENCH_compile.json payload stays schema-stable).
+        self.metrics = {} if metrics is None else metrics
 
     def as_json(self) -> Dict[str, object]:
         return {
@@ -297,16 +318,28 @@ def run_suite(
     return measurements
 
 
-@dataclass
-class DifferentialRow:
+class DifferentialRow(Record):
     """Worklist-vs-rescan comparison for one benchmark."""
 
-    benchmark: str
-    ir_equal: bool
-    worklist_attempts: int
-    rescan_attempts: int
-    #: Size of the module the rewrite engine processed (pre-optimisation).
-    initial_op_count: int
+    _fields = (
+        "benchmark", "ir_equal", "worklist_attempts", "rescan_attempts",
+        "initial_op_count",
+    )
+
+    def __init__(
+        self,
+        benchmark: str,
+        ir_equal: bool,
+        worklist_attempts: int,
+        rescan_attempts: int,
+        initial_op_count: int,
+    ):
+        self.benchmark = benchmark
+        self.ir_equal = ir_equal
+        self.worklist_attempts = worklist_attempts
+        self.rescan_attempts = rescan_attempts
+        #: Size of the module the rewrite engine processed (pre-optimisation).
+        self.initial_op_count = initial_op_count
 
     @property
     def attempt_ratio(self) -> float:

@@ -14,7 +14,6 @@ The harness is session-aware and shardable:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backend.pipeline import (
@@ -26,6 +25,7 @@ from ..backend.pipeline import (
     run_mlir,
     run_reference,
 )
+from ..record import Record
 from ..telemetry import get_metrics, get_tracer, measured_metrics
 from .benchmarks import DEFAULT_SIZES, benchmark_sources
 
@@ -64,42 +64,74 @@ def measurement_options(
     return options
 
 
-@dataclass
-class VariantMeasurement:
+class VariantMeasurement(Record):
     """One (benchmark, pipeline-variant) measurement."""
 
-    benchmark: str
-    variant: str
-    value: object
-    total_cost: int
-    total_operations: int
-    wall_time_seconds: float
-    allocations: int
-    rc_ops: int
-    reuses: int = 0
-    #: Unified-telemetry metrics delta recorded while this measurement ran
-    #: (empty unless a telemetry session was active; see
-    #: ``docs/OBSERVABILITY.md``).
-    metrics: Dict[str, object] = field(default_factory=dict)
+    _fields = (
+        "benchmark", "variant", "value", "total_cost", "total_operations",
+        "wall_time_seconds", "allocations", "rc_ops", "reuses", "metrics",
+    )
+
+    def __init__(
+        self,
+        benchmark: str,
+        variant: str,
+        value: object,
+        total_cost: int,
+        total_operations: int,
+        wall_time_seconds: float,
+        allocations: int,
+        rc_ops: int,
+        reuses: int = 0,
+        metrics: Optional[Dict[str, object]] = None,
+    ):
+        self.benchmark = benchmark
+        self.variant = variant
+        self.value = value
+        self.total_cost = total_cost
+        self.total_operations = total_operations
+        self.wall_time_seconds = wall_time_seconds
+        self.allocations = allocations
+        self.rc_ops = rc_ops
+        self.reuses = reuses
+        #: Unified-telemetry metrics delta recorded while this measurement ran
+        #: (empty unless a telemetry session was active; see
+        #: ``docs/OBSERVABILITY.md``).
+        self.metrics = {} if metrics is None else metrics
 
 
-@dataclass
-class SpeedupRow:
+class SpeedupRow(Record):
     """One bar of a speedup figure."""
 
-    benchmark: str
-    speedup: float
-    baseline_cost: int
-    candidate_cost: int
+    _fields = ("benchmark", "speedup", "baseline_cost", "candidate_cost")
+
+    def __init__(
+        self,
+        benchmark: str,
+        speedup: float,
+        baseline_cost: int,
+        candidate_cost: int,
+    ):
+        self.benchmark = benchmark
+        self.speedup = speedup
+        self.baseline_cost = baseline_cost
+        self.candidate_cost = candidate_cost
 
 
-@dataclass
-class FigureData:
+class FigureData(Record):
     """All rows of one figure plus the geometric-mean summary."""
 
-    figure: str
-    rows: List[SpeedupRow] = field(default_factory=list)
-    extra_series: Dict[str, List[SpeedupRow]] = field(default_factory=dict)
+    _fields = ("figure", "rows", "extra_series")
+
+    def __init__(
+        self,
+        figure: str,
+        rows: Optional[List[SpeedupRow]] = None,
+        extra_series: Optional[Dict[str, List[SpeedupRow]]] = None,
+    ):
+        self.figure = figure
+        self.rows = [] if rows is None else rows
+        self.extra_series = {} if extra_series is None else extra_series
 
     @property
     def geomean(self) -> float:
@@ -204,13 +236,20 @@ def run_sharded(tasks: Sequence, worker, jobs: int) -> Optional[List]:
             return pool.map(worker, tasks)
 
 
-@dataclass
-class RcTableRow:
+class RcTableRow(Record):
     """One benchmark's RC traffic across the RC-optimisation variants."""
 
-    benchmark: str
-    #: variant name -> measurement (``rc-naive``, ``rc-opt``, ``rc-opt+reuse``).
-    measurements: Dict[str, VariantMeasurement] = field(default_factory=dict)
+    _fields = ("benchmark", "measurements")
+
+    def __init__(
+        self,
+        benchmark: str,
+        measurements: Optional[Dict[str, VariantMeasurement]] = None,
+    ):
+        self.benchmark = benchmark
+        #: variant name -> measurement (``rc-naive``, ``rc-opt``,
+        #: ``rc-opt+reuse``).
+        self.measurements = {} if measurements is None else measurements
 
     def rc_reduction(self, variant: str = "rc-opt") -> float:
         """Fractional reduction of executed RC operations vs ``rc-naive``."""

@@ -10,8 +10,9 @@ results plus a balanced heap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
+
+from ..record import FrozenRecord
 
 _LIST_PRELUDE = """
 inductive List where
@@ -37,13 +38,15 @@ inductive Option where
 """
 
 
-@dataclass(frozen=True)
-class TestProgram:
+class TestProgram(FrozenRecord):
     """One regression program with its human-readable category."""
 
-    name: str
-    category: str
-    source: str
+    _fields = ("name", "category", "source")
+
+    def __init__(self, name: str, category: str, source: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "source", source)
 
 
 def _simple(name: str, category: str, body: str, prelude: str = "") -> TestProgram:

@@ -14,32 +14,16 @@ Three pieces (see ``docs/FUZZING.md``):
 smoke / deep-fuzz entry point).
 """
 
-from .corpus import (
-    DEFAULT_CORPUS_DIR,
-    corpus_name,
-    load_corpus,
-    save_counterexample,
-)
-from .differential import (
-    DifferentialFailure,
-    MatrixConfig,
-    MatrixReport,
-    full_matrix,
-    run_matrix,
-    smoke_matrix,
-)
-from .generator import typed_programs
+from ..lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CORPUS_DIR",
-    "corpus_name",
-    "load_corpus",
-    "save_counterexample",
-    "DifferentialFailure",
-    "MatrixConfig",
-    "MatrixReport",
-    "full_matrix",
-    "run_matrix",
-    "smoke_matrix",
-    "typed_programs",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".corpus": (
+        "DEFAULT_CORPUS_DIR", "corpus_name", "load_corpus",
+        "save_counterexample",
+    ),
+    ".differential": (
+        "DifferentialFailure", "MatrixConfig", "MatrixReport", "full_matrix",
+        "run_matrix", "smoke_matrix",
+    ),
+    ".generator": ("typed_programs",),
+})

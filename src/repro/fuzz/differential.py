@@ -43,7 +43,6 @@ nightly fuzz run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..backend.pipeline import (
@@ -54,6 +53,7 @@ from ..backend.pipeline import (
     run_reference,
 )
 from ..eval.harness import measurement_options
+from ..record import FrozenRecord, Record
 
 #: The matrix axes (rc mode × rewrite engine × execution engine [× VM
 #: dispatch mode] × incremental recompilation).
@@ -70,16 +70,28 @@ INCREMENTAL_MODES = (False, True)
 DEFAULT_BUDGET_STEPS = 2_000_000
 
 
-@dataclass(frozen=True)
-class MatrixConfig:
+class MatrixConfig(FrozenRecord):
     """One lp+rgn pipeline configuration of the differential matrix."""
 
-    rc_variant: str
-    rewrite_engine: str
-    execution_engine: str
-    incremental: bool
-    #: VM dispatch mode; irrelevant (but harmless) for the tree engine.
-    dispatch: str = "threaded"
+    _fields = (
+        "rc_variant", "rewrite_engine", "execution_engine", "incremental",
+        "dispatch",
+    )
+
+    def __init__(
+        self,
+        rc_variant: str,
+        rewrite_engine: str,
+        execution_engine: str,
+        incremental: bool,
+        dispatch: str = "threaded",
+    ):
+        object.__setattr__(self, "rc_variant", rc_variant)
+        object.__setattr__(self, "rewrite_engine", rewrite_engine)
+        object.__setattr__(self, "execution_engine", execution_engine)
+        object.__setattr__(self, "incremental", incremental)
+        #: VM dispatch mode; irrelevant (but harmless) for the tree engine.
+        object.__setattr__(self, "dispatch", dispatch)
 
     @property
     def label(self) -> str:
@@ -128,14 +140,21 @@ class DifferentialFailure(AssertionError):
         self.reason = reason
 
 
-@dataclass
-class MatrixReport:
+class MatrixReport(Record):
     """Everything observed while running one program through the matrix."""
 
-    source: str
-    reference_value: object = None
-    #: config label -> (value, metric fingerprint).
-    runs: Dict[str, Tuple[object, Tuple]] = field(default_factory=dict)
+    _fields = ("source", "reference_value", "runs")
+
+    def __init__(
+        self,
+        source: str,
+        reference_value: object = None,
+        runs: Optional[Dict[str, Tuple[object, Tuple]]] = None,
+    ):
+        self.source = source
+        self.reference_value = reference_value
+        #: config label -> (value, metric fingerprint).
+        self.runs = {} if runs is None else runs
 
     @property
     def configurations(self) -> int:

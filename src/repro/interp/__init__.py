@@ -1,44 +1,18 @@
 """Interpreters, the bytecode execution engine and the shared cost model."""
 
-from .bytecode import (
-    EXECUTION_ENGINES,
-    BytecodeError,
-    BytecodeFunction,
-    BytecodeProgram,
-    VirtualMachine,
-    compile_cfg_module,
-    compile_rc_program,
-    run_cfg_module_vm,
-    run_rc_program_vm,
-)
-from .cfg_interp import CfgInterpreter, CfgInterpreterError, run_cfg_module
-from .limits import DEFAULT_RECURSION_LIMIT, recursion_limit
-from .metrics import DEFAULT_COSTS, ExecutionMetrics
-from .rc_interp import RcInterpreter, RunResult, run_rc_program
-from .reference import ReferenceInterpreter, RefClosure, RefCtor, normalize
+from ..lazy import lazy_exports
 
-__all__ = [
-    "EXECUTION_ENGINES",
-    "BytecodeError",
-    "BytecodeFunction",
-    "BytecodeProgram",
-    "VirtualMachine",
-    "compile_cfg_module",
-    "compile_rc_program",
-    "run_cfg_module_vm",
-    "run_rc_program_vm",
-    "CfgInterpreter",
-    "CfgInterpreterError",
-    "run_cfg_module",
-    "DEFAULT_RECURSION_LIMIT",
-    "recursion_limit",
-    "DEFAULT_COSTS",
-    "ExecutionMetrics",
-    "RcInterpreter",
-    "RunResult",
-    "run_rc_program",
-    "ReferenceInterpreter",
-    "RefClosure",
-    "RefCtor",
-    "normalize",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".bytecode": (
+        "EXECUTION_ENGINES", "BytecodeError", "BytecodeFunction",
+        "BytecodeProgram", "VirtualMachine", "compile_cfg_module",
+        "compile_rc_program", "run_cfg_module_vm", "run_rc_program_vm",
+    ),
+    ".cfg_interp": ("CfgInterpreter", "CfgInterpreterError", "run_cfg_module"),
+    ".limits": ("DEFAULT_RECURSION_LIMIT", "recursion_limit"),
+    ".metrics": ("DEFAULT_COSTS", "ExecutionMetrics", "RunResult"),
+    ".rc_interp": ("RcInterpreter", "run_rc_program"),
+    ".reference": (
+        "ReferenceInterpreter", "RefClosure", "RefCtor", "normalize",
+    ),
+})

@@ -35,8 +35,7 @@ from ..runtime import (
     python_value,
     tag_of,
 )
-from .metrics import ExecutionMetrics
-from .rc_interp import RunResult
+from .metrics import ExecutionMetrics, RunResult
 
 
 class CfgInterpreterError(Exception):

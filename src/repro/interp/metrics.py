@@ -9,8 +9,9 @@ makes the speedup ratios meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Optional
+
+from ..record import Record
 
 #: Cost charged per dynamic event category.
 DEFAULT_COSTS: Dict[str, int] = {
@@ -33,13 +34,20 @@ DEFAULT_COSTS: Dict[str, int] = {
 }
 
 
-@dataclass
-class ExecutionMetrics:
+class ExecutionMetrics(Record):
     """Counters collected while interpreting one program execution."""
 
-    counts: Dict[str, int] = field(default_factory=dict)
-    costs: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_COSTS))
-    wall_time_seconds: float = 0.0
+    _fields = ("counts", "costs", "wall_time_seconds")
+
+    def __init__(
+        self,
+        counts: Optional[Dict[str, int]] = None,
+        costs: Optional[Dict[str, int]] = None,
+        wall_time_seconds: float = 0.0,
+    ):
+        self.counts = {} if counts is None else counts
+        self.costs = dict(DEFAULT_COSTS) if costs is None else costs
+        self.wall_time_seconds = wall_time_seconds
 
     def charge(self, category: str, times: int = 1) -> None:
         self.counts[category] = self.counts.get(category, 0) + times
@@ -69,3 +77,21 @@ class ExecutionMetrics:
             "total_cost": self.total_cost(),
             "wall_time_seconds": self.wall_time_seconds,
         }
+
+
+class RunResult(Record):
+    """Result of executing a program: final value + metrics + heap report."""
+
+    _fields = ("value", "metrics", "heap_stats", "output")
+
+    def __init__(
+        self,
+        value: object,
+        metrics: ExecutionMetrics,
+        heap_stats: Dict[str, int],
+        output: List[str],
+    ):
+        self.value = value
+        self.metrics = metrics
+        self.heap_stats = heap_stats
+        self.output = output

@@ -9,9 +9,9 @@ baseline λrc interpreter and the full lp+rgn pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..record import Record
 from ..resilience.budgets import ExecutionBudget
 from .limits import recursion_limit
 
@@ -40,20 +40,24 @@ class ReferenceError_(Exception):
     """Raised on a semantic error during reference evaluation."""
 
 
-@dataclass
-class RefCtor:
+class RefCtor(Record):
     """A constructor value."""
 
-    tag: int
-    fields: Tuple
+    _fields = ("tag", "fields")
+
+    def __init__(self, tag: int, fields: Tuple):
+        self.tag = tag
+        self.fields = fields
 
 
-@dataclass
-class RefClosure:
+class RefClosure(Record):
     """A partial application value."""
 
-    fn: str
-    args: Tuple
+    _fields = ("fn", "args")
+
+    def __init__(self, fn: str, args: Tuple):
+        self.fn = fn
+        self.args = args
 
 
 class _Jump(Exception):

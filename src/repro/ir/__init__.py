@@ -10,155 +10,35 @@ Public surface::
     )
 """
 
-from .attributes import (
-    ArrayAttr,
-    Attribute,
-    BoolAttr,
-    DictAttr,
-    FloatAttr,
-    IntegerAttr,
-    StringAttr,
-    SymbolRefAttr,
-    TypeAttr,
-    UnitAttr,
-    int_attr,
-)
-from .builder import Builder, InsertionPoint
-from .core import (
-    Block,
-    BlockArgument,
-    IRMapping,
-    Operation,
-    OpResult,
-    Region,
-    Use,
-    Value,
-)
-from .dialect import (
-    Dialect,
-    ensure_dialects_loaded,
-    lookup_op,
-    register_op,
-    registered_dialects,
-    registered_ops,
-)
-from .dominance import DominanceAnalysis, DominanceInfo, verify_dominance
-from .parser import ParseError, parse_module
-from .printer import Printer, print_module, print_op
-from .traits import (
-    Allocates,
-    ConstantLike,
-    IsolatedFromAbove,
-    IsTerminator,
-    NoTerminatorRequired,
-    Pure,
-    SingleBlock,
-    Symbol,
-    SymbolTable,
-    Trait,
-    has_trait,
-)
-from .types import (
-    BoxType,
-    DialectType,
-    FloatType,
-    FunctionType,
-    IndexType,
-    IntegerType,
-    NoneType,
-    RegionType,
-    Type,
-    box,
-    f64,
-    i1,
-    i8,
-    i16,
-    i32,
-    i64,
-    index,
-    none,
-    parse_type,
-    region,
-)
-from .verifier import VerificationError, collect_errors, verify
+from ..lazy import lazy_exports
 
-__all__ = [
-    # attributes
-    "ArrayAttr",
-    "Attribute",
-    "BoolAttr",
-    "DictAttr",
-    "FloatAttr",
-    "IntegerAttr",
-    "StringAttr",
-    "SymbolRefAttr",
-    "TypeAttr",
-    "UnitAttr",
-    "int_attr",
-    # builder
-    "Builder",
-    "InsertionPoint",
-    # core
-    "Block",
-    "BlockArgument",
-    "IRMapping",
-    "Operation",
-    "OpResult",
-    "Region",
-    "Use",
-    "Value",
-    # dialect registry
-    "Dialect",
-    "ensure_dialects_loaded",
-    "lookup_op",
-    "register_op",
-    "registered_dialects",
-    "registered_ops",
-    # dominance
-    "DominanceAnalysis",
-    "DominanceInfo",
-    "verify_dominance",
-    # parser / printer
-    "ParseError",
-    "parse_module",
-    "Printer",
-    "print_module",
-    "print_op",
-    # traits
-    "Allocates",
-    "ConstantLike",
-    "IsolatedFromAbove",
-    "IsTerminator",
-    "NoTerminatorRequired",
-    "Pure",
-    "SingleBlock",
-    "Symbol",
-    "SymbolTable",
-    "Trait",
-    "has_trait",
-    # types
-    "BoxType",
-    "DialectType",
-    "FloatType",
-    "FunctionType",
-    "IndexType",
-    "IntegerType",
-    "NoneType",
-    "RegionType",
-    "Type",
-    "box",
-    "f64",
-    "i1",
-    "i8",
-    "i16",
-    "i32",
-    "i64",
-    "index",
-    "none",
-    "parse_type",
-    "region",
-    # verifier
-    "VerificationError",
-    "collect_errors",
-    "verify",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".attributes": (
+        "ArrayAttr", "Attribute", "BoolAttr", "DictAttr", "FloatAttr",
+        "IntegerAttr", "StringAttr", "SymbolRefAttr", "TypeAttr", "UnitAttr",
+        "int_attr",
+    ),
+    ".builder": ("Builder", "InsertionPoint"),
+    ".core": (
+        "Block", "BlockArgument", "IRMapping", "Operation", "OpResult",
+        "Region", "Use", "Value",
+    ),
+    ".dialect": (
+        "Dialect", "ensure_dialects_loaded", "lookup_op", "register_op",
+        "registered_dialects", "registered_ops",
+    ),
+    ".dominance": ("DominanceAnalysis", "DominanceInfo", "verify_dominance"),
+    ".parser": ("ParseError", "parse_module"),
+    ".printer": ("Printer", "print_module", "print_op"),
+    ".traits": (
+        "Allocates", "ConstantLike", "IsolatedFromAbove", "IsTerminator",
+        "NoTerminatorRequired", "Pure", "SingleBlock", "Symbol", "SymbolTable",
+        "Trait", "has_trait",
+    ),
+    ".types": (
+        "BoxType", "DialectType", "FloatType", "FunctionType", "IndexType",
+        "IntegerType", "NoneType", "RegionType", "Type", "box", "f64", "i1",
+        "i8", "i16", "i32", "i64", "index", "none", "parse_type", "region",
+    ),
+    ".verifier": ("VerificationError", "collect_errors", "verify"),
+})

@@ -1,65 +1,15 @@
 """λpure: LEAN's pure functional IR, its lowering from the surface language
 and the baseline simplifier."""
 
-from .ir import (
-    App,
-    Call,
-    Case,
-    CaseAlt,
-    ConstructorInfo,
-    Ctor,
-    Dec,
-    Expr,
-    FnBody,
-    Function,
-    Inc,
-    JDecl,
-    Jmp,
-    Let,
-    Lit,
-    PAp,
-    Program,
-    Proj,
-    Reset,
-    Ret,
-    Reuse,
-    Unreachable,
-    body_size,
-    count_jumps,
-    free_vars,
-)
-from .lowering import LoweringError, lower_program
-from .simplifier import Simplifier, SimplifierStats, simplify_program
+from ..lazy import lazy_exports
 
-__all__ = [
-    "App",
-    "Call",
-    "Case",
-    "CaseAlt",
-    "ConstructorInfo",
-    "Ctor",
-    "Dec",
-    "Expr",
-    "FnBody",
-    "Function",
-    "Inc",
-    "JDecl",
-    "Jmp",
-    "Let",
-    "Lit",
-    "PAp",
-    "Program",
-    "Proj",
-    "Reset",
-    "Ret",
-    "Reuse",
-    "Unreachable",
-    "body_size",
-    "count_jumps",
-    "free_vars",
-    "LoweringError",
-    "lower_program",
-    "Simplifier",
-    "SimplifierStats",
-    "simplify_program",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".ir": (
+        "App", "Call", "Case", "CaseAlt", "ConstructorInfo", "Ctor", "Dec",
+        "Expr", "FnBody", "Function", "Inc", "JDecl", "Jmp", "Let", "Lit",
+        "PAp", "Program", "Proj", "Reset", "Ret", "Reuse", "Unreachable",
+        "body_size", "count_jumps", "free_vars",
+    ),
+    ".lowering": ("LoweringError", "lower_program"),
+    ".simplifier": ("Simplifier", "SimplifierStats", "simplify_program"),
+})

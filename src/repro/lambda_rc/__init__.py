@@ -4,14 +4,11 @@ The IR node classes are shared with :mod:`repro.lambda_pure`; a program is
 "in λrc" once :func:`insert_rc` has run over it.
 """
 
-from ..lambda_pure.ir import Dec, Inc
-from .refcount import BorrowSignatures, RCInserter, insert_rc, insert_rc_function
+from ..lazy import lazy_exports
 
-__all__ = [
-    "BorrowSignatures",
-    "Dec",
-    "Inc",
-    "RCInserter",
-    "insert_rc",
-    "insert_rc_function",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".refcount": (
+        "BorrowSignatures", "RCInserter", "insert_rc", "insert_rc_function",
+    ),
+    "..lambda_pure.ir": ("Dec", "Inc"),
+})

@@ -8,35 +8,16 @@ Typical usage::
     env = check_program(program)
 """
 
-from . import ast
-from .lexer import LexError, Token, tokenize
-from .parser import ParseError, parse_expression, parse_program
-from .prelude import (
-    BOOL_FALSE_TAG,
-    BOOL_TRUE_TAG,
-    BUILTIN_FUNCTIONS,
-    BUILTIN_RUNTIME_CALLS,
-    OPERATOR_RUNTIME_CALLS,
-    builtin_inductives,
-)
-from .typecheck import GlobalEnv, TypeChecker, TypeError_, check_program
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ast",
-    "LexError",
-    "Token",
-    "tokenize",
-    "ParseError",
-    "parse_expression",
-    "parse_program",
-    "BOOL_FALSE_TAG",
-    "BOOL_TRUE_TAG",
-    "BUILTIN_FUNCTIONS",
-    "BUILTIN_RUNTIME_CALLS",
-    "OPERATOR_RUNTIME_CALLS",
-    "builtin_inductives",
-    "GlobalEnv",
-    "TypeChecker",
-    "TypeError_",
-    "check_program",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".ast": ("ast",),
+    ".lexer": ("LexError", "Token", "tokenize"),
+    ".parser": ("ParseError", "parse_expression", "parse_program"),
+    ".prelude": (
+        "BOOL_FALSE_TAG", "BOOL_TRUE_TAG", "BUILTIN_FUNCTIONS",
+        "BUILTIN_RUNTIME_CALLS", "OPERATOR_RUNTIME_CALLS",
+        "builtin_inductives",
+    ),
+    ".typecheck": ("GlobalEnv", "TypeChecker", "TypeError_", "check_program"),
+})

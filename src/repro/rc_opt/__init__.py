@@ -23,11 +23,11 @@ variants ``rc-naive`` / ``rc-opt`` / ``rc-opt+reuse``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..lambda_pure.ir import Program
 from ..lambda_rc.refcount import BorrowSignatures, insert_rc
+from ..record import Record
 from .borrow import (
     borrowed_parameter_count,
     infer_borrow_signatures,
@@ -41,15 +41,24 @@ from .reuse import ReuseStats, apply_reuse
 RC_MODES = ("naive", "opt", "opt+reuse")
 
 
-@dataclass
-class RcOptReport:
+class RcOptReport(Record):
     """What the optimiser did to one program."""
 
-    mode: str = "naive"
-    borrowed_parameters: int = 0
-    signatures: BorrowSignatures = field(default_factory=dict)
-    fusion: FusionStats = field(default_factory=FusionStats)
-    reuse: ReuseStats = field(default_factory=ReuseStats)
+    _fields = ("mode", "borrowed_parameters", "signatures", "fusion", "reuse")
+
+    def __init__(
+        self,
+        mode: str = "naive",
+        borrowed_parameters: int = 0,
+        signatures: Optional[BorrowSignatures] = None,
+        fusion: Optional[FusionStats] = None,
+        reuse: Optional[ReuseStats] = None,
+    ):
+        self.mode = mode
+        self.borrowed_parameters = borrowed_parameters
+        self.signatures = {} if signatures is None else signatures
+        self.fusion = FusionStats() if fusion is None else fusion
+        self.reuse = ReuseStats() if reuse is None else reuse
 
 
 def insert_optimized_rc(

@@ -21,36 +21,17 @@ rescan retry, cache quarantine + clean recompile) counts under the
 ``resilience.*`` metric namespace.
 """
 
-from .budgets import (
-    BudgetExceeded,
-    ExecutionBudget,
-    ExecutionBudgetExceeded,
-    RewriteBudgetExceeded,
-)
-from .bundle import CrashBundle, CrashBundleWriter, load_bundle
-from .bisect import bisect_bundle
-from .faults import (
-    FaultPlan,
-    InjectedFault,
-    active_plan,
-    fault_hit,
-    fault_plan,
-    known_sites,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "BudgetExceeded",
-    "ExecutionBudget",
-    "ExecutionBudgetExceeded",
-    "RewriteBudgetExceeded",
-    "CrashBundle",
-    "CrashBundleWriter",
-    "load_bundle",
-    "bisect_bundle",
-    "FaultPlan",
-    "InjectedFault",
-    "active_plan",
-    "fault_hit",
-    "fault_plan",
-    "known_sites",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".budgets": (
+        "BudgetExceeded", "ExecutionBudget", "ExecutionBudgetExceeded",
+        "RewriteBudgetExceeded",
+    ),
+    ".bundle": ("CrashBundle", "CrashBundleWriter", "load_bundle"),
+    ".bisect": ("bisect_bundle",),
+    ".faults": (
+        "FaultPlan", "InjectedFault", "active_plan", "fault_hit", "fault_plan",
+        "known_sites",
+    ),
+})

@@ -31,14 +31,11 @@ re-crashes do not pile up duplicates.
 
 from __future__ import annotations
 
-import json
-import platform
 import sys
-from dataclasses import dataclass
-from hashlib import sha256
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..record import Record
 from ..telemetry import get_metrics
 
 BUNDLE_SCHEMA = "repro/crash-bundle/v1"
@@ -51,25 +48,44 @@ MINIMAL_IR = "minimal.mlir"
 MINIMAL_PIPELINE_TXT = "minimal-pipeline.txt"
 
 
-@dataclass
-class CrashBundle:
+class CrashBundle(Record):
     """A loaded crash reproducer bundle (see :func:`load_bundle`)."""
 
-    path: Path
-    input_ir: str
-    pipeline_spec: str
-    failing_pass: str
-    error_type: str
-    error_message: str
-    #: ``site:N`` fault specs re-based to the bundle's starting point
-    #: (empty when the crash was organic, not injected).
-    faults: List[str]
-    verify_each: bool
-    environment: Dict[str, str]
-    metrics: Dict[str, Union[int, float]]
-    #: Bisection result, if :func:`bisect_bundle` has run: keys
-    #: ``failing_pass`` and (for pattern passes) ``failing_pattern``.
-    bisect: Optional[Dict[str, Optional[str]]] = None
+    _fields = (
+        "path", "input_ir", "pipeline_spec", "failing_pass", "error_type",
+        "error_message", "faults", "verify_each", "environment", "metrics",
+        "bisect",
+    )
+
+    def __init__(
+        self,
+        path: Path,
+        input_ir: str,
+        pipeline_spec: str,
+        failing_pass: str,
+        error_type: str,
+        error_message: str,
+        faults: List[str],
+        verify_each: bool,
+        environment: Dict[str, str],
+        metrics: Dict[str, Union[int, float]],
+        bisect: Optional[Dict[str, Optional[str]]] = None,
+    ):
+        self.path = path
+        self.input_ir = input_ir
+        self.pipeline_spec = pipeline_spec
+        self.failing_pass = failing_pass
+        self.error_type = error_type
+        self.error_message = error_message
+        #: ``site:N`` fault specs re-based to the bundle's starting point
+        #: (empty when the crash was organic, not injected).
+        self.faults = faults
+        self.verify_each = verify_each
+        self.environment = environment
+        self.metrics = metrics
+        #: Bisection result, if :func:`bisect_bundle` has run: keys
+        #: ``failing_pass`` and (for pattern passes) ``failing_pattern``.
+        self.bisect = bisect
 
     @property
     def minimal_ir(self) -> Optional[str]:
@@ -88,6 +104,8 @@ class CrashBundle:
 
 def load_bundle(path: Union[str, Path]) -> CrashBundle:
     """Load a crash bundle directory written by :class:`CrashBundleWriter`."""
+    import json
+
     bundle_dir = Path(path)
     manifest_path = bundle_dir / BUNDLE_JSON
     if not manifest_path.exists():
@@ -119,6 +137,8 @@ def load_bundle(path: Union[str, Path]) -> CrashBundle:
 
 
 def _environment_snapshot() -> Dict[str, str]:
+    import platform
+
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -157,6 +177,9 @@ class CrashBundleWriter:
         verify_each: bool = True,
     ) -> Path:
         """Write one bundle; returns its directory."""
+        import json
+        from hashlib import sha256
+
         error_text = f"{type(error).__name__}: {error}"
         digest = sha256(
             "\x00".join([pre_pass_ir, remaining_spec, error_text]).encode(

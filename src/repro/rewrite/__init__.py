@@ -1,52 +1,19 @@
 """Pattern rewriting and pass management (the analogue of MLIR's
 ``PatternRewriter`` / greedy rewrite driver / ``PassManager``)."""
 
-from .driver import (
-    ENGINES,
-    GreedyRewriteResult,
-    NonConvergenceError,
-    PatternRewritePass,
-    PatternSet,
-    Worklist,
-    apply_patterns_greedily,
-)
-from .pass_manager import FunctionPass, ModulePass, Pass, PassManager
-from .pattern import PatternRewriter, RewritePattern
-from .registry import (
-    PassInvocation,
-    PassOption,
-    PipelineSpecError,
-    RegisteredPass,
-    build_pipeline,
-    canonical_pipeline_spec,
-    parse_pipeline_spec,
-    pipeline_fingerprint,
-    register_pass,
-    registered_passes,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ENGINES",
-    "GreedyRewriteResult",
-    "NonConvergenceError",
-    "PatternRewritePass",
-    "PatternSet",
-    "Worklist",
-    "apply_patterns_greedily",
-    "FunctionPass",
-    "ModulePass",
-    "Pass",
-    "PassManager",
-    "PatternRewriter",
-    "RewritePattern",
-    "PassInvocation",
-    "PassOption",
-    "PipelineSpecError",
-    "RegisteredPass",
-    "build_pipeline",
-    "canonical_pipeline_spec",
-    "parse_pipeline_spec",
-    "pipeline_fingerprint",
-    "register_pass",
-    "registered_passes",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".driver": (
+        "ENGINES", "GreedyRewriteResult", "NonConvergenceError",
+        "PatternRewritePass", "PatternSet", "Worklist",
+        "apply_patterns_greedily",
+    ),
+    ".pass_manager": ("FunctionPass", "ModulePass", "Pass", "PassManager"),
+    ".pattern": ("PatternRewriter", "RewritePattern"),
+    ".registry": (
+        "PassInvocation", "PassOption", "PipelineSpecError", "RegisteredPass",
+        "build_pipeline", "canonical_pipeline_spec", "parse_pipeline_spec",
+        "pipeline_fingerprint", "register_pass", "registered_passes",
+    ),
+})

@@ -21,11 +21,11 @@ Observability (see ``docs/OBSERVABILITY.md``):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..ir.core import Operation
 from ..ir.verifier import verify
+from ..record import Record
 from ..resilience.faults import active_plan, fault_hit
 from ..telemetry import (
     PassInstrumentation,
@@ -35,8 +35,7 @@ from ..telemetry import (
 )
 
 
-@dataclass
-class PassStatistics:
+class PassStatistics(Record):
     """Named counters a pass may update while running.
 
     Counters come in two flavours: *rewrite* counters (applications,
@@ -46,9 +45,16 @@ class PassStatistics:
     :meth:`total` — both appear in reports.
     """
 
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: Names of counters that measure work, not rewrites.
-    meters: set = field(default_factory=set)
+    _fields = ("counters", "meters")
+
+    def __init__(
+        self,
+        counters: Optional[Dict[str, int]] = None,
+        meters: Optional[set] = None,
+    ):
+        self.counters = {} if counters is None else counters
+        #: Names of counters that measure work, not rewrites.
+        self.meters = set() if meters is None else meters
 
     def bump(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount

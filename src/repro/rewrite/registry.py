@@ -27,11 +27,10 @@ rgn-opt cache, and eventually the on-disk artifact cache).
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..record import FrozenRecord, Record
 from .pass_manager import Pass, PassManager
 
 
@@ -39,28 +38,45 @@ class PipelineSpecError(ValueError):
     """Raised when a textual pipeline spec cannot be parsed or resolved."""
 
 
-@dataclass(frozen=True)
-class PassOption:
+class PassOption(FrozenRecord):
     """One option a registered pass accepts in pipeline specs."""
 
-    name: str
-    help: str = ""
-    #: May the option appear more than once (values accumulate)?
-    repeatable: bool = False
-    #: Closed set of accepted values (None accepts any value).
-    choices: Optional[Tuple[str, ...]] = None
-    #: Value documented as the default when the option is omitted.
-    default: str = ""
+    _fields = ("name", "help", "repeatable", "choices", "default")
+
+    def __init__(
+        self,
+        name: str,
+        help: str = "",
+        repeatable: bool = False,
+        choices: Optional[Tuple[str, ...]] = None,
+        default: str = "",
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "help", help)
+        #: May the option appear more than once (values accumulate)?
+        object.__setattr__(self, "repeatable", repeatable)
+        #: Closed set of accepted values (None accepts any value).
+        object.__setattr__(self, "choices", choices)
+        #: Value documented as the default when the option is omitted.
+        object.__setattr__(self, "default", default)
 
 
-@dataclass(frozen=True)
-class RegisteredPass:
+class RegisteredPass(FrozenRecord):
     """Registry row: a stable name bound to a pass class."""
 
-    name: str
-    pass_class: type
-    options: Tuple[PassOption, ...]
-    description: str
+    _fields = ("name", "pass_class", "options", "description")
+
+    def __init__(
+        self,
+        name: str,
+        pass_class: type,
+        options: Tuple[PassOption, ...],
+        description: str,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pass_class", pass_class)
+        object.__setattr__(self, "options", options)
+        object.__setattr__(self, "description", description)
 
     def option(self, name: str) -> Optional[PassOption]:
         for opt in self.options:
@@ -132,13 +148,19 @@ def lookup_pass(name: str) -> Optional[RegisteredPass]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PassInvocation:
+class PassInvocation(Record):
     """One parsed ``name{options}`` element of a pipeline spec."""
 
-    name: str
-    #: key -> values, in spec order.  Flags carry the single value "true".
-    options: Dict[str, List[str]] = field(default_factory=dict)
+    _fields = ("name", "options")
+
+    def __init__(
+        self,
+        name: str,
+        options: Optional[Dict[str, List[str]]] = None,
+    ):
+        self.name = name
+        #: key -> values, in spec order.  Flags carry the single value "true".
+        self.options = {} if options is None else options
 
     def spec(self) -> str:
         """Canonical textual form (sorted keys, values in given order)."""
@@ -310,6 +332,8 @@ def pipeline_fingerprint(spec: str) -> str:
     regardless of option order or whitespace) share a fingerprint; any
     difference in pass lineup or options changes it.
     """
+    import hashlib
+
     canonical = canonical_pipeline_spec(spec)
     digest = hashlib.sha256(
         (PIPELINE_HASH_VERSION + ":" + canonical).encode("utf-8")

@@ -8,58 +8,18 @@
   (``lean_nat_add``, ``lean_array_push``, ...).
 """
 
-from .builtins import (
-    BUILTINS,
-    FALSE,
-    TRUE,
-    RuntimeContext,
-    call_builtin,
-    is_builtin,
-)
-from .closures import ApplyOutcome, extend_closure, make_closure
-from .objects import (
-    NULL_TOKEN,
-    SCALAR_INT_LIMIT,
-    ArrayObject,
-    BigIntObject,
-    ClosureObject,
-    CtorObject,
-    Heap,
-    HeapObject,
-    HeapStatistics,
-    NullToken,
-    RuntimeError_,
-    StringObject,
-    Value,
-    int_value,
-    python_value,
-    tag_of,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "BUILTINS",
-    "FALSE",
-    "TRUE",
-    "RuntimeContext",
-    "call_builtin",
-    "is_builtin",
-    "ApplyOutcome",
-    "extend_closure",
-    "make_closure",
-    "NULL_TOKEN",
-    "SCALAR_INT_LIMIT",
-    "ArrayObject",
-    "BigIntObject",
-    "ClosureObject",
-    "CtorObject",
-    "Heap",
-    "HeapObject",
-    "HeapStatistics",
-    "NullToken",
-    "RuntimeError_",
-    "StringObject",
-    "Value",
-    "int_value",
-    "python_value",
-    "tag_of",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".builtins": (
+        "BUILTINS", "FALSE", "TRUE", "RuntimeContext", "call_builtin",
+        "is_builtin",
+    ),
+    ".closures": ("ApplyOutcome", "extend_closure", "make_closure"),
+    ".objects": (
+        "NULL_TOKEN", "SCALAR_INT_LIMIT", "ArrayObject", "BigIntObject",
+        "ClosureObject", "CtorObject", "Heap", "HeapObject", "HeapStatistics",
+        "NullToken", "RuntimeError_", "StringObject", "Value", "int_value",
+        "python_value", "tag_of",
+    ),
+})

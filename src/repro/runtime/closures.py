@@ -9,14 +9,13 @@ only deal with ownership-correct argument plumbing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
+from ..record import Record
 from .objects import ClosureObject, Heap, RuntimeError_, Value
 
 
-@dataclass
-class ApplyOutcome:
+class ApplyOutcome(Record):
     """Result of extending a closure.
 
     Exactly one of ``closure`` (still unsaturated) or ``call`` (fn name +
@@ -24,10 +23,19 @@ class ApplyOutcome:
     to the call's result) is meaningful.
     """
 
-    closure: Optional[ClosureObject] = None
-    call_fn: Optional[str] = None
-    call_args: Optional[List[Value]] = None
-    extra_args: Optional[List[Value]] = None
+    _fields = ("closure", "call_fn", "call_args", "extra_args")
+
+    def __init__(
+        self,
+        closure: Optional[ClosureObject] = None,
+        call_fn: Optional[str] = None,
+        call_args: Optional[List[Value]] = None,
+        extra_args: Optional[List[Value]] = None,
+    ):
+        self.closure = closure
+        self.call_fn = call_fn
+        self.call_args = call_args
+        self.extra_args = extra_args
 
     @property
     def is_call(self) -> bool:

@@ -23,45 +23,18 @@ Telemetry is opt-in: components fetch the active session through
 when none is installed, so the disabled path stays off the profile.
 """
 
-from .context import (
-    TelemetrySession,
-    active_session,
-    get_metrics,
-    get_tracer,
-    measured_metrics,
-    telemetry_session,
-)
-from .instrumentation import PassInstrumentation, PrintIRInstrumentation
-from .metrics import (
-    NAMESPACES,
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    metric_component,
-    namespace_of,
-    snapshot_delta,
-)
-from .tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
+from ..lazy import lazy_exports
 
-__all__ = [
-    "NAMESPACES",
-    "NULL_REGISTRY",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NullTracer",
-    "PassInstrumentation",
-    "PrintIRInstrumentation",
-    "Span",
-    "TelemetrySession",
-    "Tracer",
-    "active_session",
-    "get_metrics",
-    "get_tracer",
-    "measured_metrics",
-    "metric_component",
-    "namespace_of",
-    "snapshot_delta",
-    "telemetry_session",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".metrics": (
+        "NAMESPACES", "NULL_REGISTRY", "MetricsRegistry",
+        "NullMetricsRegistry", "metric_component", "namespace_of",
+        "snapshot_delta",
+    ),
+    ".tracer": ("NULL_SPAN", "NULL_TRACER", "NullTracer", "Span", "Tracer"),
+    ".instrumentation": ("PassInstrumentation", "PrintIRInstrumentation"),
+    ".context": (
+        "TelemetrySession", "active_session", "get_metrics", "get_tracer",
+        "measured_metrics", "telemetry_session",
+    ),
+})

@@ -26,7 +26,6 @@ returns one sorted, JSON-ready dict — the payload behind the
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Dict, Union
 
@@ -87,6 +86,8 @@ class MetricsRegistry:
         return dict(sorted(merged.items()))
 
     def write_json(self, path: str) -> None:
+        import json
+
         payload = {
             "schema": "repro/metrics/v1",
             "metrics": self.snapshot(),

@@ -20,7 +20,6 @@ two empty method calls, nothing more.
 from __future__ import annotations
 
 import contextvars
-import json
 import os
 import time
 from typing import Dict, List, Optional
@@ -188,6 +187,8 @@ class Tracer:
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def write_chrome_trace(self, path: str) -> None:
+        import json
+
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_chrome_trace(), handle, indent=1, default=str)
             handle.write("\n")

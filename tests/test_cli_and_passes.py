@@ -1,5 +1,12 @@
 """Tests for the ``python -m repro`` CLI and pass-manager timing/statistics."""
 
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main as cli_main
@@ -189,3 +196,122 @@ class TestPassTiming:
         manager.run(artifacts.lp_module)
         out = capsys.readouterr().out
         assert "[pass] dce" in out
+
+
+# ---------------------------------------------------------------------------
+# Start-up: what a fresh ``python -m repro`` process imports
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules the default compile-and-run path never needs at import.
+NOT_IMPORTED_AT_STARTUP = (
+    "dataclasses",
+    "inspect",
+    "json",
+    "platform",
+    "hashlib",
+    "repro.ir.parser",
+    "repro.backend.c_backend",
+    "repro.interp.reference",
+    "repro.resilience.bundle",
+    "repro.resilience.bisect",
+)
+
+#: Every package of ``repro`` that declares ``__all__``.
+PACKAGES = (
+    "backend", "dialects", "eval", "fuzz", "interp", "ir", "lambda_pure",
+    "lambda_rc", "lean", "rc_opt", "resilience", "rewrite", "runtime",
+    "telemetry", "transforms",
+)
+
+
+def run_fresh(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter over ``src``.
+
+    Lazy imports can only be checked in a fresh process: in this one,
+    earlier tests have already imported every module.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+        text=True, timeout=300,
+    )
+
+
+class TestStartup:
+    def test_cli_import_skips_unused_modules(self):
+        done = run_fresh(
+            "-c", "import sys, repro.__main__; print(*sorted(sys.modules))"
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "repro.backend.pipeline" in loaded
+        assert loaded.isdisjoint(NOT_IMPORTED_AT_STARTUP), sorted(
+            loaded.intersection(NOT_IMPORTED_AT_STARTUP)
+        )
+
+    def test_no_module_imports_dataclasses(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if "dataclasses" in modules:
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert offenders == []
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (("--variant", "baseline", "--emit", "c"), "lean_object*"),
+            (("--variant", "baseline"), f"result: {EXPECTED}"),
+            (("--execution-engine", "tree"), f"result: {EXPECTED}"),
+            (("--variant", "baseline", "--execution-engine", "tree"),
+             f"result: {EXPECTED}"),
+        ],
+        ids=["emit-c", "baseline", "tree", "baseline-tree"],
+    )
+    def test_lazy_cli_paths_in_a_fresh_process(self, source_file, flags, expected):
+        done = run_fresh("-m", "repro", source_file, *flags)
+        assert done.returncode == 0, done.stderr
+        assert expected in done.stdout
+
+    def test_pass_crash_bundle_in_a_fresh_process(self, source_file, tmp_path):
+        crash_dir = tmp_path / "crashes"
+        done = run_fresh(
+            "-m", "repro", source_file, "--inject-fault", "pass.cse:1",
+            "--crash-dir", str(crash_dir),
+        )
+        assert done.returncode == 4, done.stderr
+        match = re.search(r"^crash bundle: (.+)$", done.stderr, re.M)
+        assert match, done.stderr
+        bundle = Path(match.group(1))
+        assert (bundle / "bundle.json").is_file()
+
+        replay = run_fresh(
+            "-m", "repro.opt", "--pipeline-from-bundle", str(bundle),
+            "--crash-dir", str(tmp_path / "replay"),
+        )
+        assert replay.returncode == 1, replay.stderr
+        replayed = re.search(r"^crash bundle: (.+)$", replay.stderr, re.M)
+        assert replayed, replay.stderr
+        assert Path(replayed.group(1)).name == bundle.name
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_public_name_imports_in_a_fresh_process(self, package):
+        script = (
+            "import importlib, sys\n"
+            "name = 'repro.' + sys.argv[1]\n"
+            "for export in importlib.import_module(name).__all__:\n"
+            "    exec(f'from {name} import {export}')\n"
+            "print(len(importlib.import_module(name).__all__))\n"
+        )
+        done = run_fresh("-c", script, package)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 0

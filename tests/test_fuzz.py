@@ -229,13 +229,18 @@ class TestLeanTypeHash:
         assert ast.DataType("A") != ast.DataType("B")
 
     def test_hash_handles_list_valued_fields(self):
+        # A LeanType subclass names its fields and stores them frozen, so
+        # list-valued input is kept as a tuple and hashes structurally.
         class Sig(ast.LeanType):
+            _fields = ("params",)
+
             def __init__(self, params):
-                self.params = list(params)
+                object.__setattr__(self, "params", tuple(params))
 
         a, b = Sig([ast.NatType()]), Sig([ast.NatType()])
         assert a == b
         assert hash(a) == hash(b)
+        assert a != Sig([ast.IntType()])
 
 
 # ---------------------------------------------------------------------------
