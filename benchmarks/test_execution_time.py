@@ -134,9 +134,7 @@ class TestVm2Speed:
             module = compiler.compile(source).cfg_module
             modules[name] = module
             vm = VirtualMachine(
-                session.bytecode_for(
-                    module, dispatch="switch", superinstructions=False
-                ),
+                session.bytecode_for(module, superinstructions=False),
                 dispatch="switch",
             )
             vm.run_main()
@@ -144,9 +142,7 @@ class TestVm2Speed:
         largest = max(dispatches, key=dispatches.get)
         module = modules[largest]
         fused = session.bytecode_for(module)
-        unfused = session.bytecode_for(
-            module, dispatch="switch", superinstructions=False
-        )
+        unfused = session.bytecode_for(module, superinstructions=False)
 
         def threaded_seconds():
             return VirtualMachine(fused).run_main().metrics.wall_time_seconds
@@ -180,7 +176,7 @@ class TestVm2Speed:
 
         def executed(**kwargs):
             vm = VirtualMachine(
-                session.bytecode_for(module, dispatch="switch", **kwargs),
+                session.bytecode_for(module, **kwargs),
                 dispatch="switch",
             )
             vm.run_main()
@@ -242,9 +238,7 @@ class TestXlargeSizeTier:
         tree = CfgInterpreter(module).run_main()
         threaded = VirtualMachine(session.bytecode_for(module)).run_main()
         switch = VirtualMachine(
-            session.bytecode_for(
-                module, dispatch="switch", superinstructions=False
-            ),
+            session.bytecode_for(module, superinstructions=False),
             dispatch="switch",
         ).run_main()
         for vm_result in (threaded, switch):

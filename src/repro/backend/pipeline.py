@@ -391,29 +391,21 @@ class CompilationSession:
         self._pure_cache[source].rc[key] = lowered
 
     def bytecode_for(
-        self,
-        module: ModuleOp,
-        *,
-        dispatch: str = "threaded",
-        superinstructions: bool = True,
+        self, module: ModuleOp, *, superinstructions: bool = True
     ) -> BytecodeProgram:
         """Bytecode for a CFG-form ``module``, compiled once per (module,
-        dispatch mode, fusion flag)."""
+        fusion flag)."""
         return self._cached_bytecode(
-            module, compile_cfg_module, dispatch, superinstructions
+            module, compile_cfg_module, superinstructions
         )
 
     def rc_bytecode_for(
-        self,
-        program: PureProgram,
-        *,
-        dispatch: str = "threaded",
-        superinstructions: bool = True,
+        self, program: PureProgram, *, superinstructions: bool = True
     ) -> BytecodeProgram:
         """Bytecode for a λrc ``program``, compiled once per (program,
-        dispatch mode, fusion flag)."""
+        fusion flag)."""
         return self._cached_bytecode(
-            program, compile_rc_program, dispatch, superinstructions
+            program, compile_rc_program, superinstructions
         )
 
     #: Bound on cached bytecode rows.  Each row pins its module alive (the
@@ -423,12 +415,13 @@ class CompilationSession:
     BYTECODE_CACHE_LIMIT = 128
 
     def _cached_bytecode(
-        self, source: object, compiler, dispatch: str, superinstructions: bool
+        self, source: object, compiler, superinstructions: bool
     ) -> BytecodeProgram:
-        # Keyed on (module identity, dispatch mode, fusion flag): switching
-        # engine configuration mid-session must never serve bytecode
-        # compiled for another configuration.
-        key = (id(source), dispatch, superinstructions)
+        # Keyed on (module identity, fusion flag): fusion rewrites the
+        # bytecode, while the dispatch mode is a property of the
+        # VirtualMachine (its threaded closures live there), so both
+        # dispatch modes execute one program.
+        key = (id(source), superinstructions)
         entry = self._bytecode_cache.get(key)
         registry = get_metrics()
         if entry is not None and entry[0] is source:
@@ -777,9 +770,7 @@ class BaselineCompiler:
             return self._run_tree(rc_program, check_heap)
         bytecode = (
             self.session.rc_bytecode_for(
-                rc_program,
-                dispatch=self.dispatch,
-                superinstructions=self.superinstructions,
+                rc_program, superinstructions=self.superinstructions
             )
             if self.session is not None
             else compile_rc_program(rc_program, fuse=self.superinstructions)
@@ -916,9 +907,7 @@ class MlirCompiler:
             return self._run_tree(cfg_module, check_heap)
         bytecode = (
             self.session.bytecode_for(
-                cfg_module,
-                dispatch=options.dispatch,
-                superinstructions=options.superinstructions,
+                cfg_module, superinstructions=options.superinstructions
             )
             if self.session is not None
             else compile_cfg_module(cfg_module, fuse=options.superinstructions)

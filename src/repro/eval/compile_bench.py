@@ -583,9 +583,7 @@ def execution_table(
             tree_cell = f"{tree_seconds * 1e3:9.2f}"
         else:
             tree_cell = f"{'-':>9s}"
-        switch_code = session.bytecode_for(
-            module, dispatch="switch", superinstructions=False
-        )
+        switch_code = session.bytecode_for(module, superinstructions=False)
         switch_seconds = min(
             VirtualMachine(switch_code, dispatch="switch")
             .run_main().metrics.wall_time_seconds

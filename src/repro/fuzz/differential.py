@@ -31,6 +31,27 @@ hypothesis shrinks the *program*, and the shrunk source is what lands in
 Every pipeline runs with its fallback ladders off
 (``enable_fallbacks=False``): a VM fault is a finding naming its
 configuration, never a silent re-execution on the tree-walker oracle.
+Every lp+rgn compile runs the IR verifier after each pass
+(``verify_each=True``, which also makes rewrite non-convergence an
+error), so a pass that breaks an IR invariant is a finding too.
+
+Each distinct artifact is built once and run on every execution
+configuration that asks for it:
+
+* the baseline compiles one λrc program per rc mode and runs it on both
+  ``vm`` and ``tree``;
+* the lp+rgn configurations group by compile key (rc mode, rewrite
+  engine, incremental).  The first configuration of a group compiles;
+  later ones execute the group's latest CFG module.  An incremental group
+  compiles once more, for its second configuration: that compile is
+  served by the session's incremental cache, so incremental hits stay
+  under test;
+* both VM dispatch modes share one bytecode program per module (the
+  session's bytecode cache keys on module and fusion flag only).
+
+Executing never writes into a CFG module or a λrc program, so sharing
+leaves labels, values and metric fingerprints as separate compiles would.
+A compile failure names the configuration whose compile failed.
 
 Every execution runs under a per-program step budget
 (:data:`DEFAULT_BUDGET_STEPS`, overridable per call), so a generated
@@ -49,7 +70,7 @@ from ..backend.pipeline import (
     RC_VARIANTS,
     BaselineCompiler,
     CompilationSession,
-    run_mlir,
+    MlirCompiler,
     run_reference,
 )
 from ..eval.harness import measurement_options
@@ -105,7 +126,7 @@ class MatrixConfig(FrozenRecord):
 def full_matrix() -> Tuple[MatrixConfig, ...]:
     """Every lp+rgn configuration: 3 rc modes × 2 rewrite engines ×
     3 executions (tree, vm-threaded, vm-switch) × 2 incremental modes =
-    36 compiles per program."""
+    36 configurations, built by 18 compiles per program."""
     executions = [("tree", "threaded")] + [
         ("vm", dispatch) for dispatch in DISPATCH_MODES
     ]
@@ -183,6 +204,7 @@ def _mlir_options(config: MatrixConfig, budget_steps: Optional[int] = None):
     options.incremental_rgn_opt = config.incremental
     options.execution_budget_steps = budget_steps
     options.enable_fallbacks = False
+    options.verify_each = True
     return options
 
 
@@ -220,6 +242,21 @@ def run_matrix(
                 source, f"{label}: {type(error).__name__}: {error}"
             ) from error
 
+    # Compile key -> compiles the group still owes / its latest artifact.
+    compiles_left: Dict[Tuple, int] = {}
+    latest: Dict[Tuple, object] = {}
+
+    def compile_and_execute(label, compiler, key, compiles, artifact_of):
+        """Run ``label``: compile while its group still owes a compile,
+        then execute the group's latest artifact."""
+        left = compiles_left.setdefault(key, compiles)
+        if left:
+            compiles_left[key] = left - 1
+            latest[key] = guarded(
+                label, lambda: artifact_of(compiler.compile(source))
+            )
+        return guarded(label, lambda: compiler.execute(latest[key]))
+
     report.reference_value = guarded(
         "reference",
         lambda: run_reference(
@@ -231,26 +268,30 @@ def run_matrix(
         for rc_variant in RC_VARIANTS:
             for execution_engine in EXECUTION_ENGINES:
                 label = f"baseline/{rc_variant}/{execution_engine}"
-                result = guarded(
-                    label,
-                    lambda rc=rc_variant, ee=execution_engine: BaselineCompiler(
-                        rc_mode=rc[len("rc-"):],
-                        session=session,
-                        execution_engine=ee,
-                        enable_fallbacks=False,
-                        execution_budget_steps=budget_steps,
-                    ).run(source),
+                compiler = BaselineCompiler(
+                    rc_mode=rc_variant[len("rc-"):],
+                    session=session,
+                    execution_engine=execution_engine,
+                    enable_fallbacks=False,
+                    execution_budget_steps=budget_steps,
+                )
+                result = compile_and_execute(
+                    label, compiler, ("baseline", rc_variant), 1,
+                    lambda compiled: compiled.rc_program,
                 )
                 _check_run(report, label, result)
 
     fingerprints: Dict[str, Tuple[str, Tuple]] = {}
     for config in configs:
         label = config.label
-        result = guarded(
+        # An incremental group compiles twice: the second compile is served
+        # by the incremental cache, which keeps cache hits under test.
+        result = compile_and_execute(
             label,
-            lambda c=config: run_mlir(
-                source, _mlir_options(c, budget_steps), session=session
-            ),
+            MlirCompiler(_mlir_options(config, budget_steps), session=session),
+            (config.rc_variant, config.rewrite_engine, config.incremental),
+            2 if config.incremental else 1,
+            lambda compiled: compiled.cfg_module,
         )
         _check_run(report, label, result)
         fingerprint = _metric_fingerprint(result)

@@ -21,7 +21,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 
-from repro.backend.pipeline import CompilationSession
+from repro.backend.pipeline import CompilationSession, MlirCompiler
 from repro.eval.benchmarks import benchmark_sources
 from repro.eval.testsuite import regression_programs
 from repro.fuzz import (
@@ -325,6 +325,89 @@ class TestDifferentialMatrix:
         label = excinfo.value.reason.split(":", 1)[0]
         assert "/vm" in label
         assert "BytecodeError: broken VM" in excinfo.value.reason
+
+    def test_broken_rgn_pass_is_a_verifier_finding(self, monkeypatch):
+        # A dce that also moves one op below its first same-block user
+        # breaks SSA dominance; the verifier, on under fuzzing, must reject
+        # the first compile and name its configuration.
+        from repro.transforms.dce import DeadCodeEliminationPass
+
+        original = DeadCodeEliminationPass.run_on_function
+
+        def broken(self, func):
+            original(self, func)
+            for op in func.walk():
+                users = [
+                    user
+                    for result in op.results
+                    for user in result.users()
+                    if user.parent is op.parent
+                ]
+                if users:
+                    op.move_after(users[0])
+                    return
+
+        monkeypatch.setattr(DeadCodeEliminationPass, "run_on_function", broken)
+        _, source = CORPUS[0]
+        with pytest.raises(DifferentialFailure) as excinfo:
+            run_matrix(source, configs=smoke_matrix(), baselines=False)
+        label, reason = excinfo.value.reason.split(": ", 1)
+        assert label == smoke_matrix()[0].label
+        assert reason.startswith("VerificationError:")
+        assert "dominate" in reason
+
+    def _spy_compiles(self, monkeypatch, session):
+        """Record (compile key, incremental hits, incremental misses) of
+        every lp+rgn compile."""
+        compiles = []
+        original = MlirCompiler.compile
+
+        def spy(compiler, source):
+            hits, misses = session.incremental_hits, session.incremental_misses
+            artifacts = original(compiler, source)
+            options = compiler.options
+            compiles.append((
+                (options.rc_mode, options.rewrite_engine,
+                 options.incremental_rgn_opt),
+                session.incremental_hits - hits,
+                session.incremental_misses - misses,
+            ))
+            return artifacts
+
+        monkeypatch.setattr(MlirCompiler, "compile", spy)
+        return compiles
+
+    @pytest.mark.parametrize(
+        "configs,compiles", [(full_matrix(), 18), (smoke_matrix(), 6)],
+        ids=["full", "smoke"],
+    )
+    def test_one_compile_per_group(self, monkeypatch, configs, compiles):
+        # One compile per (rc mode, rewrite engine, incremental) group, two
+        # per incremental group; every execution engine reuses the module.
+        session = CompilationSession()
+        spied = self._spy_compiles(monkeypatch, session)
+        _, source = CORPUS[0]
+        report = run_matrix(source, session=session, configs=configs)
+        assert report.configurations == len(configs) + 6
+        assert len(spied) == compiles
+
+    def test_second_incremental_compile_only_hits(self, monkeypatch):
+        session = CompilationSession()
+        spied = self._spy_compiles(monkeypatch, session)
+        _, source = CORPUS[0]
+        run_matrix(source, session=session, configs=full_matrix())
+        groups = {}
+        for key, hits, misses in spied:
+            groups.setdefault(key, []).append((hits, misses))
+        assert len(groups) == 12
+        for (_, _, incremental), compiles in groups.items():
+            if not incremental:
+                assert compiles == [(0, 0)]
+                continue
+            assert len(compiles) == 2
+            _, (second_hits, second_misses) = compiles
+            assert second_hits > 0 and second_misses == 0
+        assert any(misses for _, _, misses in spied)
 
     def test_value_mismatch_is_detected(self):
         report = MatrixReport(source="s")

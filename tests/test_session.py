@@ -176,8 +176,10 @@ class TestRcLoweringCache:
         _, source = load_corpus()[0]
         report = run_matrix(source, session=session, configs=full_matrix())
         assert report.configurations == 42
-        # 6 baseline runs + 36 lp+rgn configurations, 3 distinct λrc.
-        assert (session.stats["rc_misses"], session.stats["rc_hits"]) == (3, 39)
+        # 3 baseline compiles (one per rc mode, run on vm and tree) + 18
+        # lp+rgn compiles (one per compile group, two per incremental
+        # group), 3 distinct λrc.
+        assert (session.stats["rc_misses"], session.stats["rc_hits"]) == (3, 18)
 
 
 def _observable(program):
@@ -255,6 +257,53 @@ class TestPersistentPrograms:
             _exercise_and_check(print_program(program), session)
 
         check()
+
+
+#: (execution engine, dispatch) pairs one compiled artifact runs on.
+EXECUTIONS = (("tree", "threaded"), ("vm", "threaded"), ("vm", "switch"))
+
+
+class TestSharedArtifacts:
+    """``run_matrix`` executes one compiled CFG module or λrc program on
+    every engine, so executing must leave the artifact as it found it."""
+
+    @pytest.mark.parametrize("variant", RC_VARIANTS)
+    @pytest.mark.parametrize(
+        "name,source", load_corpus(), ids=[name for name, _ in load_corpus()]
+    )
+    def test_execution_leaves_the_cfg_module_unchanged(
+        self, name, source, variant
+    ):
+        session = CompilationSession()
+        module = MlirCompiler(
+            measurement_options(variant), session=session
+        ).compile(source).cfg_module
+        printed = print_module(module)
+        for engine, dispatch in EXECUTIONS:
+            options = measurement_options(
+                variant, execution_engine=engine, dispatch=dispatch
+            )
+            MlirCompiler(options, session=session).execute(module)
+            assert print_module(module) == printed, (engine, dispatch)
+
+    @pytest.mark.parametrize("rc_mode", ["naive", "opt", "opt+reuse"])
+    @pytest.mark.parametrize(
+        "name,source", load_corpus(), ids=[name for name, _ in load_corpus()]
+    )
+    def test_execution_leaves_the_rc_program_unchanged(
+        self, name, source, rc_mode
+    ):
+        session = CompilationSession()
+        program = BaselineCompiler(
+            rc_mode=rc_mode, session=session
+        ).compile(source).rc_program
+        fresh = _observable(_lowered_fresh(source, (True, True, rc_mode)))
+        for engine, dispatch in EXECUTIONS:
+            BaselineCompiler(
+                rc_mode=rc_mode, session=session,
+                execution_engine=engine, dispatch=dispatch,
+            ).execute(program)
+            assert _observable(program) == fresh, (engine, dispatch)
 
 
 class TestMeasurementOptions:
