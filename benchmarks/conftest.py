@@ -1,12 +1,12 @@
-"""Shared fixtures for the benchmark harness (pytest-benchmark)."""
+"""Shared fixtures for the benchmark-suite tests."""
 
 import pytest
 
 from repro.eval.benchmarks import benchmark_sources
 
 #: Reduced problem sizes so that the full benchmark matrix stays fast while
-#: preserving each workload's character.  Use ``--full-sizes`` to run the
-#: default (paper-scale for this reproduction) sizes.
+#: preserving each workload's character.  ``python -m repro.eval.figures
+#: --sizes ...`` is the full-size view.
 SMALL_SIZES = {
     "binarytrees": {"depth": 5},
     "binarytrees-int": {"depth": 5},
@@ -20,17 +20,6 @@ SMALL_SIZES = {
 }
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--full-sizes",
-        action="store_true",
-        default=False,
-        help="run the benchmarks at their default (larger) problem sizes",
-    )
-
-
 @pytest.fixture(scope="session")
-def sources(request):
-    if request.config.getoption("--full-sizes"):
-        return benchmark_sources()
+def sources():
     return benchmark_sources(SMALL_SIZES)

@@ -1,8 +1,8 @@
 """Ablation study: toggle each rgn optimisation individually.
 
 Not a figure in the paper, but DESIGN.md calls out the design choice of
-splitting the region optimisations into separate passes; this bench measures
-the contribution of each one on the benchmark suite.
+splitting the region optimisations into separate passes; these cases check
+that every ablation still compiles and runs the benchmark suite.
 """
 
 import pytest
@@ -30,15 +30,9 @@ def _options(overrides):
 
 @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
 @pytest.mark.parametrize("name", BENCHMARK_NAMES[:4])
-def test_ablation_compile_and_run(benchmark, sources, name, ablation):
-    source = sources[name]
-    options = _options(ABLATIONS[ablation])
-
-    def compile_and_run():
-        artifacts = MlirCompiler(options).compile(source)
-        return CfgInterpreter(artifacts.cfg_module).run_main(check_heap=False)
-
-    result = benchmark(compile_and_run)
+def test_ablation_compile_and_run(sources, name, ablation):
+    artifacts = MlirCompiler(_options(ABLATIONS[ablation])).compile(sources[name])
+    result = CfgInterpreter(artifacts.cfg_module).run_main(check_heap=False)
     assert result.value is not None
 
 

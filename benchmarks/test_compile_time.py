@@ -7,7 +7,8 @@ Asserts the acceptance criteria of the worklist-driver work:
 * efficiency — on the largest benchmark of the compile suite (the
   ``rewrite-stress`` dead-join-point tower) total pattern match attempts
   drop at least 3x versus the rescan driver,
-* reporting — ``BENCH_compile.json`` is emitted with per-phase timings,
+* reporting — ``figures --figure compile`` prints the same bytes whichever
+  way the suite is sharded, and every phase is a span under its compile,
 
 plus the acceptance criteria of the session-layer work (PR 4):
 
@@ -20,8 +21,8 @@ plus the acceptance criterion of the incremental-recompilation work:
 
 * incrementality — a one-function-changed recompile of
   ``rbmap_checkpoint`` through a session re-runs rgn-opt on exactly the
-  changed function (``session.incremental`` hit counters) and the phase
-  beats a cold compile on wall time,
+  changed function (``session.incremental`` hit counters) and its
+  ``phase:rgn-opt`` span beats a cold compile's on wall time,
 
 plus the acceptance criterion of the unified telemetry subsystem:
 
@@ -30,7 +31,6 @@ plus the acceptance criterion of the unified telemetry subsystem:
   within noise of a telemetry-on run.
 """
 
-import json
 import time
 
 import pytest
@@ -38,19 +38,17 @@ import pytest
 from repro.backend.pipeline import MlirCompiler
 from repro.eval.benchmarks import DEFAULT_SIZES, benchmark_sources
 from repro.eval.compile_bench import (
+    PHASES,
     STRESS_BENCHMARK,
-    CompileMeasurement,
     build_stress_module,
-    compile_report,
     differential_rows,
-    emit_json,
-    load_baseline,
     measure_benchmark,
     measure_stress,
     run_suite,
 )
+from repro.eval.figures import main as figures_main
 from repro.eval.harness import measurement_options
-from repro.telemetry import telemetry_session
+from repro.telemetry import Tracer, telemetry_session
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +179,13 @@ class TestIncrementalRecompilation:
             options = measurement_options("rgn")
             options.incremental_rgn_opt = True  # off for plain measurements
             compiler = MlirCompiler(options, session=session)
-            cold = compiler.compile(rbmap_source).phase_timings["rgn-opt"]
-            warm = compiler.compile(changed).phase_timings["rgn-opt"]
+            with telemetry_session(tracer=Tracer()) as telemetry:
+                compiler.compile(rbmap_source)
+                compiler.compile(changed)
+            cold, warm = (
+                span.duration_seconds
+                for span in telemetry.tracer.find("phase:rgn-opt")
+            )
             pairs.append((cold, warm, session))
         return pairs
 
@@ -206,36 +209,7 @@ class TestIncrementalRecompilation:
         )
 
 
-class TestBenchJson:
-    def test_emit_bench_compile_json(self, tmp_path, small_sizes):
-        path = tmp_path / "BENCH_compile.json"
-        payload = emit_json(str(path), small_sizes)
-        on_disk = json.loads(path.read_text())
-        assert on_disk["schema"] == "repro/compile-bench/v1"
-        assert set(on_disk["engines"]) == {"worklist", "rescan"}
-        names = {entry["benchmark"] for entry in on_disk["benchmarks"]}
-        assert set(small_sizes) <= names and STRESS_BENCHMARK in names
-        for entry in on_disk["benchmarks"]:
-            assert entry["total_seconds"] > 0
-            assert entry["phase_seconds"], entry["benchmark"]
-            assert entry["match_attempts"] >= 0
-            assert entry["initial_op_count"] > 0
-        assert payload["totals"]["worklist"]["match_attempts"] > 0
-
-    def test_baseline_comparison_report(self, tmp_path, small_sizes):
-        path = tmp_path / "BENCH_compile.json"
-        emit_json(str(path), small_sizes)
-        baseline = load_baseline(str(path))
-        assert set(small_sizes) <= set(baseline)
-        report = compile_report(small_sizes, baseline=baseline)
-        assert "base rgn-opt" in report and "Δ%" in report
-
-    def test_baseline_rejects_unknown_schema(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "other/v9", "benchmarks": []}')
-        with pytest.raises(ValueError):
-            load_baseline(str(bad))
-
+class TestSuiteReport:
     def test_sharded_suite_matches_sequential(self, small_sizes):
         # One worker per benchmark must change nothing observable except
         # wall time: same measurement set, byte-identical final IR.
@@ -248,15 +222,29 @@ class TestBenchJson:
             assert seq.ir_text == par.ir_text, seq.benchmark
             assert seq.match_attempts == par.match_attempts, seq.benchmark
 
-    def test_phase_timings_cover_pipeline(self, small_sizes):
-        name = next(iter(small_sizes))
-        from repro.eval.benchmarks import benchmark_sources
+    def test_figure_output_is_deterministic(self, capsys):
+        # The report carries counts and IR verdicts only, so reruns and
+        # sharding print the same bytes.
+        outputs = []
+        for jobs in ("1", "1", "2"):
+            assert figures_main(["--figure", "compile", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "DIFF" not in outputs[0]
 
+    def test_phase_spans_cover_pipeline(self, small_sizes):
+        name = next(iter(small_sizes))
         source = benchmark_sources(small_sizes)[name]
-        measurement: CompileMeasurement = measure_benchmark(name, source)
-        for phase in ("frontend", "rc-insert", "lp-to-rgn", "rgn-opt", "rgn-to-cf"):
-            assert phase in measurement.phase_seconds, phase
-        assert sum(measurement.phase_seconds.values()) <= measurement.total_seconds
+        with telemetry_session(tracer=Tracer()) as telemetry:
+            measure_benchmark(name, source)
+        (compile_span,) = telemetry.tracer.find("compile")
+        phases = [
+            span.name for span in compile_span.children
+            if span.category == "phase"
+        ]
+        # The rgn variant inserts naive RC, so there is nothing to fuse.
+        expected = [phase for phase in PHASES if phase != "lp-fusion"]
+        assert phases == ["phase:" + phase for phase in expected]
 
 
 class TestTelemetryOverhead:

@@ -17,12 +17,12 @@ VARIANTS = ("simplifier", "rgn", "none")
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_variant_pipeline(benchmark, sources, name, variant):
+def test_variant_pipeline(sources, name, variant):
     source = sources[name]
     expected = run_reference(source)
     options = PipelineOptions.variant(variant)
     options.verify_each = False
-    result = benchmark(lambda: run_mlir(source, options, check_heap=False))
+    result = run_mlir(source, options, check_heap=False)
     assert result.value == expected
 
 

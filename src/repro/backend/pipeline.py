@@ -204,7 +204,7 @@ class CompilationArtifacts(Record):
     _fields = (
         "surface_source", "pure_program", "rc_program", "lp_module",
         "cfg_module", "c_source", "pass_statistics", "rc_report",
-        "phase_timings", "module_op_counts", "captured_ir",
+        "module_op_counts", "captured_ir",
     )
 
     def __init__(
@@ -217,7 +217,6 @@ class CompilationArtifacts(Record):
         c_source: Optional[str] = None,
         pass_statistics: Optional[Dict[str, Dict[str, int]]] = None,
         rc_report: Optional[RcOptReport] = None,
-        phase_timings: Optional[Dict[str, float]] = None,
         module_op_counts: Optional[Dict[str, int]] = None,
         captured_ir: Optional[Dict[str, str]] = None,
     ):
@@ -231,11 +230,6 @@ class CompilationArtifacts(Record):
             {} if pass_statistics is None else pass_statistics
         )
         self.rc_report = rc_report
-        #: Wall time per compilation phase in seconds (frontend, simplify,
-        #: rc-insert, lp-codegen, lp-fusion, lp-to-rgn, rgn-opt, rgn-to-cf /
-        #: c-emit), populated by the compilers for
-        #: :mod:`repro.eval.compile_bench`.
-        self.phase_timings = {} if phase_timings is None else phase_timings
         #: Module op counts sampled at pipeline points ("lp" after codegen,
         #: "rgn" entering the rgn optimisations).  The lowerings mutate the
         #: module in place, so these cannot be recomputed afterwards.
@@ -509,44 +503,28 @@ class CompilationSession:
         }
 
 
-class PhaseTimer:
-    """Per-phase compile bookkeeping shared by both compilers.
-
-    One object per compile owns the ``phase_timings`` dict the
-    :class:`CompilationArtifacts` carry; :meth:`phase` accumulates the
-    wall time of one phase, opens a telemetry span (``phase:<name>``) and
-    publishes ``pipeline.phase.<name>.seconds`` into the active metrics
-    registry.  Replaces the timing bookkeeping both
-    :class:`BaselineCompiler` and :class:`MlirCompiler` used to carry
-    separately.
-    """
-
-    __slots__ = ("timings",)
-
-    def __init__(self):
-        self.timings: Dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str):
-        with get_tracer().span("phase:" + name, category="phase"):
-            start = time.perf_counter()
-            try:
-                yield
-            finally:
-                elapsed = time.perf_counter() - start
-                self.timings[name] = self.timings.get(name, 0.0) + elapsed
-                registry = get_metrics()
-                if registry.enabled:
-                    registry.observe(
-                        "pipeline.phase." + metric_component(name) + ".seconds",
-                        elapsed,
-                    )
+@contextmanager
+def phase(name: str):
+    """One compilation phase of either compiler: a ``phase:<name>`` span,
+    plus ``pipeline.phase.<name>.seconds`` in the active metrics registry."""
+    with get_tracer().span("phase:" + name, category="phase"):
+        registry = get_metrics()
+        if not registry.enabled:
+            yield
+            return
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            registry.observe(
+                "pipeline.phase." + metric_component(name) + ".seconds",
+                time.perf_counter() - start,
+            )
 
 
 def lower_to_rc(
     source: str,
     pure: PureProgram,
-    phases: PhaseTimer,
     session: Optional[CompilationSession],
     *,
     run_simplifier: bool,
@@ -563,13 +541,13 @@ def lower_to_rc(
         cached = session.rc_cached(source, key)
         if cached is not None:
             return cached
-    with phases.phase("simplify"):
+    with phase("simplify"):
         staged = (
             simplify_program(pure, enable_simp_case=enable_simp_case)
             if run_simplifier
             else pure
         )
-    with phases.phase("rc-insert"):
+    with phase("rc-insert"):
         lowered = insert_optimized_rc(staged, rc_mode)
     if session is not None:
         session.rc_store(source, key, lowered)
@@ -723,24 +701,23 @@ class BaselineCompiler:
         )
 
     def compile(self, source: str) -> CompilationArtifacts:
-        phases = PhaseTimer()
         with get_tracer().span(
             "compile", category="pipeline", pipeline="baseline",
             rc_mode=self.rc_mode,
         ):
-            with phases.phase("frontend"):
+            with phase("frontend"):
                 pure = (
                     self.session.frontend(source)
                     if self.session is not None
                     else Frontend.to_pure(source)
                 )
             rc, rc_report = lower_to_rc(
-                source, pure, phases, self.session,
+                source, pure, self.session,
                 run_simplifier=self.enable_simplifier,
                 enable_simp_case=True,
                 rc_mode=self.rc_mode,
             )
-            with phases.phase("c-emit"):
+            with phase("c-emit"):
                 from .c_backend import emit_c_source
 
                 c_source = emit_c_source(rc)
@@ -750,7 +727,6 @@ class BaselineCompiler:
             rc_program=rc,
             c_source=c_source,
             rc_report=rc_report,
-            phase_timings=phases.timings,
         )
 
     def run(self, source: str, *, check_heap: bool = True) -> RunResult:
@@ -817,25 +793,24 @@ class MlirCompiler:
         lowering_context = (
             session.lowering_context if session is not None else LoweringContext()
         )
-        phases = PhaseTimer()
         with get_tracer().span(
             "compile", category="pipeline", pipeline="lp+rgn",
             rc_mode=options.rc_mode,
             rewrite_engine=options.rewrite_engine,
         ):
-            with phases.phase("frontend"):
+            with phase("frontend"):
                 pure = (
                     session.frontend(source)
                     if session is not None
                     else Frontend.to_pure(source)
                 )
             rc, rc_report = lower_to_rc(
-                source, pure, phases, session,
+                source, pure, session,
                 run_simplifier=options.run_lambda_simplifier,
                 enable_simp_case=options.enable_simp_case,
                 rc_mode=options.rc_mode,
             )
-            with phases.phase("lp-codegen"):
+            with phase("lp-codegen"):
                 lp_module = generate_lp_module(rc, lowering_context)
             artifacts = CompilationArtifacts(
                 surface_source=source,
@@ -843,13 +818,12 @@ class MlirCompiler:
                 rc_program=rc,
                 lp_module=lp_module,
                 rc_report=rc_report,
-                phase_timings=phases.timings,
             )
             artifacts.module_op_counts["lp"] = sum(1 for _ in lp_module.walk()) - 1
             if options.rc_mode != "naive":
                 # The SSA twin of dup/drop fusion: catches pairs exposed by
                 # lowering λrc trees into lp blocks.
-                with phases.phase("lp-fusion"):
+                with phase("lp-fusion"):
                     lp_fusion = build_spec_pipeline(LP_FUSION_SPEC, options)
                     lp_fusion.run(lp_module)
                 artifacts.pass_statistics.update(
@@ -858,14 +832,14 @@ class MlirCompiler:
                 )
             if "lp" in options.capture_ir:
                 artifacts.captured_ir["lp"] = print_module(lp_module)
-            with phases.phase("lp-to-rgn"):
+            with phase("lp-to-rgn"):
                 cfg_module = lower_lp_to_rgn(lp_module, lowering_context)
             artifacts.module_op_counts["rgn"] = sum(1 for _ in cfg_module.walk()) - 1
             if "rgn" in options.capture_ir:
                 artifacts.captured_ir["rgn"] = print_module(cfg_module)
             if options.run_rgn_optimizations:
                 spec = rgn_pipeline_spec(options)
-                with phases.phase("rgn-opt"):
+                with phase("rgn-opt"):
                     pipeline = build_spec_pipeline(spec, options)
                     if session is not None and options.incremental_rgn_opt:
                         from .incremental import run_incremental_rgn_opt
@@ -884,7 +858,7 @@ class MlirCompiler:
                 )
                 if "rgn-opt" in options.capture_ir:
                     artifacts.captured_ir["rgn-opt"] = print_module(cfg_module)
-            with phases.phase("rgn-to-cf"):
+            with phase("rgn-to-cf"):
                 cfg_module = lower_rgn_to_cf(cfg_module)
         artifacts.cfg_module = cfg_module
         return artifacts

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..interp.bytecode import DISPATCH_MODES, EXECUTION_ENGINES
 from ..telemetry import telemetry_session
@@ -193,22 +193,13 @@ def rc_report(harness: Optional[EvaluationHarness] = None) -> str:
     return "\n".join(lines)
 
 
-def compile_time_report(jobs: int = 1) -> str:
-    """Compile-time report: per-phase timings and the rewrite-engine
-    differential (see :mod:`repro.eval.compile_bench`)."""
-    from .compile_bench import compile_report
-
-    return compile_report(jobs=jobs)
-
-
-def correctness_report(harness: Optional[EvaluationHarness] = None) -> str:
-    harness = harness or EvaluationHarness()
-    report = harness.verify_correctness()
-    passed = sum(1 for ok in report.values() if ok)
+def correctness_report(verdicts: Dict[str, bool]) -> str:
+    """Format :meth:`EvaluationHarness.verify_correctness`'s verdicts."""
+    passed = sum(1 for ok in verdicts.values() if ok)
     lines = ["Benchmark-suite correctness (both backends vs reference):"]
-    for name, ok in report.items():
+    for name, ok in verdicts.items():
         lines.append(f"  {name:20s} {'PASS' if ok else 'FAIL'}")
-    lines.append(f"{passed}/{len(report)} benchmarks agree with the reference")
+    lines.append(f"{passed}/{len(verdicts)} benchmarks agree with the reference")
     return "\n".join(lines)
 
 
@@ -277,6 +268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     printed = False
+    # Failed checks exit with the layer codes of ``python -m repro``: 5 for
+    # an execution mismatch, 4 for a pass bug (which outranks it).
+    status = 0
     harness = EvaluationHarness(
         SIZE_TIERS[args.sizes],
         jobs=args.jobs,
@@ -284,7 +278,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         dispatch=args.dispatch,
     )
     if args.correctness:
-        print(correctness_report(harness))
+        verdicts = harness.verify_correctness()
+        print(correctness_report(verdicts))
+        if not all(verdicts.values()):
+            status = 5
         printed = True
     if args.all or args.figure == "9":
         print(figure9_report(harness))
@@ -301,7 +298,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(rc_report(harness))
         printed = True
     if args.all or args.figure == "compile":
-        print(compile_time_report(jobs=args.jobs))
+        from .compile_bench import compile_report, differential_rows
+
+        differential = differential_rows(jobs=args.jobs)
+        print(compile_report(differential))
+        if not all(row.ir_equal for row in differential):
+            status = 4
         printed = True
     if args.metrics_json:
         rows = write_measurement_metrics(args.metrics_json, harness)
@@ -309,7 +311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         printed = True
     if not printed:
         parser.print_help()
-    return 0
+    return status
 
 
 if __name__ == "__main__":

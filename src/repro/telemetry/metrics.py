@@ -19,9 +19,9 @@ Every stat surface of the compiler publishes into one namespaced
 
 The registry stores integer counters (:meth:`bump`) and float gauges
 (:meth:`observe`, accumulating — repeated observations of a timing add
-up, mirroring how ``phase_timings`` accumulates).  :meth:`snapshot`
-returns one sorted, JSON-ready dict — the payload behind the
-``--metrics-json`` CLI flags.
+up, so a phase's seconds total every compile of the session).
+:meth:`snapshot` returns one sorted, JSON-ready dict — the payload behind
+the ``--metrics-json`` CLI flags.
 """
 
 from __future__ import annotations

@@ -10,11 +10,13 @@ from repro.eval import (
     geometric_mean,
     regression_programs,
 )
+from repro.eval import compile_bench, harness as harness_module
 from repro.eval.figures import (
     PAPER_FIGURE9,
     correctness_report,
     figure11_table,
     format_speedup_figure,
+    main as figures_main,
 )
 from repro.interp import DEFAULT_COSTS, ExecutionMetrics
 
@@ -89,6 +91,9 @@ class TestHarness:
         report = harness.verify_correctness()
         assert set(report) == set(DEFAULT_SIZES)
         assert all(report.values())
+        assert f"{len(report)}/{len(report)} benchmarks agree" in (
+            correctness_report(report)
+        )
 
     def test_figure9_shape(self, harness):
         data = harness.figure9()
@@ -130,3 +135,30 @@ class TestBenchmarkPrograms:
         programs = regression_programs()
         names = [p.name for p in programs]
         assert len(names) == len(set(names))
+
+
+class TestFiguresExitCodes:
+    """A failed check makes ``figures`` exit with the failing layer's code
+    (as ``python -m repro`` does), not 0."""
+
+    def test_correctness_mismatch_exits_5(self, monkeypatch, capsys):
+        def wrong_reference(source, **kwargs):
+            return object()  # equal to no backend's value
+
+        monkeypatch.setattr(harness_module, "run_reference", wrong_reference)
+        assert figures_main(["--correctness", "--sizes", "default"]) == 5
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_engine_ir_divergence_exits_4(self, monkeypatch, capsys):
+        measure_stress = compile_bench.measure_stress
+
+        def diverging_stress(engine, **kwargs):
+            measurement = measure_stress(engine, **kwargs)
+            if engine == "rescan":
+                measurement.ir_text += "// diverged\n"
+            return measurement
+
+        monkeypatch.setattr(compile_bench, "measure_stress", diverging_stress)
+        assert figures_main(["--figure", "compile"]) == 4
+        out = capsys.readouterr().out
+        assert "rewrite-stress" in out and "DIFF" in out

@@ -34,7 +34,7 @@ from repro.lambda_pure.simplifier import simplify_program
 from repro.lean.printer import print_program
 from repro.rc_opt import insert_optimized_rc
 from repro.resilience import FaultPlan, fault_plan
-from repro.telemetry import telemetry_session
+from repro.telemetry import Tracer, telemetry_session
 
 SOURCES = benchmark_sources(
     {
@@ -126,17 +126,22 @@ class TestRcLoweringCache:
     def test_pipelines_share_one_rc_lowering_per_rc_mode(self):
         session = CompilationSession()
         source = SOURCES["filter"]
-        baseline = BaselineCompiler(session=session).compile(source)
-        mlir = MlirCompiler(
-            PipelineOptions.variant("rc-naive"), session=session
-        ).compile(source)
+        with telemetry_session(tracer=Tracer()) as telemetry:
+            baseline = BaselineCompiler(session=session).compile(source)
+            mlir = MlirCompiler(
+                PipelineOptions.variant("rc-naive"), session=session
+            ).compile(source)
         assert mlir.rc_program is baseline.rc_program
         assert mlir.rc_report is baseline.rc_report
         # The hit ran neither the simplifier nor RC insertion.
-        assert "simplify" in baseline.phase_timings
-        assert "rc-insert" in baseline.phase_timings
-        assert "simplify" not in mlir.phase_timings
-        assert "rc-insert" not in mlir.phase_timings
+        baseline_span, mlir_span = telemetry.tracer.find("compile")
+        assert [span.name for span in baseline_span.children] == [
+            "phase:frontend", "phase:simplify", "phase:rc-insert", "phase:c-emit",
+        ]
+        assert [span.name for span in mlir_span.children] == [
+            "phase:frontend", "phase:lp-codegen", "phase:lp-to-rgn",
+            "phase:rgn-opt", "phase:rgn-to-cf",
+        ]
         assert (session.stats["rc_hits"], session.stats["rc_misses"]) == (1, 1)
 
     def test_key_separates_simplifier_flags_and_rc_modes(self):
