@@ -44,11 +44,7 @@ from .backend.pipeline import (
     MlirCompiler,
     PipelineOptions,
 )
-from .interp.bytecode import (
-    DISPATCH_MODES,
-    EXECUTION_ENGINES,
-    FUSED_OPCODE_BASES,
-)
+from .interp.bytecode import EXECUTION_ENGINES, FUSED_OPCODE_BASES
 from .ir.printer import print_module
 from .lean import LexError, ParseError, TypeError_
 from .resilience import FaultPlan, fault_plan
@@ -155,11 +151,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--execution-engine", choices=EXECUTION_ENGINES, default="vm",
         help="how the compiled program executes: the register-bytecode VM "
         "(default) or the tree-walking oracle interpreter",
-    )
-    parser.add_argument(
-        "--dispatch", choices=DISPATCH_MODES, default="threaded",
-        help="VM dispatch strategy: direct-threaded closures (default) or "
-        "the tuple-switch oracle loop (vm engine only)",
     )
     parser.add_argument(
         "--no-fusion", action="store_true",
@@ -270,7 +261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     try:
         with scope, fault_plan(plan):
-            code = _dispatch(args, source)
+            code = _compile_and_run(args, source)
     finally:
         # Trace and metrics snapshots are written even when the compile or
         # run failed — the failing trace is usually the interesting one.
@@ -290,7 +281,7 @@ def _report_crash_bundle(error: BaseException) -> None:
         print(f"crash bundle: {path}", file=sys.stderr)
 
 
-def _dispatch(args, source: str) -> int:
+def _compile_and_run(args, source: str) -> int:
     """Compile, optionally emit, and run — inside any telemetry scope.
 
     The compile and execute phases are separate ``try`` blocks so the exit
@@ -307,7 +298,6 @@ def _dispatch(args, source: str) -> int:
             rc_mode=args.rc_mode or "naive",
             session=session,
             execution_engine=args.execution_engine,
-            dispatch=args.dispatch,
             superinstructions=not args.no_fusion,
             execution_budget_seconds=args.budget_seconds,
             execution_budget_steps=args.budget_steps,
@@ -323,7 +313,6 @@ def _dispatch(args, source: str) -> int:
         if args.rewrite_engine is not None:
             options.rewrite_engine = args.rewrite_engine
         options.execution_engine = args.execution_engine
-        options.dispatch = args.dispatch
         options.superinstructions = not args.no_fusion
         options.verbose_passes = args.verbose
         options.print_ir_after = tuple(args.print_ir_after)

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dialects.builtin import ModuleOp
 from ..interp.bytecode import (
-    DISPATCH_MODES,
     EXECUTION_ENGINES,
     BytecodeError,
     BytecodeProgram,
@@ -96,10 +95,6 @@ class PipelineOptions(Record):
     #: bytecode, the default) or "tree" (the tree-walking interpreters,
     #: kept as differential oracles).
     execution_engine: str = "vm"
-    #: VM dispatch mode: "threaded" (closure-per-instruction direct
-    #: threading, the default) or "switch" (the tuple-decoding loop, kept
-    #: as the in-VM oracle).  Ignored by the tree engine.
-    dispatch: str = "threaded"
     #: Run the superinstruction fusion peephole over compiled bytecode.
     #: Fused instructions charge exactly the unfused events, so this only
     #: changes execution speed, never metrics or results.
@@ -144,7 +139,7 @@ class PipelineOptions(Record):
         "enable_dead_region_elimination", "enable_region_gvn",
         "enable_case_elimination", "enable_common_branch_elimination",
         "enable_constant_fold", "enable_cse", "rc_mode", "rewrite_engine",
-        "execution_engine", "dispatch", "superinstructions", "verify_each",
+        "execution_engine", "superinstructions", "verify_each",
         "verbose_passes", "print_ir_after", "print_ir_after_all",
         "print_ir_on_failure", "incremental_rgn_opt", "capture_ir",
         "crash_bundle_dir", "enable_fallbacks", "execution_budget_seconds",
@@ -188,13 +183,6 @@ def _check_execution_engine(engine: str) -> None:
     if engine not in EXECUTION_ENGINES:
         raise ValueError(
             f"unknown execution engine {engine!r} (expected {EXECUTION_ENGINES})"
-        )
-
-
-def _check_dispatch(dispatch: str) -> None:
-    if dispatch not in DISPATCH_MODES:
-        raise ValueError(
-            f"unknown dispatch mode {dispatch!r} (expected {DISPATCH_MODES})"
         )
 
 
@@ -412,9 +400,7 @@ class CompilationSession:
         self, source: object, compiler, superinstructions: bool
     ) -> BytecodeProgram:
         # Keyed on (module identity, fusion flag): fusion rewrites the
-        # bytecode, while the dispatch mode is a property of the
-        # VirtualMachine (its threaded closures live there), so both
-        # dispatch modes execute one program.
+        # bytecode; the threaded closures live on each VirtualMachine.
         key = (id(source), superinstructions)
         entry = self._bytecode_cache.get(key)
         registry = get_metrics()
@@ -677,19 +663,16 @@ class BaselineCompiler:
         rc_mode: str = "naive",
         session: Optional[CompilationSession] = None,
         execution_engine: str = "vm",
-        dispatch: str = "threaded",
         superinstructions: bool = True,
         enable_fallbacks: bool = True,
         execution_budget_seconds: Optional[float] = None,
         execution_budget_steps: Optional[int] = None,
     ):
         _check_execution_engine(execution_engine)
-        _check_dispatch(dispatch)
         self.enable_simplifier = enable_simplifier
         self.rc_mode = rc_mode
         self.session = session
         self.execution_engine = execution_engine
-        self.dispatch = dispatch
         self.superinstructions = superinstructions
         self.enable_fallbacks = enable_fallbacks
         self.execution_budget_seconds = execution_budget_seconds
@@ -753,8 +736,7 @@ class BaselineCompiler:
         )
         try:
             return VirtualMachine(
-                bytecode, dispatch=self.dispatch,
-                budget=self._execution_budget(),
+                bytecode, budget=self._execution_budget()
             ).run_main(check_heap=check_heap)
         except (InjectedFault, BytecodeError):
             if not self.enable_fallbacks:
@@ -784,7 +766,6 @@ class MlirCompiler:
     ):
         self.options = options if options is not None else PipelineOptions()
         _check_execution_engine(self.options.execution_engine)
-        _check_dispatch(self.options.dispatch)
         self.session = session
 
     def compile(self, source: str) -> CompilationArtifacts:
@@ -888,8 +869,7 @@ class MlirCompiler:
         )
         try:
             return VirtualMachine(
-                bytecode, dispatch=options.dispatch,
-                budget=options.execution_budget(),
+                bytecode, budget=options.execution_budget()
             ).run_main(check_heap=check_heap)
         except (InjectedFault, BytecodeError):
             if not options.enable_fallbacks:
@@ -930,7 +910,6 @@ def run_baseline(
     rc_mode: str = "naive",
     session: Optional[CompilationSession] = None,
     execution_engine: str = "vm",
-    dispatch: str = "threaded",
     superinstructions: bool = True,
     budget_seconds: Optional[float] = None,
     budget_steps: Optional[int] = None,
@@ -940,7 +919,6 @@ def run_baseline(
         rc_mode=rc_mode,
         session=session,
         execution_engine=execution_engine,
-        dispatch=dispatch,
         superinstructions=superinstructions,
         execution_budget_seconds=budget_seconds,
         execution_budget_steps=budget_steps,

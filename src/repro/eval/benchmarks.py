@@ -431,7 +431,7 @@ LARGE_SIZES: Dict[str, Dict[str, int]] = {
 }
 
 #: The extra-large tier funded by the VM 2.0 work (superinstruction
-#: fusion, direct-threaded dispatch, explicit call stack): roughly another
+#: fusion, direct threading, explicit call stack): roughly another
 #: order of magnitude beyond ``large``.  Only meaningful on the VM — the
 #: tree-walkers are skipped for this tier by the timing harness.
 XLARGE_SIZES: Dict[str, Dict[str, int]] = {

@@ -29,7 +29,7 @@ import argparse
 import json
 from typing import Dict, List, Optional
 
-from ..interp.bytecode import DISPATCH_MODES, EXECUTION_ENGINES
+from ..interp.bytecode import EXECUTION_ENGINES
 from ..telemetry import telemetry_session
 from .benchmarks import SIZE_TIERS
 from .harness import EvaluationHarness, FigureData
@@ -256,11 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "threaded VM",
     )
     parser.add_argument(
-        "--dispatch", choices=DISPATCH_MODES, default="threaded",
-        help="VM dispatch strategy (vm engine only); the figure output is "
-        "byte-identical either way",
-    )
-    parser.add_argument(
         "--metrics-json", metavar="PATH", default=None,
         help="measure the full variant matrix and write per-measurement "
         "unified-telemetry metrics to PATH",
@@ -275,7 +270,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         SIZE_TIERS[args.sizes],
         jobs=args.jobs,
         execution_engine=args.execution_engine,
-        dispatch=args.dispatch,
     )
     if args.correctness:
         verdicts = harness.verify_correctness()

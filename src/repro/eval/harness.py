@@ -35,7 +35,8 @@ def measurement_options(
     *,
     rewrite_engine: Optional[str] = None,
     execution_engine: Optional[str] = None,
-    dispatch: Optional[str] = None,
+    # Only perfbench/staged.py still passes this keyword.
+    dispatch: str = "threaded",
 ) -> PipelineOptions:
     """The :class:`PipelineOptions` used for *measurement* runs.
 
@@ -50,6 +51,8 @@ def measurement_options(
     would distort phase timings and per-pass counters (the incremental
     layer has its own guard in ``benchmarks/test_compile_time.py``).
     """
+    if dispatch != "threaded":
+        raise ValueError(f"unknown dispatch mode {dispatch!r}")
     options = (
         PipelineOptions() if variant == "default" else PipelineOptions.variant(variant)
     )
@@ -59,8 +62,6 @@ def measurement_options(
         options.rewrite_engine = rewrite_engine
     if execution_engine is not None:
         options.execution_engine = execution_engine
-    if dispatch is not None:
-        options.dispatch = dispatch
     return options
 
 
@@ -153,19 +154,15 @@ def _measure(
     source: str,
     session: Optional[CompilationSession] = None,
     execution_engine: str = "vm",
-    dispatch: str = "threaded",
 ) -> VariantMeasurement:
     def run():
         if variant == "baseline":
             return run_baseline(
-                source, session=session, execution_engine=execution_engine,
-                dispatch=dispatch,
+                source, session=session, execution_engine=execution_engine
             )
         return run_mlir(
             source,
-            measurement_options(
-                variant, execution_engine=execution_engine, dispatch=dispatch
-            ),
+            measurement_options(variant, execution_engine=execution_engine),
             session=session,
         )
 
@@ -197,17 +194,17 @@ def _measure(
 
 
 def _measure_benchmark_worker(
-    task: Tuple[str, str, Tuple[str, ...], str, str],
+    task: Tuple[str, str, Tuple[str, ...], str],
 ) -> List[VariantMeasurement]:
     """One shard: measure every requested variant of one benchmark.
 
     Runs in a worker process, so it builds its own session — the frontend
     of the benchmark is still shared across the variants it measures.
     """
-    name, source, variants, execution_engine, dispatch = task
+    name, source, variants, execution_engine = task
     session = CompilationSession()
     return [
-        _measure(name, variant, source, session, execution_engine, dispatch)
+        _measure(name, variant, source, session, execution_engine)
         for variant in variants
     ]
 
@@ -284,14 +281,12 @@ class EvaluationHarness:
         jobs: int = 1,
         session: Optional[CompilationSession] = None,
         execution_engine: str = "vm",
-        dispatch: str = "threaded",
     ):
         self.sizes = sizes or DEFAULT_SIZES
         self.sources = benchmark_sources(self.sizes)
         self.jobs = max(1, int(jobs))
         self.session = session if session is not None else CompilationSession()
         self.execution_engine = execution_engine
-        self.dispatch = dispatch
 
     # -- measurement fan-out ----------------------------------------------------
     def _measurements(
@@ -303,17 +298,17 @@ class EvaluationHarness:
         identical whichever way the measurements were scheduled.
         """
         tasks = [
-            (name, source, tuple(variants), self.execution_engine, self.dispatch)
+            (name, source, tuple(variants), self.execution_engine)
             for name, source in self.sources.items()
         ]
         results = run_sharded(tasks, _measure_benchmark_worker, self.jobs)
         if results is None:
             results = [
                 [
-                    _measure(name, variant, source, self.session, engine, dispatch)
+                    _measure(name, variant, source, self.session, engine)
                     for variant in variants
                 ]
-                for name, source, variants, engine, dispatch in tasks
+                for name, source, variants, engine in tasks
             ]
         return {
             task[0]: {m.variant: m for m in measurements}
@@ -328,11 +323,9 @@ class EvaluationHarness:
             expected = run_reference(source, session=self.session)
             baseline = run_baseline(
                 source, session=self.session,
-                execution_engine=self.execution_engine, dispatch=self.dispatch,
+                execution_engine=self.execution_engine,
             )
-            options = PipelineOptions(
-                execution_engine=self.execution_engine, dispatch=self.dispatch
-            )
+            options = PipelineOptions(execution_engine=self.execution_engine)
             mlir = run_mlir(source, options, session=self.session)
             report[name] = baseline.value == expected and mlir.value == expected
         return report

@@ -5,8 +5,6 @@ One program goes through **every** configuration the compiler exposes:
 * rc mode: ``rc-naive`` / ``rc-opt`` / ``rc-opt+reuse``,
 * rewrite engine: ``worklist`` / ``rescan``,
 * execution engine: ``vm`` (register bytecode) / ``tree`` (walker oracles),
-  with the VM measured under both dispatch modes (``threaded`` /
-  ``switch``),
 * incremental rgn-opt recompilation: off / on,
 
 plus the baseline ("leanc") pipeline at every rc mode and the λpure
@@ -45,9 +43,7 @@ configuration that asks for it:
   later ones execute the group's latest CFG module.  An incremental group
   compiles once more, for its second configuration: that compile is
   served by the session's incremental cache, so incremental hits stay
-  under test;
-* both VM dispatch modes share one bytecode program per module (the
-  session's bytecode cache keys on module and fusion flag only).
+  under test.
 
 Executing never writes into a CFG module or a λrc program, so sharing
 leaves labels, values and metric fingerprints as separate compiles would.
@@ -74,13 +70,12 @@ from ..backend.pipeline import (
     run_reference,
 )
 from ..eval.harness import measurement_options
+from ..interp.bytecode import EXECUTION_ENGINES
 from ..record import FrozenRecord, Record
 
-#: The matrix axes (rc mode × rewrite engine × execution engine [× VM
-#: dispatch mode] × incremental recompilation).
+#: The matrix axes (rc mode × rewrite engine × execution engine ×
+#: incremental recompilation).
 REWRITE_ENGINES = ("worklist", "rescan")
-EXECUTION_ENGINES = ("vm", "tree")
-DISPATCH_MODES = ("threaded", "switch")
 INCREMENTAL_MODES = (False, True)
 
 #: Default per-program execution step budget (calls and branches).  Fuel-
@@ -96,8 +91,10 @@ class MatrixConfig(FrozenRecord):
 
     _fields = (
         "rc_variant", "rewrite_engine", "execution_engine", "incremental",
-        "dispatch",
     )
+
+    # Only perfbench/staged.py still reads this attribute.
+    dispatch = "threaded"
 
     def __init__(
         self,
@@ -105,48 +102,41 @@ class MatrixConfig(FrozenRecord):
         rewrite_engine: str,
         execution_engine: str,
         incremental: bool,
-        dispatch: str = "threaded",
     ):
         object.__setattr__(self, "rc_variant", rc_variant)
         object.__setattr__(self, "rewrite_engine", rewrite_engine)
         object.__setattr__(self, "execution_engine", execution_engine)
         object.__setattr__(self, "incremental", incremental)
-        #: VM dispatch mode; irrelevant (but harmless) for the tree engine.
-        object.__setattr__(self, "dispatch", dispatch)
 
     @property
     def label(self) -> str:
         inc = "inc" if self.incremental else "noinc"
-        engine = self.execution_engine
-        if engine == "vm":
-            engine = f"vm-{self.dispatch}"
-        return f"{self.rc_variant}/{self.rewrite_engine}/{engine}/{inc}"
+        return (
+            f"{self.rc_variant}/{self.rewrite_engine}/"
+            f"{self.execution_engine}/{inc}"
+        )
 
 
 def full_matrix() -> Tuple[MatrixConfig, ...]:
     """Every lp+rgn configuration: 3 rc modes × 2 rewrite engines ×
-    3 executions (tree, vm-threaded, vm-switch) × 2 incremental modes =
-    36 configurations, built by 18 compiles per program."""
-    executions = [("tree", "threaded")] + [
-        ("vm", dispatch) for dispatch in DISPATCH_MODES
-    ]
+    2 execution engines × 2 incremental modes = 24 configurations, built
+    by 18 compiles per program."""
     return tuple(
-        MatrixConfig(rc, engine, execution, incremental, dispatch)
-        for rc, engine, (execution, dispatch), incremental in itertools.product(
-            RC_VARIANTS, REWRITE_ENGINES, executions, INCREMENTAL_MODES
+        MatrixConfig(rc, engine, execution, incremental)
+        for rc, engine, execution, incremental in itertools.product(
+            RC_VARIANTS, REWRITE_ENGINES, EXECUTION_ENGINES, INCREMENTAL_MODES
         )
     )
 
 
 def smoke_matrix() -> Tuple[MatrixConfig, ...]:
     """A cheaper diagonal used by the CI smoke budget: every rc mode, every
-    engine, every dispatch mode and the incremental path each appear at
+    rewrite and execution engine and the incremental path each appear at
     least once."""
     return (
         MatrixConfig("rc-naive", "worklist", "vm", False),
         MatrixConfig("rc-naive", "rescan", "tree", False),
         MatrixConfig("rc-opt", "worklist", "tree", True),
-        MatrixConfig("rc-opt", "rescan", "vm", False, "switch"),
         MatrixConfig("rc-opt+reuse", "worklist", "vm", True),
         MatrixConfig("rc-opt+reuse", "rescan", "vm", False),
     )
@@ -199,7 +189,6 @@ def _mlir_options(config: MatrixConfig, budget_steps: Optional[int] = None):
         config.rc_variant,
         rewrite_engine=config.rewrite_engine,
         execution_engine=config.execution_engine,
-        dispatch=config.dispatch,
     )
     options.incremental_rgn_opt = config.incremental
     options.execution_budget_steps = budget_steps

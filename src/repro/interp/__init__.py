@@ -6,7 +6,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ".bytecode": (
         "EXECUTION_ENGINES", "BytecodeError", "BytecodeFunction",
         "BytecodeProgram", "VirtualMachine", "compile_cfg_module",
-        "compile_rc_program", "run_cfg_module_vm", "run_rc_program_vm",
+        "compile_rc_program", "run_rc_program_vm",
     ),
     ".cfg_interp": ("CfgInterpreter", "CfgInterpreterError", "run_cfg_module"),
     ".limits": ("DEFAULT_RECURSION_LIMIT", "recursion_limit"),

@@ -45,10 +45,9 @@ Four execution-speed levers sit on top of that contract:
   is already the pre-fused tag dispatch: the rc frontend never emits a
   separate ``getlabel``, which is why the getlabel fusion pairs with the
   CFG ``switch``.)
-* *direct-threaded dispatch* — the default ``dispatch="threaded"`` mode
-  precompiles every instruction to a bound closure capturing its operands
-  so the run loop is ``pc = ops[pc](regs)``; the tuple-decoding loop
-  survives as the ``dispatch="switch"`` oracle.
+* *direct threading* — the VM precompiles every instruction to a
+  bound closure capturing its operands, so the run loop is
+  ``pc = ops[pc](regs)``.
 * *an explicit call stack* — ``call``/``ret`` push and pop VM frames
   inside the run loop instead of recursing in Python, so deep recursion
   no longer rides ``sys.setrecursionlimit`` and
@@ -93,11 +92,6 @@ from .metrics import DEFAULT_COSTS, ExecutionMetrics, RunResult
 
 #: The execution engines understood by the pipeline layer.
 EXECUTION_ENGINES = ("vm", "tree")
-
-#: The VM dispatch modes: ``threaded`` (closure-per-instruction direct
-#: threading, the default) and ``switch`` (the tuple-decoding loop, kept
-#: as the in-VM oracle).
-DISPATCH_MODES = ("threaded", "switch")
 
 
 class BytecodeError(Exception):
@@ -408,7 +402,7 @@ class FusionRule:
 
 
 #: The superinstruction table.  Adding a pair is one more entry here —
-#: plus its handler in the two dispatch loops and docs/EXECUTION.md.
+#: plus its closure in ``_compile_threaded`` and docs/EXECUTION.md.
 FUSION_RULES = (
     # cmp dst feeds the branch condition.
     FusionRule(
@@ -1048,7 +1042,7 @@ def compile_rc_program(
 # ---------------------------------------------------------------------------
 
 #: Per-opcode cost-model events that are fixed at compile time.  The
-#: threaded dispatcher counts executions per instruction *site* and
+#: threaded loop counts executions per instruction *site* and
 #: derives charge counts (and opcode frequencies) from this table when a
 #: run flushes — one list increment per instruction instead of dict
 #: updates in the hot loop.  ``None`` marks ``construct``, whose category
@@ -1123,16 +1117,16 @@ class VirtualMachine:
         *,
         context: Optional[RuntimeContext] = None,
         metrics: Optional[ExecutionMetrics] = None,
-        dispatch: str = "threaded",
         budget: Optional[ExecutionBudget] = None,
+        # Only perfbench/staged.py still passes this keyword.
+        dispatch: str = "threaded",
     ):
-        if dispatch not in DISPATCH_MODES:
+        if dispatch != "threaded":
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.program = program
         self.ctx = context if context is not None else RuntimeContext()
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
         self.globals: Dict[str, object] = {}
-        self.dispatch = dispatch
         #: Local charge accumulator, folded into ``metrics.counts`` when a
         #: run finishes (the per-event ``charge`` call is the tree-walkers'
         #: single hottest line).
@@ -1143,7 +1137,7 @@ class VirtualMachine:
         #: ``vm.instr.freq.<op>`` metrics.
         self.opcode_counts: List[int] = [0] * NUM_OPCODES
         self.budget = budget
-        #: Threaded-dispatch state: per-function closure arrays, the
+        #: Threaded-loop state: per-function closure arrays, the
         #: per-site execution counters they bump, and the two cells the
         #: call/ret closures use to talk to the frame loop.
         self._threaded: Dict[BytecodeFunction, List[Callable]] = {}
@@ -1213,7 +1207,7 @@ class VirtualMachine:
                 self._counts[category] = 0
 
     def _drain_sites(self) -> None:
-        """Fold the threaded dispatcher's per-site execution counters into
+        """Fold the threaded loop's per-site execution counters into
         the charge accumulator and the opcode frequency table."""
         counts = self._counts
         freq = self.opcode_counts
@@ -1267,7 +1261,7 @@ class VirtualMachine:
         fn = self.program.functions.get(name)
         if fn is not None:
             counts["call"] += 1
-            return self._exec(fn, args)
+            return self._run_threaded(fn, args)
         if is_builtin(name):
             counts["runtime_call"] += 1
             return call_builtin(self.ctx, name, args)
@@ -1285,344 +1279,7 @@ class VirtualMachine:
             return self._apply_closure(result, outcome.extra_args)
         return result
 
-    # -- the interpreter loops --------------------------------------------
-    def _exec(self, fn: BytecodeFunction, args: List[object]) -> object:
-        """Dispatch-mode router; both loops share the calling convention
-        (and hence this entry point) with the old recursive executor."""
-        if self.dispatch == "threaded":
-            return self._run_threaded(fn, args)
-        return self._run_switch(fn, args)
-
-    def _run_switch(self, fn: BytecodeFunction, args: List[object]) -> object:
-        """The tuple-decoding oracle loop.  ``call``/``ret`` push and pop
-        explicit ``(code, regs, return pc, return register)`` frames."""
-        fault_hit("vm.dispatch")
-        if len(args) != fn.num_params:
-            raise self._error(
-                f"calling {fn.name} with {len(args)} arguments, "
-                f"expected {fn.num_params}"
-            )
-        regs = [None] * fn.num_regs
-        regs[: fn.num_params] = args
-        code = fn.code
-        counts = self._counts
-        freq = self.opcode_counts
-        heap = self.ctx.heap
-        budget = self.budget
-        if budget is not None:
-            budget.charge()
-        stack: List[Tuple] = []
-        pc = 0
-        while True:
-            ins = code[pc]
-            opcode = ins[0]
-            freq[opcode] += 1
-            if opcode == OP_BINARITH:
-                counts["arith"] += 1
-                regs[ins[1]] = ins[2](regs[ins[3]], regs[ins[4]])
-            elif opcode == OP_CMP:
-                counts["arith"] += 1
-                regs[ins[1]] = ins[2](regs[ins[3]], regs[ins[4]])
-            elif opcode == OP_CMP_CONDBR:
-                counts["arith"] += 1
-                value = ins[2](regs[ins[3]], regs[ins[4]])
-                regs[ins[1]] = value
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                if value:
-                    target, srcs, dsts = ins[5], ins[6], ins[7]
-                else:
-                    target, srcs, dsts = ins[8], ins[9], ins[10]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(dsts, values):
-                        regs[dst] = value
-                pc = target
-                continue
-            elif opcode == OP_JMP:
-                counts["jump"] += 1
-                if budget is not None:
-                    budget.charge()
-                srcs = ins[2]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(ins[3], values):
-                        regs[dst] = value
-                pc = ins[1]
-                continue
-            elif opcode == OP_CONDBR:
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                if regs[ins[1]]:
-                    target, srcs, dsts = ins[2], ins[3], ins[4]
-                else:
-                    target, srcs, dsts = ins[5], ins[6], ins[7]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(dsts, values):
-                        regs[dst] = value
-                pc = target
-                continue
-            elif opcode == OP_CASE:
-                counts["getlabel"] += 1
-                counts["arith"] += 1
-                counts["branch"] += 1
-                tag = tag_of(regs[ins[1]])
-                target = ins[2].get(tag, ins[3])
-                if target is None:
-                    raise self._error(f"no alternative for tag {tag} in case")
-                if budget is not None:
-                    budget.charge()
-                pc = target
-                continue
-            elif opcode == OP_SWITCH:
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                pc = ins[2].get(regs[ins[1]], ins[3])
-                continue
-            elif opcode == OP_GETLABEL_SWITCH:
-                counts["getlabel"] += 1
-                tag = tag_of(regs[ins[2]])
-                regs[ins[1]] = tag
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                pc = ins[3].get(tag, ins[4])
-                continue
-            elif opcode == OP_CONST_CMP_CONDBR:
-                counts["const"] += 1
-                regs[ins[1]] = ins[2]
-                counts["arith"] += 1
-                value = ins[4](regs[ins[5]], regs[ins[6]])
-                regs[ins[3]] = value
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                if value:
-                    target, srcs, dsts = ins[7], ins[8], ins[9]
-                else:
-                    target, srcs, dsts = ins[10], ins[11], ins[12]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(dsts, values):
-                        regs[dst] = value
-                pc = target
-                continue
-            elif opcode == OP_GETLABEL_CMP_CONDBR:
-                counts["getlabel"] += 1
-                tag = tag_of(regs[ins[2]])
-                regs[ins[1]] = tag
-                counts["const"] += 1
-                regs[ins[3]] = ins[4]
-                counts["arith"] += 1
-                value = ins[6](regs[ins[7]], regs[ins[8]])
-                regs[ins[5]] = value
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                if value:
-                    target, srcs, dsts = ins[9], ins[10], ins[11]
-                else:
-                    target, srcs, dsts = ins[12], ins[13], ins[14]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(dsts, values):
-                        regs[dst] = value
-                pc = target
-                continue
-            elif opcode == OP_CALL:
-                counts["call"] += 1
-                callee = ins[2]
-                cargs = [regs[r] for r in ins[3]]
-                fault_hit("vm.dispatch")
-                if len(cargs) != callee.num_params:
-                    raise self._error(
-                        f"calling {callee.name} with {len(cargs)} arguments, "
-                        f"expected {callee.num_params}"
-                    )
-                if budget is not None:
-                    budget.charge()
-                stack.append((code, regs, pc + 1, ins[1]))
-                code = callee.code
-                regs = [None] * callee.num_regs
-                regs[: callee.num_params] = cargs
-                pc = 0
-                continue
-            elif opcode == OP_RET:
-                counts["return"] += 1
-                value = regs[ins[1]] if ins[1] >= 0 else None
-                if not stack:
-                    return value
-                code, regs, pc, dst = stack.pop()
-                if dst >= 0:
-                    regs[dst] = value
-                continue
-            elif opcode == OP_PROJ:
-                counts["proj"] += 1
-                value = regs[ins[2]]
-                if not isinstance(value, CtorObject):
-                    raise self._error(f"projection from non-constructor {value!r}")
-                field = value.fields[ins[3]]
-                heap.inc(field)
-                counts["rc"] += 1
-                regs[ins[1]] = field
-            elif opcode == OP_PROJ_CALL:
-                counts["proj"] += 1
-                value = regs[ins[2]]
-                if not isinstance(value, CtorObject):
-                    raise self._error(f"projection from non-constructor {value!r}")
-                field = value.fields[ins[3]]
-                heap.inc(field)
-                counts["rc"] += 1
-                regs[ins[1]] = field
-                counts["call"] += 1
-                callee = ins[5]
-                cargs = [regs[r] for r in ins[6]]
-                fault_hit("vm.dispatch")
-                if len(cargs) != callee.num_params:
-                    raise self._error(
-                        f"calling {callee.name} with {len(cargs)} arguments, "
-                        f"expected {callee.num_params}"
-                    )
-                if budget is not None:
-                    budget.charge()
-                stack.append((code, regs, pc + 1, ins[4]))
-                code = callee.code
-                regs = [None] * callee.num_regs
-                regs[: callee.num_params] = cargs
-                pc = 0
-                continue
-            elif opcode == OP_CONSTRUCT:
-                counts[ins[4]] += 1
-                regs[ins[1]] = heap.alloc_ctor(ins[2], [regs[r] for r in ins[3]])
-            elif opcode == OP_INT:
-                counts["move"] += 1
-                regs[ins[1]] = heap.alloc_int(ins[2])
-            elif opcode == OP_CONST:
-                counts["const"] += 1
-                regs[ins[1]] = ins[2]
-            elif opcode == OP_CONST_BINARITH or opcode == OP_CONST_CMP:
-                counts["const"] += 1
-                regs[ins[1]] = ins[2]
-                counts["arith"] += 1
-                regs[ins[3]] = ins[4](regs[ins[5]], regs[ins[6]])
-            elif opcode == OP_GETLABEL:
-                counts["getlabel"] += 1
-                regs[ins[1]] = tag_of(regs[ins[2]])
-            elif opcode == OP_INC:
-                counts["rc"] += 1
-                heap.inc(regs[ins[1]], ins[2])
-            elif opcode == OP_DEC:
-                counts["rc"] += 1
-                heap.dec(regs[ins[1]], ins[2])
-            elif opcode == OP_PROJ_PROJ:
-                counts["proj"] += 1
-                value = regs[ins[2]]
-                if not isinstance(value, CtorObject):
-                    raise self._error(f"projection from non-constructor {value!r}")
-                field = value.fields[ins[3]]
-                heap.inc(field)
-                counts["rc"] += 1
-                regs[ins[1]] = field
-                counts["proj"] += 1
-                value = regs[ins[5]]
-                if not isinstance(value, CtorObject):
-                    raise self._error(f"projection from non-constructor {value!r}")
-                field = value.fields[ins[6]]
-                heap.inc(field)
-                counts["rc"] += 1
-                regs[ins[4]] = field
-            elif opcode == OP_INT_INC:
-                counts["move"] += 1
-                regs[ins[1]] = heap.alloc_int(ins[2])
-                counts["rc"] += 1
-                heap.inc(regs[ins[3]], ins[4])
-            elif opcode == OP_DEC_DEC:
-                counts["rc"] += 1
-                heap.dec(regs[ins[1]], ins[2])
-                counts["rc"] += 1
-                heap.dec(regs[ins[3]], ins[4])
-            elif opcode == OP_DEC_INC:
-                counts["rc"] += 1
-                heap.dec(regs[ins[1]], ins[2])
-                counts["rc"] += 1
-                heap.inc(regs[ins[3]], ins[4])
-            elif opcode == OP_PROJ3 or opcode == OP_PROJ4:
-                base = 1
-                while base < len(ins):
-                    counts["proj"] += 1
-                    value = regs[ins[base + 1]]
-                    if not isinstance(value, CtorObject):
-                        raise self._error(
-                            f"projection from non-constructor {value!r}"
-                        )
-                    field = value.fields[ins[base + 2]]
-                    heap.inc(field)
-                    counts["rc"] += 1
-                    regs[ins[base]] = field
-                    base += 3
-            elif opcode == OP_INC_RTCALL:
-                counts["rc"] += 1
-                heap.inc(regs[ins[1]], ins[2])
-                counts["runtime_call"] += 1
-                regs[ins[3]] = call_builtin(
-                    self.ctx, ins[4], [regs[r] for r in ins[5]]
-                )
-            elif opcode == OP_SELECT:
-                counts["arith"] += 1
-                regs[ins[1]] = regs[ins[3]] if regs[ins[2]] else regs[ins[4]]
-            elif opcode == OP_RTCALL:
-                counts["runtime_call"] += 1
-                value = call_builtin(self.ctx, ins[2], [regs[r] for r in ins[3]])
-                if ins[1] >= 0:
-                    regs[ins[1]] = value
-            elif opcode == OP_PAP:
-                counts["alloc_closure"] += 1
-                if ins[3] is None:
-                    raise self._error(f"pap of unknown function {ins[2]}")
-                regs[ins[1]] = make_closure(
-                    heap, ins[2], ins[3], [regs[r] for r in ins[4]]
-                )
-            elif opcode == OP_PAPEXTEND:
-                regs[ins[1]] = self._apply_closure(
-                    regs[ins[2]], [regs[r] for r in ins[3]]
-                )
-            elif opcode == OP_REUSE:
-                token = regs[ins[2]]
-                fields = [regs[r] for r in ins[4]]
-                if isinstance(token, CtorObject):
-                    counts["reuse"] += 1
-                else:
-                    counts["alloc_ctor" if fields else "move"] += 1
-                regs[ins[1]] = heap.reuse(token, ins[3], fields)
-            elif opcode == OP_RESET:
-                counts["rc"] += 1
-                regs[ins[1]] = heap.reset(regs[ins[2]])
-            elif opcode == OP_BIGINT:
-                counts["runtime_call"] += 1
-                regs[ins[1]] = heap.alloc_int(ins[2])
-            elif opcode == OP_CAST:
-                counts["arith"] += 1
-                regs[ins[1]] = regs[ins[2]]
-            elif opcode == OP_GETGLOBAL:
-                counts["global"] += 1
-                regs[ins[1]] = self.globals.get(ins[2])
-            elif opcode == OP_SETGLOBAL:
-                counts["global"] += 1
-                self.globals[ins[1]] = regs[ins[2]]
-            elif opcode == OP_UNREACHABLE:
-                raise self._error(ins[1])
-            elif opcode == OP_BADCALL:
-                if self.program.flavor == "cfg":
-                    raise self._error(f"call of unknown function @{ins[1]}")
-                raise self._error(f"unknown function {ins[1]}")
-            else:
-                raise self._error(f"invalid opcode {opcode}")
-            pc += 1
-
+    # -- the interpreter loop ---------------------------------------------
     def _run_threaded(self, fn: BytecodeFunction, args: List[object]) -> object:
         """The direct-threaded loop: ``pc = ops[pc](regs)``.
 
@@ -2073,8 +1730,8 @@ class VirtualMachine:
                         return -1
             elif opcode == OP_CALL:
                 if len(ins[3]) != ins[2].num_params:
-                    # Static arity mismatch: raise at execution time with
-                    # the loop's exact fault/error ordering.
+                    # Static arity mismatch: raise at execution time, after
+                    # the call's fault site, as a function entry does.
                     def op(regs, s=sites, i=pc, callee=ins[2],
                            argc=len(ins[3]), err=error, fh=fault_hit):
                         s[i] += 1
@@ -2314,34 +1971,16 @@ class VirtualMachine:
 
 
 # ---------------------------------------------------------------------------
-# Convenience wrappers (mirror run_cfg_module / run_rc_program)
+# Convenience wrapper (mirrors run_rc_program)
 # ---------------------------------------------------------------------------
-
-
-def run_cfg_module_vm(
-    module: ModuleOp,
-    *,
-    main: str = "main",
-    check_heap: bool = True,
-    dispatch: str = "threaded",
-    fuse: bool = True,
-) -> RunResult:
-    """Compile ``module`` to bytecode and execute ``@main`` on the VM."""
-    program = compile_cfg_module(module, main=main, fuse=fuse)
-    return VirtualMachine(program, dispatch=dispatch).run_main(
-        check_heap=check_heap
-    )
 
 
 def run_rc_program_vm(
     program: rc_ir.Program,
     *,
     check_heap: bool = True,
-    dispatch: str = "threaded",
     fuse: bool = True,
 ) -> RunResult:
     """Compile a λrc ``program`` to bytecode and execute its main on the VM."""
     bytecode = compile_rc_program(program, fuse=fuse)
-    return VirtualMachine(bytecode, dispatch=dispatch).run_main(
-        check_heap=check_heap
-    )
+    return VirtualMachine(bytecode).run_main(check_heap=check_heap)

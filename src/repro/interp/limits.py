@@ -11,8 +11,8 @@ raises.
 
 Only the tree-walkers (``cfg_interp``, ``rc_interp``, ``reference``)
 use this module:
-the bytecode VM maintains an explicit call stack in both dispatch modes,
-so VM call depth is independent of the Python recursion limit and
+the bytecode VM maintains an explicit call stack, so VM call depth is
+independent of the Python recursion limit and
 ``interp/bytecode.py`` deliberately has no import of this helper.
 """
 

@@ -67,7 +67,6 @@ from repro.interp.bytecode import (
     OP_PROJ4,
     OP_PROJ_CALL,
     OP_PROJ_PROJ,
-    DISPATCH_MODES,
     FUSED_OPCODE_BASES,
     FUSION_RULES,
     OPCODE_NAMES,
@@ -545,6 +544,25 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown execution engine"):
             BaselineCompiler(execution_engine="jit")
 
+    def test_switch_dispatch_rejected(self, tmp_path, capsys):
+        from repro.__main__ import main
+        from repro.eval.harness import measurement_options
+
+        # The VM has one loop; the keyword survives only as "threaded".
+        assert measurement_options("default", dispatch="threaded")
+        with pytest.raises(ValueError, match="unknown dispatch mode"):
+            measurement_options("default", dispatch="switch")
+        program = compile_cfg_module(MlirCompiler().compile(TINY).cfg_module)
+        assert VirtualMachine(program, dispatch="threaded").run_main().value == 42
+        with pytest.raises(ValueError, match="unknown dispatch mode"):
+            VirtualMachine(program, dispatch="switch")
+        path = tmp_path / "p.lean"
+        path.write_text(TINY)
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(path), "--dispatch", "switch"])
+        assert exit_info.value.code == 2
+        assert "--dispatch" in capsys.readouterr().err
+
     def test_session_caches_bytecode_per_module(self):
         session = CompilationSession()
         compiler = MlirCompiler(PipelineOptions(), session=session)
@@ -624,7 +642,7 @@ class TestSwitchDispatchTable:
 
 
 # ---------------------------------------------------------------------------
-# VM 2.0: superinstruction fusion, dispatch modes, the explicit call stack
+# VM 2.0: superinstruction fusion, the explicit call stack
 # ---------------------------------------------------------------------------
 
 
@@ -653,11 +671,15 @@ _ADD = _BINARY_FNS["arith.addi"]
 
 
 def _superinstruction_cases():
-    """(fused opcode, program factory, argument tuples) per fusion rule.
+    """(fused opcode, program factory, [(args, expected outcome)]) per
+    fusion rule.
 
     Every factory builds a program whose peephole-eligible pair (or
     chain) covers one entry of ``FUSION_RULES``; the test below runs each
-    fused/unfused x threaded/switch and diffs the observables.
+    fused and unfused and compares both against the expected outcome.
+    Outcomes are ``(status, value or error message, metrics.counts)``
+    literals recorded from the VM's former tuple-decoding loop, an
+    independent implementation of every opcode.
     """
     cases = []
     cases.append((OP_CMP_CONDBR, lambda: _vm_program([
@@ -665,38 +687,67 @@ def _superinstruction_cases():
         (OP_CONDBR, 2, 2, (), (), 4, (), ()),
         (OP_CONST, 3, 42), (OP_RET, 3),
         (OP_CONST, 3, 7), (OP_RET, 3),
-    ], 4, num_params=2), [(1, 2), (2, 1)]))
+    ], 4, num_params=2), [
+        ((1, 2), ("ok", 42, {
+            "arith": 1, "branch": 1, "call": 1, "return": 1, "const": 1,
+        })),
+        ((2, 1), ("ok", 7, {
+            "arith": 1, "branch": 1, "call": 1, "return": 1, "const": 1,
+        })),
+    ]))
     cases.append((OP_CONST_BINARITH, lambda: _vm_program([
         (OP_CONST, 1, 5),
         (OP_BINARITH, 2, _ADD, 0, 1),
         (OP_RET, 2),
-    ], 3, num_params=1), [(4,)]))
+    ], 3, num_params=1), [
+        ((4,), ("ok", 9, {"arith": 1, "call": 1, "return": 1, "const": 1})),
+    ]))
     cases.append((OP_CONST_CMP, lambda: _vm_program([
         (OP_CONST, 1, 5),
         (OP_CMP, 2, _EQ, 0, 1),
         (OP_RET, 2),
-    ], 3, num_params=1), [(5,), (4,)]))
+    ], 3, num_params=1), [
+        ((5,), ("ok", 1, {"arith": 1, "call": 1, "return": 1, "const": 1})),
+        ((4,), ("ok", 0, {"arith": 1, "call": 1, "return": 1, "const": 1})),
+    ]))
     cases.append((OP_GETLABEL_SWITCH, lambda: _vm_program([
         (OP_CONSTRUCT, 0, 1, (), "move"),
         (OP_GETLABEL, 1, 0),
         (OP_SWITCH, 1, {1: 3}, 5),
         (OP_CONST, 2, 10), (OP_RET, 2),
         (OP_CONST, 2, 20), (OP_RET, 2),
-    ], 3), [()]))
+    ], 3), [
+        ((), ("ok", 10, {
+            "branch": 1, "call": 1, "return": 1, "getlabel": 1, "move": 1,
+            "const": 1,
+        })),
+    ]))
     cases.append((OP_PROJ_CALL, lambda: _vm_program([
         (OP_INT, 0, 3),
         (OP_CONSTRUCT, 1, 1, (0,), "alloc_ctor"),
         (OP_PROJ, 2, 1, 0),
         (OP_CALL, 3, None, (2,)),  # callee patched below
         (OP_RET, 3),
-    ], 4), [()]))
+    ], 4), [
+        ((), ("ok", 3, {
+            "call": 2, "return": 2, "alloc_ctor": 1, "proj": 1, "rc": 1,
+            "move": 1,
+        })),
+    ]))
     cases.append((OP_CONST_CMP_CONDBR, lambda: _vm_program([
         (OP_CONST, 1, 5),
         (OP_CMP, 2, _EQ, 0, 1),
         (OP_CONDBR, 2, 3, (), (), 5, (), ()),
         (OP_CONST, 3, 1), (OP_RET, 3),
         (OP_CONST, 3, 0), (OP_RET, 3),
-    ], 4, num_params=1), [(5,), (6,)]))
+    ], 4, num_params=1), [
+        ((5,), ("ok", 1, {
+            "arith": 1, "branch": 1, "call": 1, "return": 1, "const": 2,
+        })),
+        ((6,), ("ok", 0, {
+            "arith": 1, "branch": 1, "call": 1, "return": 1, "const": 2,
+        })),
+    ]))
     cases.append((OP_GETLABEL_CMP_CONDBR, lambda: _vm_program([
         (OP_CONSTRUCT, 0, 2, (), "move"),
         (OP_GETLABEL, 1, 0),
@@ -705,14 +756,24 @@ def _superinstruction_cases():
         (OP_CONDBR, 3, 5, (), (), 7, (), ()),
         (OP_CONST, 4, 111), (OP_RET, 4),
         (OP_CONST, 4, 222), (OP_RET, 4),
-    ], 5), [()]))
+    ], 5), [
+        ((), ("ok", 111, {
+            "arith": 1, "branch": 1, "call": 1, "return": 1, "getlabel": 1,
+            "move": 1, "const": 2,
+        })),
+    ]))
     cases.append((OP_PROJ_PROJ, lambda: _vm_program([
         (OP_INT, 0, 1), (OP_INT, 1, 2),
         (OP_CONSTRUCT, 2, 1, (0, 1), "alloc_ctor"),
         (OP_PROJ, 3, 2, 0),
         (OP_PROJ, 4, 2, 1),
         (OP_RET, 4),
-    ], 5), [()]))
+    ], 5), [
+        ((), ("ok", 2, {
+            "call": 1, "return": 1, "alloc_ctor": 1, "proj": 2, "rc": 2,
+            "move": 2,
+        })),
+    ]))
     cases.append((OP_PROJ3, lambda: _vm_program([
         (OP_INT, 0, 1), (OP_INT, 1, 2), (OP_INT, 2, 3),
         (OP_CONSTRUCT, 3, 1, (0, 1, 2), "alloc_ctor"),
@@ -720,7 +781,12 @@ def _superinstruction_cases():
         (OP_PROJ, 5, 3, 1),
         (OP_PROJ, 6, 3, 2),
         (OP_RET, 6),
-    ], 7), [()]))
+    ], 7), [
+        ((), ("ok", 3, {
+            "call": 1, "return": 1, "alloc_ctor": 1, "proj": 3, "rc": 3,
+            "move": 3,
+        })),
+    ]))
     cases.append((OP_PROJ4, lambda: _vm_program([
         (OP_INT, 0, 1), (OP_INT, 1, 2), (OP_INT, 2, 3), (OP_INT, 3, 4),
         (OP_CONSTRUCT, 4, 1, (0, 1, 2, 3), "alloc_ctor"),
@@ -729,31 +795,49 @@ def _superinstruction_cases():
         (OP_PROJ, 7, 4, 2),
         (OP_PROJ, 8, 4, 3),
         (OP_RET, 8),
-    ], 9), [()]))
+    ], 9), [
+        ((), ("ok", 4, {
+            "call": 1, "return": 1, "alloc_ctor": 1, "proj": 4, "rc": 4,
+            "move": 4,
+        })),
+    ]))
     cases.append((OP_INT_INC, lambda: _vm_program([
         (OP_INT, 0, 7),
         (OP_INC, 0, 1),
         (OP_RET, 0),
-    ], 1), [()]))
+    ], 1), [
+        ((), ("ok", 7, {"call": 1, "return": 1, "rc": 1, "move": 1})),
+    ]))
     cases.append((OP_DEC_DEC, lambda: _vm_program([
         (OP_INT, 0, 5), (OP_INT, 1, 6),
         (OP_DEC, 0, 1),
         (OP_DEC, 1, 1),
         (OP_CONST, 2, 1), (OP_RET, 2),
-    ], 3), [()]))
+    ], 3), [
+        ((), ("ok", 1, {
+            "call": 1, "return": 1, "rc": 2, "move": 2, "const": 1,
+        })),
+    ]))
     cases.append((OP_DEC_INC, lambda: _vm_program([
         (OP_INT, 0, 5), (OP_INT, 1, 6),
         (OP_DEC, 0, 1),
         (OP_INC, 1, 1),
         (OP_RET, 1),
-    ], 2), [()]))
+    ], 2), [
+        ((), ("ok", 6, {"call": 1, "return": 1, "rc": 2, "move": 2})),
+    ]))
     cases.append((OP_INC_RTCALL, lambda: _vm_program([
         (OP_INT, 0, 5),
         (OP_CONST, 1, 0),
         (OP_INC, 0, 1),
         (OP_RTCALL, 2, "lean_int_add", (0, 0)),
         (OP_RET, 2),
-    ], 3), [()]))
+    ], 3), [
+        ((), ("ok", 10, {
+            "call": 1, "return": 1, "runtime_call": 1, "rc": 1, "move": 1,
+            "const": 1,
+        })),
+    ]))
     return cases
 
 
@@ -770,32 +854,24 @@ def _patch_callees(program):
     return program
 
 
-def _run_configs(factory, args):
-    """Run fused/unfused x threaded/switch and return the four results."""
-    results = {}
+def _run_outcome(factory, args, fused):
+    """Run one program and return ``(status, value or message, counts)``."""
+    program = _patch_callees(factory())
+    if fused:
+        fuse_program(program)
+    vm = VirtualMachine(program)
+    try:
+        outcome = vm.run_main(list(args), check_heap=False)
+        return ("ok", outcome.value, vm.metrics.counts)
+    except Exception as error:
+        return ("error", str(error), vm.metrics.counts)
+
+
+def _assert_outcome(factory, args, expected):
+    """Fused and unfused runs both land on the recorded outcome."""
     for fused in (False, True):
-        program = _patch_callees(factory())
-        if fused:
-            fuse_program(program)
-        for dispatch in DISPATCH_MODES:
-            vm = VirtualMachine(program, dispatch=dispatch)
-            try:
-                outcome = vm.run_main(list(args), check_heap=False)
-                results[(fused, dispatch)] = (
-                    "ok", outcome.value, vm.metrics.counts,
-                )
-            except Exception as error:
-                results[(fused, dispatch)] = (
-                    "error", str(error), vm.metrics.counts,
-                )
-    return results
-
-
-def _assert_configs_identical(factory, args):
-    results = _run_configs(factory, args)
-    reference = results[(False, "switch")]
-    for key, outcome in results.items():
-        assert outcome == reference, (key, outcome, reference)
+        outcome = _run_outcome(factory, args, fused)
+        assert outcome == expected, (fused, outcome, expected)
 
 
 class TestSuperinstructions:
@@ -809,10 +885,10 @@ class TestSuperinstructions:
         }
 
     @pytest.mark.parametrize(
-        "opcode,factory,arg_sets", CASES,
+        "opcode,factory,runs", CASES,
         ids=[OPCODE_NAMES[opcode] for opcode, _, _ in CASES],
     )
-    def test_pair_fuses_and_charges_identically(self, opcode, factory, arg_sets):
+    def test_pair_fuses_and_charges_identically(self, opcode, factory, runs):
         program = _patch_callees(factory())
         before = [ins[0] for ins in program.functions["main"].code]
         assert opcode not in before
@@ -820,8 +896,8 @@ class TestSuperinstructions:
         after = [ins[0] for ins in program.functions["main"].code]
         assert opcode in after, OPCODE_NAMES[opcode]
         assert program.fused and program.fused_sites > 0
-        for args in arg_sets:
-            _assert_configs_identical(factory, args)
+        for args, expected in runs:
+            _assert_outcome(factory, args, expected)
 
     def test_fused_opcode_bases_decompose_chains(self):
         assert FUSED_OPCODE_BASES["getlabel_cmp_br"] == (
@@ -855,28 +931,36 @@ class TestSuperinstructions:
 
 
 class TestSuperinstructionErrorPaths:
-    """Fused error paths must charge exactly the unfused cost events."""
+    """Fused error paths must charge exactly the unfused cost events.
+
+    Unboxed scalars (small Nats, field-less constructors) let some of
+    these programs run to completion; the recorded charges still pin them.
+    """
 
     def test_proj_proj_fails_at_first_projection(self):
-        _assert_configs_identical(lambda: _vm_program([
+        _assert_outcome(lambda: _vm_program([
             (OP_CONST, 0, 9),
             (OP_PROJ, 1, 0, 0),
             (OP_PROJ, 2, 0, 0),
             (OP_RET, 2),
-        ], 3), ())
+        ], 3), (), ("error", "projection from non-constructor 9", {
+            "call": 1, "proj": 1, "const": 1,
+        }))
 
     def test_proj3_fails_at_second_projection(self):
-        _assert_configs_identical(lambda: _vm_program([
+        _assert_outcome(lambda: _vm_program([
             (OP_INT, 0, 1),
             (OP_CONSTRUCT, 1, 1, (0,), "alloc_ctor"),
             (OP_PROJ, 2, 1, 0),
             (OP_PROJ, 3, 0, 0),  # reg 0 is a boxed int, not a constructor
             (OP_PROJ, 4, 1, 0),
             (OP_RET, 4),
-        ], 5), ())
+        ], 5), (), ("error", "projection from non-constructor 1", {
+            "call": 1, "alloc_ctor": 1, "proj": 2, "rc": 1, "move": 1,
+        }))
 
     def test_proj4_fails_at_last_projection(self):
-        _assert_configs_identical(lambda: _vm_program([
+        _assert_outcome(lambda: _vm_program([
             (OP_INT, 0, 1),
             (OP_CONSTRUCT, 1, 1, (0,), "alloc_ctor"),
             (OP_PROJ, 2, 1, 0),
@@ -884,10 +968,12 @@ class TestSuperinstructionErrorPaths:
             (OP_PROJ, 4, 1, 0),
             (OP_PROJ, 5, 0, 0),  # fails after three successful projections
             (OP_RET, 5),
-        ], 6), ())
+        ], 6), (), ("error", "projection from non-constructor 1", {
+            "call": 1, "alloc_ctor": 1, "proj": 4, "rc": 3, "move": 1,
+        }))
 
     def test_getlabel_cmp_br_fails_reading_the_tag(self):
-        _assert_configs_identical(lambda: _vm_program([
+        _assert_outcome(lambda: _vm_program([
             (OP_CONST, 0, 9),  # machine int: tag_of raises
             (OP_GETLABEL, 1, 0),
             (OP_CONST, 2, 2),
@@ -895,33 +981,39 @@ class TestSuperinstructionErrorPaths:
             (OP_CONDBR, 3, 5, (), (), 7, (), ()),
             (OP_CONST, 4, 1), (OP_RET, 4),
             (OP_CONST, 4, 0), (OP_RET, 4),
-        ], 5), ())
+        ], 5), (), ("ok", 0, {
+            "arith": 1, "branch": 1, "call": 1, "return": 1, "getlabel": 1,
+            "const": 3,
+        }))
 
     def test_dec_dec_fails_at_first_dec(self):
-        _assert_configs_identical(lambda: _vm_program([
+        _assert_outcome(lambda: _vm_program([
             (OP_INT, 0, 5), (OP_INT, 1, 6),
             (OP_DEC, 0, 1), (OP_DEC, 1, 1),
             (OP_DEC, 0, 1), (OP_DEC, 1, 1),  # reg 0 already freed
             (OP_RET, -1),
-        ], 2), ())
+        ], 2), (), ("ok", None, {"call": 1, "return": 1, "rc": 4, "move": 2}))
 
     def test_dec_inc_fails_at_the_dec(self):
-        _assert_configs_identical(lambda: _vm_program([
+        _assert_outcome(lambda: _vm_program([
             (OP_INT, 0, 5), (OP_INT, 1, 6),
             (OP_DEC, 0, 1), (OP_INC, 1, 1),
             (OP_DEC, 0, 1), (OP_INC, 1, 1),  # reg 0 already freed
             (OP_RET, -1),
-        ], 2), ())
+        ], 2), (), ("ok", None, {"call": 1, "return": 1, "rc": 4, "move": 2}))
 
     def test_inc_rtcall_fails_at_the_inc(self):
-        _assert_configs_identical(lambda: _vm_program([
+        _assert_outcome(lambda: _vm_program([
             (OP_INT, 0, 5),
             (OP_DEC, 0, 1),
             (OP_CONST, 1, 0),
             (OP_INC, 0, 1),  # reg 0 freed: inc raises before the builtin
             (OP_RTCALL, 2, "lean_int_add", (0, 0)),
             (OP_RET, 2),
-        ], 3), ())
+        ], 3), (), ("ok", 10, {
+            "call": 1, "return": 1, "runtime_call": 1, "rc": 2, "move": 1,
+            "const": 1,
+        }))
 
 
 class TestExplicitCallStack:
@@ -942,16 +1034,15 @@ class TestExplicitCallStack:
         assert result.value == 100000
         assert sys.getrecursionlimit() == before
 
-    def test_dispatch_modes_and_fusion_agree_on_regression_programs(self):
+    def test_fusion_on_and_off_agree_on_regression_programs(self):
         for name in ("match_multi_scrutinee", "list_fold_sum"):
             program = REGRESSION_BY_NAME.get(name)
             if program is None:
                 continue
             runs = [
                 run_mlir(program.source, PipelineOptions(
-                    dispatch=dispatch, superinstructions=fusion,
+                    superinstructions=fusion,
                 ))
-                for dispatch in DISPATCH_MODES
                 for fusion in (True, False)
             ]
             for run in runs[1:]:
@@ -959,7 +1050,7 @@ class TestExplicitCallStack:
 
 
 class TestVm2SessionCache:
-    def test_session_cache_keys_on_fusion_not_dispatch(self):
+    def test_session_cache_keys_on_fusion_only(self):
         session = CompilationSession()
         compiler = MlirCompiler(PipelineOptions(), session=session)
         module = compiler.compile(TINY).cfg_module
@@ -967,20 +1058,23 @@ class TestVm2SessionCache:
         hits0 = session.stats["bytecode_hits"]
         base = session.bytecode_for(module)
         assert session.bytecode_for(module) is base  # hit
-        # The dispatch mode lives on the VM: vm-switch executes the
-        # threaded row's program (a hit).
-        switch = MlirCompiler(PipelineOptions(dispatch="switch"), session=session)
-        switched, threaded = switch.execute(module), compiler.execute(module)
-        assert switched.value == threaded.value  # 2 hits
-        assert switched.metrics.counts == threaded.metrics.counts
+        # Every execution of the module runs the cached program (a hit
+        # each); the threaded closures live on each VM.
+        first, second = compiler.execute(module), compiler.execute(module)
+        assert first.value == second.value
+        assert first.metrics.counts == second.metrics.counts
         unfused = session.bytecode_for(module, superinstructions=False)
         assert unfused is not base  # miss: fusion keeps its own row
         assert base.fused and not unfused.fused
         assert session.bytecode_for(
             module, superinstructions=False
         ) is unfused
+        unfused_run = MlirCompiler(
+            PipelineOptions(superinstructions=False), session=session
+        ).execute(module)  # hit
+        assert unfused_run.metrics.counts == first.metrics.counts
         assert session.stats["bytecode_misses"] == misses0 + 2
-        assert session.stats["bytecode_hits"] == hits0 + 4
+        assert session.stats["bytecode_hits"] == hits0 + 5
 
 
 class TestVm2Cli:

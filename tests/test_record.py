@@ -154,7 +154,7 @@ class TestRepr:
             (
                 MatrixConfig("rc-opt", "worklist", "vm", True),
                 "MatrixConfig(rc_variant='rc-opt', rewrite_engine='worklist', "
-                "execution_engine='vm', incremental=True, dispatch='threaded')",
+                "execution_engine='vm', incremental=True)",
             ),
             (
                 ExecutionMetrics(counts={"call": 1}, costs={"call": 4}),
@@ -181,7 +181,7 @@ class TestRepr:
             "enable_fallbacks=True, execution_budget_seconds=None, "
             "execution_budget_steps=None)"
         )
-        assert text.count("=") == 25
+        assert text.count("=") == 24
 
 
 class TestPipelineOptions:

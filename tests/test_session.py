@@ -29,6 +29,7 @@ from repro.eval.figures import figure9_report, figure10_report, rc_report
 from repro.eval.harness import EvaluationHarness, measurement_options
 from repro.eval.testsuite import regression_programs
 from repro.fuzz import full_matrix, load_corpus, run_matrix, typed_programs
+from repro.interp.bytecode import EXECUTION_ENGINES
 from repro.ir.printer import print_module
 from repro.lambda_pure.simplifier import simplify_program
 from repro.lean.printer import print_program
@@ -180,7 +181,7 @@ class TestRcLoweringCache:
         session = CompilationSession()
         _, source = load_corpus()[0]
         report = run_matrix(source, session=session, configs=full_matrix())
-        assert report.configurations == 42
+        assert report.configurations == 30
         # 3 baseline compiles (one per rc mode, run on vm and tree) + 18
         # lp+rgn compiles (one per compile group, two per incremental
         # group), 3 distinct λrc.
@@ -264,10 +265,6 @@ class TestPersistentPrograms:
         check()
 
 
-#: (execution engine, dispatch) pairs one compiled artifact runs on.
-EXECUTIONS = (("tree", "threaded"), ("vm", "threaded"), ("vm", "switch"))
-
-
 class TestSharedArtifacts:
     """``run_matrix`` executes one compiled CFG module or λrc program on
     every engine, so executing must leave the artifact as it found it."""
@@ -284,12 +281,10 @@ class TestSharedArtifacts:
             measurement_options(variant), session=session
         ).compile(source).cfg_module
         printed = print_module(module)
-        for engine, dispatch in EXECUTIONS:
-            options = measurement_options(
-                variant, execution_engine=engine, dispatch=dispatch
-            )
+        for engine in EXECUTION_ENGINES:
+            options = measurement_options(variant, execution_engine=engine)
             MlirCompiler(options, session=session).execute(module)
-            assert print_module(module) == printed, (engine, dispatch)
+            assert print_module(module) == printed, engine
 
     @pytest.mark.parametrize("rc_mode", ["naive", "opt", "opt+reuse"])
     @pytest.mark.parametrize(
@@ -303,12 +298,11 @@ class TestSharedArtifacts:
             rc_mode=rc_mode, session=session
         ).compile(source).rc_program
         fresh = _observable(_lowered_fresh(source, (True, True, rc_mode)))
-        for engine, dispatch in EXECUTIONS:
+        for engine in EXECUTION_ENGINES:
             BaselineCompiler(
-                rc_mode=rc_mode, session=session,
-                execution_engine=engine, dispatch=dispatch,
+                rc_mode=rc_mode, session=session, execution_engine=engine,
             ).execute(program)
-            assert _observable(program) == fresh, (engine, dispatch)
+            assert _observable(program) == fresh, engine
 
 
 class TestMeasurementOptions:
