@@ -26,16 +26,17 @@ from repro.eval.benchmarks import (
     XLARGE_SIZES,
     benchmark_sources,
 )
-from repro.eval.harness import measurement_options
+from repro.eval.harness import measurement_options, oracle_options
 from repro.interp.bytecode import VirtualMachine, compile_cfg_module
 from repro.interp.cfg_interp import CfgInterpreter
 
 
 @pytest.fixture(scope="module")
 def compiled_suite(sources):
-    """Every benchmark compiled once (default pipeline, reduced sizes)."""
+    """Every benchmark compiled once (default pipeline, reduced sizes, the
+    verifier on after every pass)."""
     session = CompilationSession()
-    compiler = MlirCompiler(measurement_options("default"), session=session)
+    compiler = MlirCompiler(oracle_options("default"), session=session)
     return {
         name: compiler.compile(source).cfg_module
         for name, source in sources.items()
@@ -178,7 +179,7 @@ class TestXlargeSizeTier:
         affordable."""
         name = "filter"
         session = CompilationSession()
-        compiler = MlirCompiler(measurement_options("default"), session=session)
+        compiler = MlirCompiler(oracle_options("default"), session=session)
         source = benchmark_sources({name: XLARGE_SIZES[name]})[name]
         module = compiler.compile(source).cfg_module
         tree = CfgInterpreter(module).run_main()

@@ -293,39 +293,31 @@ def _compile_and_run(args, source: str) -> int:
     # One compilation session per CLI invocation: repeated compiles of the
     # same source (e.g. driver scripts importing main) share frontend work.
     session = CompilationSession()
-    if args.variant == "baseline":
-        compiler = BaselineCompiler(
-            rc_mode=args.rc_mode or "naive",
-            session=session,
-            execution_engine=args.execution_engine,
-            superinstructions=not args.no_fusion,
-            execution_budget_seconds=args.budget_seconds,
-            execution_budget_steps=args.budget_steps,
-        )
-    else:
-        options = (
-            PipelineOptions()
-            if args.variant == "default"
-            else PipelineOptions.variant(args.variant)
-        )
-        if args.rc_mode is not None:
-            options.rc_mode = args.rc_mode
-        if args.rewrite_engine is not None:
-            options.rewrite_engine = args.rewrite_engine
-        options.execution_engine = args.execution_engine
-        options.superinstructions = not args.no_fusion
-        options.verbose_passes = args.verbose
-        options.print_ir_after = tuple(args.print_ir_after)
-        options.print_ir_after_all = args.print_ir_after_all
-        options.crash_bundle_dir = args.crash_dir
-        # One compile per process can never hit the per-function rgn-opt
-        # cache, so skip fingerprinting every function for it.
-        options.incremental_rgn_opt = False
-        options.execution_budget_seconds = args.budget_seconds
-        options.execution_budget_steps = args.budget_steps
-        if args.emit in ("rgn", "rgn-opt"):
-            options.capture_ir = (args.emit,)
-        compiler = MlirCompiler(options, session=session)
+    options = (
+        PipelineOptions()
+        if args.variant in ("default", "baseline")
+        else PipelineOptions.variant(args.variant)
+    )
+    if args.rc_mode is not None:
+        options.rc_mode = args.rc_mode
+    if args.rewrite_engine is not None:
+        options.rewrite_engine = args.rewrite_engine
+    options.execution_engine = args.execution_engine
+    options.superinstructions = not args.no_fusion
+    options.verbose_passes = args.verbose
+    options.print_ir_after = tuple(args.print_ir_after)
+    options.print_ir_after_all = args.print_ir_after_all
+    options.crash_bundle_dir = args.crash_dir
+    # One compile per process can never hit the per-function rgn-opt
+    # cache, so skip fingerprinting every function for it.
+    options.incremental_rgn_opt = False
+    options.execution_budget_seconds = args.budget_seconds
+    options.execution_budget_steps = args.budget_steps
+    if args.emit in ("rgn", "rgn-opt"):
+        options.capture_ir = (args.emit,)
+    compiler = (
+        BaselineCompiler if args.variant == "baseline" else MlirCompiler
+    )(options, session=session)
 
     try:
         artifacts = compiler.compile(source)
@@ -347,7 +339,6 @@ def _compile_and_run(args, source: str) -> int:
                 return 2
             print(artifacts.c_source)
             return 0
-        executable = artifacts.rc_program
     else:
         if args.emit == "c":
             print(
@@ -373,12 +364,13 @@ def _compile_and_run(args, source: str) -> int:
         if args.emit == "cfg":
             print(print_module(artifacts.cfg_module))
             return 0
-        executable = artifacts.cfg_module
     if args.verbose:
         _print_rc_report(artifacts.rc_report)
 
     try:
-        result = compiler.execute(executable, check_heap=check_heap)
+        result = compiler.execute(
+            getattr(artifacts, compiler.executable), check_heap=check_heap
+        )
     except Exception as error:  # noqa: BLE001 - CLI boundary
         print(f"error: {error}", file=sys.stderr)
         return 5

@@ -46,7 +46,6 @@ from typing import Tuple
 
 from ..dialects.builtin import ModuleOp
 from ..ir.printer import print_op
-from ..resilience.faults import InjectedFault, fault_hit
 from ..telemetry import get_tracer
 from ..transforms.region_gvn import RegionFingerprinter, ValueNumbering
 
@@ -146,14 +145,6 @@ def run_incremental_rgn_opt(module, pipeline, session, pipeline_hash: str) -> No
         key = (pipeline_hash, function_fingerprint_digest(func))
         cached = session.rgn_opt_cached(key)
         if cached is not None:
-            try:
-                fault_hit("cache.incremental")
-            except InjectedFault:
-                # Degradation ladder: a corrupt/divergent cached entry is
-                # quarantined and the function recompiles cleanly.
-                session.rgn_opt_quarantine(key)
-                misses.append((func, key))
-                continue
             with tracer.span(
                 "incremental:hit", category="session", func=func.sym_name
             ):

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 from ..dialects.builtin import ModuleOp
 from ..interp.bytecode import (
     EXECUTION_ENGINES,
-    BytecodeError,
     BytecodeProgram,
     VirtualMachine,
     compile_cfg_module,
@@ -47,7 +46,6 @@ from ..lean.typecheck import check_program
 from ..rc_opt import RcOptReport, insert_optimized_rc
 from ..record import Record
 from ..resilience.budgets import ExecutionBudget, make_execution_budget
-from ..resilience.faults import InjectedFault, fault_hit
 from ..rewrite.pass_manager import PassManager
 from ..rewrite.registry import build_pipeline, pipeline_fingerprint
 from ..telemetry import (
@@ -57,7 +55,6 @@ from ..telemetry import (
     get_tracer,
     metric_component,
 )
-from ..transforms.canonicalize import canonicalization_patterns
 from .lowering_context import LoweringContext
 from .lp_codegen import generate_lp_module
 from .lp_to_rgn import lower_lp_to_rgn
@@ -124,9 +121,6 @@ class PipelineOptions(Record):
     #: Directory to write crash reproducer bundles into when a pass fails
     #: (None disables bundle writing; see :mod:`repro.resilience.bundle`).
     crash_bundle_dir: Optional[str] = None
-    #: Graceful-degradation ladders: VM fault → tree-walker re-execution,
-    #: corrupt cache entry → recompute (see ``docs/RESILIENCE.md``).
-    enable_fallbacks: bool = True
     #: Execution budget applied when running compiled programs: wall-clock
     #: seconds and/or control-transfer steps (None = unbounded).  A tripped
     #: budget raises :class:`~repro.resilience.budgets.
@@ -142,7 +136,7 @@ class PipelineOptions(Record):
         "execution_engine", "superinstructions", "verify_each",
         "verbose_passes", "print_ir_after", "print_ir_after_all",
         "print_ir_on_failure", "incremental_rgn_opt", "capture_ir",
-        "crash_bundle_dir", "enable_fallbacks", "execution_budget_seconds",
+        "crash_bundle_dir", "execution_budget_seconds",
         "execution_budget_steps",
     )
 
@@ -154,6 +148,15 @@ class PipelineOptions(Record):
                     f"{name!r}"
                 )
             setattr(self, name, value)
+
+    # Only perfbench/workloads.py still sets this attribute.
+    @property
+    def enable_fallbacks(self) -> bool:
+        return False
+
+    @enable_fallbacks.setter
+    def enable_fallbacks(self, value: bool) -> None:
+        _reject_fallbacks(value)
 
     def execution_budget(self) -> Optional[ExecutionBudget]:
         """A fresh :class:`ExecutionBudget` for one run, or None."""
@@ -177,6 +180,14 @@ class PipelineOptions(Record):
 
 FIGURE10_VARIANTS = ("simplifier", "rgn", "none")
 RC_VARIANTS = ("rc-naive", "rc-opt", "rc-opt+reuse")
+
+
+def _reject_fallbacks(value: bool) -> None:
+    if value:
+        raise ValueError(
+            "there are no fallback ladders: faults fail loudly "
+            "(see docs/RESILIENCE.md)"
+        )
 
 
 def _check_execution_engine(engine: str) -> None:
@@ -267,8 +278,8 @@ class CompilationSession:
     by (``run_lambda_simplifier``, ``enable_simp_case``, ``rc_mode``): the
     baseline and lp+rgn pipelines at one rc mode share one simplifier run
     and one RC insertion.  These entries live and die with their source's
-    frontend entry (the ``cache.frontend`` corruption ladder drops both);
-    hit/miss counts publish as ``session.rc.hits`` / ``.misses``.
+    frontend entry; hit/miss counts publish as ``session.rc.hits`` /
+    ``.misses``.
 
     The prelude itself is shared one level deeper: the builtin typing
     tables are resolved once per process (see
@@ -316,19 +327,6 @@ class CompilationSession:
         """
         cached = self._pure_cache.get(source)
         hit = cached is not None
-        if hit:
-            try:
-                fault_hit("cache.frontend")
-            except InjectedFault:
-                # A corrupt cached entry: quarantine it (and the λrc
-                # lowerings it holds) and fall back to a clean re-parse
-                # (counted, never silent).
-                del self._pure_cache[source]
-                cached = None
-                hit = False
-                registry = get_metrics()
-                if registry.enabled:
-                    registry.bump("resilience.recovered.frontend_cache")
         with get_tracer().span("session:frontend", category="session", hit=hit):
             if cached is None:
                 self.misses += 1
@@ -405,15 +403,6 @@ class CompilationSession:
         entry = self._bytecode_cache.get(key)
         registry = get_metrics()
         if entry is not None and entry[0] is source:
-            try:
-                fault_hit("cache.bytecode")
-            except InjectedFault:
-                # Corrupt cached bytecode: drop the row and recompile.
-                del self._bytecode_cache[key]
-                if registry.enabled:
-                    registry.bump("resilience.recovered.bytecode_cache")
-                entry = None
-        if entry is not None and entry[0] is source:
             self.bytecode_hits += 1
             if registry.enabled:
                 registry.bump("session.bytecode.hits")
@@ -458,18 +447,6 @@ class CompilationSession:
         while len(self._rgn_opt_cache) >= self.RGN_OPT_CACHE_LIMIT:
             self._rgn_opt_cache.pop(next(iter(self._rgn_opt_cache)))
         self._rgn_opt_cache[key] = func
-
-    def rgn_opt_quarantine(self, key: tuple) -> None:
-        """Evict a corrupt/divergent cached function (clean recompile next).
-
-        Counted as ``resilience.quarantine.incremental`` — the degradation
-        ladder of the incremental rgn-opt cache (see
-        :mod:`repro.backend.incremental`).
-        """
-        self._rgn_opt_cache.pop(key, None)
-        registry = get_metrics()
-        if registry.enabled:
-            registry.bump("resilience.quarantine.incremental")
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -557,21 +534,6 @@ def pass_instrumentations(options: PipelineOptions) -> List[PassInstrumentation]
     ]
 
 
-def canonicalization_drain_patterns(options: PipelineOptions) -> List:
-    """The unified canonicalisation pattern set for ``options``.
-
-    Each ablation flag removes one pattern family from the drain instead of
-    removing a pipeline stage, so the pipeline shape (and hence the seeding
-    cost) is independent of the ablation configuration.
-    """
-    return canonicalization_patterns(
-        constant_fold=options.enable_constant_fold,
-        case_elimination=options.enable_case_elimination,
-        common_branch=options.enable_common_branch_elimination,
-        dead_region=options.enable_dead_region_elimination,
-    )
-
-
 #: Spec of the lp-level cleanup pipeline run after codegen for the
 #: optimised RC modes (the SSA twin of dup/drop fusion).
 LP_FUSION_SPEC = "lp-rc-fusion"
@@ -594,6 +556,10 @@ def rgn_pipeline_spec(options: PipelineOptions) -> str:
     onto ``canonicalize{ablate=...}`` options (dropping a pattern family
     from the drain rather than a pipeline stage), and a fully-ablated drain
     drops the ``canonicalize`` element entirely.
+
+    The drain runs once, after cse and region-gvn, because region GVN is
+    what exposes the identical-operand select/switch folds.  Constants the
+    drain materialises are not re-CSE'd; the final dce drops unused ones.
     """
     parts = []
     if options.enable_cse:
@@ -630,75 +596,108 @@ def build_spec_pipeline(spec: str, options: PipelineOptions) -> PassManager:
     )
 
 
-def rgn_optimization_pipeline(options: PipelineOptions) -> PassManager:
-    """The rgn optimisation pass pipeline of the new backend (§IV-B).
+class _Compiler:
+    """What both compilers share: one :class:`PipelineOptions`, an optional
+    :class:`CompilationSession` and one execute path.
 
-    Local simplification is one *canonicalisation drain* — the union of
-    constant folding, case elimination (incl. case-of-known-constructor),
-    common-branch elimination and dead region elimination — driven to
-    fixpoint by the worklist engine with a single per-function seed, instead
-    of one fixpoint (and one seed) per pattern family.  The drain runs once,
-    after CSE / region GVN, because region GVN is what exposes the
-    identical-operand select/switch folds; GVN itself numbers structurally,
-    so it does not need folding first.  (Deliberate tradeoff of the single
-    seed: constants materialised by the drain are not re-CSE'd — duplicate
-    constants are harmless to the cost model, and the final DCE still drops
-    unused ones.)
-
-    Built declaratively from :func:`rgn_pipeline_spec` through the pass
-    registry, so the in-compiler pipeline and a ``repro.opt`` run of the
-    same spec are the same object construction path.
+    A subclass names the artifact it executes (``executable``, a
+    :class:`CompilationArtifacts` field) and the two ways to run it: the
+    bytecode builder for the VM and the tree interpreter (the differential
+    oracle).
     """
-    return build_spec_pipeline(rgn_pipeline_spec(options), options)
 
-
-class BaselineCompiler:
-    """The baseline ("leanc") pipeline: λrc executed directly, C emitted as
-    an artifact."""
+    executable: str
 
     def __init__(
         self,
+        options: Optional[PipelineOptions] = None,
         *,
-        enable_simplifier: bool = True,
-        rc_mode: str = "naive",
         session: Optional[CompilationSession] = None,
-        execution_engine: str = "vm",
-        superinstructions: bool = True,
-        enable_fallbacks: bool = True,
-        execution_budget_seconds: Optional[float] = None,
-        execution_budget_steps: Optional[int] = None,
     ):
-        _check_execution_engine(execution_engine)
-        self.enable_simplifier = enable_simplifier
-        self.rc_mode = rc_mode
+        self.options = options if options is not None else PipelineOptions()
+        _check_execution_engine(self.options.execution_engine)
         self.session = session
-        self.execution_engine = execution_engine
-        self.superinstructions = superinstructions
-        self.enable_fallbacks = enable_fallbacks
-        self.execution_budget_seconds = execution_budget_seconds
-        self.execution_budget_steps = execution_budget_steps
 
-    def _execution_budget(self) -> Optional[ExecutionBudget]:
-        return make_execution_budget(
-            self.execution_budget_seconds, self.execution_budget_steps
-        )
+    def _frontend(self, source: str) -> PureProgram:
+        with phase("frontend"):
+            if self.session is not None:
+                return self.session.frontend(source)
+            return Frontend.to_pure(source)
 
     def compile(self, source: str) -> CompilationArtifacts:
+        raise NotImplementedError
+
+    def run(self, source: str, *, check_heap: bool = True) -> RunResult:
+        artifacts = self.compile(source)
+        return self.execute(
+            getattr(artifacts, self.executable), check_heap=check_heap
+        )
+
+    def execute(self, program, *, check_heap: bool = True) -> RunResult:
+        """Execute a compiled program with the configured engine.
+
+        Every failure propagates — an injected ``vm.dispatch`` fault, a
+        ``BytecodeError``, a tripped budget: the tree-walkers are oracles
+        to compare against, never a second chance for a failed VM run.
+        """
+        options = self.options
+        budget = options.execution_budget()
+        if options.execution_engine == "tree":
+            return self._tree_interpreter()(program, budget=budget).run_main(
+                check_heap=check_heap
+            )
+        fuse = options.superinstructions
+        bytecode = (
+            self.session._cached_bytecode(program, self._bytecode_builder, fuse)
+            if self.session is not None
+            else self._bytecode_builder(program, fuse=fuse)
+        )
+        return VirtualMachine(bytecode, budget=budget).run_main(
+            check_heap=check_heap
+        )
+
+
+class BaselineCompiler(_Compiler):
+    """The baseline ("leanc") pipeline: λrc executed directly, C emitted as
+    an artifact.
+
+    Of its options it reads ``run_lambda_simplifier``,
+    ``enable_simp_case``, ``rc_mode``, ``execution_engine``,
+    ``superinstructions`` and the two execution budgets.
+    """
+
+    executable = "rc_program"
+    _bytecode_builder = staticmethod(compile_rc_program)
+
+    def __init__(
+        self,
+        options: Optional[PipelineOptions] = None,
+        *,
+        session: Optional[CompilationSession] = None,
+        # Only perfbench/workloads.py still passes this keyword.
+        enable_fallbacks: bool = False,
+    ):
+        _reject_fallbacks(enable_fallbacks)
+        super().__init__(options, session=session)
+
+    @staticmethod
+    def _tree_interpreter():
+        from ..interp.rc_interp import RcInterpreter
+
+        return RcInterpreter
+
+    def compile(self, source: str) -> CompilationArtifacts:
+        options = self.options
         with get_tracer().span(
             "compile", category="pipeline", pipeline="baseline",
-            rc_mode=self.rc_mode,
+            rc_mode=options.rc_mode,
         ):
-            with phase("frontend"):
-                pure = (
-                    self.session.frontend(source)
-                    if self.session is not None
-                    else Frontend.to_pure(source)
-                )
+            pure = self._frontend(source)
             rc, rc_report = lower_to_rc(
                 source, pure, self.session,
-                run_simplifier=self.enable_simplifier,
-                enable_simp_case=True,
-                rc_mode=self.rc_mode,
+                run_simplifier=options.run_lambda_simplifier,
+                enable_simp_case=options.enable_simp_case,
+                rc_mode=options.rc_mode,
             )
             with phase("c-emit"):
                 from .c_backend import emit_c_source
@@ -712,61 +711,18 @@ class BaselineCompiler:
             rc_report=rc_report,
         )
 
-    def run(self, source: str, *, check_heap: bool = True) -> RunResult:
-        artifacts = self.compile(source)
-        return self.execute(artifacts.rc_program, check_heap=check_heap)
 
-    def execute(self, rc_program: PureProgram, *, check_heap: bool = True) -> RunResult:
-        """Execute a compiled λrc program with the configured engine.
-
-        A VM-side fault (injected ``vm.dispatch`` or a bytecode bug) falls
-        back to the λrc tree-walker — the differential oracle, so figure
-        output and metrics are byte-identical — counted as
-        ``resilience.fallback.vm_to_tree``.  Budget trips are *not* a VM
-        fault and propagate: the tree-walker would only hang longer.
-        """
-        if self.execution_engine == "tree":
-            return self._run_tree(rc_program, check_heap)
-        bytecode = (
-            self.session.rc_bytecode_for(
-                rc_program, superinstructions=self.superinstructions
-            )
-            if self.session is not None
-            else compile_rc_program(rc_program, fuse=self.superinstructions)
-        )
-        try:
-            return VirtualMachine(
-                bytecode, budget=self._execution_budget()
-            ).run_main(check_heap=check_heap)
-        except (InjectedFault, BytecodeError):
-            if not self.enable_fallbacks:
-                raise
-            registry = get_metrics()
-            if registry.enabled:
-                registry.bump("resilience.fallback.vm_to_tree")
-            return self._run_tree(rc_program, check_heap)
-
-    def _run_tree(self, rc_program: PureProgram, check_heap: bool) -> RunResult:
-        """Run ``rc_program`` on the λrc tree-walker."""
-        from ..interp.rc_interp import RcInterpreter
-
-        return RcInterpreter(
-            rc_program, budget=self._execution_budget()
-        ).run_main(check_heap=check_heap)
-
-
-class MlirCompiler:
+class MlirCompiler(_Compiler):
     """The new pipeline: λrc → lp → rgn → CFG."""
 
-    def __init__(
-        self,
-        options: Optional[PipelineOptions] = None,
-        *,
-        session: Optional[CompilationSession] = None,
-    ):
-        self.options = options if options is not None else PipelineOptions()
-        _check_execution_engine(self.options.execution_engine)
-        self.session = session
+    executable = "cfg_module"
+    _bytecode_builder = staticmethod(compile_cfg_module)
+
+    @staticmethod
+    def _tree_interpreter():
+        from ..interp.cfg_interp import CfgInterpreter
+
+        return CfgInterpreter
 
     def compile(self, source: str) -> CompilationArtifacts:
         options = self.options
@@ -779,12 +735,7 @@ class MlirCompiler:
             rc_mode=options.rc_mode,
             rewrite_engine=options.rewrite_engine,
         ):
-            with phase("frontend"):
-                pure = (
-                    session.frontend(source)
-                    if session is not None
-                    else Frontend.to_pure(source)
-                )
+            pure = self._frontend(source)
             rc, rc_report = lower_to_rc(
                 source, pure, session,
                 run_simplifier=options.run_lambda_simplifier,
@@ -844,49 +795,6 @@ class MlirCompiler:
         artifacts.cfg_module = cfg_module
         return artifacts
 
-    def run(self, source: str, *, check_heap: bool = True) -> RunResult:
-        artifacts = self.compile(source)
-        return self.execute(artifacts.cfg_module, check_heap=check_heap)
-
-    def execute(self, cfg_module: ModuleOp, *, check_heap: bool = True) -> RunResult:
-        """Execute a compiled CFG module with the configured engine.
-
-        A VM-side fault (injected ``vm.dispatch`` or a bytecode bug) falls
-        back to the CFG tree-walker — the differential oracle, so figure
-        output and metrics are byte-identical — counted as
-        ``resilience.fallback.vm_to_tree``.  Budget trips are *not* a VM
-        fault and propagate: the tree-walker would only hang longer.
-        """
-        options = self.options
-        if options.execution_engine == "tree":
-            return self._run_tree(cfg_module, check_heap)
-        bytecode = (
-            self.session.bytecode_for(
-                cfg_module, superinstructions=options.superinstructions
-            )
-            if self.session is not None
-            else compile_cfg_module(cfg_module, fuse=options.superinstructions)
-        )
-        try:
-            return VirtualMachine(
-                bytecode, budget=options.execution_budget()
-            ).run_main(check_heap=check_heap)
-        except (InjectedFault, BytecodeError):
-            if not options.enable_fallbacks:
-                raise
-            registry = get_metrics()
-            if registry.enabled:
-                registry.bump("resilience.fallback.vm_to_tree")
-            return self._run_tree(cfg_module, check_heap)
-
-    def _run_tree(self, cfg_module: ModuleOp, check_heap: bool) -> RunResult:
-        """Run ``cfg_module`` on the CFG tree-walker."""
-        from ..interp.cfg_interp import CfgInterpreter
-
-        return CfgInterpreter(
-            cfg_module, budget=self.options.execution_budget()
-        ).run_main(check_heap=check_heap)
-
 
 def run_reference(
     source: str,
@@ -905,24 +813,15 @@ def run_reference(
 
 def run_baseline(
     source: str,
+    options: Optional[PipelineOptions] = None,
     *,
     check_heap: bool = True,
-    rc_mode: str = "naive",
     session: Optional[CompilationSession] = None,
-    execution_engine: str = "vm",
-    superinstructions: bool = True,
-    budget_seconds: Optional[float] = None,
-    budget_steps: Optional[int] = None,
 ) -> RunResult:
     """Compile and run via the baseline ("leanc") pipeline."""
-    return BaselineCompiler(
-        rc_mode=rc_mode,
-        session=session,
-        execution_engine=execution_engine,
-        superinstructions=superinstructions,
-        execution_budget_seconds=budget_seconds,
-        execution_budget_steps=budget_steps,
-    ).run(source, check_heap=check_heap)
+    return BaselineCompiler(options, session=session).run(
+        source, check_heap=check_heap
+    )
 
 
 def run_mlir(
@@ -945,16 +844,3 @@ def run_rc_variant(
         raise ValueError(f"unknown RC variant {variant!r}")
     return run_mlir(source, PipelineOptions.variant(variant), check_heap=check_heap)
 
-
-def run_all_backends(source: str) -> Dict[str, RunResult]:
-    """Run every pipeline variant on ``source`` (used by differential tests)."""
-    results: Dict[str, RunResult] = {"baseline": run_baseline(source)}
-    for variant in FIGURE10_VARIANTS:
-        results[f"mlir-{variant}"] = run_mlir(source, PipelineOptions.variant(variant))
-    results["mlir-default"] = run_mlir(source)
-    for variant in RC_VARIANTS[1:]:
-        results[f"mlir-{variant}"] = run_mlir(source, PipelineOptions.variant(variant))
-        results[f"baseline-{variant}"] = run_baseline(
-            source, rc_mode=variant[len("rc-"):]
-        )
-    return results

@@ -7,6 +7,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ".harness": (
         "EvaluationHarness", "FigureData", "RcTableRow", "SpeedupRow",
         "VariantMeasurement", "geometric_mean", "measurement_options",
+        "oracle_options",
     ),
     ".testsuite": (
         "TestProgram", "programs_by_category", "regression_programs",

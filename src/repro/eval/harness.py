@@ -65,6 +65,28 @@ def measurement_options(
     return options
 
 
+def oracle_options(
+    variant: str,
+    *,
+    rewrite_engine: Optional[str] = None,
+    execution_engine: Optional[str] = None,
+) -> PipelineOptions:
+    """The :class:`PipelineOptions` of *identity checks*:
+    :func:`measurement_options` with the IR verifier on after every pass.
+
+    The differential fuzz matrix, ``figures --correctness`` and the
+    identity guards of ``benchmarks/test_execution_time.py`` run with
+    these, so a pass that breaks an IR invariant is a finding there.
+    """
+    options = measurement_options(
+        variant,
+        rewrite_engine=rewrite_engine,
+        execution_engine=execution_engine,
+    )
+    options.verify_each = True
+    return options
+
+
 class VariantMeasurement(Record):
     """One (benchmark, pipeline-variant) measurement."""
 
@@ -155,16 +177,13 @@ def _measure(
     session: Optional[CompilationSession] = None,
     execution_engine: str = "vm",
 ) -> VariantMeasurement:
-    def run():
-        if variant == "baseline":
-            return run_baseline(
-                source, session=session, execution_engine=execution_engine
-            )
-        return run_mlir(
-            source,
-            measurement_options(variant, execution_engine=execution_engine),
-            session=session,
-        )
+    # The baseline reads only its rc mode, simplifier, engine and budget
+    # knobs; the default variant's are the leanc configuration.
+    options = measurement_options(
+        "default" if variant == "baseline" else variant,
+        execution_engine=execution_engine,
+    )
+    compile_and_run = run_baseline if variant == "baseline" else run_mlir
 
     with get_tracer().span(
         "measure:" + benchmark, category="harness", variant=variant
@@ -174,10 +193,10 @@ def _measure(
             # active session's, so outer aggregations still see everything.
             with measured_metrics() as metrics_delta:
                 get_metrics().bump("harness.measurements")
-                result = run()
+                result = compile_and_run(source, options, session=session)
         else:
             metrics_delta = {}
-            result = run()
+            result = compile_and_run(source, options, session=session)
     counts = result.metrics.counts
     return VariantMeasurement(
         benchmark=benchmark,
@@ -321,11 +340,10 @@ class EvaluationHarness:
         report: Dict[str, bool] = {}
         for name, source in self.sources.items():
             expected = run_reference(source, session=self.session)
-            baseline = run_baseline(
-                source, session=self.session,
-                execution_engine=self.execution_engine,
+            options = oracle_options(
+                "default", execution_engine=self.execution_engine
             )
-            options = PipelineOptions(execution_engine=self.execution_engine)
+            baseline = run_baseline(source, options, session=self.session)
             mlir = run_mlir(source, options, session=self.session)
             report[name] = baseline.value == expected and mlir.value == expected
         return report

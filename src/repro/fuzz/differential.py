@@ -26,12 +26,11 @@ Any violation (or any crash anywhere in a pipeline) raises
 hypothesis shrinks the *program*, and the shrunk source is what lands in
 ``tests/corpus/``.
 
-Every pipeline runs with its fallback ladders off
-(``enable_fallbacks=False``): a VM fault is a finding naming its
-configuration, never a silent re-execution on the tree-walker oracle.
-Every lp+rgn compile runs the IR verifier after each pass
-(``verify_each=True``, which also makes rewrite non-convergence an
-error), so a pass that breaks an IR invariant is a finding too.
+Every pipeline runs with :func:`~repro.eval.harness.oracle_options`: a
+VM fault is a finding naming its configuration, and every lp+rgn compile
+runs the IR verifier after each pass (``verify_each=True``, which also
+makes rewrite non-convergence an error), so a pass that breaks an IR
+invariant is a finding too.
 
 Each distinct artifact is built once and run on every execution
 configuration that asks for it:
@@ -69,7 +68,7 @@ from ..backend.pipeline import (
     MlirCompiler,
     run_reference,
 )
-from ..eval.harness import measurement_options
+from ..eval.harness import oracle_options
 from ..interp.bytecode import EXECUTION_ENGINES
 from ..record import FrozenRecord, Record
 
@@ -184,19 +183,6 @@ def _metric_fingerprint(result) -> Tuple:
     )
 
 
-def _mlir_options(config: MatrixConfig, budget_steps: Optional[int] = None):
-    options = measurement_options(
-        config.rc_variant,
-        rewrite_engine=config.rewrite_engine,
-        execution_engine=config.execution_engine,
-    )
-    options.incremental_rgn_opt = config.incremental
-    options.execution_budget_steps = budget_steps
-    options.enable_fallbacks = False
-    options.verify_each = True
-    return options
-
-
 def run_matrix(
     source: str,
     *,
@@ -235,16 +221,26 @@ def run_matrix(
     compiles_left: Dict[Tuple, int] = {}
     latest: Dict[Tuple, object] = {}
 
-    def compile_and_execute(label, compiler, key, compiles, artifact_of):
+    def compile_and_execute(label, compiler, key, compiles):
         """Run ``label``: compile while its group still owes a compile,
         then execute the group's latest artifact."""
         left = compiles_left.setdefault(key, compiles)
         if left:
             compiles_left[key] = left - 1
             latest[key] = guarded(
-                label, lambda: artifact_of(compiler.compile(source))
+                label,
+                lambda: getattr(compiler.compile(source), compiler.executable),
             )
         return guarded(label, lambda: compiler.execute(latest[key]))
+
+    def options_for(rc_variant, execution_engine, rewrite_engine=None):
+        options = oracle_options(
+            rc_variant,
+            rewrite_engine=rewrite_engine,
+            execution_engine=execution_engine,
+        )
+        options.execution_budget_steps = budget_steps
+        return options
 
     report.reference_value = guarded(
         "reference",
@@ -258,29 +254,27 @@ def run_matrix(
             for execution_engine in EXECUTION_ENGINES:
                 label = f"baseline/{rc_variant}/{execution_engine}"
                 compiler = BaselineCompiler(
-                    rc_mode=rc_variant[len("rc-"):],
-                    session=session,
-                    execution_engine=execution_engine,
-                    enable_fallbacks=False,
-                    execution_budget_steps=budget_steps,
+                    options_for(rc_variant, execution_engine), session=session
                 )
                 result = compile_and_execute(
-                    label, compiler, ("baseline", rc_variant), 1,
-                    lambda compiled: compiled.rc_program,
+                    label, compiler, ("baseline", rc_variant), 1
                 )
                 _check_run(report, label, result)
 
     fingerprints: Dict[str, Tuple[str, Tuple]] = {}
     for config in configs:
         label = config.label
+        options = options_for(
+            config.rc_variant, config.execution_engine, config.rewrite_engine
+        )
+        options.incremental_rgn_opt = config.incremental
         # An incremental group compiles twice: the second compile is served
         # by the incremental cache, which keeps cache hits under test.
         result = compile_and_execute(
             label,
-            MlirCompiler(_mlir_options(config, budget_steps), session=session),
+            MlirCompiler(options, session=session),
             (config.rc_variant, config.rewrite_engine, config.incremental),
             2 if config.incremental else 1,
-            lambda compiled: compiled.cfg_module,
         )
         _check_run(report, label, result)
         fingerprint = _metric_fingerprint(result)

@@ -1,10 +1,10 @@
 """Resilience layer: crash reproducer bundles, deterministic fault
-injection, budgets and graceful degradation.
+injection and budgets.
 
 The compiler's failure-path machinery (see ``docs/RESILIENCE.md``):
 
 * :mod:`~repro.resilience.faults` — seeded, deterministic fault injection
-  at named sites (``--inject-fault site:N``) so every recovery path in the
+  at named sites (``--inject-fault site:N``) so every failure path in the
   stack can be exercised on demand,
 * :mod:`~repro.resilience.budgets` — wall-clock and step budgets on the
   rewrite drivers and all four execution engines
@@ -16,9 +16,10 @@ The compiler's failure-path machinery (see ``docs/RESILIENCE.md``):
   isolate the first faulty pass (and for pattern passes the faulty
   pattern), appending a minimal one-pass reproducer to the bundle.
 
-Every recovery the stack performs (VM → tree fallback, worklist →
-rescan retry, cache quarantine + clean recompile) counts under the
-``resilience.*`` metric namespace.
+Nothing recovers from a failure: a fault fails the run with its layer's
+exit code, and a crash bundle where a pass is involved.  Faults, budget
+trips, bundles and bisections count under the ``resilience.*`` metric
+namespace.
 """
 
 from ..lazy import lazy_exports

@@ -11,8 +11,8 @@ hanging (or permanently riding ``sys.setrecursionlimit``).
 The rewrite drivers have an analogous wall-clock budget: exceeding it
 raises :class:`RewriteBudgetExceeded`, which the pattern-driver passes
 treat exactly like
-:class:`~repro.rewrite.driver.NonConvergenceError` — eligible for the
-one-shot rescan retry, and a crash bundle if the retry fails too.
+:class:`~repro.rewrite.driver.NonConvergenceError`: the pass fails and
+the pass manager writes a crash bundle.
 
 Budget trips count as ``resilience.budget.trips`` in the active metrics
 registry.

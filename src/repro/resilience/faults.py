@@ -9,20 +9,19 @@ in the same order every time, which is what lets a crash bundle record the
 *remaining* plan and replay the identical failure from the bundle's
 pre-pass IR (see :mod:`repro.resilience.bundle`).
 
-Injection sites live in every layer with a recovery story:
+Injection sites live in every layer, and every injected fault fails
+loudly — nothing recovers from one:
 
 * ``pass.<name>`` — one hit when the pass starts (from the pass manager)
   plus one hit per successful pattern application for
   :class:`~repro.rewrite.driver.PatternRewritePass` subclasses (from the
-  rewrite driver, which blames the applied pattern on the raised fault),
-* ``verify`` — the IR verifier entry,
-* ``cache.frontend`` / ``cache.bytecode`` / ``cache.incremental`` — the
-  hit paths of the three session caches (recovered by recompute /
-  quarantine),
-* ``vm.dispatch`` — the VM's function dispatch (recovered by the
-  tree-walker fallback),
-* ``driver.worklist`` — the worklist rewrite engine's entry (recovered by
-  the one-shot rescan retry).
+  rewrite driver, which blames the applied pattern on the raised fault);
+  a crash bundle, bisectable,
+* ``verify`` — the IR verifier entry; a crash bundle,
+* ``vm.dispatch`` — the VM's function dispatch; the run fails
+  (``python -m repro`` exits 5),
+* ``driver.worklist`` — the worklist rewrite engine's entry; a crash
+  bundle of the pass that drove it (``python -m repro`` exits 4).
 
 The catalogue is drift-tested against ``docs/RESILIENCE.md`` by
 ``tests/test_resilience.py``.
@@ -35,20 +34,12 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..telemetry import get_metrics
 
-#: Injection sites that are not derived from the pass registry, with the
-#: recovery each one exercises.
+#: Injection sites that are not derived from the pass registry, with what
+#: an injected fault at each one produces.
 STATIC_SITES: Dict[str, str] = {
     "verify": "IR verifier entry (crash bundle on verify-each rejection)",
-    "cache.frontend": "frontend-cache hit path (recovered: clean re-parse)",
-    "cache.bytecode": "bytecode-cache hit path (recovered: clean recompile)",
-    "cache.incremental": (
-        "incremental rgn-opt cache hit path "
-        "(recovered: quarantine + clean recompile)"
-    ),
-    "vm.dispatch": "VM function dispatch (recovered: tree-walker fallback)",
-    "driver.worklist": (
-        "worklist rewrite engine entry (recovered: one rescan retry)"
-    ),
+    "vm.dispatch": "VM function dispatch (execution error: exit 5)",
+    "driver.worklist": "worklist rewrite engine entry (crash bundle: exit 4)",
 }
 
 

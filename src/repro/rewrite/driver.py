@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 from ..ir.core import Operation
 from ..record import Record
 from ..resilience.budgets import RewriteBudgetExceeded
-from ..resilience.faults import InjectedFault, fault_hit
+from ..resilience.faults import fault_hit
 from ..telemetry import get_metrics
 from .pass_manager import FunctionPass
 from .pattern import PatternRewriter, RewritePattern
@@ -442,14 +442,10 @@ class PatternRewritePass(FunctionPass):
     driver statistics (applications, match attempts, worklist pushes)
     through the pass-manager counters.
 
-    Degradation ladder (see ``docs/RESILIENCE.md``): when the worklist
-    engine fails to converge — including a tripped
-    :class:`~repro.resilience.budgets.RewriteBudgetExceeded` wall-clock
-    budget or an injected ``driver.worklist`` fault — the pass retries the
-    function once with the rescan engine (counted as
-    ``resilience.retry.rescan``) before letting the failure propagate to
-    the pass manager's crash-bundle path.  ``pass.<name>`` faults are
-    *not* retried: they model the pass itself being broken.
+    A failed fixpoint — non-convergence, a tripped
+    :class:`~repro.resilience.budgets.RewriteBudgetExceeded` budget or an
+    injected ``driver.worklist`` / ``pass.<name>`` fault — propagates to
+    the pass manager's crash-bundle path (see ``docs/RESILIENCE.md``).
     """
 
     #: Rewrite engine used by this pass; overridable per instance.
@@ -457,9 +453,6 @@ class PatternRewritePass(FunctionPass):
 
     #: Wall-clock budget per driver invocation (None = unbounded).
     budget_seconds: Optional[float] = None
-
-    #: Retry a failed worklist fixpoint once with the rescan engine.
-    allow_rescan_retry: bool = True
 
     SPEC_OPTIONS = (ENGINE_OPTION,)
 
@@ -489,34 +482,14 @@ class PatternRewritePass(FunctionPass):
         return self._pattern_set
 
     def apply(self, func) -> GreedyRewriteResult:
-        try:
-            result = apply_patterns_greedily(
-                func,
-                self.pattern_set,
-                engine=self.engine,
-                strict=self.strict_convergence,
-                max_seconds=self.budget_seconds,
-                fault_site=f"pass.{self.name}",
-            )
-        except (NonConvergenceError, RewriteBudgetExceeded, InjectedFault) as error:
-            # Injected pass.<name> faults model the pass being broken and
-            # must reach the pass manager's crash-bundle path unretried.
-            if isinstance(error, InjectedFault) and error.site != "driver.worklist":
-                raise
-            if self.engine != "worklist" or not self.allow_rescan_retry:
-                raise
-            registry = get_metrics()
-            if registry.enabled:
-                registry.bump("resilience.retry.rescan")
-            self.statistics.bump_meter("rescan-retries")
-            result = apply_patterns_greedily(
-                func,
-                self.pattern_set,
-                engine="rescan",
-                strict=self.strict_convergence,
-                max_seconds=self.budget_seconds,
-                fault_site=f"pass.{self.name}",
-            )
+        result = apply_patterns_greedily(
+            func,
+            self.pattern_set,
+            engine=self.engine,
+            strict=self.strict_convergence,
+            max_seconds=self.budget_seconds,
+            fault_site=f"pass.{self.name}",
+        )
         self.statistics.bump("applications", result.applications)
         self.statistics.bump_meter("match-attempts", result.match_attempts)
         self.statistics.bump_meter("worklist-pushes", result.worklist_pushes)

@@ -14,8 +14,7 @@ Every stat surface of the compiler publishes into one namespaced
   ``vm.run.seconds``,
 * ``harness.*`` — evaluation-harness bookkeeping,
 * ``resilience.*`` — failure-path accounting: injected faults, budget
-  trips, crash bundles written, and every graceful-degradation recovery
-  (VM→tree fallback, rescan retry, cache quarantine).
+  trips, crash bundles written and bisection runs.
 
 The registry stores integer counters (:meth:`bump`) and float gauges
 (:meth:`observe`, accumulating — repeated observations of a timing add

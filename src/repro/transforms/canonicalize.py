@@ -5,7 +5,8 @@ the case-of-known-constructor fold), common-branch elimination and dead
 region elimination are bundled into **one** greedy fixpoint — a single
 pattern *drain* seeded once per function — instead of one fixpoint per
 pattern family.  The rgn optimisation pipeline
-(:func:`repro.backend.pipeline.rgn_optimization_pipeline`) drives this drain
+(:func:`repro.backend.pipeline.rgn_pipeline_spec`, built by
+:func:`~repro.backend.pipeline.build_spec_pipeline`) drives this drain
 with the worklist engine, so an op is queued once and every follow-up match
 comes from rewriter notifications rather than a re-seed per pass.
 

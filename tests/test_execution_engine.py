@@ -472,7 +472,7 @@ def _compiled_cfg(name: str, variant: str):
 
 @functools.lru_cache(maxsize=None)
 def _compiled_rc(name: str, rc_mode: str):
-    compiler = BaselineCompiler(rc_mode=rc_mode)
+    compiler = BaselineCompiler(PipelineOptions(rc_mode=rc_mode))
     return compiler.compile(REGRESSION_BY_NAME[name].source).rc_program
 
 
@@ -534,15 +534,32 @@ class TestEngineSelection:
         assert_identical_runs(tree, vm)
 
     def test_run_baseline_engines_agree(self):
-        vm = run_baseline(TINY, execution_engine="vm")
-        tree = run_baseline(TINY, execution_engine="tree")
+        vm = run_baseline(TINY, PipelineOptions(execution_engine="vm"))
+        tree = run_baseline(TINY, PipelineOptions(execution_engine="tree"))
         assert_identical_runs(tree, vm)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown execution engine"):
             MlirCompiler(PipelineOptions(execution_engine="jit"))
         with pytest.raises(ValueError, match="unknown execution engine"):
-            BaselineCompiler(execution_engine="jit")
+            BaselineCompiler(PipelineOptions(execution_engine="jit"))
+
+    def test_compilers_share_one_execute(self):
+        assert "execute" not in vars(BaselineCompiler)
+        assert "execute" not in vars(MlirCompiler)
+        assert BaselineCompiler.execute is MlirCompiler.execute
+
+    @pytest.mark.parametrize("keyword", (
+        "run_lambda_simplifier", "enable_simp_case", "rc_mode",
+        "execution_engine", "superinstructions", "dispatch",
+        "budget_seconds", "budget_steps",
+    ))
+    def test_baseline_takes_no_mirrored_option_keywords(self, keyword):
+        # Every baseline knob lives on PipelineOptions.
+        with pytest.raises(TypeError):
+            BaselineCompiler(**{keyword: None})
+        with pytest.raises(TypeError):
+            run_baseline(TINY, **{keyword: None})
 
     def test_switch_dispatch_rejected(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -306,8 +306,8 @@ class TestDifferentialMatrix:
 
     @pytest.mark.parametrize("baselines", [True, False])
     def test_broken_vm_is_a_finding(self, monkeypatch, baselines):
-        # The fallback ladders would re-execute on the tree-walker oracle
-        # and hide a broken VM; the matrix must run with them off.
+        # A broken VM must fail its own configuration, never re-run on the
+        # tree-walker oracle.
         def broken(self, *args, **kwargs):
             raise BytecodeError("broken VM")
 

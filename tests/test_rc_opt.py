@@ -16,6 +16,7 @@ from repro.backend.pipeline import (
     RC_VARIANTS,
     BaselineCompiler,
     Frontend,
+    PipelineOptions,
     run_baseline,
     run_rc_variant,
     run_reference,
@@ -435,7 +436,9 @@ class TestRcVariantsOnBenchmarkSuite:
     def test_rc_interpreter_heap_balanced_and_correct(self, name, mode):
         source = BENCHMARKS[name]
         expected = run_reference(source)
-        result = run_baseline(source, rc_mode=mode, check_heap=True)
+        result = run_baseline(
+            source, PipelineOptions(rc_mode=mode), check_heap=True
+        )
         assert result.value == expected
         assert result.heap_stats["allocations"] == result.heap_stats["frees"]
 
@@ -460,9 +463,9 @@ class TestRcVariantsOnBenchmarkSuite:
         assert reduced, "no constructor-heavy benchmark saw allocation reuse"
 
     def test_baseline_artifacts_include_reuse_markers(self):
-        artifacts = BaselineCompiler(rc_mode="opt+reuse").compile(
-            BENCHMARKS["const_fold"]
-        )
+        artifacts = BaselineCompiler(
+            PipelineOptions(rc_mode="opt+reuse")
+        ).compile(BENCHMARKS["const_fold"])
         assert artifacts.rc_report is not None
         assert artifacts.rc_report.reuse.reuse_pairs > 0
         assert "lean_reset(" in artifacts.c_source

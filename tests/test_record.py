@@ -178,10 +178,10 @@ class TestRepr:
         )
         assert "rc_mode='opt'" in text
         assert text.endswith(
-            "enable_fallbacks=True, execution_budget_seconds=None, "
+            "crash_bundle_dir=None, execution_budget_seconds=None, "
             "execution_budget_steps=None)"
         )
-        assert text.count("=") == 24
+        assert text.count("=") == 23
 
 
 class TestPipelineOptions:

@@ -2,15 +2,15 @@
 
 Five layers, mirroring ``docs/RESILIENCE.md``:
 
-* **fault-injection sweep** — every known site, injected, either recovers
-  gracefully (caches, VM dispatch, worklist driver) or produces a crash
+* **fault-injection sweep** — every pass site, injected, produces a crash
   bundle that replays byte-identically and bisects to the injected pass
   (pattern-level for pattern-driver passes),
+* **loud faults** — a ``vm.dispatch`` or ``driver.worklist`` fault fails
+  the run with its layer's exit code (and a replayable bundle where a
+  pass is involved); nothing recovers from a fault,
 * **budgets** — all four execution engines trip
   ``ExecutionBudgetExceeded`` on a diverging program instead of hanging,
   and rewrite fixpoints trip ``RewriteBudgetExceeded``,
-* **graceful degradation** — the VM→tree fallback is figure-identical,
-  cache corruption recovers, the worklist driver retries via rescan,
 * **CLI contracts** — ``python -m repro`` exit codes name the failing
   layer; ``python -m repro.opt`` writes and replays bundles,
 * **drift guards** — the site catalogue in ``docs/RESILIENCE.md`` matches
@@ -26,7 +26,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.backend.pipeline import (
-    CompilationSession,
+    BaselineCompiler,
     MlirCompiler,
     PipelineOptions,
     run_baseline,
@@ -280,78 +280,67 @@ class TestPassSiteSweep:
 
 
 # ---------------------------------------------------------------------------
-# Graceful degradation: caches, VM fallback, worklist retry
+# Loud faults: nothing recovers from a fault
 # ---------------------------------------------------------------------------
 
 
-class TestDegradationLadders:
-    def test_frontend_cache_fault_recovers_with_clean_reparse(self):
-        session = CompilationSession()
-        clean = run_reference(SOURCE, session=session)
-        with telemetry_session() as t:
-            with fault_plan(FaultPlan.parse(["cache.frontend:1"])):
-                recovered = run_reference(SOURCE, session=session)
-            snapshot = t.metrics.snapshot()
-        assert recovered == clean
-        assert snapshot["resilience.recovered.frontend_cache"] == 1
-
-    def test_bytecode_cache_fault_recovers_with_clean_recompile(self):
-        # The bytecode cache keys on module identity, so the hit path needs
-        # the *same* compiled module executed twice in one session.
-        compiler = MlirCompiler(PipelineOptions(), session=CompilationSession())
-        artifacts = compiler.compile(SOURCE)
-        clean = compiler.execute(artifacts.cfg_module)
-        with telemetry_session() as t:
-            with fault_plan(FaultPlan.parse(["cache.bytecode:1"])):
-                recovered = compiler.execute(artifacts.cfg_module)
-            snapshot = t.metrics.snapshot()
-        assert recovered.value == clean.value
-        assert snapshot["resilience.recovered.bytecode_cache"] == 1
-
-    def test_incremental_cache_fault_quarantines_and_recompiles(self):
-        options = PipelineOptions()
-        options.incremental_rgn_opt = True
-        session = CompilationSession()
-        clean = run_mlir(SOURCE, options, session=session)
-        with telemetry_session() as t:
-            with fault_plan(FaultPlan.parse(["cache.incremental:1"])):
-                recovered = run_mlir(SOURCE, options, session=session)
-            snapshot = t.metrics.snapshot()
-        assert recovered.value == clean.value
-        assert snapshot["resilience.quarantine.incremental"] == 1
-
-    def test_vm_fault_falls_back_to_tree_with_identical_figures(self):
-        tree_options = PipelineOptions()
-        tree_options.execution_engine = "tree"
-        tree = run_mlir(SOURCE, tree_options)
-
-        with telemetry_session() as t:
-            with fault_plan(FaultPlan.parse(["vm.dispatch:1"])):
-                fallen_back = run_mlir(SOURCE)
-            snapshot = t.metrics.snapshot()
-        assert snapshot["resilience.fallback.vm_to_tree"] == 1
-        # Figure-identical: value, cost-model counts, heap statistics and
-        # printed output all match the tree engine exactly.
-        assert fallen_back.value == tree.value
-        assert fallen_back.metrics.counts == tree.metrics.counts
-        assert fallen_back.metrics.total_cost() == tree.metrics.total_cost()
-        assert fallen_back.heap_stats == tree.heap_stats
-        assert fallen_back.output == tree.output
-
-    def test_vm_fault_propagates_with_fallbacks_disabled(self):
-        options = PipelineOptions()
-        options.enable_fallbacks = False
+class TestLoudFaults:
+    def test_vm_fault_raises_from_run_mlir(self):
         with fault_plan(FaultPlan.parse(["vm.dispatch:1"])):
             with pytest.raises(InjectedFault):
-                run_mlir(SOURCE, options)
+                run_mlir(SOURCE)
 
-    def test_worklist_fault_retries_with_rescan(self):
-        with telemetry_session() as t:
-            with fault_plan(FaultPlan.parse(["driver.worklist:1"])):
-                result = run_mlir(SOURCE)
-            snapshot = t.metrics.snapshot()
-        assert snapshot["resilience.retry.rescan"] == 1
-        assert result.value == run_mlir(SOURCE).value
+    def test_vm_fault_raises_from_run_baseline(self):
+        with fault_plan(FaultPlan.parse(["vm.dispatch:1"])):
+            with pytest.raises(InjectedFault):
+                run_baseline(SOURCE)
+
+    def test_worklist_fault_raises_from_run_mlir(self):
+        # No rescan retry: the rewrite driver's fault reaches the caller.
+        with fault_plan(FaultPlan.parse(["driver.worklist:1"])):
+            with pytest.raises(InjectedFault):
+                run_mlir(SOURCE)
+
+    def test_worklist_fault_is_4_and_its_bundle_replays(
+        self, lean_file, tmp_path, capsys
+    ):
+        crash_dir = tmp_path / "crashes"
+        code = cli_main([
+            lean_file,
+            "--inject-fault", "driver.worklist:1",
+            "--crash-dir", str(crash_dir),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4
+        path = Path(bundle_path_from(err))
+        assert load_bundle(path).error_type == "InjectedFault"
+
+        code, _, err = run_opt(
+            capsys,
+            "--pipeline-from-bundle", str(path),
+            "--crash-dir", str(tmp_path / "replay"),
+        )
+        assert code == 1
+        replayed = Path(bundle_path_from(err))
+        assert replayed.name == path.name
+        assert (
+            (replayed / "error.txt").read_text(encoding="utf-8")
+            == (path / "error.txt").read_text(encoding="utf-8")
+        )
+
+    def test_cache_sites_are_unknown(self):
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultPlan.parse(["cache.frontend:1"])
+
+    def test_enable_fallbacks_stubs_reject_true(self):
+        options = PipelineOptions()
+        options.enable_fallbacks = False
+        assert options.enable_fallbacks is False
+        with pytest.raises(ValueError):
+            options.enable_fallbacks = True
+        BaselineCompiler(enable_fallbacks=False)
+        with pytest.raises(ValueError):
+            BaselineCompiler(enable_fallbacks=True)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +374,13 @@ class TestExecutionBudgets:
 
     def test_rc_interpreter_trips(self):
         with pytest.raises(ExecutionBudgetExceeded):
-            run_baseline(
-                DIVERGENT, execution_engine="tree", budget_steps=1000
-            )
+            run_baseline(DIVERGENT, PipelineOptions(
+                execution_engine="tree", execution_budget_steps=1000
+            ))
+
+    def test_baseline_vm_trips(self):
+        with pytest.raises(ExecutionBudgetExceeded):
+            run_baseline(DIVERGENT, PipelineOptions(execution_budget_steps=1000))
 
     def test_vm_trips(self):
         options = PipelineOptions()
@@ -415,30 +408,11 @@ class TestExecutionBudgets:
         rgn_ir = MlirCompiler(options).compile(SOURCE).captured_ir["rgn"]
         pass_ = CanonicalizePass()
         pass_.budget_seconds = 0.0
-        pass_.allow_rescan_retry = False
         with telemetry_session() as t:
             with pytest.raises(RewriteBudgetExceeded):
                 pass_.run(parse_module(rgn_ir))
             snapshot = t.metrics.snapshot()
         assert snapshot["resilience.budget.trips"] >= 1
-
-    def test_rewrite_budget_trip_recovers_via_rescan_retry(self):
-        from repro.transforms.canonicalize import CanonicalizePass
-        from repro.ir.parser import parse_module
-
-        options = PipelineOptions(capture_ir=("rgn",))
-        rgn_ir = MlirCompiler(options).compile(SOURCE).captured_ir["rgn"]
-        pass_ = CanonicalizePass()
-        pass_.budget_seconds = 0.0
-        with telemetry_session() as t:
-            # The worklist engine trips right after its first application;
-            # the rescan retry then finds a fixpoint on the already-rewritten
-            # function before its own deadline check fires, so the ladder
-            # recovers instead of propagating the trip.
-            pass_.run(parse_module(rgn_ir))
-            snapshot = t.metrics.snapshot()
-        assert snapshot["resilience.budget.trips"] >= 1
-        assert snapshot["resilience.retry.rescan"] == 1
 
     def test_diverging_program_is_a_differential_finding(self):
         from repro.fuzz.differential import DifferentialFailure, run_matrix
@@ -469,8 +443,8 @@ class TestRecursionLimit:
     def test_engines_leave_the_process_limit_unchanged(self):
         before = sys.getrecursionlimit()
         run_reference(SOURCE)
-        run_baseline(SOURCE, execution_engine="tree")
-        run_baseline(SOURCE, execution_engine="vm")
+        run_baseline(SOURCE, PipelineOptions(execution_engine="tree"))
+        run_baseline(SOURCE, PipelineOptions(execution_engine="vm"))
         run_mlir(SOURCE)
         tree_options = PipelineOptions()
         tree_options.execution_engine = "tree"
@@ -531,9 +505,12 @@ class TestCliExitCodes:
         assert cli_main([str(program), "--budget-steps", "1000"]) == 5
         assert "budget" in capsys.readouterr().err
 
-    def test_vm_fault_recovers_to_0(self, lean_file, capsys):
-        assert cli_main([lean_file, "--inject-fault", "vm.dispatch:1"]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("variant", ("default", "baseline"))
+    def test_vm_fault_is_5(self, variant, lean_file, capsys):
+        assert cli_main([
+            lean_file, "--variant", variant, "--inject-fault", "vm.dispatch:1",
+        ]) == 5
+        assert "vm.dispatch" in capsys.readouterr().err
 
     def test_opt_lists_fault_sites(self, capsys):
         code, out, _ = run_opt(capsys, "--list-fault-sites")

@@ -26,7 +26,11 @@ from repro.backend.pipeline import (
 )
 from repro.eval.benchmarks import benchmark_sources
 from repro.eval.figures import figure9_report, figure10_report, rc_report
-from repro.eval.harness import EvaluationHarness, measurement_options
+from repro.eval.harness import (
+    EvaluationHarness,
+    measurement_options,
+    oracle_options,
+)
 from repro.eval.testsuite import regression_programs
 from repro.fuzz import full_matrix, load_corpus, run_matrix, typed_programs
 from repro.interp.bytecode import EXECUTION_ENGINES
@@ -34,7 +38,6 @@ from repro.ir.printer import print_module
 from repro.lambda_pure.simplifier import simplify_program
 from repro.lean.printer import print_program
 from repro.rc_opt import insert_optimized_rc
-from repro.resilience import FaultPlan, fault_plan
 from repro.telemetry import Tracer, telemetry_session
 
 SOURCES = benchmark_sources(
@@ -156,7 +159,9 @@ class TestRcLoweringCache:
         ]
         assert len({id(program) for program in lowered}) == 4
         assert (session.stats["rc_hits"], session.stats["rc_misses"]) == (0, 4)
-        BaselineCompiler(enable_simplifier=False, session=session).compile(source)
+        BaselineCompiler(
+            PipelineOptions(run_lambda_simplifier=False), session=session
+        ).compile(source)
         assert (session.stats["rc_hits"], session.stats["rc_misses"]) == (1, 4)
 
     def test_hits_and_misses_publish_as_metrics(self):
@@ -167,15 +172,6 @@ class TestRcLoweringCache:
             snapshot = t.metrics.snapshot()
         assert snapshot["session.rc.misses"] == 1
         assert snapshot["session.rc.hits"] == 2
-
-    def test_frontend_corruption_drops_the_rc_lowerings(self):
-        session = CompilationSession()
-        clean = run_baseline(TINY, session=session)
-        with fault_plan(FaultPlan.parse(["cache.frontend:1"])):
-            recovered = run_baseline(TINY, session=session)
-        assert recovered.value == clean.value
-        # The quarantined entry took its λrc with it: lowered again.
-        assert (session.stats["rc_hits"], session.stats["rc_misses"]) == (0, 2)
 
     def test_full_matrix_lowers_each_rc_mode_once(self):
         session = CompilationSession()
@@ -218,7 +214,8 @@ def _exercise_and_check(source, session):
     run_mlir(source, session=session)
     for enable_simplifier in (True, False):
         BaselineCompiler(
-            enable_simplifier=enable_simplifier, session=session
+            PipelineOptions(run_lambda_simplifier=enable_simplifier),
+            session=session,
         ).run(source)
     run_matrix(source, session=session)
     entry = session._pure_cache[source]
@@ -295,12 +292,13 @@ class TestSharedArtifacts:
     ):
         session = CompilationSession()
         program = BaselineCompiler(
-            rc_mode=rc_mode, session=session
+            PipelineOptions(rc_mode=rc_mode), session=session
         ).compile(source).rc_program
         fresh = _observable(_lowered_fresh(source, (True, True, rc_mode)))
         for engine in EXECUTION_ENGINES:
             BaselineCompiler(
-                rc_mode=rc_mode, session=session, execution_engine=engine,
+                PipelineOptions(rc_mode=rc_mode, execution_engine=engine),
+                session=session,
             ).execute(program)
             assert _observable(program) == fresh, engine
 
@@ -322,6 +320,16 @@ class TestMeasurementOptions:
     def test_unknown_variant_raises(self):
         with pytest.raises(ValueError):
             measurement_options("no-such-variant")
+
+    def test_oracle_options_add_only_the_verifier(self):
+        options = oracle_options(
+            "rc-opt", rewrite_engine="rescan", execution_engine="tree"
+        )
+        assert options.verify_each is True
+        options.verify_each = False
+        assert options == measurement_options(
+            "rc-opt", rewrite_engine="rescan", execution_engine="tree"
+        )
 
 
 class TestLoweringContext:

@@ -666,15 +666,15 @@ class TestNamespaceDrift:
 
     def test_fault_injected_run_publishes_resilience_metrics(self):
         from repro.backend.pipeline import run_mlir
-        from repro.resilience import FaultPlan, fault_plan
+        from repro.resilience import FaultPlan, InjectedFault, fault_plan
 
         source = REGRESSION_BY_NAME["arith_add"].source
         with telemetry_session() as session:
             with fault_plan(FaultPlan.parse(["vm.dispatch:1"])):
-                run_mlir(source)
+                with pytest.raises(InjectedFault):
+                    run_mlir(source)
         snapshot = session.metrics.snapshot()
         assert snapshot.get("resilience.faults.injected") == 1
-        assert snapshot.get("resilience.fallback.vm_to_tree") == 1
         observed = {namespace_of(key) for key in snapshot}
         assert "resilience" in observed
         assert observed <= set(NAMESPACES)
