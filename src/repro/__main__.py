@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 from typing import List, Optional
 
 from .backend.pipeline import (
@@ -49,7 +48,7 @@ from .ir.printer import print_module
 from .lean import LexError, ParseError, TypeError_
 from .resilience import FaultPlan, fault_plan
 from .rewrite.driver import ENGINES
-from .telemetry import MetricsRegistry, Tracer, telemetry_session
+from .telemetry import MetricsRegistry, cli_telemetry
 
 VARIANTS = ("default", "baseline", *FIGURE10_VARIANTS, *RC_VARIANTS)
 
@@ -71,8 +70,7 @@ def _print_run_report(result, *, show_metrics: bool) -> None:
     heap = result.heap_stats
     print(
         f"[metrics] cost={metrics.total_cost()} "
-        f"operations={metrics.total_operations()} "
-        f"wall={metrics.wall_time_seconds * 1e3:.2f}ms"
+        f"operations={metrics.total_operations()}"
     )
     print(
         f"[heap] allocations={heap['allocations']} frees={heap['frees']} "
@@ -124,7 +122,8 @@ def _print_rc_report(report) -> None:
         f"borrowed_params={report.borrowed_parameters} "
         f"fused_pairs={report.fusion.cancelled_pairs} "
         f"merged_ops={report.fusion.merged_ops} "
-        f"reuse_pairs={report.reuse.reuse_pairs}"
+        f"reuse_pairs={report.reuse.reuse_pairs}",
+        file=sys.stderr,
     )
 
 
@@ -169,7 +168,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--verbose", action="store_true",
-        help="print per-pass wall time and rewrite counters while compiling",
+        help="record spans and print the span tree (per-pass rewrite "
+        "counters included) and the RC-optimisation report to stderr",
     )
     parser.add_argument(
         "--no-check-heap", action="store_true",
@@ -251,26 +251,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    telemetry_on = bool(args.trace_out or args.metrics_json or args.exec_stats)
-    tracer = Tracer() if telemetry_on else None
-    registry = MetricsRegistry() if telemetry_on else None
-    scope = (
-        telemetry_session(tracer=tracer, metrics=registry)
-        if telemetry_on
-        else nullcontext()
-    )
-    try:
-        with scope, fault_plan(plan):
-            code = _compile_and_run(args, source)
-    finally:
-        # Trace and metrics snapshots are written even when the compile or
-        # run failed — the failing trace is usually the interesting one.
-        if args.trace_out:
-            tracer.write_chrome_trace(args.trace_out)
-        if args.metrics_json:
-            registry.write_json(args.metrics_json)
+    with cli_telemetry(
+        args.trace_out, args.metrics_json,
+        verbose=args.verbose, record=args.exec_stats,
+    ) as session, fault_plan(plan):
+        code = _compile_and_run(args, source)
     if code == 0 and args.exec_stats:
-        _print_exec_stats(registry, unfused=args.unfused)
+        _print_exec_stats(session.metrics, unfused=args.unfused)
     return code
 
 
@@ -304,7 +291,6 @@ def _compile_and_run(args, source: str) -> int:
         options.rewrite_engine = args.rewrite_engine
     options.execution_engine = args.execution_engine
     options.superinstructions = not args.no_fusion
-    options.verbose_passes = args.verbose
     options.print_ir_after = tuple(args.print_ir_after)
     options.print_ir_after_all = args.print_ir_after_all
     options.crash_bundle_dir = args.crash_dir

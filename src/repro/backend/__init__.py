@@ -12,8 +12,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "FIGURE10_VARIANTS", "RC_VARIANTS", "BaselineCompiler",
         "CompilationArtifacts", "CompilationSession", "Frontend",
         "MlirCompiler", "PipelineOptions", "build_spec_pipeline",
-        "rgn_pipeline_spec", "run_baseline", "run_mlir", "run_rc_variant",
-        "run_reference",
+        "rgn_pipeline_spec", "run_baseline", "run_mlir", "run_reference",
     ),
     ".rgn_to_cf": ("RgnToCfPass", "lower_rgn_to_cf"),
 })

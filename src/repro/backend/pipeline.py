@@ -24,8 +24,6 @@ runs between RC insertion and backend lowering):
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from ..dialects.builtin import ModuleOp
@@ -53,7 +51,6 @@ from ..telemetry import (
     PrintIRInstrumentation,
     get_metrics,
     get_tracer,
-    metric_component,
 )
 from .lowering_context import LoweringContext
 from .lp_codegen import generate_lp_module
@@ -98,8 +95,6 @@ class PipelineOptions(Record):
     superinstructions: bool = True
     #: Verify the IR after every pass (slower; on by default in tests).
     verify_each: bool = True
-    #: Print per-pass wall time and rewrite counters while compiling.
-    verbose_passes: bool = False
     #: Pass names whose output IR is printed after they run
     #: (``--print-ir-after=<pass>``, MLIR's ``--mlir-print-ir-after``).
     print_ir_after: Tuple[str, ...] = ()
@@ -134,10 +129,9 @@ class PipelineOptions(Record):
         "enable_case_elimination", "enable_common_branch_elimination",
         "enable_constant_fold", "enable_cse", "rc_mode", "rewrite_engine",
         "execution_engine", "superinstructions", "verify_each",
-        "verbose_passes", "print_ir_after", "print_ir_after_all",
-        "print_ir_on_failure", "incremental_rgn_opt", "capture_ir",
-        "crash_bundle_dir", "execution_budget_seconds",
-        "execution_budget_steps",
+        "print_ir_after", "print_ir_after_all", "print_ir_on_failure",
+        "incremental_rgn_opt", "capture_ir", "crash_bundle_dir",
+        "execution_budget_seconds", "execution_budget_steps",
     )
 
     def __init__(self, **overrides):
@@ -466,23 +460,9 @@ class CompilationSession:
         }
 
 
-@contextmanager
 def phase(name: str):
-    """One compilation phase of either compiler: a ``phase:<name>`` span,
-    plus ``pipeline.phase.<name>.seconds`` in the active metrics registry."""
-    with get_tracer().span("phase:" + name, category="phase"):
-        registry = get_metrics()
-        if not registry.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            registry.observe(
-                "pipeline.phase." + metric_component(name) + ".seconds",
-                time.perf_counter() - start,
-            )
+    """One compilation phase of either compiler: a ``phase:<name>`` span."""
+    return get_tracer().span("phase:" + name, category="phase")
 
 
 def lower_to_rc(
@@ -590,7 +570,6 @@ def build_spec_pipeline(spec: str, options: PipelineOptions) -> PassManager:
     return build_pipeline(
         spec,
         verify_each=options.verify_each,
-        verbose=options.verbose_passes,
         instrumentations=pass_instrumentations(options),
         crash_handler=crash_handler,
     )
@@ -833,14 +812,3 @@ def run_mlir(
 ) -> RunResult:
     """Compile and run via the lp+rgn pipeline."""
     return MlirCompiler(options, session=session).run(source, check_heap=check_heap)
-
-
-def run_rc_variant(
-    source: str, variant: str, *, check_heap: bool = True
-) -> RunResult:
-    """Compile and run via the lp+rgn pipeline at one RC optimisation level
-    (``rc-naive`` / ``rc-opt`` / ``rc-opt+reuse``)."""
-    if variant not in RC_VARIANTS:
-        raise ValueError(f"unknown RC variant {variant!r}")
-    return run_mlir(source, PipelineOptions.variant(variant), check_heap=check_heap)
-

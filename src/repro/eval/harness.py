@@ -92,7 +92,7 @@ class VariantMeasurement(Record):
 
     _fields = (
         "benchmark", "variant", "value", "total_cost", "total_operations",
-        "wall_time_seconds", "allocations", "rc_ops", "reuses", "metrics",
+        "allocations", "rc_ops", "reuses", "metrics",
     )
 
     def __init__(
@@ -102,7 +102,6 @@ class VariantMeasurement(Record):
         value: object,
         total_cost: int,
         total_operations: int,
-        wall_time_seconds: float,
         allocations: int,
         rc_ops: int,
         reuses: int = 0,
@@ -113,7 +112,6 @@ class VariantMeasurement(Record):
         self.value = value
         self.total_cost = total_cost
         self.total_operations = total_operations
-        self.wall_time_seconds = wall_time_seconds
         self.allocations = allocations
         self.rc_ops = rc_ops
         self.reuses = reuses
@@ -204,7 +202,6 @@ def _measure(
         value=result.value,
         total_cost=result.metrics.total_cost(),
         total_operations=result.metrics.total_operations(),
-        wall_time_seconds=result.metrics.wall_time_seconds,
         allocations=result.heap_stats["allocations"],
         rc_ops=counts.get("rc", 0),
         reuses=result.heap_stats.get("reuses", 0),

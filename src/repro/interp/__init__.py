@@ -8,7 +8,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "BytecodeProgram", "VirtualMachine", "compile_cfg_module",
         "compile_rc_program", "run_rc_program_vm",
     ),
-    ".cfg_interp": ("CfgInterpreter", "CfgInterpreterError", "run_cfg_module"),
+    ".cfg_interp": ("CfgInterpreter", "CfgInterpreterError"),
     ".limits": ("DEFAULT_RECURSION_LIMIT", "recursion_limit"),
     ".metrics": ("DEFAULT_COSTS", "ExecutionMetrics", "RunResult"),
     ".rc_interp": ("RcInterpreter", "run_rc_program"),

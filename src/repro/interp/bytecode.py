@@ -63,7 +63,6 @@ Four execution-speed levers sit on top of that contract:
 from __future__ import annotations
 
 import operator
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import arith, cf, lp
@@ -1169,7 +1168,6 @@ class VirtualMachine:
         entry = main or self.program.main
         if self.budget is not None:
             self.budget.start()
-        start = time.perf_counter()
         try:
             # The explicit call stack makes arbitrarily deep bytecode
             # recursion safe under the default sys recursion limit; only
@@ -1183,7 +1181,6 @@ class VirtualMachine:
             # Fold charges into the metrics even when execution faults, so
             # the counters reflect the work done up to the error — the same
             # observable the incrementally-charging tree-walkers leave.
-            self.metrics.wall_time_seconds = time.perf_counter() - start
             self._flush_counts()
             self._publish_telemetry()
         snapshot = python_value(result) if result is not None else None
@@ -1239,8 +1236,8 @@ class VirtualMachine:
         )
 
     def _publish_telemetry(self) -> None:
-        """Publish instruction frequencies and run time into the active
-        metrics registry (``vm.instr.freq.<op>`` / ``vm.run.seconds``)."""
+        """Publish instruction frequencies into the active metrics registry
+        (``vm.instr.freq.<op>``, ``vm.fusion.*``)."""
         registry = get_metrics()
         if not registry.enabled:
             return
@@ -1250,7 +1247,6 @@ class VirtualMachine:
             registry.bump("vm.fusion.sites", self.program.fused_sites)
             executed = sum(self.opcode_counts[op] for op in FUSED_OPCODES)
             registry.bump("vm.fusion.executed", executed)
-        registry.observe("vm.run.seconds", self.metrics.wall_time_seconds)
 
     # -- calls ------------------------------------------------------------
     def call_function(self, name: str, args: List[object]) -> object:

@@ -14,7 +14,6 @@ values (``!lp.t``).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from ..resilience.budgets import ExecutionBudget
@@ -78,10 +77,8 @@ class CfgInterpreter:
     ) -> RunResult:
         if self.budget is not None:
             self.budget.start()
-        start = time.perf_counter()
         with recursion_limit(self.recursion_limit):
             result = self.call_function(main, list(args or []))
-        self.metrics.wall_time_seconds = time.perf_counter() - start
         snapshot = python_value(result) if result is not None else None
         if result is not None:
             self.ctx.release(result)
@@ -302,8 +299,3 @@ class CfgInterpreter:
             return None
 
         raise CfgInterpreterError(f"cannot interpret operation {op.name}")
-
-
-def run_cfg_module(module: ModuleOp, *, main: str = "main", check_heap: bool = True) -> RunResult:
-    """Convenience wrapper: execute ``@main`` of a CFG-form module."""
-    return CfgInterpreter(module).run_main(main, check_heap=check_heap)

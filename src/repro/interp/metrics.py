@@ -37,17 +37,15 @@ DEFAULT_COSTS: Dict[str, int] = {
 class ExecutionMetrics(Record):
     """Counters collected while interpreting one program execution."""
 
-    _fields = ("counts", "costs", "wall_time_seconds")
+    _fields = ("counts", "costs")
 
     def __init__(
         self,
         counts: Optional[Dict[str, int]] = None,
         costs: Optional[Dict[str, int]] = None,
-        wall_time_seconds: float = 0.0,
     ):
         self.counts = {} if counts is None else counts
         self.costs = dict(DEFAULT_COSTS) if costs is None else costs
-        self.wall_time_seconds = wall_time_seconds
 
     def charge(self, category: str, times: int = 1) -> None:
         self.counts[category] = self.counts.get(category, 0) + times
@@ -67,7 +65,6 @@ class ExecutionMetrics(Record):
         for source in (self, other):
             for category, count in source.counts.items():
                 merged.counts[category] = merged.counts.get(category, 0) + count
-        merged.wall_time_seconds = self.wall_time_seconds + other.wall_time_seconds
         return merged
 
     def as_dict(self) -> Dict[str, object]:
@@ -75,7 +72,6 @@ class ExecutionMetrics(Record):
             "counts": dict(self.counts),
             "total_operations": self.total_operations(),
             "total_cost": self.total_cost(),
-            "wall_time_seconds": self.wall_time_seconds,
         }
 
 

@@ -12,7 +12,6 @@ exactly this interpreter.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..resilience.budgets import ExecutionBudget
@@ -76,10 +75,8 @@ class RcInterpreter:
     def run_main(self, args: Optional[List[Value]] = None, *, check_heap: bool = True) -> RunResult:
         if self.budget is not None:
             self.budget.start()
-        start = time.perf_counter()
         with recursion_limit(self.recursion_limit):
             result = self.call(self.program.main, list(args or []))
-        self.metrics.wall_time_seconds = time.perf_counter() - start
         snapshot = python_value(result)
         # The driver owns the returned value; release it and check balance.
         self.ctx.release(result)

@@ -23,7 +23,7 @@ input, pipeline and fault plan all come from the bundle.
 
 The input is generic-form IR as printed by :mod:`repro.ir.printer` (get
 some via ``python -m repro program.lean --emit rgn``); the result prints
-on stdout (or ``-o``).  Telemetry flags (``--trace-out``,
+on stdout (or ``-o``).  Telemetry flags (``--trace-out``, ``--verbose``,
 ``--metrics-json``, ``--print-ir-after*``) come for free through
 :class:`~repro.rewrite.pass_manager.PassManager` — the exact
 instrumentation stack of the in-compiler pipelines.
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 from typing import List, Optional
 
 from .backend.pipeline import PipelineOptions, rgn_pipeline_spec
@@ -63,12 +62,7 @@ from .rewrite.registry import (
     describe_registered_passes,
     pipeline_fingerprint,
 )
-from .telemetry import (
-    MetricsRegistry,
-    PrintIRInstrumentation,
-    Tracer,
-    telemetry_session,
-)
+from .telemetry import PrintIRInstrumentation, cli_telemetry
 
 
 def _read_input(path: str) -> str:
@@ -129,7 +123,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--verbose", action="store_true",
-        help="print per-pass wall time and rewrite counters",
+        help="record spans and print the span tree (per-pass rewrite "
+        "counters included) to stderr",
     )
     parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
@@ -233,7 +228,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         pipeline = build_pipeline(
             spec,
             verify_each=verify_each,
-            verbose=args.verbose,
             instrumentations=instrumentations,
             crash_handler=CrashBundleWriter(args.crash_dir),
         )
@@ -250,36 +244,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
 
-    telemetry_on = bool(args.trace_out or args.metrics_json)
-    tracer = Tracer() if telemetry_on else None
-    registry = MetricsRegistry() if telemetry_on else None
-    scope = (
-        telemetry_session(tracer=tracer, metrics=registry)
-        if telemetry_on
-        else nullcontext()
-    )
-    try:
-        with scope:
-            try:
-                with fault_plan(plan):
-                    module = parse_module(text)
-                    verify(module)
-                    pipeline.run(module)
-            except (ParseError, VerificationError) as error:
-                print(f"error: {error}", file=sys.stderr)
-                _report_crash_bundle(error)
-                return 1
-            except Exception as error:  # pass crash / injected fault / budget
-                name = type(error).__name__
-                print(f"error: {name}: {error}", file=sys.stderr)
-                _report_crash_bundle(error)
-                return 1
-            result = print_module(module)
-    finally:
-        if args.trace_out:
-            tracer.write_chrome_trace(args.trace_out)
-        if args.metrics_json:
-            registry.write_json(args.metrics_json)
+    with cli_telemetry(args.trace_out, args.metrics_json, verbose=args.verbose):
+        try:
+            with fault_plan(plan):
+                module = parse_module(text)
+                verify(module)
+                pipeline.run(module)
+        except (ParseError, VerificationError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            _report_crash_bundle(error)
+            return 1
+        except Exception as error:  # pass crash / injected fault / budget
+            name = type(error).__name__
+            print(f"error: {name}: {error}", file=sys.stderr)
+            _report_crash_bundle(error)
+            return 1
+        result = print_module(module)
 
     if args.verify_roundtrip:
         try:

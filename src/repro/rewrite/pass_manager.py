@@ -2,8 +2,9 @@
 
 A :class:`Pass` transforms a module in place.  :class:`PassManager` runs a
 pipeline of passes, optionally verifying the IR after each one (the default,
-as in MLIR's ``-verify-each``), and records per-pass wall time and rewrite
-counters (MLIR's ``-mlir-pass-statistics``/``-mlir-timing`` analogue).
+as in MLIR's ``-verify-each``), and merges each pass's rewrite counters
+(MLIR's ``-mlir-pass-statistics`` analogue).  It keeps no clock: per-pass
+time is the ``pass:<name>`` span (MLIR's ``-mlir-timing`` analogue).
 
 Observability (see ``docs/OBSERVABILITY.md``):
 
@@ -12,15 +13,15 @@ Observability (see ``docs/OBSERVABILITY.md``):
   ``run_after_pass_failed``) — a pass that raises, or whose output the
   ``verify_each`` verifier rejects, triggers the failure hook before the
   exception propagates,
-* each pass runs inside a telemetry span (``pass:<name>``), so traces show
-  where inside a pipeline phase the time goes,
-* per-pass counter deltas and wall time publish into the active metrics
-  registry under ``rewrite.<pass>.<counter>``.
+* each pass runs inside a telemetry span (``pass:<name>``) that carries the
+  run's counter delta, so traces show where inside a pipeline phase the
+  time goes and what each run rewrote,
+* per-pass counter deltas publish into the active metrics registry under
+  ``rewrite.<pass>.<counter>``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence
 
 from ..ir.core import Operation
@@ -150,18 +151,13 @@ class PassManager:
         passes: Optional[Sequence[Pass]] = None,
         *,
         verify_each: bool = True,
-        verbose: bool = False,
         instrumentations: Optional[Sequence[PassInstrumentation]] = None,
         crash_handler=None,
     ):
         self.passes: List[Pass] = list(passes or [])
         self.verify_each = verify_each
-        #: Print a per-pass timing/statistics line after each pass runs.
-        self.verbose = verbose
         #: pass name -> statistics, populated by :meth:`run`.
         self.statistics: Dict[str, PassStatistics] = {}
-        #: pass name -> wall time in seconds, populated by :meth:`run`.
-        self.timings: Dict[str, float] = {}
         #: Instrumentation callbacks bracketing every pass.
         self.instrumentations: List[PassInstrumentation] = list(
             instrumentations or []
@@ -231,21 +227,18 @@ class PassManager:
                     hits_baseline = plan.snapshot_hits()
             for instr in self.instrumentations:
                 instr.run_before_pass(pass_, module)
-            start = time.perf_counter()
             try:
-                with tracer.span("pass:" + pass_.name, category="pass"):
+                with tracer.span("pass:" + pass_.name, category="pass") as span:
                     fault_hit("pass." + pass_.name)
                     pass_.run(module)
             except Exception as error:
                 self._notify_failed(pass_, module, error)
                 self._handle_crash(index, pre_pass_ir, hits_baseline, error)
                 raise
-            elapsed = time.perf_counter() - start
             # Merge this run's counter *delta* into the per-name statistics.
             # Assigning ``pass_.statistics`` outright (the old behaviour)
             # silently clobbered earlier runs whenever the same pass — or two
-            # instances sharing a name — ran twice, pairing cumulative
-            # timings with last-run-only counters.
+            # instances sharing a name — ran twice.
             delta = {
                 key: value - before.get(key, 0)
                 for key, value in pass_.statistics.counters.items()
@@ -257,14 +250,11 @@ class PassManager:
                     merged.bump_meter(key, value)
                 else:
                     merged.bump(key, value)
-            self.timings[pass_.name] = self.timings.get(pass_.name, 0.0) + elapsed
+                span.set(key, value)
             if registry.enabled:
                 prefix = "rewrite." + metric_component(pass_.name) + "."
                 for key, value in delta.items():
                     registry.bump(prefix + metric_component(key), value)
-                registry.observe(prefix + "seconds", elapsed)
-            if self.verbose:
-                print(self._format_pass_line(pass_.name, elapsed, delta))
             if self.verify_each:
                 try:
                     with tracer.span("verify:" + pass_.name, category="verify"):
@@ -278,38 +268,9 @@ class PassManager:
                 instr.run_after_pass(pass_, module)
         return module
 
-    @staticmethod
-    def _format_pass_line(name: str, elapsed: float, counters: Dict[str, int]) -> str:
-        details = (
-            ", ".join(f"{key}={value}" for key, value in sorted(counters.items()))
-            or "no rewrites"
-        )
-        return f"[pass] {name:28s} {elapsed * 1e3:8.2f} ms  {details}"
-
-    @property
-    def total_time(self) -> float:
-        """Total wall time spent inside passes (seconds)."""
-        return sum(self.timings.values())
-
     def total_rewrites(self) -> int:
         """Total rewrite count across every pass that has run."""
         return sum(stats.total() for stats in self.statistics.values())
-
-    def report(self) -> str:
-        """Multi-line timing/statistics report for every pass that has run.
-
-        Reported counters are the merged per-name totals, so a pass that ran
-        several times shows cumulative time *and* cumulative counters.
-        """
-        lines = ["Pass pipeline statistics", "========================"]
-        for name, elapsed in self.timings.items():
-            counters = self.statistics.get(name, PassStatistics()).counters
-            lines.append(self._format_pass_line(name, elapsed, counters))
-        lines.append(
-            f"total: {self.total_time * 1e3:.2f} ms, "
-            f"{self.total_rewrites()} rewrites across {len(self.timings)} passes"
-        )
-        return "\n".join(lines)
 
     def describe(self) -> str:
         """Textual pipeline description, e.g. ``cse,dce,region-gvn``."""

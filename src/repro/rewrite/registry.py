@@ -298,7 +298,6 @@ def build_pipeline(
     spec: str,
     *,
     verify_each: bool = True,
-    verbose: bool = False,
     instrumentations: Optional[Sequence] = None,
     crash_handler=None,
 ) -> PassManager:
@@ -306,7 +305,6 @@ def build_pipeline(
     return PassManager(
         build_passes(spec),
         verify_each=verify_each,
-        verbose=verbose,
         instrumentations=instrumentations,
         crash_handler=crash_handler,
     )

@@ -8,10 +8,11 @@ Three pillars (see ``docs/OBSERVABILITY.md``):
   and VM runs, exporting Chrome trace-event JSON (Perfetto-loadable) and
   a plain-text tree report.
 * **Central metrics registry** (:mod:`~repro.telemetry.metrics`) — one
-  namespaced :class:`MetricsRegistry` that every stat surface (pass
-  counters, phase timings, region-GVN fingerprint meters, session
+  namespaced :class:`MetricsRegistry` of integer counters that every stat
+  surface (pass counters, region-GVN fingerprint meters, session
   hit/miss, VM instruction frequencies) publishes into; one JSON
-  snapshot behind the ``--metrics-json`` flags.
+  snapshot behind the ``--metrics-json`` flags.  Time lives only in
+  spans.
 * **Pass instrumentation** (:mod:`~repro.telemetry.instrumentation`) —
   MLIR-style ``run_before_pass`` / ``run_after_pass`` /
   ``run_after_pass_failed`` hooks on the pass manager, powering
@@ -34,7 +35,8 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ".tracer": ("NULL_SPAN", "NULL_TRACER", "NullTracer", "Span", "Tracer"),
     ".instrumentation": ("PassInstrumentation", "PrintIRInstrumentation"),
     ".context": (
-        "TelemetrySession", "active_session", "get_metrics", "get_tracer",
+        "TelemetrySession", "active_session", "cli_telemetry", "get_metrics",
+        "get_tracer",
         "measured_metrics", "telemetry_session",
     ),
 })

@@ -12,15 +12,11 @@ forked worker inherits (a copy of) its parent's state.
 from __future__ import annotations
 
 import contextvars
+import sys
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-from .metrics import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    Number,
-    snapshot_delta,
-)
+from .metrics import NULL_REGISTRY, MetricsRegistry, snapshot_delta
 from .tracer import NULL_TRACER, Tracer
 
 
@@ -74,7 +70,38 @@ def telemetry_session(
 
 
 @contextmanager
-def measured_metrics() -> Iterator[Dict[str, Number]]:
+def cli_telemetry(
+    trace_path: Optional[str] = None,
+    metrics_path: Optional[str] = None,
+    *,
+    verbose: bool = False,
+    record: bool = False,
+) -> Iterator[Optional[TelemetrySession]]:
+    """The telemetry scope of one command-line invocation.
+
+    Opens a session only when something consumes it: a Chrome trace file,
+    a metrics snapshot file, the span report (``verbose``) or a caller that
+    reads the session afterwards (``record``); otherwise yields None.  The
+    files are written, and the span tree printed to stderr, even when the
+    block raises — the failing trace is usually the interesting one.
+    """
+    if not (trace_path or metrics_path or verbose or record):
+        yield None
+        return
+    with telemetry_session() as session:
+        try:
+            yield session
+        finally:
+            if trace_path:
+                session.tracer.write_chrome_trace(trace_path)
+            if metrics_path:
+                session.metrics.write_json(metrics_path)
+            if verbose:
+                print(session.tracer.report(), file=sys.stderr)
+
+
+@contextmanager
+def measured_metrics() -> Iterator[Dict[str, int]]:
     """Yield a dict filled with the metrics recorded inside the block.
 
     Reuses the active session's registry (reporting the delta, so an outer
@@ -84,7 +111,7 @@ def measured_metrics() -> Iterator[Dict[str, Number]]:
     session = _ACTIVE.get()
     if session is not None:
         before = session.metrics.snapshot()
-        out: Dict[str, Number] = {}
+        out: Dict[str, int] = {}
         try:
             yield out
         finally:

@@ -5,20 +5,16 @@ Every stat surface of the compiler publishes into one namespaced
 
 * ``rewrite.<pass>.<counter>`` — pass-manager counters and meters
   (``rewrite.canonicalize.match_attempts``, the region-GVN fingerprint
-  meters, per-pass ``seconds``),
-* ``pipeline.phase.<phase>.seconds`` — per-phase compile wall time from
-  both compilers,
+  meters),
 * ``session.frontend.* / session.bytecode.*`` — compilation-session cache
   hits and misses,
-* ``vm.instr.freq.<op>`` — the VM's dynamic instruction frequencies, plus
-  ``vm.run.seconds``,
+* ``vm.instr.freq.<op>`` — the VM's dynamic instruction frequencies,
 * ``harness.*`` — evaluation-harness bookkeeping,
 * ``resilience.*`` — failure-path accounting: injected faults, budget
   trips, crash bundles written and bisection runs.
 
-The registry stores integer counters (:meth:`bump`) and float gauges
-(:meth:`observe`, accumulating — repeated observations of a timing add
-up, so a phase's seconds total every compile of the session).
+The registry stores integer counters only (:meth:`bump`), so a snapshot is
+deterministic run to run; time lives in the tracer's spans.
 :meth:`snapshot` returns one sorted, JSON-ready dict — the payload behind
 the ``--metrics-json`` CLI flags.
 """
@@ -26,14 +22,12 @@ the ``--metrics-json`` CLI flags.
 from __future__ import annotations
 
 import re
-from typing import Dict, Union
-
-Number = Union[int, float]
+from typing import Dict
 
 #: Every valid top-level metric namespace.  ``docs/OBSERVABILITY.md``
 #: documents each one; ``tests/test_telemetry.py`` drift-tests the two
 #: against each other and against a real compile's snapshot.
-NAMESPACES = ("harness", "pipeline", "resilience", "rewrite", "session", "vm")
+NAMESPACES = ("harness", "resilience", "rewrite", "session", "vm")
 
 _COMPONENT_SANITIZER = re.compile(r"[^A-Za-z0-9_]")
 
@@ -54,35 +48,25 @@ def namespace_of(key: str) -> str:
 
 
 class MetricsRegistry:
-    """Namespaced counters and gauges for one telemetry session."""
+    """Namespaced integer counters for one telemetry session."""
 
     enabled = True
 
     def __init__(self):
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
 
     # -- recording ---------------------------------------------------------
     def bump(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to the integer counter ``name``."""
         self._counters[name] = self._counters.get(name, 0) + amount
 
-    def observe(self, name: str, value: float) -> None:
-        """Accumulate ``value`` into the float gauge ``name``."""
-        self._gauges[name] = self._gauges.get(name, 0.0) + value
-
     # -- reading -----------------------------------------------------------
-    def get(self, name: str, default: Number = 0) -> Number:
-        if name in self._counters:
-            return self._counters[name]
-        return self._gauges.get(name, default)
+    def get(self, name: str, default: int = 0) -> int:
+        return self._counters.get(name, default)
 
-    def snapshot(self) -> Dict[str, Number]:
+    def snapshot(self) -> Dict[str, int]:
         """Every metric, keys sorted — the ``--metrics-json`` payload."""
-        merged: Dict[str, Number] = {}
-        merged.update(self._counters)
-        merged.update(self._gauges)
-        return dict(sorted(merged.items()))
+        return dict(sorted(self._counters.items()))
 
     def write_json(self, path: str) -> None:
         import json
@@ -96,7 +80,7 @@ class MetricsRegistry:
             handle.write("\n")
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges)
+        return len(self._counters)
 
 
 class NullMetricsRegistry:
@@ -108,13 +92,10 @@ class NullMetricsRegistry:
     def bump(self, name: str, amount: int = 1) -> None:
         pass
 
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def get(self, name: str, default: Number = 0) -> Number:
+    def get(self, name: str, default: int = 0) -> int:
         return default
 
-    def snapshot(self) -> Dict[str, Number]:
+    def snapshot(self) -> Dict[str, int]:
         return {}
 
     def __len__(self) -> int:
@@ -124,11 +105,9 @@ class NullMetricsRegistry:
 NULL_REGISTRY = NullMetricsRegistry()
 
 
-def snapshot_delta(
-    after: Dict[str, Number], before: Dict[str, Number]
-) -> Dict[str, Number]:
+def snapshot_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
     """The metrics recorded between two snapshots of the same registry."""
-    delta: Dict[str, Number] = {}
+    delta: Dict[str, int] = {}
     for key, value in after.items():
         changed = value - before.get(key, 0)
         if changed:

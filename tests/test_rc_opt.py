@@ -18,7 +18,7 @@ from repro.backend.pipeline import (
     Frontend,
     PipelineOptions,
     run_baseline,
-    run_rc_variant,
+    run_mlir,
     run_reference,
 )
 from repro.eval.benchmarks import benchmark_sources
@@ -427,7 +427,7 @@ class TestRcVariantsOnBenchmarkSuite:
         source = BENCHMARKS[name]
         expected = run_reference(source)
         # check_heap=True raises on leaks; double frees raise eagerly.
-        result = run_rc_variant(source, variant, check_heap=True)
+        result = run_mlir(source, PipelineOptions.variant(variant), check_heap=True)
         assert result.value == expected
         assert result.heap_stats["allocations"] == result.heap_stats["frees"]
 
@@ -446,16 +446,20 @@ class TestRcVariantsOnBenchmarkSuite:
         naive_total = 0
         opt_total = 0
         for source in BENCHMARKS.values():
-            naive_total += run_rc_variant(source, "rc-naive").metrics.counts["rc"]
-            opt_total += run_rc_variant(source, "rc-opt").metrics.counts["rc"]
+            naive_total += run_mlir(
+                source, PipelineOptions.variant("rc-naive")
+            ).metrics.counts["rc"]
+            opt_total += run_mlir(
+                source, PipelineOptions.variant("rc-opt")
+            ).metrics.counts["rc"]
         assert opt_total < naive_total
 
     def test_rc_opt_reuse_reduces_allocations_on_ctor_heavy_benchmarks(self):
         reduced = []
         for name in ("const_fold", "deriv", "rbmap_checkpoint"):
             source = BENCHMARKS[name]
-            naive = run_rc_variant(source, "rc-naive").heap_stats
-            reuse = run_rc_variant(source, "rc-opt+reuse").heap_stats
+            naive = run_mlir(source, PipelineOptions.variant("rc-naive")).heap_stats
+            reuse = run_mlir(source, PipelineOptions.variant("rc-opt+reuse")).heap_stats
             assert reuse["allocations"] <= naive["allocations"]
             if reuse["allocations"] < naive["allocations"]:
                 assert reuse["reuses"] > 0

@@ -18,6 +18,7 @@ from repro.rewrite import (
     apply_patterns_greedily,
 )
 from repro.rewrite.pass_manager import Pass
+from repro.telemetry import telemetry_session
 from repro.transforms.constant_fold import constant_fold_patterns
 
 
@@ -379,8 +380,7 @@ class CountingPass(Pass):
 
 class TestPassManagerStatistics:
     def test_same_instance_twice_accumulates(self):
-        """Satellite regression: statistics used to pair cumulative timings
-        with last-run-only counters."""
+        """Regression: statistics once kept only the last run's counters."""
         module = ModuleOp()
         pass_ = CountingPass()
         manager = PassManager([pass_, pass_], verify_each=False)
@@ -395,29 +395,33 @@ class TestPassManagerStatistics:
         assert manager.statistics["counting"].get("runs") == 2
         assert manager.total_rewrites() == 22
 
-    def test_repeated_run_keeps_counters_and_timings_paired(self):
+    def test_repeated_run_accumulates_statistics_and_spans(self):
         module = ModuleOp()
         pass_ = CountingPass()
         manager = PassManager([pass_], verify_each=False)
-        manager.run(module)
-        manager.run(module)
+        with telemetry_session() as session:
+            manager.run(module)
+            manager.run(module)
         assert manager.statistics["counting"].get("runs") == 2
-        assert manager.timings["counting"] > 0
+        spans = session.tracer.find("pass:counting")
+        assert [span.args for span in spans] == [{"runs": 1, "work": 10}] * 2
 
-    def test_report_lists_each_pass_once(self):
+    def test_statistics_list_each_pass_once(self):
         module = ModuleOp()
         pass_ = CountingPass()
         manager = PassManager([pass_, pass_], verify_each=False)
         manager.run(module)
-        report = manager.report()
-        assert report.count("counting") == 1
-        assert "runs=2" in report
+        assert list(manager.statistics) == ["counting"]
+        assert manager.statistics["counting"].counters == {"runs": 2, "work": 20}
 
-    def test_verbose_line_shows_per_run_delta(self, capsys):
+    def test_pass_spans_carry_per_run_delta(self):
         module = ModuleOp()
         pass_ = CountingPass()
-        manager = PassManager([pass_, pass_], verify_each=False, verbose=True)
-        manager.run(module)
-        out = capsys.readouterr().out
-        # Each run prints its own delta (runs=1), not the cumulative total.
-        assert out.count("runs=1") == 2
+        manager = PassManager([pass_, pass_], verify_each=False)
+        with telemetry_session() as session:
+            manager.run(module)
+        spans = session.tracer.find("pass:counting")
+        # Each run's span carries its own delta (runs=1), not the total.
+        assert len(spans) == 2
+        assert all(span.args["runs"] == 1 for span in spans)
+        assert "runs=1" in session.tracer.report()
