@@ -177,7 +177,7 @@ class TestIncrementalRecompilation:
         for _ in range(self.REPEATS):
             session = CompilationSession()
             options = measurement_options("rgn")
-            options.incremental_rgn_opt = True  # off for plain measurements
+            options.incremental_rgn_opt = True  # off by default
             compiler = MlirCompiler(options, session=session)
             with telemetry_session(tracer=Tracer()) as telemetry:
                 compiler.compile(rbmap_source)

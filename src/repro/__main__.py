@@ -294,9 +294,6 @@ def _compile_and_run(args, source: str) -> int:
     options.print_ir_after = tuple(args.print_ir_after)
     options.print_ir_after_all = args.print_ir_after_all
     options.crash_bundle_dir = args.crash_dir
-    # One compile per process can never hit the per-function rgn-opt
-    # cache, so skip fingerprinting every function for it.
-    options.incremental_rgn_opt = False
     options.execution_budget_seconds = args.budget_seconds
     options.execution_budget_steps = args.budget_steps
     if args.emit in ("rgn", "rgn-opt"):

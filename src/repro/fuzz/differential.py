@@ -28,8 +28,8 @@ hypothesis shrinks the *program*, and the shrunk source is what lands in
 
 Every pipeline runs with :func:`~repro.eval.harness.oracle_options`: a
 VM fault is a finding naming its configuration, and every lp+rgn compile
-runs the IR verifier after each pass (``verify_each=True``, which also
-makes rewrite non-convergence an error), so a pass that breaks an IR
+verifies every IR state its passes produce (``verify_each=True``, which
+also makes rewrite non-convergence an error), so a pass that breaks an IR
 invariant is a finding too.
 
 Each distinct artifact is built once and run on every execution

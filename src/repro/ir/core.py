@@ -34,6 +34,15 @@ Ordering queries (``is_before_in_block``, used by dominance on every operand
 check) are O(1) amortised through lazily maintained order keys: insertions
 assign a key midway between the neighbours' keys and fall back to a full
 O(n) renumbering only when the gap is exhausted.
+
+Every structural primitive — linking and unlinking an op, setting operands
+or attributes, adding or erasing block arguments, dropping a block's ops
+and adding blocks to a region — bumps one process-wide counter,
+:func:`mutation_count`.  It only ever grows, so two equal readings mean no
+IR anywhere in the process changed in between; the pass manager uses that
+to verify each IR state once.  Passes mutate IR only through these
+primitives (``tests/test_mutation_counter.py`` scans them for direct
+field writes).
 """
 
 from __future__ import annotations
@@ -47,6 +56,19 @@ from .types import Type
 #: the middle bisect the gap and only force a renumber after ~log2(stride)
 #: consecutive inserts at the same spot.
 _ORDER_STRIDE = 16
+
+#: Bumped by every IR mutation primitive; read through :func:`mutation_count`.
+_mutations = 0
+
+
+def mutation_count() -> int:
+    """How many IR mutations this process has made so far.
+
+    Equal readings before and after a piece of code prove it changed no
+    IR.  The converse does not hold: a mutation of unrelated IR, or one
+    that restores the old state, also moves the count.
+    """
+    return _mutations
 
 
 class Use:
@@ -240,12 +262,16 @@ class Operation:
         value.add_use(Use(self, index))
 
     def set_operand(self, index: int, value: Value) -> None:
+        global _mutations
+        _mutations += 1
         old = self._operands[index]
         old.remove_use(self, index)
         self._operands[index] = value
         value.add_use(Use(self, index))
 
     def set_operands(self, values: Sequence[Value]) -> None:
+        global _mutations
+        _mutations += 1
         self.drop_operand_uses()
         self._operands = []
         for v in values:
@@ -299,9 +325,13 @@ class Operation:
         return self.attributes.get(name)
 
     def set_attr(self, name: str, attr: Attribute) -> None:
+        global _mutations
+        _mutations += 1
         self.attributes[name] = attr
 
     def remove_attr(self, name: str) -> None:
+        global _mutations
+        _mutations += 1
         self.attributes.pop(name, None)
 
     # -- structure ---------------------------------------------------------
@@ -501,15 +531,19 @@ class Block:
 
     # -- arguments ----------------------------------------------------------
     def add_argument(self, type: Type, name_hint: Optional[str] = None) -> BlockArgument:
+        global _mutations
+        _mutations += 1
         arg = BlockArgument(type, self, len(self.arguments))
         arg.name_hint = name_hint
         self.arguments.append(arg)
         return arg
 
     def erase_argument(self, index: int) -> None:
+        global _mutations
         arg = self.arguments[index]
         if arg.has_uses:
             raise ValueError("erasing block argument that still has uses")
+        _mutations += 1
         del self.arguments[index]
         for i, a in enumerate(self.arguments):
             a.index = i
@@ -529,6 +563,8 @@ class Block:
             )
         if op.erased:
             raise ValueError(f"inserting erased operation {op.name}")
+        global _mutations
+        _mutations += 1
         op.parent = self
         op.prev_op = prev
         op.next_op = next
@@ -556,6 +592,8 @@ class Block:
 
     def _unlink(self, op: Operation) -> None:
         """Remove ``op`` from the list (O(1)); clears its links and parent."""
+        global _mutations
+        _mutations += 1
         if op.prev_op is not None:
             op.prev_op.next_op = op.next_op
         else:
@@ -709,6 +747,8 @@ class Block:
         return new_block
 
     def drop_all_ops(self) -> None:
+        global _mutations
+        _mutations += 1
         op = self._first_op
         while op is not None:
             next_op = op.next_op
@@ -726,7 +766,8 @@ class Block:
         self._order_valid = True
 
     def erase(self) -> None:
-        """Erase this block and all its operations from the parent region."""
+        """Erase this block and all its operations from the parent region
+        (the mutation is counted by :meth:`drop_all_ops`)."""
         self.drop_all_ops()
         if self.parent is not None:
             self.parent.blocks.remove(self)
@@ -788,12 +829,16 @@ class Region:
 
     # -- blocks ----------------------------------------------------------------
     def add_block(self, block: Optional[Block] = None) -> Block:
+        global _mutations
+        _mutations += 1
         block = block if block is not None else Block()
         block.parent = self
         self.blocks.append(block)
         return block
 
     def insert_block(self, index: int, block: Block) -> Block:
+        global _mutations
+        _mutations += 1
         block.parent = self
         self.blocks.insert(index, block)
         return block

@@ -101,6 +101,17 @@ class DominanceAnalysis:
         return self.info(region).properly_dominates_block(def_block, use_block)
 
 
+def operand_dominance_errors(op: Operation, analysis: DominanceAnalysis) -> List[str]:
+    """Dominance errors of ``op``'s own operands (nested ops not included)."""
+    errors: List[str] = []
+    for i, operand in enumerate(op.operands):
+        if operand.owner_block() is None:
+            errors.append(f"{op.name}: operand {i} has no defining block")
+        elif not analysis.value_dominates_op(operand, op):
+            errors.append(f"{op.name}: operand {i} does not dominate its use")
+    return errors
+
+
 def verify_dominance(op: Operation) -> List[str]:
     """Check SSA dominance for every operand use nested under ``op``.
 
@@ -109,14 +120,5 @@ def verify_dominance(op: Operation) -> List[str]:
     errors: List[str] = []
     analysis = DominanceAnalysis()
     for nested in op.walk():
-        for i, operand in enumerate(nested.operands):
-            if operand.owner_block() is None:
-                errors.append(
-                    f"{nested.name}: operand {i} has no defining block"
-                )
-                continue
-            if not analysis.value_dominates_op(operand, nested):
-                errors.append(
-                    f"{nested.name}: operand {i} does not dominate its use"
-                )
+        errors.extend(operand_dominance_errors(nested, analysis))
     return errors

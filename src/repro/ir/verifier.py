@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List
 
 from .core import Operation
-from .dominance import verify_dominance
+from .dominance import DominanceAnalysis, operand_dominance_errors
 from .traits import IsTerminator, NoTerminatorRequired, SingleBlock, has_trait
 
 
@@ -29,8 +29,14 @@ class VerificationError(Exception):
 
 
 def collect_errors(root: Operation) -> List[str]:
-    """Verify ``root`` and everything nested in it; return error strings."""
+    """Verify ``root`` and everything nested in it; return error strings.
+
+    One walk collects both kinds of error; structural and op-specific
+    errors come first, dominance errors after them.
+    """
     errors: List[str] = []
+    dominance_errors: List[str] = []
+    dominance = DominanceAnalysis()
 
     for op in root.walk():
         # Op-specific verification.
@@ -74,7 +80,9 @@ def collect_errors(root: Operation) -> List[str]:
                         f"{op.name}: successor block is not in the same region"
                     )
 
-    errors.extend(verify_dominance(root))
+        dominance_errors.extend(operand_dominance_errors(op, dominance))
+
+    errors.extend(dominance_errors)
     return errors
 
 

@@ -90,7 +90,7 @@ def _fuse_run(run: List[Operation]) -> int:
         else:
             merged.append(op)
     for op in merged:
-        op.attributes["count"] = IntegerAttr(counts[id(op)])
+        op.set_attr("count", IntegerAttr(counts[id(op)]))
     return removed
 
 

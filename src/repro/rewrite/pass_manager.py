@@ -1,10 +1,11 @@
 """Passes and the pass manager.
 
 A :class:`Pass` transforms a module in place.  :class:`PassManager` runs a
-pipeline of passes, optionally verifying the IR after each one (the default,
-as in MLIR's ``-verify-each``), and merges each pass's rewrite counters
-(MLIR's ``-mlir-pass-statistics`` analogue).  It keeps no clock: per-pass
-time is the ``pass:<name>`` span (MLIR's ``-mlir-timing`` analogue).
+pipeline of passes, optionally verifying every IR state it produces once
+(the default, as in MLIR's ``-verify-each``), and merges each pass's
+rewrite counters (MLIR's ``-mlir-pass-statistics`` analogue).  It keeps no
+clock: per-pass time is the ``pass:<name>`` span (MLIR's ``-mlir-timing``
+analogue).
 
 Observability (see ``docs/OBSERVABILITY.md``):
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..ir.core import Operation
+from ..ir.core import Operation, mutation_count
 from ..ir.verifier import verify
 from ..record import Record
 from ..resilience.faults import active_plan, fault_hit
@@ -119,14 +120,28 @@ class ModulePass(Pass):
 
 
 class FunctionPass(Pass):
-    """A pass applied independently to every ``func.func`` in the module."""
+    """A pass applied independently to every ``func.func`` in the module.
+
+    Functions are the module body's top-level ops (or ``module`` itself
+    when it is a ``func.func``); nothing nested is searched.
+    """
 
     def run(self, module: Operation) -> None:
         from ..dialects.func import FuncOp
 
-        for op in list(module.walk()):
-            if isinstance(op, FuncOp) and not op.is_declaration:
-                self.run_on_function(op)
+        if isinstance(module, FuncOp):
+            funcs = [module]
+        else:
+            funcs = [
+                op
+                for region in module.regions
+                for block in region.blocks
+                for op in block
+                if isinstance(op, FuncOp)
+            ]
+        for func in funcs:
+            if not func.is_declaration:
+                self.run_on_function(func)
 
     def run_on_function(self, func) -> None:
         raise NotImplementedError
@@ -134,6 +149,13 @@ class FunctionPass(Pass):
 
 class PassManager:
     """Runs a sequence of passes over a module.
+
+    With ``verify_each`` every IR state the run produces is verified once.
+    The verifier always runs after the first pass, which also covers the
+    run's input; after each later pass it runs only if
+    :func:`~repro.ir.core.mutation_count` moved since the last
+    verification.  The count belongs to the IR, not to the passes, so a
+    pass cannot claim "unchanged" falsely.
 
     With a ``crash_handler`` (a
     :class:`~repro.resilience.bundle.CrashBundleWriter` or anything with
@@ -213,6 +235,8 @@ class PassManager:
     def run(self, module: Operation) -> Operation:
         tracer = get_tracer()
         registry = get_metrics()
+        # Mutation count at the last verification (None: not verified yet).
+        verified_at: Optional[int] = None
         for index, pass_ in enumerate(self.passes):
             pass_.strict_convergence = self.verify_each
             before = dict(pass_.statistics.counters)
@@ -255,7 +279,7 @@ class PassManager:
                 prefix = "rewrite." + metric_component(pass_.name) + "."
                 for key, value in delta.items():
                     registry.bump(prefix + metric_component(key), value)
-            if self.verify_each:
+            if self.verify_each and verified_at != mutation_count():
                 try:
                     with tracer.span("verify:" + pass_.name, category="verify"):
                         fault_hit("verify")
@@ -264,6 +288,7 @@ class PassManager:
                     self._notify_failed(pass_, module, error)
                     self._handle_crash(index, pre_pass_ir, hits_baseline, error)
                     raise
+                verified_at = mutation_count()
             for instr in self.instrumentations:
                 instr.run_after_pass(pass_, module)
         return module

@@ -12,7 +12,8 @@ The contract under test (see :mod:`repro.backend.incremental`):
 * cache entries are keyed by the pipeline fingerprint too, so different
   option sets never share optimised IR,
 * the cache is FIFO-bounded and its traffic publishes as
-  ``session.incremental.*``.
+  ``session.incremental.*``,
+* the cache is opt-in: a compile with default options never touches it.
 """
 
 import re
@@ -54,6 +55,7 @@ def incremental_stats(session):
 
 
 def make_compiler(session, **overrides):
+    overrides.setdefault("incremental_rgn_opt", True)
     options = PipelineOptions(capture_ir=("rgn-opt",), **overrides)
     return MlirCompiler(options, session=session)
 
@@ -150,6 +152,17 @@ class TestIncrementalRecompilation:
         snapshot = telemetry.metrics.snapshot()
         assert snapshot["session.incremental.hits"] == 3
         assert snapshot["session.incremental.misses"] == 3
+
+    def test_default_compile_skips_the_cache(self):
+        with telemetry_session() as telemetry:
+            MlirCompiler(session=CompilationSession()).compile(SOURCE)
+        spans = [span.name for span in telemetry.tracer.all_spans()]
+        assert "phase:rgn-opt" in spans
+        assert not any(name.startswith("incremental:") for name in spans)
+        assert not any(
+            key.startswith("session.incremental.")
+            for key in telemetry.metrics.snapshot()
+        )
 
     def test_fifo_bound(self):
         session = CompilationSession()

@@ -200,6 +200,28 @@ class TestVerifier:
         errors = collect_errors(module)
         assert any("dominate" in e for e in errors)
 
+    def test_structural_errors_precede_dominance_errors(self):
+        # The dominance violation sits in the first function, the missing
+        # terminator in the second: one walk still reports structure first.
+        from repro.ir import verify_dominance
+
+        module = ModuleOp()
+        first = FuncOp("f", FunctionType([], [i64]))
+        module.append(first)
+        c = arith.ConstantOp(1)
+        add = arith.AddIOp(c.result(), c.result())
+        first.entry_block.append(add)
+        first.entry_block.append(c)
+        first.entry_block.append(ReturnOp([add.result()]))
+        second = FuncOp("g", FunctionType([], [i64]))
+        module.append(second)
+        second.entry_block.append(arith.ConstantOp(2))
+        errors = collect_errors(module)
+        assert len(errors) == 3
+        assert "terminator" in errors[0]
+        assert errors[1:] == verify_dominance(module)
+        assert all("dominate" in e for e in errors[1:])
+
     def test_verify_raises(self):
         module = ModuleOp()
         func = FuncOp("f", FunctionType([i64], [i64]))
