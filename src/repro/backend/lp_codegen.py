@@ -92,7 +92,9 @@ class LpCodegen:
         return func_op
 
     # -- expressions -------------------------------------------------------------------
-    def _gen_expr(self, builder: Builder, expr: Expr, env: Dict[str, Value]) -> Value:
+    def _gen_expr(
+        self, builder: Builder, expr: Expr, env: Dict[str, Value], tail: bool = False
+    ) -> Value:
         if isinstance(expr, Lit):
             if expr.is_big:
                 return builder.create(lp_dialect.BigIntOp, str(expr.value)).result()
@@ -111,8 +113,12 @@ class LpCodegen:
             ).result()
         if isinstance(expr, Call):
             args = [env[a] for a in expr.args]
+            # A call of a LEAN function whose result is returned is a
+            # guaranteed tail call (§III-E); a runtime builtin has no frame
+            # for the callee to reuse.
             return builder.create(
-                CallOp, expr.fn, args, self.context.box_arg_types(1)
+                CallOp, expr.fn, args, self.context.box_arg_types(1),
+                musttail=tail and expr.fn in self.program.functions,
             ).result()
         if isinstance(expr, PAp):
             args = [env[a] for a in expr.args]
@@ -129,7 +135,8 @@ class LpCodegen:
         builder = Builder(InsertionPoint.at_end(block))
         while True:
             if isinstance(body, Let):
-                value = self._gen_expr(builder, body.expr, env)
+                tail = isinstance(body.body, Ret) and body.body.var == body.var
+                value = self._gen_expr(builder, body.expr, env, tail)
                 value.name_hint = body.var
                 env = dict(env)
                 env[body.var] = value

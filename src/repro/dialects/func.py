@@ -152,9 +152,29 @@ class CallOp(Operation):
     def is_musttail(self) -> bool:
         return "musttail" in self.attributes
 
+    @property
+    def in_tail_position(self) -> bool:
+        """Whether the next op returns exactly this call's results."""
+        following = self.next_op
+        return (
+            following is not None
+            and following.name in _RETURN_OP_NAMES
+            and list(following.operands) == list(self.results)
+        )
+
     def verify_(self) -> None:
         if "callee" not in self.attributes:
             raise ValueError("func.call requires a callee attribute")
+        if self.is_musttail and not self.in_tail_position:
+            raise ValueError(
+                "a musttail call must be followed directly by a return of "
+                "exactly its results"
+            )
+
+
+#: The returns a ``musttail`` call may precede: ``func.return`` and the lp
+#: dialect's ``lp.return`` (named, so this dialect need not import lp).
+_RETURN_OP_NAMES = (ReturnOp.OP_NAME, "lp.return")
 
 
 @func_dialect.register_op

@@ -74,7 +74,8 @@ FIGURE11_ROWS = [
     ("Test minimization", "none", "tools/reduce (mlir-reduce analogue)"),
     ("Debug information", "none", "value name hints preserved end-to-end"),
     ("IDE support", "none", "textual IR + parser (LSP-ready)"),
-    ("Tail call optimization", "heuristic", "guaranteed (musttail attribute)"),
+    ("Tail call optimization", "VM call+ret peephole, no IR mark",
+     "verified musttail attribute + VM frame reuse"),
 ]
 
 

@@ -38,21 +38,25 @@ Four execution-speed levers sit on top of that contract:
   compiled code arrays that collapses the hot adjacent pairs the
   ``vm.instr.freq.*`` telemetry identified (``cmp``+``cond_br``,
   ``const``+``binarith``/``cmp``, ``getlabel``+``switch``,
-  ``proj``+``call``) into single fused opcodes.  Fusion is driven by the
-  declarative :data:`FUSION_RULES` table — a new pair is one more table
-  entry — and a fused instruction charges *exactly* the cost-model events
-  of the unfused sequence, so metrics stay byte-identical.  (λrc ``case``
-  is already the pre-fused tag dispatch: the rc frontend never emits a
-  separate ``getlabel``, which is why the getlabel fusion pairs with the
-  CFG ``switch``.)
+  ``proj``+``call``, ``call``+``ret``) into single fused opcodes.  Fusion
+  is driven by the declarative :data:`FUSION_RULES` table — a new pair is
+  one more table entry — and a fused instruction charges *exactly* the
+  cost-model events of the unfused sequence, so metrics stay
+  byte-identical.  (λrc ``case`` is already the pre-fused tag dispatch:
+  the rc frontend never emits a separate ``getlabel``, which is why the
+  getlabel fusion pairs with the CFG ``switch``.)
 * *direct threading* — the VM precompiles every instruction to a
   bound closure capturing its operands, so the run loop is
   ``pc = ops[pc](regs)``.
 * *an explicit call stack* — ``call``/``ret`` push and pop VM frames
-  inside the run loop instead of recursing in Python, so deep recursion
-  no longer rides ``sys.setrecursionlimit`` and
+  inside the run loop instead of recursing in Python, and so does
+  closure application, so deep recursion never rides
+  ``sys.setrecursionlimit`` and
   :class:`~repro.resilience.budgets.ExecutionBudget` counts VM frames,
-  not Python depth.
+  not Python depth.  A call site builds its callee's register frame
+  itself, and a ``tailcall`` (a ``call`` whose result the next
+  instruction returns) replaces the current frame instead of stacking a
+  new one, so a tail-recursive loop runs in constant frame memory.
 * *scalar-specialised runtime calls* — threaded ``rtcall`` sites of the
   :data:`SCALAR_RTCALLS` builtins (Nat/Int ``add``/``sub``/``mul`` and the
   comparisons) compute on unboxed ``int`` operands inside the closure and
@@ -85,7 +89,7 @@ from ..runtime import (
     tag_of,
 )
 from ..resilience.budgets import ExecutionBudget
-from ..resilience.faults import fault_hit
+from ..resilience.faults import active_plan, fault_hit
 from ..telemetry import get_metrics, get_tracer
 from .metrics import DEFAULT_COSTS, ExecutionMetrics, RunResult
 
@@ -158,6 +162,9 @@ OP_INC_RTCALL = 37        # (op, src, count, dst, name, arg_regs)
 OP_DEC_INC = 38           # (op, dsrc, dcount, isrc, icount)
 OP_PROJ3 = 39             # (op, d1, s1, i1, d2, s2, i2, d3, s3, i3)
 OP_PROJ4 = 40             # (op, d1, s1, i1, ..., d4, s4, i4)
+# A call whose result the next instruction returns: the callee's frame
+# replaces the caller's instead of stacking on it.
+OP_TAILCALL = 41          # (op, BytecodeFunction, arg_regs)
 
 #: Human-readable opcode names (docs/EXECUTION.md and the unit tests).
 OPCODE_NAMES = {
@@ -176,7 +183,7 @@ OPCODE_NAMES = {
     OP_GETLABEL_CMP_CONDBR: "getlabel_cmp_br", OP_PROJ_PROJ: "proj_proj",
     OP_INT_INC: "int_inc", OP_DEC_DEC: "dec_dec",
     OP_INC_RTCALL: "inc_rtcall", OP_DEC_INC: "dec_inc",
-    OP_PROJ3: "proj3", OP_PROJ4: "proj4",
+    OP_PROJ3: "proj3", OP_PROJ4: "proj4", OP_TAILCALL: "tailcall",
 }
 
 #: Size of the per-VM opcode frequency table.
@@ -290,6 +297,106 @@ def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
             else:
                 regs[d] = slow(ctx, [x, y])
             return n
+    return op
+
+
+def _frame_pad(callee: "BytecodeFunction") -> List[None]:
+    """The registers of ``callee``'s frame after its parameters."""
+    return [None] * (callee.num_regs - callee.num_params)
+
+
+def _call_site(sites, pc, dst, callee, argr, pend, sentinel):
+    """The threaded closure of a direct ``call`` (``sentinel`` -2) or
+    ``tailcall`` (-3) site: it builds the callee's finished register frame
+    and hands it to the loop in ``pend``.  Up to three arguments are read
+    without a comprehension, which is a call of its own before 3.12."""
+    pad = _frame_pad(callee)
+    count = len(argr)
+    if count == 0:
+        def op(regs, s=sites, i=pc, d=dst, c=callee, pad=pad, pend=pend,
+               sig=sentinel):
+            s[i] += 1
+            pend[0] = c
+            pend[1] = pad[:]
+            pend[2] = d
+            return sig
+    elif count == 1:
+        def op(regs, s=sites, i=pc, d=dst, c=callee, a=argr[0], pad=pad,
+               pend=pend, sig=sentinel):
+            s[i] += 1
+            pend[0] = c
+            pend[1] = [regs[a]] + pad
+            pend[2] = d
+            return sig
+    elif count == 2:
+        def op(regs, s=sites, i=pc, d=dst, c=callee, a=argr[0], b=argr[1],
+               pad=pad, pend=pend, sig=sentinel):
+            s[i] += 1
+            pend[0] = c
+            pend[1] = [regs[a], regs[b]] + pad
+            pend[2] = d
+            return sig
+    elif count == 3:
+        def op(regs, s=sites, i=pc, d=dst, c=callee, a=argr[0], b=argr[1],
+               e=argr[2], pad=pad, pend=pend, sig=sentinel):
+            s[i] += 1
+            pend[0] = c
+            pend[1] = [regs[a], regs[b], regs[e]] + pad
+            pend[2] = d
+            return sig
+    else:
+        def op(regs, s=sites, i=pc, d=dst, c=callee,
+               get=operator.itemgetter(*argr), pad=pad, pend=pend,
+               sig=sentinel):
+            s[i] += 1
+            pend[0] = c
+            pend[1] = list(get(regs)) + pad
+            pend[2] = d
+            return sig
+    return op
+
+
+def _proj_call_site(sites, pc, ins, heap, counts, error, pend):
+    """The threaded closure of a ``proj_call`` site: ``proj``, then a call
+    that builds its callee's frame as :func:`_call_site` does.  The
+    projected field is always an argument: with one argument it is the
+    frame's only value, and more are read with one ``itemgetter``."""
+    _, pd, src, idx, cd, callee, argr = ins
+    get = operator.itemgetter(*argr) if len(argr) > 1 else None
+    def op(regs, s=sites, i=pc, pd=pd, src=src, idx=idx, cd=cd, c=callee,
+           get=get, pad=_frame_pad(callee), heap=heap, cnt=counts,
+           err=error, ctor=CtorObject, pend=pend):
+        s[i] += 1
+        value = regs[src]
+        if not isinstance(value, ctor):
+            # The unfused charge stops at proj on this error.
+            cnt["rc"] -= 1
+            cnt["call"] -= 1
+            raise err(f"projection from non-constructor {value!r}")
+        field = value.fields[idx]
+        heap.inc(field)
+        regs[pd] = field
+        pend[0] = c
+        pend[1] = ([field] if get is None else list(get(regs))) + pad
+        pend[2] = cd
+        return -2
+    return op
+
+
+def _bad_arity_site(sites, pc, callee, argc, counts, error, tail):
+    """The threaded closure of a call site whose argument count does not
+    match its callee: it raises at execution time, after the call's fault
+    site, as a function entry does.  A ``tailcall`` site's fused ``ret``
+    never runs, so it takes back that charge first."""
+    def op(regs, s=sites, i=pc, owed=1 if tail else 0, cnt=counts,
+           fh=fault_hit, err=error):
+        s[i] += 1
+        cnt["return"] -= owed
+        fh("vm.dispatch")
+        raise err(
+            f"calling {callee.name} with {argc} arguments, "
+            f"expected {callee.num_params}"
+        )
     return op
 
 
@@ -500,6 +607,12 @@ FUSION_RULES = (
         OP_PROJ_PROJ, OP_PROJ_PROJ, OP_PROJ4,
         match=lambda a, b: True,
         build=lambda a, b: (OP_PROJ4,) + a[1:] + b[1:],
+    ),
+    # A call in return position: the VM half of guaranteed tail calls.
+    FusionRule(
+        OP_CALL, OP_RET, OP_TAILCALL,
+        match=lambda a, b: a[1] >= 0 and b[1] == a[1],
+        build=lambda a, b: (OP_TAILCALL, a[2], a[3]),
     ),
 )
 
@@ -1049,7 +1162,9 @@ def compile_rc_program(
 #: opcodes (``reuse``, ``papextend``) whose closures charge inline.
 #: Partial-charge error paths (``proj`` raising before its ``rc`` charge,
 #: ``getlabel_switch`` raising before its ``branch`` charge) apply
-#: negative corrections to the dynamic counters before propagating.
+#: negative corrections to the dynamic counters before propagating; a run
+#: that raises inside a tail-call chain takes back the ``return`` of each
+#: ``tailcall`` whose chain has not returned (see ``_run_threaded``).
 _STATIC_CHARGES = {
     OP_RET: ("return",),
     OP_JMP: ("jump",),
@@ -1092,6 +1207,7 @@ _STATIC_CHARGES = {
     OP_DEC_INC: ("rc", "rc"),
     OP_PROJ3: ("proj", "rc", "proj", "rc", "proj", "rc"),
     OP_PROJ4: ("proj", "rc", "proj", "rc", "proj", "rc", "proj", "rc"),
+    OP_TAILCALL: ("call", "return"),
 }
 
 
@@ -1138,11 +1254,25 @@ class VirtualMachine:
         self.budget = budget
         #: Threaded-loop state: per-function closure arrays, the
         #: per-site execution counters they bump, and the two cells the
-        #: call/ret closures use to talk to the frame loop.
+        #: call/ret closures use to talk to the frame loop: ``_pending``
+        #: holds (callee, its frame, destination register, arguments left
+        #: over for the callee's result), ``_retslot`` the returned value.
         self._threaded: Dict[BytecodeFunction, List[Callable]] = {}
         self._site_tables: Dict[BytecodeFunction, List[int]] = {}
-        self._pending: List[object] = [None, None, None]
+        self._pending: List[object] = [None, None, None, None]
         self._retslot: List[object] = [None]
+        #: The code of an over-application's continuation frame, whose
+        #: registers are ``[callee result, arguments left over]``: apply
+        #: the result to the leftovers, then return what that gives.  It
+        #: has no sites, so it charges nothing the applications do not.
+        def resume(regs, apply=self._apply):
+            return apply(regs, 0, regs[0], regs[1], 1)
+
+        def finish(regs, ret=self._retslot):
+            ret[0] = regs[0]
+            return -1
+
+        self._continuation: List[Callable] = [resume, finish]
 
     # -- error shaping ----------------------------------------------------
     def _error(self, message: str) -> Exception:
@@ -1265,15 +1395,55 @@ class VirtualMachine:
             raise self._error(f"call of unknown function @{name}")
         raise self._error(f"unknown function {name}")
 
-    def _apply_closure(self, closure: object, args: List[object]) -> object:
-        self._counts["apply"] += 1
-        outcome = extend_closure(self.ctx.heap, closure, args)
-        if not outcome.is_call:
-            return outcome.closure
-        result = self.call_function(outcome.call_fn, outcome.call_args)
-        if outcome.extra_args:
-            return self._apply_closure(result, outcome.extra_args)
-        return result
+    def _apply(self, regs, dst: int, closure: object, args: List[object],
+               resume: int) -> int:
+        """Apply ``closure`` to ``args`` for the instruction that resumes
+        at ``resume``; return the loop's next pc or sentinel.
+
+        An unsaturated result lands in ``regs[dst]``.  A saturated call of
+        a bytecode function goes through the loop's frame stack like a
+        direct call (``-2``); with arguments left over (``-4``) the loop
+        also stacks a continuation frame that applies the callee's result
+        to them.  The charge order is the tree-walkers': ``apply``,
+        ``call``, the ``vm.dispatch`` fault site, the budget step.
+        """
+        counts = self._counts
+        heap = self.ctx.heap
+        functions = self.program.functions
+        rc_flavor = self.program.flavor == "rc"
+        while True:
+            counts["apply"] += 1
+            outcome = extend_closure(heap, closure, args)
+            if not outcome.is_call:
+                regs[dst] = outcome.closure
+                return resume
+            name = outcome.call_fn
+            call_args = outcome.call_args
+            fn = functions.get(name)
+            if fn is None or (rc_flavor and is_builtin(name)):
+                # A runtime builtin (or the unknown-function error) runs
+                # without a frame; the λrc flavour tries builtins first.
+                closure = self.call_function(name, call_args)
+                args = outcome.extra_args
+                if args is None:
+                    regs[dst] = closure
+                    return resume
+                continue
+            counts["call"] += 1
+            if len(call_args) != fn.num_params:
+                fault_hit("vm.dispatch")
+                raise self._error(
+                    f"calling {fn.name} with {len(call_args)} arguments, "
+                    f"expected {fn.num_params}"
+                )
+            pending = self._pending
+            pending[0] = fn
+            pending[1] = call_args + _frame_pad(fn)
+            pending[2] = dst
+            if outcome.extra_args is None:
+                return -2
+            pending[3] = outcome.extra_args
+            return -4
 
     # -- the interpreter loop ---------------------------------------------
     def _run_threaded(self, fn: BytecodeFunction, args: List[object]) -> object:
@@ -1281,12 +1451,29 @@ class VirtualMachine:
 
         Every instruction is a closure built by :meth:`_compile_threaded`
         with its operands bound as defaults; it bumps its site counter and
-        returns the next pc.  Two negative sentinels thread control back:
-        ``-1`` returns (value in ``self._retslot``), ``-2`` calls (callee,
-        args and destination in ``self._pending``), and the loop pushes /
-        pops explicit ``(ops, regs, return pc, return register)`` frames.
+        returns the next pc.  Negative sentinels thread control back:
+
+        * ``-1`` returns (value in ``self._retslot``): pop the caller's
+          frame and write its destination register;
+        * ``-2`` calls: push the caller's frame and adopt the callee's,
+          which the call site built (``self._pending``);
+        * ``-3`` tail-calls: adopt the callee's frame in place of the
+          current one and push nothing;
+        * ``-4`` calls, then applies the result to the arguments left over
+          from an over-application: as ``-2``, with a continuation frame
+          (``self._continuation``) stacked between caller and callee.
+
+        A stacked frame is ``(ops, regs, return pc, return register, tail
+        calls)``.  The last field counts the tail calls that frame made:
+        a ``tailcall`` site charges its fused ``ret`` when it runs, so a
+        run that raises takes back the returns of every chain still open.
+        The ``vm.dispatch`` fault site and the budget step come once per
+        call of any kind; with no fault plan active, no site can fire and
+        the loop skips the hit.
         """
-        fault_hit("vm.dispatch")
+        fh = fault_hit if active_plan() is not None else None
+        if fh is not None:
+            fh("vm.dispatch")
         if len(args) != fn.num_params:
             raise self._error(
                 f"calling {fn.name} with {len(args)} arguments, "
@@ -1296,44 +1483,57 @@ class VirtualMachine:
         ops = threaded.get(fn)
         if ops is None:
             ops = self._compile_threaded(fn)
-        regs = [None] * fn.num_regs
-        regs[: fn.num_params] = args
+        regs = list(args) + _frame_pad(fn)
         budget = self.budget
         if budget is not None:
             budget.charge()
         pending = self._pending
         retslot = self._retslot
+        continuation = self._continuation
         stack: List[Tuple] = []
+        tails = 0
         pc = 0
-        while True:
-            next_pc = ops[pc](regs)
-            if next_pc >= 0:
-                pc = next_pc
-                continue
-            if next_pc == -2:
-                # Arity was checked when the call site's closure was
-                # built (it is static per site); mismatched sites compile
-                # to closures that raise instead of returning -2.
-                callee = pending[0]
-                fault_hit("vm.dispatch")
-                cargs = pending[1]
+        try:
+            while True:
+                next_pc = ops[pc](regs)
+                if next_pc >= 0:
+                    pc = next_pc
+                    continue
+                if next_pc == -1:
+                    value = retslot[0]
+                    retslot[0] = None
+                    if not stack:
+                        return value
+                    ops, regs, pc, dst, tails = stack.pop()
+                    if dst >= 0:
+                        regs[dst] = value
+                    continue
+                # A call.  Arity was checked when the site's closure was
+                # built; mismatched sites raise instead of returning here.
+                if next_pc == -3:
+                    tails += 1
+                else:
+                    stack.append((ops, regs, pc + 1, pending[2], tails))
+                    tails = 0
+                    if next_pc == -4:
+                        stack.append(
+                            (continuation, [None, pending[3]], 0, 0, 0)
+                        )
+                if fh is not None:
+                    fh("vm.dispatch")
                 if budget is not None:
                     budget.charge()
-                stack.append((ops, regs, pc + 1, pending[2]))
+                callee = pending[0]
                 ops = threaded.get(callee)
                 if ops is None:
                     ops = self._compile_threaded(callee)
-                regs = [None] * callee.num_regs
-                regs[: callee.num_params] = cargs
+                regs = pending[1]
                 pc = 0
-                continue
-            value = retslot[0]
-            retslot[0] = None
-            if not stack:
-                return value
-            ops, regs, pc, dst = stack.pop()
-            if dst >= 0:
-                regs[dst] = value
+        except BaseException:
+            owed = tails + sum(frame[4] for frame in stack)
+            if owed:
+                self._counts["return"] -= owed
+            raise
 
     def _compile_threaded(self, fn: BytecodeFunction) -> List[Callable]:
         """Translate ``fn.code`` into the closure array the threaded loop
@@ -1724,26 +1924,18 @@ class VirtualMachine:
                         s[i] += 1
                         ret[0] = None
                         return -1
-            elif opcode == OP_CALL:
-                if len(ins[3]) != ins[2].num_params:
-                    # Static arity mismatch: raise at execution time, after
-                    # the call's fault site, as a function entry does.
-                    def op(regs, s=sites, i=pc, callee=ins[2],
-                           argc=len(ins[3]), err=error, fh=fault_hit):
-                        s[i] += 1
-                        fh("vm.dispatch")
-                        raise err(
-                            f"calling {callee.name} with {argc} arguments, "
-                            f"expected {callee.num_params}"
-                        )
+            elif opcode == OP_CALL or opcode == OP_TAILCALL:
+                tail = opcode == OP_TAILCALL
+                callee, argr = (ins[1], ins[2]) if tail else (ins[2], ins[3])
+                if len(argr) != callee.num_params:
+                    op = _bad_arity_site(
+                        sites, pc, callee, len(argr), counts, error, tail
+                    )
                 else:
-                    def op(regs, s=sites, i=pc, d=ins[1], callee=ins[2],
-                           argr=ins[3], pend=pending):
-                        s[i] += 1
-                        pend[0] = callee
-                        pend[1] = [regs[r] for r in argr]
-                        pend[2] = d
-                        return -2
+                    op = _call_site(
+                        sites, pc, -1 if tail else ins[1], callee, argr,
+                        pending, -3 if tail else -2,
+                    )
             elif opcode == OP_PROJ:
                 def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], idx=ins[3],
                        heap=heap, cnt=counts, err=error, ctor=CtorObject,
@@ -1781,23 +1973,9 @@ class VirtualMachine:
                             f"expected {callee.num_params}"
                         )
                 else:
-                    def op(regs, s=sites, i=pc, pd=ins[1], src=ins[2],
-                           idx=ins[3], cd=ins[4], callee=ins[5], argr=ins[6],
-                           heap=heap, cnt=counts, err=error, ctor=CtorObject,
-                           pend=pending):
-                        s[i] += 1
-                        value = regs[src]
-                        if not isinstance(value, ctor):
-                            cnt["rc"] -= 1
-                            cnt["call"] -= 1
-                            raise err(f"projection from non-constructor {value!r}")
-                        field = value.fields[idx]
-                        heap.inc(field)
-                        regs[pd] = field
-                        pend[0] = callee
-                        pend[1] = [regs[r] for r in argr]
-                        pend[2] = cd
-                        return -2
+                    op = _proj_call_site(
+                        sites, pc, ins, heap, counts, error, pending
+                    )
             elif opcode == OP_CONSTRUCT:
                 def op(regs, s=sites, i=pc, d=ins[1], tag=ins[2], fr=ins[3],
                        alloc=heap.alloc_ctor, n=nxt):
@@ -1903,10 +2081,9 @@ class VirtualMachine:
                         return n
             elif opcode == OP_PAPEXTEND:
                 def op(regs, s=sites, i=pc, d=ins[1], c=ins[2], argr=ins[3],
-                       apply=self._apply_closure, n=nxt):
+                       apply=self._apply, n=nxt):
                     s[i] += 1
-                    regs[d] = apply(regs[c], [regs[r] for r in argr])
-                    return n
+                    return apply(regs, d, regs[c], [regs[r] for r in argr], n)
             elif opcode == OP_REUSE:
                 category = "alloc_ctor" if ins[4] else "move"
                 def op(regs, s=sites, i=pc, d=ins[1], tok=ins[2], tag=ins[3],

@@ -10,10 +10,10 @@ and restores the previous limit on exit — including when execution
 raises.
 
 Only the tree-walkers (``cfg_interp``, ``rc_interp``, ``reference``)
-use this module:
-the bytecode VM maintains an explicit call stack, so VM call depth is
-independent of the Python recursion limit and
-``interp/bytecode.py`` deliberately has no import of this helper.
+use this module: the bytecode VM runs direct calls, tail calls and
+closure application on an explicit frame stack, so VM call depth is
+independent of the Python recursion limit and ``interp/bytecode.py``
+deliberately has no import of this helper.
 """
 
 from __future__ import annotations

@@ -212,6 +212,10 @@ class RcInterpreter:
                     raise RuntimeError_(
                         f"no alternative for tag {tag} in case {body.var}"
                     )
+                # A branch is a control transfer: one budget step, as the
+                # VM's ``case`` and the CFG engines' branches take.
+                if self.budget is not None:
+                    self.budget.charge()
                 body = chosen
                 continue
             if isinstance(body, JDecl):

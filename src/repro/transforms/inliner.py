@@ -9,6 +9,8 @@ conservative analogue: direct ``func.call`` sites whose callee
 * is small (at most ``max_callee_ops`` operations)
 
 are replaced by a clone of the callee body with arguments substituted.
+A cloned ``musttail`` call keeps its mark only where it is still in tail
+position, i.e. where the inlined call site was itself returned.
 """
 
 from __future__ import annotations
@@ -86,16 +88,22 @@ class InlinerPass(ModulePass):
             mapping.map_value(formal, actual)
         returned = None
         insert_block = call.parent
+        tail_calls = []
         for op in block:
             if isinstance(op, (ReturnOp, LpReturnOp)):
                 returned = [mapping.lookup(v) for v in op.operands]
                 break
             cloned = op.clone(mapping)
             insert_block.insert_before(cloned, call)
+            if isinstance(cloned, CallOp) and cloned.is_musttail:
+                tail_calls.append(cloned)
         if returned is None:
             returned = []
         call.replace_all_uses_with(returned)
         call.erase()
+        for cloned in tail_calls:
+            if not cloned.in_tail_position:
+                cloned.remove_attr("musttail")
         self.statistics.bump("calls-inlined")
 
     def run(self, module: Operation) -> None:

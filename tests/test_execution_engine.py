@@ -20,11 +20,13 @@ from repro.backend.pipeline import (
     PipelineOptions,
     run_baseline,
     run_mlir,
+    run_reference,
 )
 from repro.dialects import arith, cf, lp
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import CallOp, FuncOp, GetGlobalOp, ReturnOp, SetGlobalOp
 from repro.eval.testsuite import regression_programs
+from repro.fuzz import run_matrix
 from repro.interp.bytecode import (
     OP_BADCALL,
     OP_BIGINT,
@@ -67,6 +69,7 @@ from repro.interp.bytecode import (
     OP_PROJ4,
     OP_PROJ_CALL,
     OP_PROJ_PROJ,
+    OP_TAILCALL,
     FUSED_OPCODE_BASES,
     FUSION_RULES,
     OPCODE_NAMES,
@@ -86,6 +89,8 @@ from repro.ir import Builder, FunctionType, InsertionPoint
 from repro.ir.core import Block
 from repro.ir.types import box, i1, i64
 from repro.lambda_pure import ir as rc_ir
+from repro.resilience.budgets import ExecutionBudget
+from repro.resilience.faults import FaultPlan, fault_hit, fault_plan
 from repro.runtime import (
     BUILTINS,
     BigIntObject,
@@ -96,6 +101,14 @@ from repro.runtime import (
 
 REGRESSION = regression_programs()
 REGRESSION_BY_NAME = {p.name: p for p in REGRESSION}
+
+#: A 1000-deep continuation chain: each application of ``k`` calls the
+#: closure it captured.
+DEEP_CONTINUATION = (
+    "def cps (n : Nat) (k : Nat -> Nat) : Nat :=\n"
+    "  if n == 0 then k 0 else cps (n - 1) (fun (r : Nat) => k (r + 1))\n"
+    "def main : Nat := cps 1000 (fun (r : Nat) => r)"
+)
 
 
 def assert_identical_runs(tree, vm):
@@ -685,6 +698,7 @@ def _identity_callee():
 _EQ = _CMP_FNS["eq"]
 _LT = _CMP_FNS["slt"]
 _ADD = _BINARY_FNS["arith.addi"]
+_MUL = _BINARY_FNS["arith.muli"]
 
 
 def _superinstruction_cases():
@@ -855,6 +869,13 @@ def _superinstruction_cases():
             "const": 1,
         })),
     ]))
+    cases.append((OP_TAILCALL, lambda: _vm_program([
+        (OP_INT, 0, 3),
+        (OP_CALL, 1, None, (0,)),  # callee patched below
+        (OP_RET, 1),
+    ], 2), [
+        ((), ("ok", 3, {"call": 2, "return": 2, "move": 1})),
+    ]))
     return cases
 
 
@@ -924,6 +945,7 @@ class TestSuperinstructions:
         assert FUSED_OPCODE_BASES["proj3"] == ("proj",) * 3
         assert FUSED_OPCODE_BASES["proj4"] == ("proj",) * 4
         assert FUSED_OPCODE_BASES["dec_inc"] == ("dec", "inc")
+        assert FUSED_OPCODE_BASES["tailcall"] == ("call", "ret")
         for bases in FUSED_OPCODE_BASES.values():
             base_names = set(OPCODE_NAMES.values()) - set(FUSED_OPCODE_BASES)
             assert set(bases) <= base_names
@@ -1064,6 +1086,386 @@ class TestExplicitCallStack:
             ]
             for run in runs[1:]:
                 assert_identical_runs(runs[0], run)
+
+    def test_deep_continuation_under_default_recursion_limit(self):
+        # Each application of k calls the closure it captured: 1000 nested
+        # closure calls, which once recursed in Python on the VM.
+        import sys
+
+        before = sys.getrecursionlimit()
+        expected = run_reference(DEEP_CONTINUATION)
+        assert expected == 1000
+        assert run_mlir(DEEP_CONTINUATION).value == expected
+        assert run_baseline(DEEP_CONTINUATION).value == expected
+        assert sys.getrecursionlimit() == before
+
+    def test_deep_continuation_replays_through_full_matrix(self):
+        run_matrix(DEEP_CONTINUATION)
+
+    def test_over_application_resumes_through_a_continuation(self):
+        # apply2 applies a one-argument closure to two arguments: the call
+        # returns into a frame that applies its result to the second one.
+        source = (
+            "def adder (x : Nat) : Nat -> Nat := fun (y : Nat) => x + y\n"
+            "def apply2 (f : Nat -> Nat -> Nat) : Nat := f 40 2\n"
+            "def main : Nat := apply2 adder + apply2 adder"
+        )
+        for run in (run_mlir, run_baseline):
+            tree = run(source, PipelineOptions(execution_engine="tree"))
+            assert tree.value == 84
+            assert tree.metrics.counts["apply"] >= 4
+            for fusion in (True, False):
+                vm = run(source, PipelineOptions(superinstructions=fusion))
+                assert_identical_runs(tree, vm)
+
+
+def _digits_callee(arity):
+    """A callee returning ``sum(param_i * 10**i)``, so a frame with
+    misplaced arguments shows in the value."""
+    callee = BytecodeFunction("callee", arity)
+    code, acc = [(OP_CONST, arity, 0)], arity
+    for index in range(arity):
+        code += [
+            (OP_CONST, arity + 1, 10 ** index),
+            (OP_BINARITH, arity + 2, _MUL, index, arity + 1),
+            (OP_BINARITH, acc, _ADD, acc, arity + 2),
+        ]
+    callee.code = code + [(OP_RET, acc)]
+    callee.num_regs = arity + 3
+    return callee
+
+
+def _call_program(arity, *, tail, proj=False):
+    """``main`` passes the constants 1..arity to a :func:`_digits_callee`;
+    ``proj`` reads the first through a projection (a ``proj_call`` site)."""
+    callee = _digits_callee(arity)
+    code = [(OP_CONST, index, index + 1) for index in range(arity)]
+    if proj:
+        code += [
+            (OP_INT, arity, 1),
+            (OP_CONSTRUCT, arity + 1, 0, (arity,), "alloc_ctor"),
+            (OP_PROJ, 0, arity + 1, 0),
+        ]
+    code.append((OP_CALL, arity + 2, callee, tuple(range(arity))))
+    if not tail:
+        code.append((OP_CAST, arity + 2, arity + 2))
+    code.append((OP_RET, arity + 2))
+    return _vm_program(code, arity + 3, extras=(callee,))
+
+
+def _fused_opcodes(program):
+    return {OPCODE_NAMES[ins[0]] for ins in program.functions["main"].code}
+
+
+class TestCallSiteFrames:
+    """A call site builds its callee's frame: every argument count, in
+    the specialised closures (up to three) and the generic one."""
+
+    @pytest.mark.parametrize("arity", range(6))
+    @pytest.mark.parametrize("tail", (False, True), ids=("call", "tailcall"))
+    def test_arguments_land_in_parameter_order(self, arity, tail):
+        expected = sum((i + 1) * 10 ** i for i in range(arity))
+        runs = []
+        for fused in (False, True):
+            program = _call_program(arity, tail=tail)
+            if fused:
+                fuse_program(program)
+                assert ("tailcall" in _fused_opcodes(program)) == tail
+            vm = VirtualMachine(program)
+            runs.append((vm.run_main().value, vm.metrics.counts))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == expected
+
+    @pytest.mark.parametrize("arity", (1, 2, 4))
+    def test_proj_call_builds_the_frame(self, arity):
+        runs = []
+        for fused in (False, True):
+            program = _call_program(arity, tail=False, proj=True)
+            if fused:
+                fuse_program(program)
+                assert "proj_call" in _fused_opcodes(program)
+            vm = VirtualMachine(program)
+            runs.append((vm.run_main(check_heap=False).value, vm.metrics.counts))
+        assert runs[0] == runs[1]
+        # The projected boxed 1 replaces the first constant, also a 1.
+        assert runs[0][0] == sum((i + 1) * 10 ** i for i in range(arity))
+
+
+#: Depth of the tail-call chain the fault tests run inside.
+_CHAIN = 6000
+
+#: A tail-recursive loop ``_CHAIN`` calls deep whose innermost callee
+#: fails: ``boom`` reads an empty array.
+_TAIL_CHAIN = (
+    "def boom (n : Nat) : Nat := Array.get Array.empty n\n"
+    "def loop (n : Nat) (acc : Nat) : Nat :=\n"
+    "  if n == 0 then boom acc else loop (n - 1) (acc + 1)\n"
+    f"def main : Nat := loop {_CHAIN} 0"
+)
+
+
+class _FaultingCfgInterpreter(CfgInterpreter):
+    """The CFG tree-walker with the VM's ``vm.dispatch`` site at function
+    entry: after the ``call`` charge, before the callee runs."""
+
+    def _execute_function(self, func, args):
+        fault_hit("vm.dispatch")
+        return super()._execute_function(func, args)
+
+
+class _FaultingRcInterpreter(RcInterpreter):
+    """The λrc tree-walker with the ``vm.dispatch`` site at function entry
+    (after its budget step: the fault runs here without a budget)."""
+
+    def _eval_body(self, body, env, joins):
+        fault_hit("vm.dispatch")
+        return super()._eval_body(body, env, joins)
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_chain_programs():
+    cfg_module = MlirCompiler(PipelineOptions()).compile(_TAIL_CHAIN).cfg_module
+    rc_program = BaselineCompiler(PipelineOptions()).compile(_TAIL_CHAIN).rc_program
+    return cfg_module, rc_program
+
+
+def _tail_chain_engines(flavor, budget_steps, faulting):
+    """The fused VM, the unfused VM and the tree-walker of ``flavor``,
+    each with its own budget of ``budget_steps`` (None: unbounded)."""
+    cfg_module, rc_program = _tail_chain_programs()
+    budget = lambda: (
+        ExecutionBudget(max_steps=budget_steps) if budget_steps else None
+    )
+    if flavor == "cfg":
+        compile_ = lambda fuse: compile_cfg_module(cfg_module, fuse=fuse)
+        tree_class = _FaultingCfgInterpreter if faulting else CfgInterpreter
+        tree = tree_class(cfg_module, budget=budget())
+    else:
+        compile_ = lambda fuse: compile_rc_program(rc_program, fuse=fuse)
+        tree_class = _FaultingRcInterpreter if faulting else RcInterpreter
+        tree = tree_class(rc_program, budget=budget())
+    fused = compile_(True)
+    assert any(
+        ins[0] == OP_TAILCALL
+        for fn in fused.functions.values() for ins in fn.code
+    )
+    return {
+        "fused": VirtualMachine(fused, budget=budget()),
+        "unfused": VirtualMachine(compile_(False), budget=budget()),
+        "tree": tree,
+    }
+
+
+def _failed_run(engine, plan=None):
+    """Run ``engine`` to its expected failure: (error, counts, heap stats)."""
+    with fault_plan(plan):
+        with pytest.raises(Exception) as caught:
+            engine.run_main(check_heap=False)
+    error = caught.value
+    return (
+        (type(error).__name__, str(error)),
+        engine.metrics.counts,
+        engine.ctx.heap.stats.as_dict(),
+    )
+
+
+class TestTailCalls:
+    """A ``tailcall`` replaces its caller's frame, and charges exactly what
+    ``call`` + ``ret`` charge — also when a run fails inside a chain."""
+
+    @pytest.mark.parametrize("flavor", ("cfg", "rc"))
+    @pytest.mark.parametrize("failure", ("budget", "fault", "runtime_error"))
+    def test_failure_inside_a_chain_charges_the_unfused_events(
+        self, flavor, failure
+    ):
+        # Each iteration takes two steps (call, branch): the 11000th step
+        # and the 5500th call both land past 5000 tail calls.
+        budget_steps = 11000 if failure == "budget" else None
+        faulting = failure == "fault"
+        outcomes = {}
+        for name, engine in _tail_chain_engines(
+            flavor, budget_steps, faulting
+        ).items():
+            plan = FaultPlan({"vm.dispatch": 5500}) if faulting else None
+            outcomes[name] = _failed_run(engine, plan)
+        assert outcomes["fused"] == outcomes["unfused"] == outcomes["tree"]
+        error, counts, _ = outcomes["fused"]
+        expected_error = {
+            "budget": "ExecutionBudgetExceeded",
+            "fault": "InjectedFault",
+            "runtime_error": "RuntimeError_",
+        }[failure]
+        assert error[0] == expected_error
+        assert counts["call"] > 5000
+        # No frame of the chain returned.
+        assert counts.get("return", 0) == 0
+
+    def test_tail_loop_runs_in_constant_frame_memory(self):
+        import tracemalloc
+
+        source = (
+            "def count (n : Nat) (acc : Nat) : Nat :=\n"
+            "  if n == 0 then acc else count (n - 1) (acc + 1)\n"
+            "def main : Nat := count 100000 0"
+        )
+        module = MlirCompiler(PipelineOptions()).compile(source).cfg_module
+        program = compile_cfg_module(module, fuse=True)
+        vm = VirtualMachine(program)
+        tracemalloc.start()
+        try:
+            value = vm.run_main().value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 100000
+        assert peak < 1 << 20, f"peak {peak} bytes"
+        fused = run_mlir(source, PipelineOptions())
+        unfused = run_mlir(source, PipelineOptions(superinstructions=False))
+        assert_identical_runs(fused, unfused)
+
+    def test_arity_mismatched_tailcall_raises_after_its_fault_site(self):
+        callee = BytecodeFunction("callee", 2)
+        callee.num_regs = 2
+        callee.code = [(OP_RET, 0)]
+        factory = lambda: _vm_program([
+            (OP_INT, 0, 3),
+            (OP_CALL, 1, callee, (0,)),
+            (OP_RET, 1),
+        ], 2, extras=(callee,))
+        program = fuse_program(factory())
+        assert program.functions["main"].code[1][0] == OP_TAILCALL
+        _assert_outcome(factory, (), (
+            "error", "calling callee with 1 arguments, expected 2",
+            {"call": 2, "move": 1},
+        ))
+        for fused in (False, True):
+            program = factory()
+            if fused:
+                fuse_program(program)
+            vm = VirtualMachine(program)
+            outcome = _failed_run(vm, FaultPlan({"vm.dispatch": 2}))
+            assert outcome[0][0] == "InjectedFault"
+            assert outcome[1] == {"call": 2, "move": 1}
+
+    @pytest.mark.parametrize("flavor", ("cfg", "rc"))
+    def test_a_tail_chain_returns_once(self, flavor):
+        # The whole chain's returns are charged, one per call, as unfused.
+        source = _TAIL_CHAIN.replace("then boom acc", "then acc")
+        run = run_mlir if flavor == "cfg" else run_baseline
+        fused = run(source, PipelineOptions())
+        unfused = run(source, PipelineOptions(superinstructions=False))
+        tree = run(source, PipelineOptions(execution_engine="tree"))
+        assert fused.value == _CHAIN
+        assert_identical_runs(tree, fused)
+        assert_identical_runs(tree, unfused)
+
+
+def _musttail_programs():
+    from repro.eval.benchmarks import benchmark_sources
+
+    programs = [(p.name, p.source) for p in REGRESSION]
+    return programs + sorted(benchmark_sources().items())
+
+
+class TestMusttail:
+    """lp codegen marks ``let r := f …; ret r`` calls ``musttail``, the
+    verifier holds the mark to tail position, and the VM makes every
+    marked call to a bytecode function a ``tailcall`` site."""
+
+    def test_every_musttail_call_becomes_a_tailcall_site(self):
+        marked_total = 0
+        for name, source in _musttail_programs():
+            module = MlirCompiler(PipelineOptions()).compile(source).cfg_module
+            program = compile_cfg_module(module, fuse=True)
+            for func in module.functions():
+                if func.is_declaration:
+                    continue
+                marked = sorted(
+                    op.callee for op in func.walk()
+                    if isinstance(op, CallOp) and op.is_musttail
+                    and op.callee in program.functions
+                )
+                tail_sites = sorted(
+                    ins[1].name for ins in program.functions[func.sym_name].code
+                    if ins[0] == OP_TAILCALL
+                )
+                assert marked == tail_sites, (name, func.sym_name)
+                marked_total += len(marked)
+        assert marked_total > 0
+
+    def test_misplaced_musttail_fails_verification(self):
+        from repro.ir.parser import parse_module
+        from repro.ir.verifier import VerificationError, verify
+
+        template = (
+            '"builtin.module"() ({\n'
+            '  "func.func"() ({\n'
+            '  ^bb0(%x: !lp.t):\n'
+            '    %r = "func.call"(%x) {callee = @g, musttail = unit} '
+            ': (!lp.t) -> !lp.t\n'
+            '    BETWEEN'
+            '    "func.return"(RETURNED) : (!lp.t) -> ()\n'
+            '  }) {function_type = (!lp.t) -> !lp.t, sym_name = "f"} '
+            ': () -> ()\n'
+            '  "func.func"() ({\n'
+            '  ^bb0(%y: !lp.t):\n'
+            '    "func.return"(%y) : (!lp.t) -> ()\n'
+            '  }) {function_type = (!lp.t) -> !lp.t, sym_name = "g"} '
+            ': () -> ()\n'
+            '}) : () -> ()\n'
+        )
+        good = template.replace("BETWEEN", "").replace("RETURNED", "%r")
+        verify(parse_module(good))
+        for between, returned in (
+            ('"lp.inc"(%x) {count = 1 : i64} : (!lp.t) -> ()\n', "%r"),
+            ("", "%x"),
+        ):
+            bad = template.replace("BETWEEN", between).replace(
+                "RETURNED", returned
+            )
+            with pytest.raises(VerificationError, match="musttail"):
+                verify(parse_module(bad))
+
+    def test_inliner_keeps_the_mark_only_in_tail_position(self):
+        from repro.ir.parser import parse_module
+        from repro.ir.verifier import verify
+        from repro.transforms.inliner import InlinerPass
+
+        text = (
+            '"builtin.module"() ({\n'
+            '  "func.func"() ({\n'
+            '  ^bb0(%x: !lp.t):\n'
+            '    %a = "func.call"(%x) {callee = @wrap} : (!lp.t) -> !lp.t\n'
+            '    %b = "func.call"(%a) {callee = @wrap, musttail = unit} '
+            ': (!lp.t) -> !lp.t\n'
+            '    "func.return"(%b) : (!lp.t) -> ()\n'
+            '  }) {function_type = (!lp.t) -> !lp.t, sym_name = "f"} '
+            ': () -> ()\n'
+            '  "func.func"() ({\n'
+            '  ^bb0(%y: !lp.t):\n'
+            '    %r = "func.call"(%y) {callee = @leaf, musttail = unit} '
+            ': (!lp.t) -> !lp.t\n'
+            '    "func.return"(%r) : (!lp.t) -> ()\n'
+            '  }) {function_type = (!lp.t) -> !lp.t, sym_name = "wrap"} '
+            ': () -> ()\n'
+            '  "func.func"() ({\n'
+            '  ^bb0(%z: !lp.t):\n'
+            '    "func.return"(%z) : (!lp.t) -> ()\n'
+            '  }) {function_type = (!lp.t) -> !lp.t, sym_name = "leaf"} '
+            ': () -> ()\n'
+            '}) : () -> ()\n'
+        )
+        module = parse_module(text)
+        pass_ = InlinerPass()
+        pass_.run(module)
+        verify(module)
+        f = next(fn for fn in module.functions() if fn.sym_name == "f")
+        calls = [op for op in f.walk() if isinstance(op, CallOp)]
+        # @wrap's tail call of @leaf, inlined at both sites: the first copy
+        # feeds the second call, the second is still returned.
+        assert [(c.callee, c.is_musttail) for c in calls] == [
+            ("leaf", False), ("leaf", True),
+        ]
 
 
 class TestVm2SessionCache:
