@@ -71,7 +71,8 @@ FIGURE11_ROWS = [
     ("CSE", "hand-written", "builtin pass (cse, extended by region-gvn)"),
     ("DCE", "hand-written", "builtin pass (dce / dead-region-elimination)"),
     ("Inliner", "hand-written join inlining", "builtin pass (inline)"),
-    ("Test minimization", "none", "tools/reduce (mlir-reduce analogue)"),
+    ("Test minimization", "none",
+     "crash-bundle pass bisection + hypothesis program shrinking"),
     ("Debug information", "none", "value name hints preserved end-to-end"),
     ("IDE support", "none", "textual IR + parser (LSP-ready)"),
     ("Tail call optimization", "VM call+ret peephole, no IR mark",

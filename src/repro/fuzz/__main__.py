@@ -85,8 +85,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--matrix", choices=("smoke", "full"), default="full",
         help="configuration matrix per program: 'full' is every rc-mode × "
-        "rewrite-engine × execution-engine × incremental combination, "
-        "'smoke' a cheap covering diagonal (default full)",
+        "rewrite-engine × execution-engine combination (12, from 6 "
+        "compiles), 'smoke' a cheap covering diagonal (default full)",
     )
     parser.add_argument(
         "--corpus-dir", type=Path, default=DEFAULT_CORPUS_DIR,

@@ -5,7 +5,6 @@ One program goes through **every** configuration the compiler exposes:
 * rc mode: ``rc-naive`` / ``rc-opt`` / ``rc-opt+reuse``,
 * rewrite engine: ``worklist`` / ``rescan``,
 * execution engine: ``vm`` (register bytecode) / ``tree`` (walker oracles),
-* incremental rgn-opt recompilation: off / on,
 
 plus the baseline ("leanc") pipeline at every rc mode and the λpure
 reference interpreter as the golden value.  The contract asserted for
@@ -16,10 +15,10 @@ every run (:func:`run_matrix`):
   zero-leak invariant of *Counting Immutable Beans*),
 * **metric identity** — within one rc mode, the lp+rgn pipeline must
   produce identical execution metrics (cost, op counts, heap traffic)
-  across rewrite engines, execution engines and incremental on/off: those
-  axes may change *how fast the compiler runs*, never *what it compiles
-  to*.  Across rc modes only values must agree — changing RC traffic is
-  the point of the rc-opt subsystem.
+  across rewrite engines and execution engines: those axes may change
+  *how fast the compiler runs*, never *what it compiles to*.  Across rc
+  modes only values must agree — changing RC traffic is the point of the
+  rc-opt subsystem.
 
 Any violation (or any crash anywhere in a pipeline) raises
 :class:`DifferentialFailure` carrying the pretty-printed source, so
@@ -38,11 +37,8 @@ configuration that asks for it:
 * the baseline compiles one λrc program per rc mode and runs it on both
   ``vm`` and ``tree``;
 * the lp+rgn configurations group by compile key (rc mode, rewrite
-  engine, incremental).  The first configuration of a group compiles;
-  later ones execute the group's latest CFG module.  An incremental group
-  compiles once more, for its second configuration: that compile is
-  served by the session's incremental cache, so incremental hits stay
-  under test.
+  engine).  The first configuration of a group compiles; the other runs
+  the same CFG module on the other execution engine.
 
 Executing never writes into a CFG module or a λrc program, so sharing
 leaves labels, values and metric fingerprints as separate compiles would.
@@ -72,10 +68,8 @@ from ..eval.harness import oracle_options
 from ..interp.bytecode import EXECUTION_ENGINES
 from ..record import FrozenRecord, Record
 
-#: The matrix axes (rc mode × rewrite engine × execution engine ×
-#: incremental recompilation).
+#: The matrix axes (rc mode × rewrite engine × execution engine).
 REWRITE_ENGINES = ("worklist", "rescan")
-INCREMENTAL_MODES = (False, True)
 
 #: Default per-program execution step budget (calls and branches).  Fuel-
 #: bounded generated programs finish in a few thousand steps; a run that
@@ -88,9 +82,7 @@ DEFAULT_BUDGET_STEPS = 2_000_000
 class MatrixConfig(FrozenRecord):
     """One lp+rgn pipeline configuration of the differential matrix."""
 
-    _fields = (
-        "rc_variant", "rewrite_engine", "execution_engine", "incremental",
-    )
+    _fields = ("rc_variant", "rewrite_engine", "execution_engine")
 
     # Only perfbench/staged.py still reads this attribute.
     dispatch = "threaded"
@@ -100,44 +92,39 @@ class MatrixConfig(FrozenRecord):
         rc_variant: str,
         rewrite_engine: str,
         execution_engine: str,
-        incremental: bool,
     ):
         object.__setattr__(self, "rc_variant", rc_variant)
         object.__setattr__(self, "rewrite_engine", rewrite_engine)
         object.__setattr__(self, "execution_engine", execution_engine)
-        object.__setattr__(self, "incremental", incremental)
 
     @property
     def label(self) -> str:
-        inc = "inc" if self.incremental else "noinc"
         return (
-            f"{self.rc_variant}/{self.rewrite_engine}/"
-            f"{self.execution_engine}/{inc}"
+            f"{self.rc_variant}/{self.rewrite_engine}/{self.execution_engine}"
         )
 
 
 def full_matrix() -> Tuple[MatrixConfig, ...]:
     """Every lp+rgn configuration: 3 rc modes × 2 rewrite engines ×
-    2 execution engines × 2 incremental modes = 24 configurations, built
-    by 18 compiles per program."""
+    2 execution engines = 12 configurations, built by 6 compiles per
+    program (one per rc mode and rewrite engine)."""
     return tuple(
-        MatrixConfig(rc, engine, execution, incremental)
-        for rc, engine, execution, incremental in itertools.product(
-            RC_VARIANTS, REWRITE_ENGINES, EXECUTION_ENGINES, INCREMENTAL_MODES
+        MatrixConfig(rc, engine, execution)
+        for rc, engine, execution in itertools.product(
+            RC_VARIANTS, REWRITE_ENGINES, EXECUTION_ENGINES
         )
     )
 
 
 def smoke_matrix() -> Tuple[MatrixConfig, ...]:
-    """A cheaper diagonal used by the CI smoke budget: every rc mode, every
-    rewrite and execution engine and the incremental path each appear at
-    least once."""
+    """A cheaper diagonal of five configurations (five compiles): every rc
+    mode, rewrite engine and execution engine appears at least once."""
     return (
-        MatrixConfig("rc-naive", "worklist", "vm", False),
-        MatrixConfig("rc-naive", "rescan", "tree", False),
-        MatrixConfig("rc-opt", "worklist", "tree", True),
-        MatrixConfig("rc-opt+reuse", "worklist", "vm", True),
-        MatrixConfig("rc-opt+reuse", "rescan", "vm", False),
+        MatrixConfig("rc-naive", "worklist", "vm"),
+        MatrixConfig("rc-naive", "rescan", "tree"),
+        MatrixConfig("rc-opt", "worklist", "tree"),
+        MatrixConfig("rc-opt+reuse", "worklist", "vm"),
+        MatrixConfig("rc-opt+reuse", "rescan", "vm"),
     )
 
 
@@ -173,7 +160,8 @@ class MatrixReport(Record):
 
 def _metric_fingerprint(result) -> Tuple:
     """The executed-semantics fingerprint that must be identical across the
-    compile-strategy axes (engines, incremental) within one rc mode."""
+    compile-strategy axes (rewrite and execution engines) within one rc
+    mode."""
     counts = result.metrics.counts
     return (
         result.metrics.total_cost(),
@@ -195,9 +183,11 @@ def run_matrix(
 
     ``session`` shares frontend work and the λrc lowering (one per rc mode,
     for the baselines and lp+rgn configurations alike) across the whole
-    matrix, and is what the incremental configurations exercise; the
-    caller may reuse one session across many programs — the cache is
-    content-keyed.
+    matrix; the caller may reuse one session across many programs — the
+    cache is content-keyed.  Each (rc mode, rewrite engine) group compiles
+    once, on its first configuration, and every later configuration of the
+    group executes that module: the full matrix makes 6 lp+rgn compiles and
+    3 baseline compiles per program.
 
     ``budget_steps`` bounds every execution (reference, baselines and the
     lp+rgn matrix alike); a trip surfaces as a :class:`DifferentialFailure`
@@ -217,21 +207,18 @@ def run_matrix(
                 source, f"{label}: {type(error).__name__}: {error}"
             ) from error
 
-    # Compile key -> compiles the group still owes / its latest artifact.
-    compiles_left: Dict[Tuple, int] = {}
-    latest: Dict[Tuple, object] = {}
+    # Compile key -> the group's compiled artifact.
+    artifacts: Dict[Tuple, object] = {}
 
-    def compile_and_execute(label, compiler, key, compiles):
-        """Run ``label``: compile while its group still owes a compile,
-        then execute the group's latest artifact."""
-        left = compiles_left.setdefault(key, compiles)
-        if left:
-            compiles_left[key] = left - 1
-            latest[key] = guarded(
+    def compile_and_execute(label, compiler, key):
+        """Run ``label``: compile on the group's first use, then execute
+        the group's artifact."""
+        if key not in artifacts:
+            artifacts[key] = guarded(
                 label,
                 lambda: getattr(compiler.compile(source), compiler.executable),
             )
-        return guarded(label, lambda: compiler.execute(latest[key]))
+        return guarded(label, lambda: compiler.execute(artifacts[key]))
 
     def options_for(rc_variant, execution_engine, rewrite_engine=None):
         options = oracle_options(
@@ -257,7 +244,7 @@ def run_matrix(
                     options_for(rc_variant, execution_engine), session=session
                 )
                 result = compile_and_execute(
-                    label, compiler, ("baseline", rc_variant), 1
+                    label, compiler, ("baseline", rc_variant)
                 )
                 _check_run(report, label, result)
 
@@ -267,14 +254,10 @@ def run_matrix(
         options = options_for(
             config.rc_variant, config.execution_engine, config.rewrite_engine
         )
-        options.incremental_rgn_opt = config.incremental
-        # An incremental group compiles twice: the second compile is served
-        # by the incremental cache, which keeps cache hits under test.
         result = compile_and_execute(
             label,
             MlirCompiler(options, session=session),
-            (config.rc_variant, config.rewrite_engine, config.incremental),
-            2 if config.incremental else 1,
+            (config.rc_variant, config.rewrite_engine),
         )
         _check_run(report, label, result)
         fingerprint = _metric_fingerprint(result)

@@ -6,9 +6,9 @@ Four guarantees are pinned here (see ``docs/FUZZING.md``):
   draws type-checks, and survives print → parse → check with the identical
   typed AST (the meta-test runs hundreds of examples);
 * **matrix agreement** — generated programs run through the *full*
-  configuration matrix (rc mode × rewrite engine × execution engine ×
-  incremental) agree with the reference value, balance the heap, and keep
-  identical execution metrics across the compile-strategy axes;
+  configuration matrix (rc mode × rewrite engine × execution engine)
+  agree with the reference value, balance the heap, and keep identical
+  execution metrics across the compile-strategy axes;
 * **corpus replay** — every shrunk counterexample checked into
   ``tests/corpus/`` replays through the full matrix, fast, forever;
 * **surface round-trip** — the pretty-printer reproduces the identical
@@ -266,8 +266,8 @@ class _StubResult:
 class TestDifferentialMatrix:
     def test_full_matrix_shape(self):
         configs = full_matrix()
-        assert len(configs) == 24
-        assert len({c.label for c in configs}) == 24
+        assert len(configs) == 12
+        assert len({c.label for c in configs}) == 12
 
     def test_smoke_matrix_covers_every_axis(self):
         configs = smoke_matrix()
@@ -277,7 +277,6 @@ class TestDifferentialMatrix:
         }
         assert {c.rewrite_engine for c in configs} == {"worklist", "rescan"}
         assert {c.execution_engine for c in configs} == {"vm", "tree"}
-        assert {c.incremental for c in configs} == {False, True}
 
     def test_generated_programs_agree_everywhere(self):
         session = CompilationSession()
@@ -292,8 +291,8 @@ class TestDifferentialMatrix:
         @given(program=typed_programs())
         def run(program):
             report = run_matrix(print_program(program), session=session)
-            # 24 lp+rgn configurations + 6 baseline runs.
-            assert report.configurations == 30
+            # 12 lp+rgn configurations + 6 baseline runs.
+            assert report.configurations == 18
 
         run()
 
@@ -349,58 +348,29 @@ class TestDifferentialMatrix:
         assert reason.startswith("VerificationError:")
         assert "dominate" in reason
 
-    def _spy_compiles(self, monkeypatch, session):
-        """Record (compile key, incremental hits, incremental misses) of
-        every lp+rgn compile."""
-        compiles = []
-        original = MlirCompiler.compile
-
-        def spy(compiler, source):
-            hits, misses = session.incremental_hits, session.incremental_misses
-            artifacts = original(compiler, source)
-            options = compiler.options
-            compiles.append((
-                (options.rc_mode, options.rewrite_engine,
-                 options.incremental_rgn_opt),
-                session.incremental_hits - hits,
-                session.incremental_misses - misses,
-            ))
-            return artifacts
-
-        monkeypatch.setattr(MlirCompiler, "compile", spy)
-        return compiles
-
     @pytest.mark.parametrize(
-        "configs,compiles", [(full_matrix(), 18), (smoke_matrix(), 5)],
+        "configs,compiles", [(full_matrix(), 6), (smoke_matrix(), 5)],
         ids=["full", "smoke"],
     )
     def test_one_compile_per_group(self, monkeypatch, configs, compiles):
-        # One compile per (rc mode, rewrite engine, incremental) group, two
-        # per incremental group; every execution engine reuses the module.
+        # One compile per (rc mode, rewrite engine) group; every execution
+        # engine reuses the module.
+        spied = []
+        original = MlirCompiler.compile
+
+        def spy(compiler, source):
+            options = compiler.options
+            spied.append((options.rc_mode, options.rewrite_engine))
+            return original(compiler, source)
+
+        monkeypatch.setattr(MlirCompiler, "compile", spy)
         session = CompilationSession()
-        spied = self._spy_compiles(monkeypatch, session)
         _, source = CORPUS[0]
         report = run_matrix(source, session=session, configs=configs)
         assert report.configurations == len(configs) + 6
-        assert len(spied) == compiles
-
-    def test_second_incremental_compile_only_hits(self, monkeypatch):
-        session = CompilationSession()
-        spied = self._spy_compiles(monkeypatch, session)
-        _, source = CORPUS[0]
-        run_matrix(source, session=session, configs=full_matrix())
-        groups = {}
-        for key, hits, misses in spied:
-            groups.setdefault(key, []).append((hits, misses))
-        assert len(groups) == 12
-        for (_, _, incremental), compiles in groups.items():
-            if not incremental:
-                assert compiles == [(0, 0)]
-                continue
-            assert len(compiles) == 2
-            _, (second_hits, second_misses) = compiles
-            assert second_hits > 0 and second_misses == 0
-        assert any(misses for _, _, misses in spied)
+        assert len(spied) == len(set(spied)) == compiles
+        # The matrix never turns the incremental rgn-opt cache on.
+        assert (session.incremental_hits, session.incremental_misses) == (0, 0)
 
     def test_value_mismatch_is_detected(self):
         report = MatrixReport(source="s")

@@ -35,7 +35,7 @@ FROZEN = {
     "NatType": ast.NatType,
     "PassOption": lambda: PassOption("engine", choices=("worklist", "rescan")),
     "RegisteredPass": lambda: RegisteredPass("dce", object, (), "drop dead ops"),
-    "MatrixConfig": lambda: MatrixConfig("rc-opt", "worklist", "vm", True),
+    "MatrixConfig": lambda: MatrixConfig("rc-opt", "worklist", "vm"),
     "TestProgram": lambda: testsuite.TestProgram("id", "basic", "main"),
     "Benchmark": lambda: Benchmark("b", "def main : Nat := 1", "one", 1),
 }
@@ -152,9 +152,9 @@ class TestRepr:
                 "choices=('a', 'b'), default='')",
             ),
             (
-                MatrixConfig("rc-opt", "worklist", "vm", True),
+                MatrixConfig("rc-opt", "worklist", "vm"),
                 "MatrixConfig(rc_variant='rc-opt', rewrite_engine='worklist', "
-                "execution_engine='vm', incremental=True)",
+                "execution_engine='vm')",
             ),
             (
                 ExecutionMetrics(counts={"call": 1}, costs={"call": 4}),

@@ -177,11 +177,11 @@ class TestRcLoweringCache:
         session = CompilationSession()
         _, source = load_corpus()[0]
         report = run_matrix(source, session=session, configs=full_matrix())
-        assert report.configurations == 30
-        # 3 baseline compiles (one per rc mode, run on vm and tree) + 18
-        # lp+rgn compiles (one per compile group, two per incremental
-        # group), 3 distinct λrc.
-        assert (session.stats["rc_misses"], session.stats["rc_hits"]) == (3, 18)
+        assert report.configurations == 18
+        # 3 baseline compiles (one per rc mode, run on vm and tree) + 6
+        # lp+rgn compiles (one per rc mode and rewrite engine), 3 distinct
+        # λrc.
+        assert (session.stats["rc_misses"], session.stats["rc_hits"]) == (3, 6)
 
 
 def _observable(program):
