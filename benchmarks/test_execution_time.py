@@ -122,13 +122,13 @@ class TestVm2Speed:
         source = benchmark_sources({name: DEFAULT_SIZES[name]})[name]
         module = compiler.compile(source).cfg_module
 
-        def executed(**kwargs):
-            vm = VirtualMachine(session.bytecode_for(module, **kwargs))
+        def executed(program):
+            vm = VirtualMachine(program)
             vm.run_main()
             return sum(vm.opcode_counts)
 
-        fused = executed()
-        unfused = executed(superinstructions=False)
+        fused = executed(session.bytecode_for(module))
+        unfused = executed(compile_cfg_module(module, fuse=False))
         assert fused <= 0.8 * unfused, (fused, unfused)
 
 
@@ -183,9 +183,7 @@ class TestXlargeSizeTier:
         module = compiler.compile(source).cfg_module
         tree = CfgInterpreter(module).run_main()
         fused = VirtualMachine(session.bytecode_for(module)).run_main()
-        unfused = VirtualMachine(
-            session.bytecode_for(module, superinstructions=False)
-        ).run_main()
+        unfused = VirtualMachine(compile_cfg_module(module, fuse=False)).run_main()
         for vm_result in (fused, unfused):
             assert vm_result.value == tree.value
             assert vm_result.metrics.counts == tree.metrics.counts

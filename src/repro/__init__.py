@@ -5,7 +5,7 @@ The package implements, in pure Python, every subsystem the paper relies on:
 * ``repro.ir`` — a mini-MLIR: SSA values, operations, blocks, nested regions,
   attributes, types, a verifier, a textual printer/parser, traits and
   dominance analysis.
-* ``repro.dialects`` — the ``func``/``arith``/``cf``/``scf`` substrate
+* ``repro.dialects`` — the ``func``/``arith``/``cf`` substrate
   dialects and the paper's ``lp`` and ``rgn`` dialects.
 * ``repro.rewrite`` — pattern rewriting, the greedy rewrite driver and a pass
   manager.

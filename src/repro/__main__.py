@@ -89,7 +89,8 @@ def _print_exec_stats(registry: MetricsRegistry, *, unfused: bool = False) -> No
 
     With ``unfused`` every superinstruction row is decomposed back into
     its base opcodes (one fused execution counts once for each
-    constituent), so the table is comparable across ``--no-fusion`` runs.
+    constituent), so the table counts what the unfused bytecode
+    (``compile_cfg_module(..., fuse=False)``) would execute.
     """
     prefix = "vm.instr.freq."
     frequencies = {
@@ -150,11 +151,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--execution-engine", choices=EXECUTION_ENGINES, default="vm",
         help="how the compiled program executes: the register-bytecode VM "
         "(default) or the tree-walking oracle interpreter",
-    )
-    parser.add_argument(
-        "--no-fusion", action="store_true",
-        help="disable the superinstruction peephole when compiling bytecode "
-        "(vm engine only; the fused VM is the default)",
     )
     parser.add_argument(
         "--emit", choices=("c", "lp", "rgn", "rgn-opt", "cfg"), default=None,
@@ -290,7 +286,6 @@ def _compile_and_run(args, source: str) -> int:
     if args.rewrite_engine is not None:
         options.rewrite_engine = args.rewrite_engine
     options.execution_engine = args.execution_engine
-    options.superinstructions = not args.no_fusion
     options.print_ir_after = tuple(args.print_ir_after)
     options.print_ir_after_all = args.print_ir_after_all
     options.crash_bundle_dir = args.crash_dir

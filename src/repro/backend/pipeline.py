@@ -69,15 +69,9 @@ class PipelineOptions(Record):
     run_lambda_simplifier: bool = True
     #: Keep LEAN's ``simp_case`` sub-pass enabled inside the simplifier.
     enable_simp_case: bool = True
-    #: Run the rgn optimisation pipeline between lp→rgn and rgn→cf.
+    #: Run the rgn optimisation pipeline (:func:`rgn_pipeline_spec`)
+    #: between lp→rgn and rgn→cf.
     run_rgn_optimizations: bool = True
-    #: Individual rgn passes (used by the ablation benchmarks).
-    enable_dead_region_elimination: bool = True
-    enable_region_gvn: bool = True
-    enable_case_elimination: bool = True
-    enable_common_branch_elimination: bool = True
-    enable_constant_fold: bool = True
-    enable_cse: bool = True
     #: RC optimisation level applied between RC insertion and lowering
     #: ("naive", "opt" or "opt+reuse"; see :mod:`repro.rc_opt`).
     rc_mode: str = "naive"
@@ -89,10 +83,6 @@ class PipelineOptions(Record):
     #: bytecode, the default) or "tree" (the tree-walking interpreters,
     #: kept as differential oracles).
     execution_engine: str = "vm"
-    #: Run the superinstruction fusion peephole over compiled bytecode.
-    #: Fused instructions charge exactly the unfused events, so this only
-    #: changes execution speed, never metrics or results.
-    superinstructions: bool = True
     #: Verify every IR state a pass pipeline produces once: after its
     #: first pass, then after each pass that changed the IR (see
     #: :class:`~repro.rewrite.pass_manager.PassManager`).
@@ -102,9 +92,6 @@ class PipelineOptions(Record):
     print_ir_after: Tuple[str, ...] = ()
     #: Print the module after every pass (``--print-ir-after-all``).
     print_ir_after_all: bool = False
-    #: On a pass failure (pattern non-convergence or a ``verify_each``
-    #: rejection), dump the offending function's IR and the pass name.
-    print_ir_on_failure: bool = True
     #: Serve rgn-opt results from the session's fingerprint-keyed
     #: per-function cache (no effect without a session; see
     #: :mod:`repro.backend.incremental`).  Off by default: only a session
@@ -129,13 +116,10 @@ class PipelineOptions(Record):
 
     _fields = (
         "run_lambda_simplifier", "enable_simp_case", "run_rgn_optimizations",
-        "enable_dead_region_elimination", "enable_region_gvn",
-        "enable_case_elimination", "enable_common_branch_elimination",
-        "enable_constant_fold", "enable_cse", "rc_mode", "rewrite_engine",
-        "execution_engine", "superinstructions", "verify_each",
-        "print_ir_after", "print_ir_after_all", "print_ir_on_failure",
-        "incremental_rgn_opt", "capture_ir", "crash_bundle_dir",
-        "execution_budget_seconds", "execution_budget_steps",
+        "rc_mode", "rewrite_engine", "execution_engine", "verify_each",
+        "print_ir_after", "print_ir_after_all", "incremental_rgn_opt",
+        "capture_ir", "crash_bundle_dir", "execution_budget_seconds",
+        "execution_budget_steps",
     )
 
     def __init__(self, **overrides):
@@ -305,7 +289,7 @@ class CompilationSession:
 
     def __init__(self):
         self._pure_cache: Dict[str, _FrontendEntry] = {}
-        self._bytecode_cache: Dict[tuple, tuple] = {}
+        self._bytecode_cache: Dict[int, tuple] = {}
         self._rgn_opt_cache: Dict[tuple, object] = {}
         self.lowering_context = LoweringContext()
         self.hits = 0
@@ -368,23 +352,15 @@ class CompilationSession:
         frontend entry."""
         self._pure_cache[source].rc[key] = lowered
 
-    def bytecode_for(
-        self, module: ModuleOp, *, superinstructions: bool = True
-    ) -> BytecodeProgram:
-        """Bytecode for a CFG-form ``module``, compiled once per (module,
-        fusion flag)."""
-        return self._cached_bytecode(
-            module, compile_cfg_module, superinstructions
-        )
+    def bytecode_for(self, module: ModuleOp) -> BytecodeProgram:
+        """Fused bytecode for a CFG-form ``module``, compiled once per
+        module."""
+        return self._cached_bytecode(module, compile_cfg_module)
 
-    def rc_bytecode_for(
-        self, program: PureProgram, *, superinstructions: bool = True
-    ) -> BytecodeProgram:
-        """Bytecode for a λrc ``program``, compiled once per (program,
-        fusion flag)."""
-        return self._cached_bytecode(
-            program, compile_rc_program, superinstructions
-        )
+    def rc_bytecode_for(self, program: PureProgram) -> BytecodeProgram:
+        """Fused bytecode for a λrc ``program``, compiled once per
+        program."""
+        return self._cached_bytecode(program, compile_rc_program)
 
     #: Bound on cached bytecode rows.  Each row pins its module alive (the
     #: strong reference is what keeps ``id`` keys valid), and compile-only
@@ -392,12 +368,10 @@ class CompilationSession:
     #: would retain every module it ever executed.
     BYTECODE_CACHE_LIMIT = 128
 
-    def _cached_bytecode(
-        self, source: object, compiler, superinstructions: bool
-    ) -> BytecodeProgram:
-        # Keyed on (module identity, fusion flag): fusion rewrites the
-        # bytecode; the threaded closures live on each VirtualMachine.
-        key = (id(source), superinstructions)
+    def _cached_bytecode(self, source: object, compiler) -> BytecodeProgram:
+        # Keyed on module identity; the threaded closures live on each
+        # VirtualMachine.
+        key = id(source)
         entry = self._bytecode_cache.get(key)
         registry = get_metrics()
         if entry is not None and entry[0] is source:
@@ -408,7 +382,7 @@ class CompilationSession:
         self.bytecode_misses += 1
         if registry.enabled:
             registry.bump("session.bytecode.misses")
-        bytecode = compiler(source, fuse=superinstructions)
+        bytecode = compiler(source, fuse=True)
         while len(self._bytecode_cache) >= self.BYTECODE_CACHE_LIMIT:
             # FIFO eviction (dicts preserve insertion order): repeated
             # execution of a recent module stays cached, ancient rows go.
@@ -502,18 +476,12 @@ def lower_to_rc(
 
 
 def pass_instrumentations(options: PipelineOptions) -> List[PassInstrumentation]:
-    """The pass-instrumentation stack implied by ``options``."""
-    if not (
-        options.print_ir_after
-        or options.print_ir_after_all
-        or options.print_ir_on_failure
-    ):
-        return []
+    """The pass-instrumentation stack implied by ``options``: IR printing
+    after the requested passes, and always on a pass failure."""
     return [
         PrintIRInstrumentation(
             print_after=options.print_ir_after,
             print_after_all=options.print_ir_after_all,
-            print_on_failure=options.print_ir_on_failure,
         )
     ]
 
@@ -522,46 +490,24 @@ def pass_instrumentations(options: PipelineOptions) -> List[PassInstrumentation]
 #: optimised RC modes (the SSA twin of dup/drop fusion).
 LP_FUSION_SPEC = "lp-rc-fusion"
 
-#: The ablation flag of ``PipelineOptions`` -> the ``canonicalize`` pass's
-#: ``ablate=`` choice it corresponds to.
-_ABLATION_FLAGS = (
-    ("enable_constant_fold", "constant-fold"),
-    ("enable_case_elimination", "case-elim"),
-    ("enable_common_branch_elimination", "common-branch"),
-    ("enable_dead_region_elimination", "dead-region"),
-)
-
 
 def rgn_pipeline_spec(options: PipelineOptions) -> str:
     """The textual pipeline spec of the rgn optimisation pipeline.
 
-    The default configuration reads ``cse,region-gvn,canonicalize,dce`` —
-    runnable verbatim through ``python -m repro.opt``.  Ablation flags map
-    onto ``canonicalize{ablate=...}`` options (dropping a pattern family
-    from the drain rather than a pipeline stage), and a fully-ablated drain
-    drops the ``canonicalize`` element entirely.
+    It reads ``cse,region-gvn,canonicalize,dce`` — runnable verbatim
+    through ``python -m repro.opt`` — with ``canonicalize{engine=rescan}``
+    under the rescan engine.  An ablation is a different spec, not an
+    option: leave out the ``cse`` or ``region-gvn`` element, or drop a
+    pattern family from the drain with ``canonicalize{ablate=...}``.
 
     The drain runs once, after cse and region-gvn, because region GVN is
     what exposes the identical-operand select/switch folds.  Constants the
     drain materialises are not re-CSE'd; the final dce drops unused ones.
     """
-    parts = []
-    if options.enable_cse:
-        parts.append("cse")
-    if options.enable_region_gvn:
-        parts.append("region-gvn")
-    drain_options = [
-        f"ablate={choice}"
-        for flag, choice in _ABLATION_FLAGS
-        if not getattr(options, flag)
-    ]
-    if len(drain_options) < len(_ABLATION_FLAGS):
-        if options.rewrite_engine != "worklist":
-            drain_options.append(f"engine={options.rewrite_engine}")
-        suffix = "{" + ",".join(drain_options) + "}" if drain_options else ""
-        parts.append("canonicalize" + suffix)
-    parts.append("dce")
-    return ",".join(parts)
+    canonicalize = "canonicalize"
+    if options.rewrite_engine != "worklist":
+        canonicalize += "{engine=" + options.rewrite_engine + "}"
+    return f"cse,region-gvn,{canonicalize},dce"
 
 
 def build_spec_pipeline(spec: str, options: PipelineOptions) -> PassManager:
@@ -629,11 +575,10 @@ class _Compiler:
             return self._tree_interpreter()(program, budget=budget).run_main(
                 check_heap=check_heap
             )
-        fuse = options.superinstructions
         bytecode = (
-            self.session._cached_bytecode(program, self._bytecode_builder, fuse)
+            self.session._cached_bytecode(program, self._bytecode_builder)
             if self.session is not None
-            else self._bytecode_builder(program, fuse=fuse)
+            else self._bytecode_builder(program, fuse=True)
         )
         return VirtualMachine(bytecode, budget=budget).run_main(
             check_heap=check_heap
@@ -645,8 +590,8 @@ class BaselineCompiler(_Compiler):
     an artifact.
 
     Of its options it reads ``run_lambda_simplifier``,
-    ``enable_simp_case``, ``rc_mode``, ``execution_engine``,
-    ``superinstructions`` and the two execution budgets.
+    ``enable_simp_case``, ``rc_mode``, ``execution_engine`` and the two
+    execution budgets.
     """
 
     executable = "rc_program"
@@ -736,8 +681,9 @@ class MlirCompiler(_Compiler):
             )
             artifacts.module_op_counts["lp"] = sum(1 for _ in lp_module.walk()) - 1
             if options.rc_mode != "naive":
-                # The SSA twin of dup/drop fusion: catches pairs exposed by
-                # lowering λrc trees into lp blocks.
+                # The SSA twin of dup/drop fusion.  It runs before lp→rgn,
+                # on runs λrc fusion already normalised, and removes no op
+                # on the benchmark suite or generated programs.
                 with phase("lp-fusion"):
                     lp_fusion = build_spec_pipeline(LP_FUSION_SPEC, options)
                     lp_fusion.run(lp_module)

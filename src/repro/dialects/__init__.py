@@ -4,11 +4,10 @@
 * :mod:`repro.dialects.func` — functions, calls, returns and globals.
 * :mod:`repro.dialects.arith` — integer arithmetic, comparisons, ``select``.
 * :mod:`repro.dialects.cf` — flat CFG terminators (``br``/``cond_br``/``switch``).
-* :mod:`repro.dialects.scf` — structured control flow (``if``/``yield``).
 * :mod:`repro.dialects.lp` — the paper's λpure/λrc SSA encoding (Figure 2).
 * :mod:`repro.dialects.rgn` — first-class region values (``rgn.val``/``rgn.run``).
 """
 
-from . import arith, builtin, cf, func, lp, rgn, scf  # noqa: F401
+from . import arith, builtin, cf, func, lp, rgn  # noqa: F401
 
-__all__ = ["arith", "builtin", "cf", "func", "lp", "rgn", "scf"]
+__all__ = ["arith", "builtin", "cf", "func", "lp", "rgn"]

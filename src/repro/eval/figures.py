@@ -68,7 +68,7 @@ FIGURE11_ROWS = [
     ("Vectorization", "No", "possible via dialects (affine/linalg analogue)"),
     ("Testing harness", "ad-hoc scripts", "pytest + textual IR FileCheck-style tests"),
     ("Constant folding", "hand-written (λpure simplifier)", "rewrite patterns (constant-fold pass)"),
-    ("CSE", "hand-written", "builtin pass (cse, extended by region-gvn)"),
+    ("CSE", "none", "builtin pass (cse, extended by region-gvn)"),
     ("DCE", "hand-written", "builtin pass (dce / dead-region-elimination)"),
     ("Inliner", "hand-written join inlining", "builtin pass (inline)"),
     ("Test minimization", "none",

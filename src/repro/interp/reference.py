@@ -60,14 +60,6 @@ class RefClosure(Record):
         self.args = args
 
 
-class _Jump(Exception):
-    """Internal control-flow signal for join-point jumps."""
-
-    def __init__(self, label: str, args: List):
-        self.label = label
-        self.args = args
-
-
 def normalize(value) -> object:
     """Convert a reference value into a canonical comparable Python object."""
     if isinstance(value, RefCtor):

@@ -68,17 +68,8 @@ class Builder:
     def insertion_point(self) -> Optional[InsertionPoint]:
         return self._ip
 
-    def set_insertion_point(self, ip: InsertionPoint) -> None:
-        self._ip = ip
-
     def set_insertion_point_to_end(self, block: Block) -> None:
         self._ip = InsertionPoint.at_end(block)
-
-    def set_insertion_point_to_start(self, block: Block) -> None:
-        self._ip = InsertionPoint.at_start(block)
-
-    def set_insertion_point_before(self, op: Operation) -> None:
-        self._ip = InsertionPoint.before(op)
 
     def set_insertion_point_after(self, op: Operation) -> None:
         self._ip = InsertionPoint.after(op)
@@ -99,12 +90,5 @@ class Builder:
         """Append a new block to ``region`` and move the insertion point to it."""
         block = Block(arg_types)
         region.add_block(block)
-        self.set_insertion_point_to_end(block)
-        return block
-
-    def create_block_before(self, anchor: Block, arg_types=()) -> Block:
-        region = anchor.parent
-        block = Block(arg_types)
-        region.insert_block(anchor.index_in_region(), block)
         self.set_insertion_point_to_end(block)
         return block

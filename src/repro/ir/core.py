@@ -47,7 +47,7 @@ field writes).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .attributes import Attribute
 from .types import Type
@@ -277,11 +277,6 @@ class Operation:
         for v in values:
             self._append_operand(v)
 
-    def insert_operand(self, index: int, value: Value) -> None:
-        values = list(self._operands)
-        values.insert(index, value)
-        self.set_operands(values)
-
     def erase_operand(self, index: int) -> None:
         values = list(self._operands)
         del values[index]
@@ -364,19 +359,6 @@ class Operation:
         if other is self:
             return True
         return any(a is self for a in other.ancestors())
-
-    def block_index(self) -> int:
-        """Index of this operation inside its parent block (O(index))."""
-        if self.parent is None:
-            raise ValueError("operation has no parent block")
-        index = 0
-        current = self.parent.first_op
-        while current is not None:
-            if current is self:
-                return index
-            index += 1
-            current = current.next_op
-        raise ValueError("operation not linked into its parent block")
 
     def is_before_in_block(self, other: "Operation") -> bool:
         """True if ``self`` precedes ``other`` in their shared block.
@@ -880,12 +862,6 @@ class Region:
             dest.add_block(new_block)
             for op in block:
                 new_block.append(op.clone(mapper))
-
-    def take_blocks_from(self, other: "Region") -> None:
-        """Move all blocks of ``other`` to the end of this region."""
-        for block in list(other.blocks):
-            other.blocks.remove(block)
-            self.add_block(block)
 
     def walk(self) -> Iterator[Operation]:
         for block in list(self.blocks):

@@ -57,4 +57,4 @@ def registered_dialects() -> Dict[str, "Dialect"]:
 
 def ensure_dialects_loaded() -> None:
     """Import every dialect module so all operations are registered."""
-    from ..dialects import arith, cf, func, lp, rgn, scf  # noqa: F401
+    from ..dialects import arith, cf, func, lp, rgn  # noqa: F401

@@ -33,12 +33,6 @@ class Allocates(Trait):
     counts."""
 
 
-class HasParent(Trait):
-    """The operation may only appear nested inside specific parent ops."""
-
-    parent_op_names = ()
-
-
 class IsolatedFromAbove(Trait):
     """Regions of this op may not reference SSA values defined outside it."""
 

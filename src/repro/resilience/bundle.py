@@ -88,13 +88,6 @@ class CrashBundle(Record):
         self.bisect = bisect
 
     @property
-    def minimal_ir(self) -> Optional[str]:
-        minimal = self.path / MINIMAL_IR
-        if minimal.exists():
-            return minimal.read_text(encoding="utf-8")
-        return None
-
-    @property
     def minimal_pipeline_spec(self) -> Optional[str]:
         minimal = self.path / MINIMAL_PIPELINE_TXT
         if minimal.exists():

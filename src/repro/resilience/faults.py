@@ -116,10 +116,6 @@ class FaultPlan:
             triggers[site] = count
         return cls(triggers)
 
-    def spec_strings(self) -> List[str]:
-        """The plan as ``site:N`` strings (sorted, for serialisation)."""
-        return [f"{site}:{count}" for site, count in sorted(self.triggers.items())]
-
     def snapshot_hits(self) -> Dict[str, int]:
         return dict(self.hits)
 

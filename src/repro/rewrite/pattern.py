@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from ..ir.builder import Builder, InsertionPoint
-from ..ir.core import Block, Operation, Value
+from ..ir.core import Operation, Value
 
 
 class PatternRewriter(Builder):
@@ -148,16 +148,6 @@ class PatternRewriter(Builder):
     def notify_changed(self, op: Optional[Operation] = None) -> None:
         """Record an in-place modification of ``op`` (or the matched op)."""
         self.notify_op_modified(op if op is not None else self.current_op)
-
-    # -- structural helpers -------------------------------------------------------
-    def inline_block_before(self, block: Block, anchor: Operation) -> None:
-        """Move all operations of ``block`` (excluding nothing) before
-        ``anchor``.  The caller is responsible for remapping block arguments
-        beforehand."""
-        for op in block:
-            op.detach()
-            anchor.parent.insert_before(op, anchor)
-            self.notify_op_inserted(op)
 
 
 class RewritePattern:

@@ -28,7 +28,7 @@ rgn-opt cache, and eventually the on-disk artifact cache).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..record import FrozenRecord, Record
 from .pass_manager import Pass, PassManager
@@ -136,11 +136,6 @@ def registered_passes() -> Dict[str, RegisteredPass]:
     """All registered passes, keyed by stable name, sorted by name."""
     ensure_passes_loaded()
     return dict(sorted(_REGISTRY.items()))
-
-
-def lookup_pass(name: str) -> Optional[RegisteredPass]:
-    ensure_passes_loaded()
-    return _REGISTRY.get(name)
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,6 @@ class Tracer:
         """A new span; enter it (``with``) to start the clock."""
         return Span(self, name, category, args)
 
-    def current_span(self) -> Optional[Span]:
-        return self._current.get()
-
     def _enter(self, span: Span) -> None:
         parent = self._current.get()
         if parent is None:

@@ -40,7 +40,8 @@ def canonicalization_patterns(
     """The canonicalisation pattern union, per family.
 
     This is the single source of truth for what "canonicalisation" means;
-    the backend pipeline maps its ablation flags onto the keyword toggles.
+    the spec option ``canonicalize{ablate=...}`` maps onto the keyword
+    toggles.
     """
     patterns: List[RewritePattern] = []
     if constant_fold:
@@ -55,8 +56,7 @@ def canonicalization_patterns(
 
 
 #: Ablation choice -> the keyword toggle of :func:`canonicalization_patterns`
-#: it switches off.  Also consumed by the backend pipeline when translating
-#: its ablation flags into a pipeline spec.
+#: it switches off.
 ABLATABLE_FAMILIES = {
     "constant-fold": "constant_fold",
     "case-elim": "case_elimination",

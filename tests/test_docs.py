@@ -10,10 +10,14 @@
 * Every Figure 11 cell that names code (``FIGURE11_ROWS``) is mapped to
   importable symbols or pytest ids that exist, so the table cannot claim
   code the repository does not have.
+* Every ``--flag`` shown after ``python -m repro`` or ``python -m
+  repro.opt`` in ``docs/``, ``ARCHITECTURE.md`` or ``examples/README.md``
+  is an option of that command's parser.
 
 CI runs this module as its dedicated docs job.
 """
 
+import argparse
 import ast
 import pkgutil
 import re
@@ -22,7 +26,9 @@ from pathlib import Path
 import pytest
 
 import repro.dialects  # noqa: F401 - registers every dialect
+from repro.__main__ import main as repro_main
 from repro.ir.dialect import registered_dialects, registered_ops
+from repro.opt import main as opt_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DIALECTS_MD = REPO_ROOT / "docs" / "DIALECTS.md"
@@ -240,9 +246,7 @@ FIGURE11_NO_CODE = {
     ("Test minimization", "none"),
     ("Debug information", "none"),
     ("IDE support", "none"),
-    # The λpure simplifier has no CSE: this baseline cell is the paper's
-    # claim about LEAN's C backend, not backed by code here.
-    ("CSE", "hand-written"),
+    ("CSE", "none"),
 }
 
 
@@ -315,4 +319,77 @@ class TestFigure11Drift:
         ]
         assert not broken, (
             f"Figure 11 {feature!r} cites code that does not exist: {broken}"
+        )
+
+
+#: Pages whose ``python -m repro`` / ``python -m repro.opt`` command lines
+#: the CLI flag drift test reads.
+CLI_DOCS = sorted(
+    [
+        *(REPO_ROOT / "docs").glob("*.md"),
+        REPO_ROOT / "ARCHITECTURE.md",
+        REPO_ROOT / "examples" / "README.md",
+    ]
+)
+
+_CLI_COMMAND = re.compile(r"python3? -m (repro(?:\.opt)?)(?![.\w])")
+#: What ends a command: a closing backtick, a pipe, a redirect, a shell
+#: separator, a comment or the end of the line.
+_COMMAND_END = re.compile(r"[`|>;#\n]|&&")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def documented_cli_flags(tool: str) -> dict:
+    """``--flag`` -> the pages showing it after ``python -m <tool>``
+    (backslash-continued lines count as one command)."""
+    flags: dict = {}
+    for doc in CLI_DOCS:
+        text = doc.read_text(encoding="utf-8").replace("\\\n", " ")
+        for match in _CLI_COMMAND.finditer(text):
+            if match.group(1) != tool:
+                continue
+            command = _COMMAND_END.split(text[match.end():], 1)[0]
+            for flag in _FLAG.findall(command):
+                flags.setdefault(flag, set()).add(
+                    str(doc.relative_to(REPO_ROOT))
+                )
+    return flags
+
+
+def parser_flags(monkeypatch, main) -> set:
+    """Every option string of the parser ``main`` builds (captured at its
+    ``parse_args`` call, before any argument is read)."""
+    parsers = []
+
+    class _Captured(Exception):
+        pass
+
+    def capture(parser, *args, **kwargs):
+        parsers.append(parser)
+        raise _Captured
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(_Captured):
+        main([])
+    return set(parsers[0]._option_string_actions)
+
+
+class TestCliFlagDrift:
+    @pytest.mark.parametrize(
+        "tool, main",
+        (("repro", repro_main), ("repro.opt", opt_main)),
+        ids=("repro", "repro.opt"),
+    )
+    def test_documented_flags_exist(self, monkeypatch, tool, main):
+        documented = documented_cli_flags(tool)
+        assert documented, f"no python -m {tool} command lines found"
+        known = parser_flags(monkeypatch, main)
+        stale = {
+            flag: sorted(pages)
+            for flag, pages in documented.items()
+            if flag not in known
+        }
+        assert not stale, (
+            f"flags shown after python -m {tool} that its parser lacks: "
+            f"{stale}"
         )

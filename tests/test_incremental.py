@@ -136,8 +136,9 @@ class TestIncrementalRecompilation:
     def test_different_pipeline_specs_do_not_share_entries(self):
         session = CompilationSession()
         make_compiler(session).compile(SOURCE)
-        ablated = make_compiler(session, enable_case_elimination=False)
-        ablated.compile(SOURCE)
+        # The rescan engine reads canonicalize{engine=rescan}: another spec.
+        rescan = make_compiler(session, rewrite_engine="rescan")
+        rescan.compile(SOURCE)
         # Same source, different pipeline fingerprint: all misses again.
         assert incremental_stats(session) == {
             "hits": 0, "misses": 6, "entries": 6,
