@@ -35,7 +35,7 @@ def run_spec(source, spec, **options):
     module = parse_module(captured)
     build_pipeline(spec, verify_each=True).run(module)
     cfg = lower_rgn_to_cf(module)
-    return VirtualMachine(compile_cfg_module(cfg, fuse=True)).run_main()
+    return VirtualMachine(compile_cfg_module(cfg)).run_main()
 
 
 @pytest.mark.parametrize("ablation", sorted(ABLATIONS))

@@ -382,7 +382,7 @@ class CompilationSession:
         self.bytecode_misses += 1
         if registry.enabled:
             registry.bump("session.bytecode.misses")
-        bytecode = compiler(source, fuse=True)
+        bytecode = compiler(source)
         while len(self._bytecode_cache) >= self.BYTECODE_CACHE_LIMIT:
             # FIFO eviction (dicts preserve insertion order): repeated
             # execution of a recent module stays cached, ancient rows go.
@@ -578,7 +578,7 @@ class _Compiler:
         bytecode = (
             self.session._cached_bytecode(program, self._bytecode_builder)
             if self.session is not None
-            else self._bytecode_builder(program, fuse=True)
+            else self._bytecode_builder(program)
         )
         return VirtualMachine(bytecode, budget=budget).run_main(
             check_heap=check_heap

@@ -1,7 +1,7 @@
 """IR dialects.
 
 * :mod:`repro.dialects.builtin` — ``builtin.module``.
-* :mod:`repro.dialects.func` — functions, calls, returns and globals.
+* :mod:`repro.dialects.func` — functions, calls and returns.
 * :mod:`repro.dialects.arith` — integer arithmetic, comparisons, ``select``.
 * :mod:`repro.dialects.cf` — flat CFG terminators (``br``/``cond_br``/``switch``).
 * :mod:`repro.dialects.lp` — the paper's λpure/λrc SSA encoding (Figure 2).

@@ -14,10 +14,10 @@ builtin_dialect = Dialect("builtin")
 
 @builtin_dialect.register_op
 class ModuleOp(Operation):
-    """Top-level container holding global functions and globals.
+    """Top-level container holding the module's functions.
 
     The single region has one block whose operations are symbol definitions
-    (``func.func``, ``func.global``).
+    (``func.func``).
     """
 
     OP_NAME = "builtin.module"

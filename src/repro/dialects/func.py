@@ -1,9 +1,7 @@
-"""The func dialect: functions, calls, returns and module-level globals.
+"""The func dialect: functions, calls and returns.
 
-``func.global`` / ``func.get_global`` / ``func.set_global`` model the
-closure-slot pattern of the paper (Figure 7): top-level closures such as
-``@kslot`` are initialised once by ``@init`` and then loaded wherever a
-top-level function is used as a first-class value.
+It has no module-level mutable slots, as λrc has none: a top-level
+function used as a first-class value is a fresh ``lp.pap`` closure.
 """
 
 from __future__ import annotations
@@ -175,54 +173,3 @@ class CallOp(Operation):
 #: The returns a ``musttail`` call may precede: ``func.return`` and the lp
 #: dialect's ``lp.return`` (named, so this dialect need not import lp).
 _RETURN_OP_NAMES = (ReturnOp.OP_NAME, "lp.return")
-
-
-@func_dialect.register_op
-class GlobalOp(Operation):
-    """``func.global`` — a module-level mutable slot (e.g. ``@kslot``)."""
-
-    OP_NAME = "func.global"
-    TRAITS = frozenset({Symbol})
-
-    def __init__(self, name: str, type: Type):
-        super().__init__(
-            attributes={"sym_name": StringAttr(name), "type": TypeAttr(type)}
-        )
-
-    @property
-    def sym_name(self) -> str:
-        return self.attributes["sym_name"].value
-
-    @property
-    def global_type(self) -> Type:
-        return self.attributes["type"].type
-
-
-@func_dialect.register_op
-class GetGlobalOp(Operation):
-    """``func.get_global`` — load the current value of a global slot."""
-
-    OP_NAME = "func.get_global"
-
-    def __init__(self, name: str, result_type: Type):
-        super().__init__(
-            result_types=[result_type], attributes={"name": SymbolRefAttr(name)}
-        )
-
-    @property
-    def global_name(self) -> str:
-        return self.attributes["name"].name
-
-
-@func_dialect.register_op
-class SetGlobalOp(Operation):
-    """``func.set_global`` — store a value into a global slot."""
-
-    OP_NAME = "func.set_global"
-
-    def __init__(self, name: str, value: Value):
-        super().__init__(operands=[value], attributes={"name": SymbolRefAttr(name)})
-
-    @property
-    def global_name(self) -> str:
-        return self.attributes["name"].name

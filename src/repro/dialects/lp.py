@@ -416,10 +416,6 @@ class JoinPointOp(Operation):
         return self.regions[0].blocks[0]
 
     @property
-    def pre_region(self) -> Region:
-        return self.regions[1]
-
-    @property
     def pre_block(self) -> Block:
         return self.regions[1].blocks[0]
 

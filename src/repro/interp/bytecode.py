@@ -35,16 +35,16 @@ survive as differential oracles (``execution_engine="tree"``).
 Four execution-speed levers sit on top of that contract:
 
 * *superinstructions* — :func:`fuse_program` runs a peephole over the
-  compiled code arrays that collapses the hot adjacent pairs the
-  ``vm.instr.freq.*`` telemetry identified (``cmp``+``cond_br``,
-  ``const``+``binarith``/``cmp``, ``getlabel``+``switch``,
-  ``proj``+``call``, ``call``+``ret``) into single fused opcodes.  Fusion
-  is driven by the declarative :data:`FUSION_RULES` table — a new pair is
-  one more table entry — and a fused instruction charges *exactly* the
-  cost-model events of the unfused sequence, so metrics stay
-  byte-identical.  (λrc ``case`` is already the pre-fused tag dispatch:
-  the rc frontend never emits a separate ``getlabel``, which is why the
-  getlabel fusion pairs with the CFG ``switch``.)
+  compiled code arrays that collapses adjacent pairs the compilers emit
+  into single fused opcodes: constructor-tag dispatch
+  (``getlabel``; ``const``; ``cmp``; ``cond_br``), projection and RC
+  runs, a projection feeding a call, and a call in return position.
+  Fusion is driven by the declarative :data:`FUSION_RULES` table — a
+  new pair is one more table entry — and a fused instruction charges
+  *exactly* the cost-model events of the unfused sequence, so metrics
+  stay byte-identical.  A rule earns its entry by firing on compiled
+  programs; ``tests/test_execution_engine.py`` fails on one that never
+  does.
 * *direct threading* — the VM precompiles every instruction to a
   bound closure capturing its operands, so the run loop is
   ``pc = ops[pc](regs)``.
@@ -71,7 +71,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import arith, cf, lp
 from ..dialects.builtin import ModuleOp
-from ..dialects.func import CallOp, FuncOp, GetGlobalOp, ReturnOp, SetGlobalOp
+from ..dialects.func import CallOp, FuncOp, ReturnOp
 from ..lambda_pure import ir as rc_ir
 from ..runtime import (
     BUILTINS,
@@ -130,41 +130,36 @@ OP_REUSE = 17       # (op, dst, token, tag, field_regs)  dynamic
 OP_CALL = 18        # (op, dst, BytecodeFunction, arg_regs)  charge: call
 OP_RTCALL = 19      # (op, dst, name, arg_regs)       charge: runtime_call
 OP_BADCALL = 20     # (op, name)                      raises
-OP_GETGLOBAL = 21   # (op, dst, name)                 charge: global
-OP_SETGLOBAL = 22   # (op, name, src)                 charge: global
-OP_BINARITH = 23    # (op, dst, fn, lhs, rhs)         charge: arith
-OP_CMP = 24         # (op, dst, fn, lhs, rhs)         charge: arith
-OP_SELECT = 25      # (op, dst, cond, t, f)           charge: arith
-OP_CAST = 26        # (op, dst, src)                  charge: arith
+OP_BINARITH = 21    # (op, dst, fn, lhs, rhs)         charge: arith
+OP_CMP = 22         # (op, dst, fn, lhs, rhs)         charge: arith
+OP_SELECT = 23      # (op, dst, cond, t, f)           charge: arith
+OP_CAST = 24        # (op, dst, src)                  charge: arith
 
 # Superinstructions (emitted only by the fusion peephole, never by the
 # frontends).  Each charges exactly the events of its unfused pair; the
 # first instruction's destination register is still written, so fusion
 # needs no liveness analysis.
-OP_CMP_CONDBR = 27        # (op, dst, fn, lhs, rhs, tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)
-OP_CONST_BINARITH = 28    # (op, cdst, value, dst, fn, lhs, rhs)
-OP_CONST_CMP = 29         # (op, cdst, value, dst, fn, lhs, rhs)
-OP_GETLABEL_SWITCH = 30   # (op, dst, src, {tag: pc}, default_pc)
-OP_PROJ_CALL = 31         # (op, pdst, psrc, pindex, cdst, BytecodeFunction, arg_regs)
+OP_CONST_CMP = 25         # (op, cdst, value, dst, fn, lhs, rhs)
+OP_PROJ_CALL = 26         # (op, pdst, psrc, pindex, cdst, BytecodeFunction, arg_regs)
 
 # Chain superinstructions — second-pass fusions over already-fused
 # opcodes (the peephole runs to fixpoint), covering the hottest dynamic
 # sequences of the benchmark suite: constructor-tag dispatch
 # (getlabel; const; cmp; cond_br) and RC/projection runs.
-OP_CONST_CMP_CONDBR = 32  # (op, cdst, value, dst, fn, lhs, rhs,
+OP_CONST_CMP_CONDBR = 27  # (op, cdst, value, dst, fn, lhs, rhs,
                           #  tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)
-OP_GETLABEL_CMP_CONDBR = 33  # (op, gdst, gsrc, cdst, value, dst, fn, lhs,
+OP_GETLABEL_CMP_CONDBR = 28  # (op, gdst, gsrc, cdst, value, dst, fn, lhs,
                              #  rhs, tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)
-OP_PROJ_PROJ = 34         # (op, d1, s1, i1, d2, s2, i2)
-OP_INT_INC = 35           # (op, dst, value, src, count)
-OP_DEC_DEC = 36           # (op, s1, c1, s2, c2)
-OP_INC_RTCALL = 37        # (op, src, count, dst, name, arg_regs)
-OP_DEC_INC = 38           # (op, dsrc, dcount, isrc, icount)
-OP_PROJ3 = 39             # (op, d1, s1, i1, d2, s2, i2, d3, s3, i3)
-OP_PROJ4 = 40             # (op, d1, s1, i1, ..., d4, s4, i4)
+OP_PROJ_PROJ = 29         # (op, d1, s1, i1, d2, s2, i2)
+OP_INT_INC = 30           # (op, dst, value, src, count)
+OP_DEC_DEC = 31           # (op, s1, c1, s2, c2)
+OP_INC_RTCALL = 32        # (op, src, count, dst, name, arg_regs)
+OP_DEC_INC = 33           # (op, dsrc, dcount, isrc, icount)
+OP_PROJ3 = 34             # (op, d1, s1, i1, d2, s2, i2, d3, s3, i3)
+OP_PROJ4 = 35             # (op, d1, s1, i1, ..., d4, s4, i4)
 # A call whose result the next instruction returns: the callee's frame
 # replaces the caller's instead of stacking on it.
-OP_TAILCALL = 41          # (op, BytecodeFunction, arg_regs)
+OP_TAILCALL = 36          # (op, BytecodeFunction, arg_regs)
 
 #: Human-readable opcode names (docs/EXECUTION.md and the unit tests).
 OPCODE_NAMES = {
@@ -174,12 +169,10 @@ OPCODE_NAMES = {
     OP_GETLABEL: "getlabel", OP_PROJ: "proj", OP_PAP: "pap",
     OP_PAPEXTEND: "papextend", OP_INC: "inc", OP_DEC: "dec",
     OP_RESET: "reset", OP_REUSE: "reuse", OP_CALL: "call",
-    OP_RTCALL: "rtcall", OP_BADCALL: "badcall", OP_GETGLOBAL: "getglobal",
-    OP_SETGLOBAL: "setglobal", OP_BINARITH: "binarith", OP_CMP: "cmp",
-    OP_SELECT: "select", OP_CAST: "cast",
-    OP_CMP_CONDBR: "cmp_cond_br", OP_CONST_BINARITH: "const_binarith",
-    OP_CONST_CMP: "const_cmp", OP_GETLABEL_SWITCH: "getlabel_switch",
-    OP_PROJ_CALL: "proj_call", OP_CONST_CMP_CONDBR: "const_cmp_br",
+    OP_RTCALL: "rtcall", OP_BADCALL: "badcall", OP_BINARITH: "binarith",
+    OP_CMP: "cmp", OP_SELECT: "select", OP_CAST: "cast",
+    OP_CONST_CMP: "const_cmp", OP_PROJ_CALL: "proj_call",
+    OP_CONST_CMP_CONDBR: "const_cmp_br",
     OP_GETLABEL_CMP_CONDBR: "getlabel_cmp_br", OP_PROJ_PROJ: "proj_proj",
     OP_INT_INC: "int_inc", OP_DEC_DEC: "dec_dec",
     OP_INC_RTCALL: "inc_rtcall", OP_DEC_INC: "dec_inc",
@@ -508,25 +501,9 @@ class FusionRule:
 
 
 #: The superinstruction table.  Adding a pair is one more entry here —
-#: plus its closure in ``_compile_threaded`` and docs/EXECUTION.md.
+#: plus its closure in ``_compile_threaded``, its ``_TARGET_FIELDS`` row
+#: if it branches, and docs/EXECUTION.md.
 FUSION_RULES = (
-    # cmp dst feeds the branch condition.
-    FusionRule(
-        OP_CMP, OP_CONDBR, OP_CMP_CONDBR,
-        match=lambda a, b: b[1] == a[1],
-        build=lambda a, b: (
-            OP_CMP_CONDBR, a[1], a[2], a[3], a[4],
-            b[2], b[3], b[4], b[5], b[6], b[7],
-        ),
-    ),
-    # const dst feeds a binary arith operand.
-    FusionRule(
-        OP_CONST, OP_BINARITH, OP_CONST_BINARITH,
-        match=lambda a, b: a[1] == b[3] or a[1] == b[4],
-        build=lambda a, b: (
-            OP_CONST_BINARITH, a[1], a[2], b[1], b[2], b[3], b[4]
-        ),
-    ),
     # const dst feeds a comparison operand.
     FusionRule(
         OP_CONST, OP_CMP, OP_CONST_CMP,
@@ -534,12 +511,6 @@ FUSION_RULES = (
         build=lambda a, b: (
             OP_CONST_CMP, a[1], a[2], b[1], b[2], b[3], b[4]
         ),
-    ),
-    # getlabel dst feeds the switch flag (λrc's case is pre-fused).
-    FusionRule(
-        OP_GETLABEL, OP_SWITCH, OP_GETLABEL_SWITCH,
-        match=lambda a, b: b[1] == a[1],
-        build=lambda a, b: (OP_GETLABEL_SWITCH, a[1], a[2], b[2], b[3]),
     ),
     # proj dst feeds a direct-call argument.
     FusionRule(
@@ -551,7 +522,9 @@ FUSION_RULES = (
     ),
     # Chain rules (picked up by the peephole's later passes): a fused
     # const_cmp whose result feeds the branch condition, and the full
-    # constructor-tag dispatch where getlabel feeds the comparison.
+    # constructor-tag dispatch where getlabel feeds the comparison.  No
+    # const_cmp survives fusion on compiled programs; it is the step the
+    # two branch rules are built through.
     FusionRule(
         OP_CONST_CMP, OP_CONDBR, OP_CONST_CMP_CONDBR,
         match=lambda a, b: b[1] == a[3],
@@ -642,86 +615,46 @@ FUSED_OPCODE_BASES = {
 }
 
 
-def _jump_targets(code: List[Tuple]) -> set:
-    """Every pc some instruction can transfer control to.
+#: The branch-target fields of each opcode that transfers control: an
+#: absolute pc, a ``{value: pc}`` dispatch table, or (``case`` without a
+#: default) None.  The peephole runs to fixpoint, so the fused branch
+#: opcodes are listed too.
+_TARGET_FIELDS = {
+    OP_JMP: (1,),
+    OP_CONDBR: (2, 5),
+    OP_SWITCH: (2, 3),
+    OP_CASE: (2, 3),
+    OP_CONST_CMP_CONDBR: (7, 10),
+    OP_GETLABEL_CMP_CONDBR: (9, 12),
+}
 
-    Handles the fused branch opcodes too: the peephole runs to fixpoint,
-    so later passes scan code that already contains superinstructions.
-    """
+
+def _jump_targets(code: List[Tuple]) -> set:
+    """Every pc some instruction can transfer control to."""
     targets = set()
     for ins in code:
-        opcode = ins[0]
-        if opcode == OP_JMP:
-            targets.add(ins[1])
-        elif opcode == OP_CONDBR:
-            targets.add(ins[2])
-            targets.add(ins[5])
-        elif opcode == OP_CMP_CONDBR:
-            targets.add(ins[5])
-            targets.add(ins[8])
-        elif opcode == OP_CONST_CMP_CONDBR:
-            targets.add(ins[7])
-            targets.add(ins[10])
-        elif opcode == OP_GETLABEL_CMP_CONDBR:
-            targets.add(ins[9])
-            targets.add(ins[12])
-        elif opcode == OP_SWITCH:
-            targets.update(ins[2].values())
-            targets.add(ins[3])
-        elif opcode == OP_GETLABEL_SWITCH:
-            targets.update(ins[3].values())
-            targets.add(ins[4])
-        elif opcode == OP_CASE:
-            targets.update(ins[2].values())
-            if ins[3] is not None:
-                targets.add(ins[3])
+        for field in _TARGET_FIELDS.get(ins[0], ()):
+            target = ins[field]
+            if isinstance(target, dict):
+                targets.update(target.values())
+            elif target is not None:
+                targets.add(target)
     return targets
 
 
 def _remap_targets(ins: Tuple, mapping: Dict[int, int]) -> Tuple:
     """Rewrite an instruction's branch targets through ``mapping``."""
-    opcode = ins[0]
-    if opcode == OP_JMP:
-        return (opcode, mapping[ins[1]], ins[2], ins[3])
-    if opcode == OP_CONDBR:
-        return (
-            opcode, ins[1], mapping[ins[2]], ins[3], ins[4],
-            mapping[ins[5]], ins[6], ins[7],
-        )
-    if opcode == OP_CMP_CONDBR:
-        return ins[:5] + (
-            mapping[ins[5]], ins[6], ins[7],
-            mapping[ins[8]], ins[9], ins[10],
-        )
-    if opcode == OP_CONST_CMP_CONDBR:
-        return ins[:7] + (
-            mapping[ins[7]], ins[8], ins[9],
-            mapping[ins[10]], ins[11], ins[12],
-        )
-    if opcode == OP_GETLABEL_CMP_CONDBR:
-        return ins[:9] + (
-            mapping[ins[9]], ins[10], ins[11],
-            mapping[ins[12]], ins[13], ins[14],
-        )
-    if opcode == OP_SWITCH:
-        return (
-            opcode, ins[1],
-            {key: mapping[pc] for key, pc in ins[2].items()},
-            mapping[ins[3]],
-        )
-    if opcode == OP_GETLABEL_SWITCH:
-        return (
-            opcode, ins[1], ins[2],
-            {key: mapping[pc] for key, pc in ins[3].items()},
-            mapping[ins[4]],
-        )
-    if opcode == OP_CASE:
-        return (
-            opcode, ins[1],
-            {key: mapping[pc] for key, pc in ins[2].items()},
-            mapping[ins[3]] if ins[3] is not None else None,
-        )
-    return ins
+    fields = _TARGET_FIELDS.get(ins[0])
+    if fields is None:
+        return ins
+    out = list(ins)
+    for field in fields:
+        target = ins[field]
+        if isinstance(target, dict):
+            out[field] = {key: mapping[pc] for key, pc in target.items()}
+        elif target is not None:
+            out[field] = mapping[target]
+    return tuple(out)
 
 
 def fuse_code(code: List[Tuple]) -> Tuple[List[Tuple], int]:
@@ -909,7 +842,7 @@ class _CfgFunctionCompiler:
             ))
             return
 
-        # Calls and globals ----------------------------------------------
+        # Calls -----------------------------------------------------------
         if isinstance(op, CallOp):
             dst = self._reg(op.result()) if op.results else -1
             args = self._operand_regs(op.operands)
@@ -920,12 +853,6 @@ class _CfgFunctionCompiler:
                 code.append((OP_RTCALL, dst, op.callee, args))
             else:
                 code.append((OP_BADCALL, op.callee))
-            return
-        if isinstance(op, GetGlobalOp):
-            code.append((OP_GETGLOBAL, self._reg(op.result()), op.global_name))
-            return
-        if isinstance(op, SetGlobalOp):
-            code.append((OP_SETGLOBAL, op.global_name, self.regs[op.operands[0]]))
             return
 
         # arith -----------------------------------------------------------
@@ -959,13 +886,15 @@ class _CfgFunctionCompiler:
 
 
 def compile_cfg_module(
-    module: ModuleOp, *, main: str = "main", fuse: bool = False
+    module: ModuleOp, *, main: str = "main", fuse: bool = True
 ) -> BytecodeProgram:
     """Compile a CFG-form MLIR module to a :class:`BytecodeProgram`.
 
     Declarations (runtime functions) are left to the builtin dispatcher;
-    only bodies are compiled.  ``fuse=True`` runs the superinstruction
-    peephole (:func:`fuse_program`) over the result.
+    only bodies are compiled.  The superinstruction peephole
+    (:func:`fuse_program`) runs over the result unless ``fuse=False``,
+    which keeps the unfused code as the oracle fused runs are compared
+    against.
     """
     program = BytecodeProgram("cfg", main=main)
     defined = [f for f in module.functions() if not f.is_declaration]
@@ -1136,9 +1065,10 @@ class _RcFunctionCompiler:
 
 
 def compile_rc_program(
-    program: rc_ir.Program, *, fuse: bool = False
+    program: rc_ir.Program, *, fuse: bool = True
 ) -> BytecodeProgram:
-    """Compile a λrc program to a :class:`BytecodeProgram`."""
+    """Compile a λrc program to a :class:`BytecodeProgram`, fused unless
+    ``fuse=False`` (as :func:`compile_cfg_module`)."""
     bytecode = BytecodeProgram("rc", main=program.main)
     for name, fn in program.functions.items():
         bytecode.functions[name] = BytecodeFunction(name, fn.arity)
@@ -1160,11 +1090,13 @@ def compile_rc_program(
 #: updates in the hot loop.  ``None`` marks ``construct``, whose category
 #: is per-site (``ins[4]``); empty tuples mark the dynamically-charged
 #: opcodes (``reuse``, ``papextend``) whose closures charge inline.
-#: Partial-charge error paths (``proj`` raising before its ``rc`` charge,
-#: ``getlabel_switch`` raising before its ``branch`` charge) apply
-#: negative corrections to the dynamic counters before propagating; a run
-#: that raises inside a tail-call chain takes back the ``return`` of each
-#: ``tailcall`` whose chain has not returned (see ``_run_threaded``).
+#: A fused opcode charges the events of the base opcodes it decomposes
+#: into (:func:`_base_opcodes`).  Partial-charge error paths (a ``proj``
+#: raising before its ``rc`` charge, a fused sequence failing before its
+#: later members run) apply negative corrections to the dynamic counters
+#: before propagating; a run that raises inside a tail-call chain takes
+#: back the ``return`` of each ``tailcall`` whose chain has not returned
+#: (see ``_run_threaded``).
 _STATIC_CHARGES = {
     OP_RET: ("return",),
     OP_JMP: ("jump",),
@@ -1187,28 +1119,15 @@ _STATIC_CHARGES = {
     OP_CALL: ("call",),
     OP_RTCALL: ("runtime_call",),
     OP_BADCALL: (),
-    OP_GETGLOBAL: ("global",),
-    OP_SETGLOBAL: ("global",),
     OP_BINARITH: ("arith",),
     OP_CMP: ("arith",),
     OP_SELECT: ("arith",),
     OP_CAST: ("arith",),
-    OP_CMP_CONDBR: ("arith", "branch"),
-    OP_CONST_BINARITH: ("const", "arith"),
-    OP_CONST_CMP: ("const", "arith"),
-    OP_GETLABEL_SWITCH: ("getlabel", "branch"),
-    OP_PROJ_CALL: ("proj", "rc", "call"),
-    OP_CONST_CMP_CONDBR: ("const", "arith", "branch"),
-    OP_GETLABEL_CMP_CONDBR: ("getlabel", "const", "arith", "branch"),
-    OP_PROJ_PROJ: ("proj", "rc", "proj", "rc"),
-    OP_INT_INC: ("move", "rc"),
-    OP_DEC_DEC: ("rc", "rc"),
-    OP_INC_RTCALL: ("rc", "runtime_call"),
-    OP_DEC_INC: ("rc", "rc"),
-    OP_PROJ3: ("proj", "rc", "proj", "rc", "proj", "rc"),
-    OP_PROJ4: ("proj", "rc", "proj", "rc", "proj", "rc", "proj", "rc"),
-    OP_TAILCALL: ("call", "return"),
 }
+_STATIC_CHARGES.update(
+    (opcode, sum((_STATIC_CHARGES[base] for base in _base_opcodes(opcode)), ()))
+    for opcode in FUSED_OPCODES
+)
 
 
 class VirtualMachine:
@@ -1241,7 +1160,6 @@ class VirtualMachine:
         self.program = program
         self.ctx = context if context is not None else RuntimeContext()
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
-        self.globals: Dict[str, object] = {}
         #: Local charge accumulator, folded into ``metrics.counts`` when a
         #: run finishes (the per-event ``charge`` call is the tree-walkers'
         #: single hottest line).
@@ -1556,7 +1474,6 @@ class VirtualMachine:
         pending = self._pending
         retslot = self._retslot
         error = self._error
-        globals_ = self.globals
         flavor = self.program.flavor
         for pc, ins in enumerate(code):
             opcode = ins[0]
@@ -1567,34 +1484,6 @@ class VirtualMachine:
                     s[i] += 1
                     regs[d] = f(regs[a], regs[b])
                     return n
-            elif opcode == OP_CMP_CONDBR:
-                if not ins[6] and not ins[9]:
-                    def op(regs, s=sites, i=pc, d=ins[1], f=ins[2], a=ins[3],
-                           b=ins[4], tpc=ins[5], fpc=ins[8], ch=charge):
-                        s[i] += 1
-                        value = f(regs[a], regs[b])
-                        regs[d] = value
-                        if ch is not None:
-                            ch()
-                        return tpc if value else fpc
-                else:
-                    def op(regs, s=sites, i=pc, d=ins[1], f=ins[2], a=ins[3],
-                           b=ins[4], tpc=ins[5], ts=ins[6], td=ins[7],
-                           fpc=ins[8], fs=ins[9], fd=ins[10], ch=charge):
-                        s[i] += 1
-                        value = f(regs[a], regs[b])
-                        regs[d] = value
-                        if ch is not None:
-                            ch()
-                        if value:
-                            target, srcs, dsts = tpc, ts, td
-                        else:
-                            target, srcs, dsts = fpc, fs, fd
-                        if srcs:
-                            values = [regs[x] for x in srcs]
-                            for dst, moved in zip(dsts, values):
-                                regs[dst] = moved
-                        return target
             elif opcode == OP_JMP:
                 if not ins[2]:
                     def op(regs, s=sites, i=pc, t=ins[1], ch=charge):
@@ -1662,22 +1551,6 @@ class VirtualMachine:
                     if ch is not None:
                         ch()
                     return table.get(regs[flag], default)
-            elif opcode == OP_GETLABEL_SWITCH:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2],
-                       table=ins[3], default=ins[4], ch=charge, cnt=counts,
-                       tg=tag_of):
-                    s[i] += 1
-                    try:
-                        tag = tg(regs[src])
-                    except RuntimeError_:
-                        # The unfused sequence charges getlabel but never
-                        # reaches the switch's branch charge.
-                        cnt["branch"] -= 1
-                        raise
-                    regs[d] = tag
-                    if ch is not None:
-                        ch()
-                    return table.get(tag, default)
             elif opcode == OP_CONST_CMP_CONDBR:
                 if not ins[8] and not ins[11]:
                     def op(regs, s=sites, i=pc, cd=ins[1], v=ins[2],
@@ -2000,7 +1873,7 @@ class VirtualMachine:
                     s[i] += 1
                     regs[d] = v
                     return n
-            elif opcode == OP_CONST_BINARITH or opcode == OP_CONST_CMP:
+            elif opcode == OP_CONST_CMP:
                 def op(regs, s=sites, i=pc, cd=ins[1], v=ins[2], d=ins[3],
                        f=ins[4], a=ins[5], b=ins[6], n=nxt):
                     s[i] += 1
@@ -2109,18 +1982,6 @@ class VirtualMachine:
                     s[i] += 1
                     regs[d] = regs[src]
                     return n
-            elif opcode == OP_GETGLOBAL:
-                def op(regs, s=sites, i=pc, d=ins[1], name=ins[2],
-                       g=globals_, n=nxt):
-                    s[i] += 1
-                    regs[d] = g.get(name)
-                    return n
-            elif opcode == OP_SETGLOBAL:
-                def op(regs, s=sites, i=pc, name=ins[1], src=ins[2],
-                       g=globals_, n=nxt):
-                    s[i] += 1
-                    g[name] = regs[src]
-                    return n
             elif opcode == OP_UNREACHABLE:
                 def op(regs, s=sites, i=pc, err=error, msg=ins[1]):
                     s[i] += 1
@@ -2149,11 +2010,8 @@ class VirtualMachine:
 
 
 def run_rc_program_vm(
-    program: rc_ir.Program,
-    *,
-    check_heap: bool = True,
-    fuse: bool = True,
+    program: rc_ir.Program, *, check_heap: bool = True
 ) -> RunResult:
     """Compile a λrc ``program`` to bytecode and execute its main on the VM."""
-    bytecode = compile_rc_program(program, fuse=fuse)
+    bytecode = compile_rc_program(program)
     return VirtualMachine(bytecode).run_main(check_heap=check_heap)

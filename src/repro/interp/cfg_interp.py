@@ -21,7 +21,7 @@ from .limits import recursion_limit
 
 from ..dialects import arith, cf, lp
 from ..dialects.builtin import ModuleOp
-from ..dialects.func import CallOp, FuncOp, GetGlobalOp, ReturnOp, SetGlobalOp
+from ..dialects.func import CallOp, FuncOp, ReturnOp
 from ..ir.core import Block, Operation, Value
 from ..runtime import (
     RuntimeContext,
@@ -56,7 +56,6 @@ class CfgInterpreter:
         self.module = module
         self.ctx = context if context is not None else RuntimeContext()
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
-        self.globals: Dict[str, object] = {}
         self.functions: Dict[str, FuncOp] = {
             f.sym_name: f for f in module.functions()
         }
@@ -246,20 +245,12 @@ class CfgInterpreter:
             env[op.result()] = self.ctx.heap.reuse(token, op.tag, fields)
             return None
 
-        # Calls and globals ---------------------------------------------------
+        # Calls ---------------------------------------------------------------
         if isinstance(op, CallOp):
             args = [env[a] for a in op.operands]
             value = self.call_function(op.callee, args)
             if op.results:
                 env[op.result()] = value
-            return None
-        if isinstance(op, GetGlobalOp):
-            self.metrics.charge("global")
-            env[op.result()] = self.globals.get(op.global_name)
-            return None
-        if isinstance(op, SetGlobalOp):
-            self.metrics.charge("global")
-            self.globals[op.global_name] = env[op.operands[0]]
             return None
 
         # arith ----------------------------------------------------------------

@@ -30,7 +30,6 @@ DEFAULT_COSTS: Dict[str, int] = {
     "rc": 2,             # reference count increment / decrement
     "move": 1,           # register-level move (block-argument passing, literals)
     "const": 0,          # constant materialisation (an immediate in native code)
-    "global": 2,         # global slot load/store
 }
 
 

@@ -33,10 +33,6 @@ class InsertionPoint:
         return cls(block, None)
 
     @classmethod
-    def at_start(cls, block: Block) -> "InsertionPoint":
-        return cls(block, block.first_op)
-
-    @classmethod
     def before(cls, op: Operation) -> "InsertionPoint":
         if op.parent is None:
             raise ValueError(f"cannot insert before detached op {op.name}")

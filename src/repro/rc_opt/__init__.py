@@ -34,7 +34,7 @@ from .borrow import (
     reuse_critical_params,
 )
 from .fusion import FusionStats, fuse_rc
-from .lp_fusion import LpRcFusionPass, fuse_lp_module
+from .lp_fusion import LpRcFusionPass
 from .reuse import ReuseStats, apply_reuse
 
 #: The RC optimisation levels understood by the pipelines.
@@ -96,7 +96,6 @@ __all__ = [
     "LpRcFusionPass",
     "apply_reuse",
     "borrowed_parameter_count",
-    "fuse_lp_module",
     "fuse_rc",
     "infer_borrow_signatures",
     "insert_optimized_rc",

@@ -109,11 +109,3 @@ class LpRcFusionPass(FunctionPass):
                     removed += _fuse_block(block)
         if removed:
             self.statistics.bump("rc-ops-removed", removed)
-
-
-def fuse_lp_module(module) -> int:
-    """Convenience entry point: run fusion over a whole module; returns the
-    number of removed RC operations."""
-    pass_ = LpRcFusionPass()
-    pass_.run(module)
-    return pass_.statistics.get("rc-ops-removed")

@@ -37,12 +37,13 @@ class PrintIRInstrumentation(PassInstrumentation):
     """Dump IR around pass execution.
 
     * ``print_after`` — pass names whose output IR is printed,
-    * ``print_after_all`` — print the module after every pass,
-    * ``print_on_failure`` — when a pass fails (pattern non-convergence or
-      a ``verify_each`` rejection), print the offending IR: for a
-      verification failure, each failing *function* (located by re-running
-      the verifier per function) together with its error list; otherwise
-      the whole module.
+    * ``print_after_all`` — print the module after every pass.
+
+    When a pass fails (pattern non-convergence or a ``verify_each``
+    rejection), the offending IR is always printed: for a verification
+    failure, each failing *function* (located by re-running the verifier
+    per function) together with its error list; otherwise the whole
+    module.
 
     ``stream`` defaults to ``sys.stderr`` resolved at print time, so
     test harnesses that capture stderr see the dumps.
@@ -53,12 +54,10 @@ class PrintIRInstrumentation(PassInstrumentation):
         *,
         print_after: Sequence[str] = (),
         print_after_all: bool = False,
-        print_on_failure: bool = True,
         stream: Optional[TextIO] = None,
     ):
         self.print_after = frozenset(print_after)
         self.print_after_all = print_after_all
-        self.print_on_failure = print_on_failure
         self._stream = stream
 
     @property
@@ -76,8 +75,6 @@ class PrintIRInstrumentation(PassInstrumentation):
             self._dump(f"IR Dump After {pass_.name}", module)
 
     def run_after_pass_failed(self, pass_, module, error: Exception) -> None:
-        if not self.print_on_failure:
-            return
         from ..ir.verifier import VerificationError
 
         stream = self.stream

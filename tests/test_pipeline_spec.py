@@ -277,7 +277,7 @@ def run_spec(source, spec):
     module = parse_module(captured)
     build_pipeline(spec, verify_each=True).run(module)
     cfg = lower_rgn_to_cf(module)
-    value = VirtualMachine(compile_cfg_module(cfg, fuse=True)).run_main().value
+    value = VirtualMachine(compile_cfg_module(cfg)).run_main().value
     return value, sum(1 for _ in cfg.walk())
 
 

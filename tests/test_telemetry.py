@@ -387,14 +387,6 @@ class TestPrintIRInstrumentation:
         assert 'sym_name = "bad"' in text
         assert 'sym_name = "f"' not in text
 
-    def test_failure_dump_can_be_disabled(self):
-        stream = io.StringIO()
-        instr = PrintIRInstrumentation(print_on_failure=False, stream=stream)
-        pm = PassManager([RaisingPass()], instrumentations=[instr])
-        with pytest.raises(RuntimeError):
-            pm.run(valid_module())
-        assert stream.getvalue() == ""
-
     def test_pipeline_option_wires_print_ir_after(self, capsys):
         options = PipelineOptions()
         options.print_ir_after = ("dce",)
