@@ -107,33 +107,34 @@ class BytecodeError(Exception):
 # An instruction is a plain tuple whose first element is one of the opcode
 # integers below.  Register operands are indices into the frame list; a
 # destination of -1 discards the produced value.  Branch operands are
-# absolute instruction indices within the function's code array.
+# absolute instruction indices within the function's code array.  Each
+# opcode's cost-model charge is its row of ``_STATIC_CHARGES``.
 
-OP_RET = 0          # (op, src)                       charge: return
-OP_JMP = 1          # (op, pc, srcs, dsts)            charge: jump
-OP_CONDBR = 2       # (op, cond, tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)  branch
-OP_SWITCH = 3       # (op, flag, {value: pc}, default_pc)               branch
-OP_CASE = 4         # (op, src, {tag: pc}, default_pc|None)  getlabel+arith+branch
+OP_RET = 0          # (op, src)
+OP_JMP = 1          # (op, pc, srcs, dsts)
+OP_CONDBR = 2       # (op, cond, tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)
+OP_SWITCH = 3       # (op, flag, {value: pc}, default_pc)
+OP_CASE = 4         # (op, src, {tag: pc}, default_pc|None)
 OP_UNREACHABLE = 5  # (op, message)
-OP_CONST = 6        # (op, dst, value)                charge: const
-OP_INT = 7          # (op, dst, value)                charge: move
-OP_BIGINT = 8       # (op, dst, value)                charge: runtime_call
+OP_CONST = 6        # (op, dst, value)
+OP_INT = 7          # (op, dst, value)
+OP_BIGINT = 8       # (op, dst, value)
 OP_CONSTRUCT = 9    # (op, dst, tag, field_regs, category)
-OP_GETLABEL = 10    # (op, dst, src)                  charge: getlabel
-OP_PROJ = 11        # (op, dst, src, index)           charge: proj + rc
-OP_PAP = 12         # (op, dst, callee, arity|None, arg_regs)  alloc_closure
-OP_PAPEXTEND = 13   # (op, dst, closure, arg_regs)    charge: apply (dynamic)
-OP_INC = 14         # (op, src, count)                charge: rc
-OP_DEC = 15         # (op, src, count)                charge: rc
-OP_RESET = 16       # (op, dst, src)                  charge: rc
-OP_REUSE = 17       # (op, dst, token, tag, field_regs)  dynamic
-OP_CALL = 18        # (op, dst, BytecodeFunction, arg_regs)  charge: call
-OP_RTCALL = 19      # (op, dst, name, arg_regs)       charge: runtime_call
-OP_BADCALL = 20     # (op, name)                      raises
-OP_BINARITH = 21    # (op, dst, fn, lhs, rhs)         charge: arith
-OP_CMP = 22         # (op, dst, fn, lhs, rhs)         charge: arith
-OP_SELECT = 23      # (op, dst, cond, t, f)           charge: arith
-OP_CAST = 24        # (op, dst, src)                  charge: arith
+OP_GETLABEL = 10    # (op, dst, src)
+OP_PROJ = 11        # (op, dst, src, index)
+OP_PAP = 12         # (op, dst, callee, arity|None, arg_regs)
+OP_PAPEXTEND = 13   # (op, dst, closure, arg_regs)
+OP_INC = 14         # (op, src, count)
+OP_DEC = 15         # (op, src, count)
+OP_RESET = 16       # (op, dst, src)
+OP_REUSE = 17       # (op, dst, token, tag, field_regs)
+OP_CALL = 18        # (op, dst, BytecodeFunction, arg_regs)
+OP_RTCALL = 19      # (op, dst, name, arg_regs)
+OP_BADCALL = 20     # (op, name)
+OP_BINARITH = 21    # (op, dst, fn, lhs, rhs)
+OP_CMP = 22         # (op, dst, fn, lhs, rhs)
+OP_SELECT = 23      # (op, dst, cond, t, f)
+OP_CAST = 24        # (op, dst, src)
 
 # Superinstructions (emitted only by the fusion peephole, never by the
 # frontends).  Each charges exactly the events of its unfused pair; the

@@ -139,6 +139,38 @@ class TestExecutionReferenceDrift:
                 f"fused opcode {fused!r} missing from docs/EXECUTION.md"
             )
 
+    def test_every_static_charge_is_documented(self):
+        """The instruction-set table's charge after ``·`` is the opcode's
+        ``_STATIC_CHARGES`` list, joined by `` + ``; an opcode that
+        charges nothing statically documents ``—`` or a dynamic charge."""
+        from repro.interp.bytecode import (
+            _STATIC_CHARGES,
+            FUSED_OPCODE_BASES,
+            OPCODE_NAMES,
+        )
+
+        text = EXECUTION_MD.read_text(encoding="utf-8")
+        start = text.index("## Instruction set")
+        end = text.index("\n## ", start + 1)
+        charges = {name: _STATIC_CHARGES[op] for op, name in OPCODE_NAMES.items()}
+        checked = set()
+        for row in text[start:end].splitlines():
+            cells = [cell.strip() for cell in row.strip("|").split("|")]
+            if len(cells) != 3 or " · " not in cells[2]:
+                continue
+            documented = cells[2].rsplit(" · ", 1)[1]
+            for name in _BACKTICKED.findall(cells[0]):
+                static = charges[name]
+                if static:
+                    expected = " + ".join(f"`{event}`" for event in static)
+                    assert documented == expected, (name, documented, expected)
+                else:
+                    assert documented == "—" or "(" in documented, (
+                        name, documented,
+                    )
+                checked.add(name)
+        assert checked == set(charges) - set(FUSED_OPCODE_BASES)
+
 
 class TestIntraRepoLinks:
     @pytest.mark.parametrize(

@@ -80,6 +80,7 @@ from repro.interp.bytecode import (
     fuse_code,
     fuse_program,
 )
+from repro.interp.bytecode import _TARGET_FIELDS, _jump_targets, _remap_targets
 from repro.interp.bytecode import _BINARY_FNS, _CMP_FNS
 from repro.interp.cfg_interp import CfgInterpreter, CfgInterpreterError
 from repro.interp.rc_interp import RcInterpreter
@@ -698,6 +699,7 @@ def _identity_callee():
 
 
 _EQ = _CMP_FNS["eq"]
+_LT = _CMP_FNS["slt"]
 _ADD = _BINARY_FNS["arith.addi"]
 _MUL = _BINARY_FNS["arith.muli"]
 
@@ -881,6 +883,48 @@ def _assert_outcome(factory, args, expected):
         assert outcome == expected, (fused, outcome, expected)
 
 
+def _unfused_pair_cases():
+    """(pair name, program factory, [(args, expected outcome)]) for the
+    adjacent pairs no ``FUSION_RULES`` entry covers.  The peephole leaves
+    them as two instructions; the outcomes are the same recorded literals
+    as in :func:`_superinstruction_cases`.
+    """
+    cases = []
+    cases.append(("cmp+cond_br", lambda: _vm_program([
+        (OP_CMP, 2, _LT, 0, 1),
+        (OP_CONDBR, 2, 2, (), (), 4, (), ()),
+        (OP_CONST, 3, 42), (OP_RET, 3),
+        (OP_CONST, 3, 7), (OP_RET, 3),
+    ], 4, num_params=2), [
+        ((1, 2), ("ok", 42, {
+            "arith": 1, "branch": 1, "call": 1, "return": 1, "const": 1,
+        })),
+        ((2, 1), ("ok", 7, {
+            "arith": 1, "branch": 1, "call": 1, "return": 1, "const": 1,
+        })),
+    ]))
+    cases.append(("const+binarith", lambda: _vm_program([
+        (OP_CONST, 1, 5),
+        (OP_BINARITH, 2, _ADD, 0, 1),
+        (OP_RET, 2),
+    ], 3, num_params=1), [
+        ((4,), ("ok", 9, {"arith": 1, "call": 1, "return": 1, "const": 1})),
+    ]))
+    cases.append(("getlabel+switch", lambda: _vm_program([
+        (OP_CONSTRUCT, 0, 1, (), "move"),
+        (OP_GETLABEL, 1, 0),
+        (OP_SWITCH, 1, {1: 3}, 5),
+        (OP_CONST, 2, 10), (OP_RET, 2),
+        (OP_CONST, 2, 20), (OP_RET, 2),
+    ], 3), [
+        ((), ("ok", 10, {
+            "branch": 1, "call": 1, "return": 1, "getlabel": 1, "move": 1,
+            "const": 1,
+        })),
+    ]))
+    return cases
+
+
 #: The six lp+rgn variants; with the baseline's three rc modes, the
 #: compiles every fusion rule must fire in.
 LP_VARIANTS = ("default", "simplifier", "rgn", "none", "rc-opt", "rc-opt+reuse")
@@ -907,6 +951,7 @@ class TestSuperinstructions:
     """One compilation + execution unit per entry of FUSION_RULES."""
 
     CASES = _superinstruction_cases()
+    UNFUSED_PAIRS = _unfused_pair_cases()
 
     def test_every_fusion_rule_has_a_case(self):
         assert {opcode for opcode, _, _ in self.CASES} == {
@@ -925,6 +970,19 @@ class TestSuperinstructions:
         after = [ins[0] for ins in program.functions["main"].code]
         assert opcode in after, OPCODE_NAMES[opcode]
         assert program.fused and program.fused_sites > 0
+        for args, expected in runs:
+            _assert_outcome(factory, args, expected)
+
+    @pytest.mark.parametrize(
+        "factory,runs", [(factory, runs) for _, factory, runs in UNFUSED_PAIRS],
+        ids=[name for name, _, _ in UNFUSED_PAIRS],
+    )
+    def test_pair_without_a_rule_runs_unfused(self, factory, runs):
+        program = _patch_callees(factory())
+        before = list(program.functions["main"].code)
+        fuse_program(program)
+        assert program.functions["main"].code == before
+        assert program.fused_sites == 0
         for args, expected in runs:
             _assert_outcome(factory, args, expected)
 
@@ -959,6 +1017,30 @@ class TestSuperinstructions:
         assert [ins[0] for ins in fused] == [
             OP_INT, OP_CONSTRUCT, OP_PROJ_PROJ, OP_RET,
         ]
+
+    def test_one_target_table_finds_and_remaps_every_branch(self):
+        samples = [
+            (OP_JMP, 1, (), ()),
+            (OP_CONDBR, 0, 2, (), (), 3, (), ()),
+            (OP_SWITCH, 0, {0: 4, 1: 5}, 6),
+            (OP_CASE, 0, {0: 7}, None),
+            (OP_CONST_CMP_CONDBR, 1, 5, 2, _EQ, 0, 1, 8, (), (), 9, (), ()),
+            (OP_GETLABEL_CMP_CONDBR, 0, 3, 1, 5, 2, _EQ, 0, 1,
+             10, (), (), 11, (), ()),
+        ]
+        assert {ins[0] for ins in samples} == set(_TARGET_FIELDS)
+        assert _jump_targets(samples) == set(range(1, 12))
+        mapping = {pc: pc + 100 for pc in range(12)}
+        remapped = [_remap_targets(ins, mapping) for ins in samples]
+        assert _jump_targets(remapped) == {pc + 100 for pc in range(1, 12)}
+        for before, after in zip(samples, remapped):
+            fields = _TARGET_FIELDS[before[0]]
+            assert [x for i, x in enumerate(before) if i not in fields] == [
+                x for i, x in enumerate(after) if i not in fields
+            ]
+        proj = (OP_PROJ, 2, 1, 0)
+        assert _jump_targets([proj]) == set()
+        assert _remap_targets(proj, mapping) is proj
 
     def test_every_fusion_rule_fires_on_compiled_programs(self, monkeypatch):
         """A rule that no compiled program exercises is dead weight: the
