@@ -257,13 +257,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     return code
 
 
-def _report_crash_bundle(error: BaseException) -> None:
-    """Print the bundle path the pipeline's crash handler attached."""
-    path = getattr(error, "crash_bundle", None)
-    if path:
-        print(f"crash bundle: {path}", file=sys.stderr)
-
-
 def _compile_and_run(args, source: str) -> int:
     """Compile, optionally emit, and run — inside any telemetry scope.
 
@@ -303,8 +296,10 @@ def _compile_and_run(args, source: str) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 3
     except Exception as error:  # noqa: BLE001 - CLI boundary
+        from .resilience import report_crash_bundle
+
         print(f"error: {error}", file=sys.stderr)
-        _report_crash_bundle(error)
+        report_crash_bundle(error)
         return 4
 
     if args.variant == "baseline":

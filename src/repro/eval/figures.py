@@ -72,7 +72,7 @@ FIGURE11_ROWS = [
     ("DCE", "hand-written", "builtin pass (dce / dead-region-elimination)"),
     ("Inliner", "hand-written join inlining", "builtin pass (inline)"),
     ("Test minimization", "none",
-     "crash-bundle pass bisection + hypothesis program shrinking"),
+     "crash bundle cut at the failing pass + hypothesis program shrinking"),
     ("Debug information", "none", "value name hints preserved end-to-end"),
     ("IDE support", "none", "textual IR + parser (LSP-ready)"),
     ("Tail call optimization", "VM call+ret peephole, no IR mark",

@@ -13,9 +13,10 @@ and the pipeline-debugging workflow are built on.  Usage::
     python -m repro.opt file.mlir --inject-fault pass.cse:1
     python -m repro.opt --pipeline-from-bundle crash-0123456789ab
 
-Resilience (see ``docs/RESILIENCE.md``): a pass failure writes a crash
-reproducer bundle into ``--crash-dir`` (the pre-pass IR, the remaining
-pipeline spec, and the re-based fault plan) and prints its path;
+Resilience (see ``docs/RESILIENCE.md``): a pass failure prints the
+failing IR on stderr, writes a crash reproducer bundle into
+``--crash-dir`` (the pre-pass IR, the remaining pipeline spec, and the
+re-based fault plan) and prints its path;
 ``--pipeline-from-bundle`` replays such a bundle byte-identically —
 input, pipeline and fault plan all come from the bundle.
 ``--inject-fault site:N`` arms deterministic fault injection
@@ -25,7 +26,8 @@ The input is generic-form IR as printed by :mod:`repro.ir.printer` (get
 some via ``python -m repro program.lean --emit rgn``); the result prints
 on stdout (or ``-o``).  Telemetry flags (``--trace-out``, ``--verbose``,
 ``--metrics-json``, ``--print-ir-after*``) come for free through
-:class:`~repro.rewrite.pass_manager.PassManager` — the exact
+:class:`~repro.rewrite.pass_manager.PassManager`, built by
+:func:`~repro.backend.pipeline.build_spec_pipeline` — the exact
 instrumentation stack of the in-compiler pipelines.
 
 The default pipeline is the compiler's rgn optimisation spec, so
@@ -44,25 +46,28 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .backend.pipeline import PipelineOptions, rgn_pipeline_spec
+from .backend.pipeline import (
+    PipelineOptions,
+    build_spec_pipeline,
+    rgn_pipeline_spec,
+)
 from .ir.parser import ParseError, parse_module
 from .ir.printer import print_module
 from .ir.verifier import VerificationError, verify
 from .resilience import (
-    CrashBundleWriter,
     FaultPlan,
     fault_plan,
     known_sites,
     load_bundle,
+    report_crash_bundle,
 )
 from .rewrite.registry import (
     PipelineSpecError,
-    build_pipeline,
     canonical_pipeline_spec,
     describe_registered_passes,
     pipeline_fingerprint,
 )
-from .telemetry import PrintIRInstrumentation, cli_telemetry
+from .telemetry import cli_telemetry
 
 
 def _read_input(path: str) -> str:
@@ -75,13 +80,6 @@ def _read_input(path: str) -> str:
 def default_pipeline_spec() -> str:
     """The compiler's rgn optimisation spec under default options."""
     return rgn_pipeline_spec(PipelineOptions())
-
-
-def _report_crash_bundle(error: BaseException) -> None:
-    """Print the bundle path a pass-manager crash handler attached."""
-    path = getattr(error, "crash_bundle", None)
-    if path:
-        print(f"crash bundle: {path}", file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -213,24 +211,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.file is None and bundle is None:
         parser.error("an input file is required (use '-' for stdin)")
 
-    instrumentations = []
-    if args.print_ir_after or args.print_ir_after_all:
-        instrumentations.append(
-            PrintIRInstrumentation(
-                print_after=tuple(args.print_ir_after),
-                print_after_all=args.print_ir_after_all,
-            )
-        )
-    verify_each = (
-        bundle.verify_each if bundle is not None else True
-    ) and not args.no_verify_each
+    options = PipelineOptions(
+        verify_each=(
+            bundle.verify_each if bundle is not None else True
+        ) and not args.no_verify_each,
+        print_ir_after=tuple(args.print_ir_after),
+        print_ir_after_all=args.print_ir_after_all,
+        crash_bundle_dir=args.crash_dir,
+    )
     try:
-        pipeline = build_pipeline(
-            spec,
-            verify_each=verify_each,
-            instrumentations=instrumentations,
-            crash_handler=CrashBundleWriter(args.crash_dir),
-        )
+        pipeline = build_spec_pipeline(spec, options)
     except PipelineSpecError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -252,12 +242,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 pipeline.run(module)
         except (ParseError, VerificationError) as error:
             print(f"error: {error}", file=sys.stderr)
-            _report_crash_bundle(error)
+            report_crash_bundle(error)
             return 1
         except Exception as error:  # pass crash / injected fault / budget
             name = type(error).__name__
             print(f"error: {name}: {error}", file=sys.stderr)
-            _report_crash_bundle(error)
+            report_crash_bundle(error)
             return 1
         result = print_module(module)
 

@@ -11,15 +11,11 @@ The compiler's failure-path machinery (see ``docs/RESILIENCE.md``):
   (:class:`ExecutionBudgetExceeded` instead of a hang),
 * :mod:`~repro.resilience.bundle` — MLIR-style crash reproducer bundles
   (pre-pass IR + remaining pipeline spec + environment + telemetry),
-  replayable via ``python -m repro.opt --pipeline-from-bundle``,
-* :mod:`~repro.resilience.bisect` — re-runs a bundle pass by pass to
-  isolate the first faulty pass (and for pattern passes the faulty
-  pattern), appending a minimal one-pass reproducer to the bundle.
+  replayable via ``python -m repro.opt --pipeline-from-bundle``.
 
 Nothing recovers from a failure: a fault fails the run with its layer's
 exit code, and a crash bundle where a pass is involved.  Faults, budget
-trips, bundles and bisections count under the ``resilience.*`` metric
-namespace.
+trips and bundles count under the ``resilience.*`` metric namespace.
 """
 
 from ..lazy import lazy_exports
@@ -29,8 +25,10 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "BudgetExceeded", "ExecutionBudget", "ExecutionBudgetExceeded",
         "RewriteBudgetExceeded",
     ),
-    ".bundle": ("CrashBundle", "CrashBundleWriter", "load_bundle"),
-    ".bisect": ("bisect_bundle",),
+    ".bundle": (
+        "CrashBundle", "CrashBundleWriter", "load_bundle",
+        "report_crash_bundle",
+    ),
     ".faults": (
         "FaultPlan", "InjectedFault", "active_plan", "fault_hit", "fault_plan",
         "known_sites",

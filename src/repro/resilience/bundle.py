@@ -18,11 +18,15 @@ textual IR + pipeline-spec grammar:
         The remaining pipeline spec (failing pass first) — what
         ``python -m repro.opt --pipeline-from-bundle <dir>`` replays.
     ``error.txt``
-        The exception type and message.
-    ``minimal.mlir`` / ``minimal-pipeline.txt``
-        Appended by :func:`~repro.resilience.bisect.bisect_bundle`: the IR
-        immediately before the first faulty pass plus that single pass's
-        spec — the one-pass reproducer.
+        The exception type and message, then any notes the exception
+        carries — among them the pass manager's note when it could not
+        rebuild the pre-pass IR and wrote the pipeline input and the whole
+        pipeline instead (MLIR's non-local reproducer).
+
+The pass manager prints the module once per run and rebuilds the
+failing pass's input by replaying the passes before it (see
+:class:`~repro.rewrite.pass_manager.PassManager`), so ``input.mlir`` is
+the IR the failing pass saw and ``pipeline.txt`` starts at that pass.
 
 The directory name is content-addressed (sha256 of IR + spec + error,
 twelve hex digits), so the same crash lands in the same directory and
@@ -44,8 +48,6 @@ BUNDLE_JSON = "bundle.json"
 INPUT_IR = "input.mlir"
 PIPELINE_TXT = "pipeline.txt"
 ERROR_TXT = "error.txt"
-MINIMAL_IR = "minimal.mlir"
-MINIMAL_PIPELINE_TXT = "minimal-pipeline.txt"
 
 
 class CrashBundle(Record):
@@ -54,7 +56,6 @@ class CrashBundle(Record):
     _fields = (
         "path", "input_ir", "pipeline_spec", "failing_pass", "error_type",
         "error_message", "faults", "verify_each", "environment", "metrics",
-        "bisect",
     )
 
     def __init__(
@@ -69,7 +70,6 @@ class CrashBundle(Record):
         verify_each: bool,
         environment: Dict[str, str],
         metrics: Dict[str, Union[int, float]],
-        bisect: Optional[Dict[str, Optional[str]]] = None,
     ):
         self.path = path
         self.input_ir = input_ir
@@ -83,16 +83,6 @@ class CrashBundle(Record):
         self.verify_each = verify_each
         self.environment = environment
         self.metrics = metrics
-        #: Bisection result, if :func:`bisect_bundle` has run: keys
-        #: ``failing_pass`` and (for pattern passes) ``failing_pattern``.
-        self.bisect = bisect
-
-    @property
-    def minimal_pipeline_spec(self) -> Optional[str]:
-        minimal = self.path / MINIMAL_PIPELINE_TXT
-        if minimal.exists():
-            return minimal.read_text(encoding="utf-8").strip()
-        return None
 
 
 def load_bundle(path: Union[str, Path]) -> CrashBundle:
@@ -125,7 +115,6 @@ def load_bundle(path: Union[str, Path]) -> CrashBundle:
         verify_each=bool(manifest.get("verify_each", True)),
         environment=dict(manifest.get("environment", {})),
         metrics=dict(manifest.get("metrics", {})),
-        bisect=manifest.get("bisect"),
     )
 
 
@@ -146,16 +135,11 @@ class CrashBundleWriter:
 
     One writer serves one pipeline run; the pass manager calls
     :meth:`on_crash` with the failure context and re-raises the original
-    exception after the bundle is on disk.  With ``bisect=True`` (the
-    default) the writer immediately re-runs the bundle through
-    :func:`~repro.resilience.bisect.bisect_bundle` to pin down the first
-    faulty pass — guarded, so a bisection failure never masks the crash
-    being reported.
+    exception after the bundle is on disk.
     """
 
-    def __init__(self, base_dir: Union[str, Path], *, bisect: bool = True):
+    def __init__(self, base_dir: Union[str, Path]):
         self.base_dir = Path(base_dir)
-        self.bisect = bisect
         #: Paths of every bundle this writer produced, in order.
         self.written: List[Path] = []
 
@@ -186,7 +170,12 @@ class CrashBundleWriter:
         (bundle_dir / PIPELINE_TXT).write_text(
             remaining_spec + "\n", encoding="utf-8"
         )
-        (bundle_dir / ERROR_TXT).write_text(error_text + "\n", encoding="utf-8")
+        notes = "".join(
+            note + "\n" for note in getattr(error, "__notes__", ())
+        )
+        (bundle_dir / ERROR_TXT).write_text(
+            error_text + "\n" + notes, encoding="utf-8"
+        )
         manifest = {
             "schema": BUNDLE_SCHEMA,
             "failing_pass": failing_pass,
@@ -209,16 +198,13 @@ class CrashBundleWriter:
         registry = get_metrics()
         if registry.enabled:
             registry.bump("resilience.bundles.written")
-
-        if self.bisect:
-            from .bisect import bisect_bundle
-
-            try:
-                bisect_bundle(bundle_dir)
-            except Exception:
-                # Bisection is best-effort diagnosis; the bundle itself is
-                # already complete and replayable without it.
-                pass
-
         self.written.append(bundle_dir)
         return bundle_dir
+
+
+def report_crash_bundle(error: BaseException) -> None:
+    """Print the bundle path a pass manager's crash handler attached to
+    ``error`` (the ``crash bundle: <path>`` line of both CLIs)."""
+    path = getattr(error, "crash_bundle", None)
+    if path:
+        print(f"crash bundle: {path}", file=sys.stderr)

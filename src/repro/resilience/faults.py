@@ -7,7 +7,9 @@ never again.  Hits are counted per process-global plan, so a run with a
 given plan is fully deterministic — the same compile hits the same sites
 in the same order every time, which is what lets a crash bundle record the
 *remaining* plan and replay the identical failure from the bundle's
-pre-pass IR (see :mod:`repro.resilience.bundle`).
+pre-pass IR (see :mod:`repro.resilience.bundle`).  The pass manager
+rebuilds that IR by replaying the earlier passes with no plan armed, so
+a fault fires, and counts under ``resilience.faults.injected``, once.
 
 Injection sites live in every layer, and every injected fault fails
 loudly — nothing recovers from one:
@@ -16,7 +18,7 @@ loudly — nothing recovers from one:
   plus one hit per successful pattern application for
   :class:`~repro.rewrite.driver.PatternRewritePass` subclasses (from the
   rewrite driver, which blames the applied pattern on the raised fault);
-  a crash bundle, bisectable,
+  a crash bundle,
 * ``verify`` — the IR verifier entry; a crash bundle,
 * ``vm.dispatch`` — the VM's function dispatch; the run fails
   (``python -m repro`` exits 5),
@@ -56,7 +58,7 @@ def known_sites() -> Dict[str, str]:
     sites = dict(STATIC_SITES)
     for name, registered in registered_passes().items():
         sites[f"pass.{name}"] = (
-            f"inside the {name} pass (crash bundle, bisectable)"
+            f"inside the {name} pass (crash bundle)"
         )
     return sites
 

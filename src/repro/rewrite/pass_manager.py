@@ -23,12 +23,13 @@ Observability (see ``docs/OBSERVABILITY.md``):
 
 from __future__ import annotations
 
+import contextvars
 from typing import Dict, List, Optional, Sequence
 
 from ..ir.core import Operation, mutation_count
 from ..ir.verifier import verify
 from ..record import Record
-from ..resilience.faults import active_plan, fault_hit
+from ..resilience.faults import active_plan, fault_hit, fault_plan
 from ..telemetry import (
     PassInstrumentation,
     get_metrics,
@@ -163,9 +164,13 @@ class PassManager:
     rejection writes a crash reproducer bundle — the textual IR as it
     stood before the failing pass, the remaining pipeline spec, and the
     active fault plan re-based to that point — before the exception
-    propagates (tagged with ``error.crash_bundle``).  Snapshotting the IR
-    per pass costs a print, so handlers are attached on the failure-path
-    pipelines (the CLIs, the fuzzers), not the benchmark loops.
+    propagates (tagged with ``error.crash_bundle``).  The run prints the
+    module once, at entry; passes are deterministic, so on a failure in
+    pass *i* :meth:`_handle_crash` re-parses that text and replays passes
+    0…i−1 from their specs to rebuild the pre-pass IR.  The entry print
+    is the handler's whole cost on a run that succeeds, so handlers are
+    attached on the failure-path pipelines (the CLIs, the fuzzers), not
+    the benchmark loops.
     """
 
     def __init__(
@@ -199,30 +204,66 @@ class PassManager:
         for instr in self.instrumentations:
             instr.run_after_pass_failed(pass_, module, error)
 
+    def _replay_prefix(self, pipeline_input: str, index: int) -> str:
+        """The IR before pass ``index``: passes 0…index−1 rebuilt from
+        their specs and run over ``pipeline_input`` with fault injection
+        disarmed, in a fresh context (no telemetry session, so the replay
+        adds no span and no counter)."""
+        if index == 0:
+            return pipeline_input
+        from ..ir.parser import parse_module
+        from ..ir.printer import print_module
+        from .registry import build_pipeline
+
+        prefix = build_pipeline(
+            ",".join(p.spec or p.name for p in self.passes[:index]),
+            verify_each=self.verify_each,
+        )
+        module = parse_module(pipeline_input)
+        with fault_plan(None):
+            contextvars.Context().run(prefix.run, module)
+        return print_module(module)
+
     def _handle_crash(
         self,
         index: int,
-        pre_pass_ir: Optional[str],
-        hits_baseline: Dict[str, int],
+        pipeline_input: Optional[str],
+        hits: List[Dict[str, int]],
         error: Exception,
     ) -> None:
-        """Write a crash bundle for a failure in pass ``index`` (guarded)."""
-        if self.crash_handler is None or pre_pass_ir is None:
+        """Write a crash bundle for a failure in pass ``index`` (guarded).
+
+        ``hits`` holds the fault plan's hit counts at the entry of every
+        pass run so far.  When the prefix replay fails (a hand-built pass
+        has no registered spec), the bundle is MLIR's non-local
+        reproducer: the pipeline input and the whole pipeline, with a
+        note saying so in ``error.txt``.
+        """
+        if pipeline_input is None:  # no crash handler
             return
-        remaining = ",".join(
-            p.spec or p.name for p in self.passes[index:]
-        )
+        specs = [p.spec or p.name for p in self.passes]
+        try:
+            pre_pass_ir = self._replay_prefix(pipeline_input, index)
+            start = index
+        except Exception as replay_error:
+            pre_pass_ir, start = pipeline_input, 0
+            # PEP 678 note (``add_note`` itself is Python 3.11+).
+            error.__notes__ = [*getattr(error, "__notes__", ()), (
+                f"note: the IR before pass {index} ({specs[index]}) could "
+                f"not be rebuilt ({type(replay_error).__name__}: "
+                f"{replay_error}); this bundle holds the pipeline input and "
+                "the whole pipeline"
+            )]
         plan = active_plan()
-        fault_specs = (
-            plan.remaining_specs(hits_baseline) if plan is not None else []
-        )
         try:
             path = self.crash_handler.on_crash(
                 pre_pass_ir=pre_pass_ir,
-                remaining_spec=remaining,
+                remaining_spec=",".join(specs[start:]),
                 failing_pass=self.passes[index].name,
                 error=error,
-                fault_specs=fault_specs,
+                fault_specs=(
+                    plan.remaining_specs(hits[start]) if hits else []
+                ),
                 verify_each=self.verify_each,
             )
         except Exception:
@@ -237,18 +278,21 @@ class PassManager:
         registry = get_metrics()
         # Mutation count at the last verification (None: not verified yet).
         verified_at: Optional[int] = None
+        # The crash handler's snapshot: the module printed once, and the
+        # fault plan's hit counts at every pass entry (while one is armed).
+        pipeline_input: Optional[str] = None
+        plan = None
+        hits: List[Dict[str, int]] = []
+        if self.crash_handler is not None:
+            from ..ir.printer import print_module
+
+            pipeline_input = print_module(module)
+            plan = active_plan()
         for index, pass_ in enumerate(self.passes):
             pass_.strict_convergence = self.verify_each
             before = dict(pass_.statistics.counters)
-            pre_pass_ir: Optional[str] = None
-            hits_baseline: Dict[str, int] = {}
-            if self.crash_handler is not None:
-                from ..ir.printer import print_module
-
-                pre_pass_ir = print_module(module)
-                plan = active_plan()
-                if plan is not None:
-                    hits_baseline = plan.snapshot_hits()
+            if plan is not None:
+                hits.append(plan.snapshot_hits())
             for instr in self.instrumentations:
                 instr.run_before_pass(pass_, module)
             try:
@@ -257,7 +301,7 @@ class PassManager:
                     pass_.run(module)
             except Exception as error:
                 self._notify_failed(pass_, module, error)
-                self._handle_crash(index, pre_pass_ir, hits_baseline, error)
+                self._handle_crash(index, pipeline_input, hits, error)
                 raise
             # Merge this run's counter *delta* into the per-name statistics.
             # Assigning ``pass_.statistics`` outright (the old behaviour)
@@ -286,7 +330,7 @@ class PassManager:
                         verify(module)
                 except Exception as error:
                     self._notify_failed(pass_, module, error)
-                    self._handle_crash(index, pre_pass_ir, hits_baseline, error)
+                    self._handle_crash(index, pipeline_input, hits, error)
                     raise
                 verified_at = mutation_count()
             for instr in self.instrumentations:

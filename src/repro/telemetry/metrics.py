@@ -11,7 +11,7 @@ Every stat surface of the compiler publishes into one namespaced
 * ``vm.instr.freq.<op>`` — the VM's dynamic instruction frequencies,
 * ``harness.*`` — evaluation-harness bookkeeping,
 * ``resilience.*`` — failure-path accounting: injected faults, budget
-  trips, crash bundles written and bisection runs.
+  trips and crash bundles written.
 
 The registry stores integer counters only (:meth:`bump`), so a snapshot is
 deterministic run to run; time lives in the tracer's spans.

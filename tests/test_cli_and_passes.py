@@ -235,7 +235,6 @@ NOT_IMPORTED_AT_STARTUP = (
     "repro.backend.c_backend",
     "repro.interp.reference",
     "repro.resilience.bundle",
-    "repro.resilience.bisect",
 )
 
 #: Every package of ``repro`` that declares ``__all__``.

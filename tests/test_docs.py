@@ -242,10 +242,10 @@ FIGURE11_CODE = {
         "builtin pass (inline)": ("repro.transforms.inliner.InlinerPass",),
     },
     "Test minimization": {
-        "crash-bundle pass bisection + hypothesis program shrinking": (
-            "repro.resilience.bisect.bisect_bundle",
-            "tests/test_resilience.py::TestPassSiteSweep::"
-            "test_injected_pass_fault_bundles_replays_and_bisects",
+        "crash bundle cut at the failing pass + hypothesis program shrinking": (
+            "repro.rewrite.pass_manager.PassManager._replay_prefix",
+            "tests/test_resilience.py::TestOneSnapshotPerRun::"
+            "test_bundle_input_is_the_prefix_run_over_the_pipeline_input",
             "tests/test_fuzz.py::TestFuzzCli::test_failure_is_saved_to_corpus_dir",
         ),
     },

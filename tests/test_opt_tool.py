@@ -152,6 +152,15 @@ class TestCliSurface:
         assert code == 0
         assert "IR Dump After cse" in err
 
+    def test_failing_pass_dumps_its_ir(self, rgn_file, tmp_path, capsys):
+        code, _, err = run_opt(
+            capsys, rgn_file, "--inject-fault", "pass.dce:1",
+            "--crash-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "// -----// IR Dump After dce Failed (InjectedFault)" in err
+        assert "crash bundle: " in err
+
     def test_telemetry_outputs(self, rgn_file, tmp_path, capsys):
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"

@@ -3,8 +3,11 @@
 Five layers, mirroring ``docs/RESILIENCE.md``:
 
 * **fault-injection sweep** — every pass site, injected, produces a crash
-  bundle that replays byte-identically and bisects to the injected pass
-  (pattern-level for pattern-driver passes),
+  bundle that names the injected pass (and, for pattern-driver passes,
+  the blamed pattern) and replays byte-identically,
+* **one snapshot per run** — a pipeline with a crash handler prints the
+  module once; a failure rebuilds the failing pass's input by replaying
+  the passes before it, or writes a non-local bundle when it cannot,
 * **loud faults** — a ``vm.dispatch`` or ``driver.worklist`` fault fails
   the run with its layer's exit code (and a replayable bundle where a
   pass is involved); nothing recovers from a fault,
@@ -157,8 +160,8 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Fault-injection sweep: every pass site produces a bisectable bundle that
-# replays byte-identically through repro.opt
+# Fault-injection sweep: every pass site produces a bundle that names the
+# failing pass and replays byte-identically through repro.opt
 # ---------------------------------------------------------------------------
 
 
@@ -176,7 +179,7 @@ def bundle_path_from(stderr: str) -> str:
 
 class TestPassSiteSweep:
     @pytest.mark.parametrize("name", sorted(registered_passes()))
-    def test_injected_pass_fault_bundles_replays_and_bisects(
+    def test_injected_pass_fault_bundles_and_replays(
         self, name, tmp_path, rgn_file, capsys
     ):
         crash_dir = tmp_path / "crashes"
@@ -193,10 +196,11 @@ class TestPassSiteSweep:
         assert bundle.failing_pass == name
         assert bundle.error_type == "InjectedFault"
         assert bundle.faults == [f"pass.{name}:1"]
-        # Bisection narrowed the failure to the injected pass.
-        assert bundle.bisect is not None
-        assert bundle.bisect["failing_pass"] == name
-        assert bundle.minimal_pipeline_spec is not None
+        # The bundle starts at the injected pass: a one-pass reproducer.
+        assert bundle.pipeline_spec == name
+        manifest = json.loads((path / "bundle.json").read_text("utf-8"))
+        assert manifest["failing_pass"] == name
+        assert manifest["error"]["failing_pattern"] is None
 
         # Replay: same error, and — because bundles are content-addressed —
         # the re-written bundle has the identical name iff the failure
@@ -222,8 +226,8 @@ class TestPassSiteSweep:
 
     def test_pattern_level_fault_blames_the_applied_pattern(self, tmp_path):
         """Hit 2 of a ``pass.<name>`` site is the first pattern application
-        (hit 1 is the pass entry), so the fault and the bisect record carry
-        pattern-level blame."""
+        (hit 1 is the pass entry), so the fault and the bundle's manifest
+        carry pattern-level blame."""
         options = PipelineOptions(crash_bundle_dir=str(tmp_path))
         plan = FaultPlan.parse(["pass.canonicalize:2"])
         with fault_plan(plan):
@@ -233,8 +237,11 @@ class TestPassSiteSweep:
         assert error.failing_pattern is not None
         bundle = load_bundle(error.crash_bundle)
         assert bundle.failing_pass == "canonicalize"
-        assert bundle.bisect["failing_pass"] == "canonicalize"
-        assert bundle.bisect["failing_pattern"] == error.failing_pattern
+        assert bundle.pipeline_spec == "canonicalize,dce"
+        manifest = json.loads(
+            (bundle.path / "bundle.json").read_text(encoding="utf-8")
+        )
+        assert manifest["error"]["failing_pattern"] == error.failing_pattern
 
     def test_verify_fault_produces_a_bundle(self, tmp_path, rgn_file, capsys):
         code, _, err = run_opt(
@@ -249,7 +256,7 @@ class TestPassSiteSweep:
         assert bundle.faults == ["verify:1"]
 
     def test_bundle_manifest_round_trips(self, tmp_path):
-        writer = CrashBundleWriter(str(tmp_path), bisect=False)
+        writer = CrashBundleWriter(str(tmp_path))
         error = ValueError("boom")
         path = writer.on_crash(
             pre_pass_ir="ir-text",
@@ -277,6 +284,225 @@ class TestPassSiteSweep:
             fault_specs=["pass.cse:1"],
             verify_each=False,
         ) == path
+
+
+# ---------------------------------------------------------------------------
+# One snapshot per run: the failing pass's input is rebuilt on failure
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def rbmap_source():
+    from repro.eval.benchmarks import benchmark_sources
+
+    return benchmark_sources()["rbmap_checkpoint"]
+
+
+def rgn_variant(**overrides) -> PipelineOptions:
+    options = PipelineOptions.variant("rgn")
+    for name, value in overrides.items():
+        setattr(options, name, value)
+    return options
+
+
+@pytest.fixture(scope="module")
+def rbmap_rgn_ir(rbmap_source):
+    """rbmap's rgn IR under the ``rgn`` variant, entering rgn-opt."""
+    options = rgn_variant(capture_ir=("rgn",))
+    return MlirCompiler(options).compile(rbmap_source).captured_ir["rgn"]
+
+
+#: Faults that fire after the first pass of rbmap's rgn pipeline
+#: (``verify:2`` rejects canonicalize's output), plus ``region-gvn``,
+#: whose bundle starts at the pipeline's second pass.
+MID_PIPELINE_FAULTS = (
+    "pass.region-gvn:1", "pass.canonicalize:2", "pass.dce:1",
+    "driver.worklist:1", "verify:2",
+)
+
+
+class TestOneSnapshotPerRun:
+    @pytest.mark.parametrize("rc_mode, runs", [("naive", 1), ("opt", 2)])
+    def test_one_print_per_pass_manager_run(
+        self, rc_mode, runs, tmp_path, monkeypatch
+    ):
+        import repro.ir.printer as printer
+        from repro.rewrite.pass_manager import PassManager
+
+        calls = {"print": 0, "run": 0}
+        real_print, real_run = printer.print_module, PassManager.run
+
+        def spy_print(module):
+            calls["print"] += 1
+            return real_print(module)
+
+        def spy_run(self, module):
+            calls["run"] += 1
+            return real_run(self, module)
+
+        monkeypatch.setattr(printer, "print_module", spy_print)
+        monkeypatch.setattr(PassManager, "run", spy_run)
+        MlirCompiler(
+            PipelineOptions(rc_mode=rc_mode, crash_bundle_dir=str(tmp_path))
+        ).compile(SOURCE)
+        # rgn-opt runs four passes and (above naive) lp fusion one.
+        assert calls == {"print": runs, "run": runs}
+
+        calls.update(print=0, run=0)
+        MlirCompiler(PipelineOptions(rc_mode=rc_mode)).compile(SOURCE)
+        assert calls == {"print": 0, "run": runs}
+
+    def test_replay_rebuilds_the_live_ir_before_every_pass(
+        self, monkeypatch
+    ):
+        """The replay's premise: passes rebuilt from their specs, run over
+        the re-parsed pipeline input, reach the IR the live run had."""
+        import repro.backend.pipeline as pipeline_module
+        from repro.eval.benchmarks import benchmark_sources
+        from repro.ir.printer import print_module
+        from repro.telemetry import PassInstrumentation
+
+        class Snapshots(PassInstrumentation):
+            def __init__(self):
+                self.pre_pass_ir = []
+
+            def run_before_pass(self, pass_, module):
+                self.pre_pass_ir.append(print_module(module))
+
+        runs = []
+        real_build = pipeline_module.build_spec_pipeline
+
+        def build(spec, options):
+            manager = real_build(spec, options)
+            runs.append((manager, Snapshots()))
+            manager.add_instrumentation(runs[-1][1])
+            return manager
+
+        monkeypatch.setattr(pipeline_module, "build_spec_pipeline", build)
+        for options in (
+            PipelineOptions(), rgn_variant(),
+            PipelineOptions(rc_mode="opt+reuse", rewrite_engine="rescan"),
+        ):
+            for source in benchmark_sources().values():
+                MlirCompiler(options).compile(source)
+        checked = 0
+        for manager, snapshots in runs:
+            pipeline_input = snapshots.pre_pass_ir[0]
+            for index, pre_pass_ir in enumerate(snapshots.pre_pass_ir):
+                assert (
+                    manager._replay_prefix(pipeline_input, index)
+                    == pre_pass_ir
+                ), (manager.describe(), index)
+                checked += 1
+        # 27 rgn-opt runs of four passes, 9 lp-fusion runs of one.
+        assert checked == 27 * 4 + 9
+
+    @pytest.mark.parametrize("fault", MID_PIPELINE_FAULTS)
+    def test_bundle_input_is_the_prefix_run_over_the_pipeline_input(
+        self, fault, rbmap_source, rbmap_rgn_ir, tmp_path, capsys
+    ):
+        from repro.backend.pipeline import rgn_pipeline_spec
+        from repro.ir.parser import parse_module
+        from repro.ir.printer import print_module
+
+        options = rgn_variant(crash_bundle_dir=str(tmp_path / "crashes"))
+        with fault_plan(FaultPlan.parse([fault])):
+            with pytest.raises(InjectedFault) as excinfo:
+                MlirCompiler(options).compile(rbmap_source)
+        bundle = load_bundle(excinfo.value.crash_bundle)
+
+        full = rgn_pipeline_spec(options).split(",")
+        remaining = bundle.pipeline_spec.split(",")
+        prefix = full[:len(full) - len(remaining)]
+        assert prefix + remaining == full
+        assert prefix, "the fault should fire after the first pass"
+        module = parse_module(rbmap_rgn_ir)
+        build_pipeline(",".join(prefix)).run(module)
+        assert bundle.input_ir == print_module(module)
+
+        code, _, err = run_opt(
+            capsys,
+            "--pipeline-from-bundle", str(bundle.path),
+            "--crash-dir", str(tmp_path / "replay"),
+        )
+        assert code == 1
+        replayed = Path(bundle_path_from(err))
+        for name in ("input.mlir", "pipeline.txt"):
+            assert (
+                (replayed / name).read_text(encoding="utf-8")
+                == (bundle.path / name).read_text(encoding="utf-8")
+            )
+        if fault != "verify:2":
+            assert replayed.name == bundle.path.name
+        else:
+            # The fault message names the hit count since the plan was
+            # armed ("hit 2"); the re-based plan of the replay fires at
+            # its first verify ("hit 1"), so the error text, and with it
+            # the directory name, differs.
+            assert "(hit 2)" in bundle.error_message
+
+    def test_failing_cli_run_counts_one_fault_and_one_span_per_pass(
+        self, rbmap_source, tmp_path, capsys
+    ):
+        program = tmp_path / "rbmap.lean"
+        program.write_text(rbmap_source, encoding="utf-8")
+        metrics_path = tmp_path / "m.json"
+        trace_path = tmp_path / "t.json"
+        code = cli_main([
+            str(program), "--variant", "rgn",
+            "--inject-fault", "pass.dce:1",
+            "--metrics-json", str(metrics_path),
+            "--trace-out", str(trace_path),
+            "--crash-dir", str(tmp_path / "crashes"),
+        ])
+        capsys.readouterr()
+        assert code == 4
+        metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
+        assert metrics["metrics"]["resilience.faults.injected"] == 1
+        events = json.loads(trace_path.read_text(encoding="utf-8"))
+        names = [event["name"] for event in events["traceEvents"]]
+        assert [n for n in names if n.startswith("pass:")] == [
+            "pass:cse", "pass:region-gvn", "pass:canonicalize", "pass:dce",
+        ]
+
+    def test_unregistered_pass_ahead_gives_a_non_local_bundle(
+        self, rgn_ir, tmp_path
+    ):
+        from repro.ir.parser import parse_module
+        from repro.rewrite.pass_manager import ModulePass, PassManager
+        from repro.rewrite.registry import build_passes
+
+        class HandBuilt(ModulePass):
+            name = "hand-built"
+
+            def run(self, module):
+                pass
+
+        manager = PassManager(
+            [*build_passes("cse"), HandBuilt(), *build_passes("dce")],
+            crash_handler=CrashBundleWriter(str(tmp_path)),
+        )
+        with fault_plan(FaultPlan.parse(["pass.dce:1"])):
+            with pytest.raises(InjectedFault) as excinfo:
+                manager.run(parse_module(rgn_ir))
+        bundle = load_bundle(excinfo.value.crash_bundle)
+        # MLIR's non-local reproducer: the pipeline input, the whole
+        # pipeline and the fault plan re-based to the pipeline entry.
+        assert bundle.input_ir == rgn_ir
+        assert bundle.pipeline_spec == "cse,hand-built,dce"
+        assert bundle.failing_pass == "dce"
+        assert bundle.faults == ["pass.dce:1"]
+        error_lines = (
+            (bundle.path / "error.txt").read_text(encoding="utf-8")
+            .splitlines()
+        )
+        assert error_lines[0] == (
+            "InjectedFault: injected fault at site 'pass.dce' (hit 1)"
+        )
+        assert error_lines[1].startswith(
+            "note: the IR before pass 2 (dce) could not be rebuilt "
+            "(PipelineSpecError: unknown pass 'hand-built'"
+        )
 
 
 # ---------------------------------------------------------------------------
