@@ -6,8 +6,13 @@ Run with::
     python examples/closures_and_higher_order.py
 """
 
-from repro.backend import MlirCompiler, run_baseline, run_mlir, run_reference
-from repro.ir import print_module
+from repro.backend import (
+    MlirCompiler,
+    PipelineOptions,
+    run_baseline,
+    run_mlir,
+    run_reference,
+)
 
 SOURCE = """
 inductive List where
@@ -50,9 +55,9 @@ def main() -> None:
         f"lp+rgn={mlir.metrics.counts.get('alloc_closure', 0)}"
     )
 
-    artifacts = MlirCompiler().compile(SOURCE)
+    artifacts = MlirCompiler(PipelineOptions(capture_ir=("lp",))).compile(SOURCE)
     print("\n=== lifted lambda in the lp dialect (look for lp.pap) ===")
-    text = print_module(artifacts.lp_module)
+    text = artifacts.captured_ir["lp"]
     lines = text.splitlines()
     pap_lines = [i for i, line in enumerate(lines) if "lp.pap" in line]
     for index in pap_lines[:3]:

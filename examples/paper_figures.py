@@ -18,13 +18,7 @@ from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp
 from repro.ir import Builder, FunctionType, InsertionPoint, box, i1, print_module
 from repro.lambda_rc import insert_rc
-from repro.rewrite import PassManager
-from repro.transforms import (
-    CaseEliminationPass,
-    CommonBranchEliminationPass,
-    DeadCodeEliminationPass,
-    RegionGVNPass,
-)
+from repro.rewrite import build_pipeline
 
 
 def figure1_common_branch() -> None:
@@ -48,15 +42,8 @@ def figure1_common_branch() -> None:
 
     print("=== Figure 1 C / §IV-B.2: before region optimisation ===")
     print(print_module(module))
-    PassManager(
-        [
-            RegionGVNPass(),
-            CommonBranchEliminationPass(),
-            CaseEliminationPass(),
-            DeadCodeEliminationPass(),
-        ]
-    ).run(module)
-    print("=== after region GVN + common-branch + case elimination + DCE ===")
+    build_pipeline("region-gvn,canonicalize,dce").run(module)
+    print("=== after region GVN + canonicalize + DCE ===")
     print(print_module(module))
 
 

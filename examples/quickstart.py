@@ -8,11 +8,11 @@ Run with::
 from repro.backend import (
     BaselineCompiler,
     MlirCompiler,
+    PipelineOptions,
     run_baseline,
     run_mlir,
     run_reference,
 )
-from repro.ir import print_module
 
 SOURCE = """
 inductive List where
@@ -54,9 +54,9 @@ def main() -> None:
     print(f"speedup (cost ratio): {baseline.metrics.total_cost() / mlir.metrics.total_cost():.3f}x")
 
     # Peek at the intermediate artifacts.
-    artifacts = MlirCompiler().compile(SOURCE)
+    artifacts = MlirCompiler(PipelineOptions(capture_ir=("lp",))).compile(SOURCE)
     print("\n=== lp-dialect module for `sum` (excerpt) ===")
-    lp_text = print_module(artifacts.lp_module)
+    lp_text = artifacts.captured_ir["lp"]
     print("\n".join(lp_text.splitlines()[:30]))
 
     c_source = BaselineCompiler().compile(SOURCE).c_source

@@ -284,7 +284,7 @@ def _compile_and_run(args, source: str) -> int:
     options.crash_bundle_dir = args.crash_dir
     options.execution_budget_seconds = args.budget_seconds
     options.execution_budget_steps = args.budget_steps
-    if args.emit in ("rgn", "rgn-opt"):
+    if args.emit in ("lp", "rgn", "rgn-opt"):
         options.capture_ir = (args.emit,)
     compiler = (
         BaselineCompiler if args.variant == "baseline" else MlirCompiler
@@ -321,7 +321,7 @@ def _compile_and_run(args, source: str) -> int:
             )
             return 2
         if args.emit == "lp":
-            print(print_module(artifacts.lp_module))
+            print(artifacts.captured_ir["lp"], end="")
             return 0
         if args.emit in ("rgn", "rgn-opt"):
             captured = artifacts.captured_ir.get(args.emit)

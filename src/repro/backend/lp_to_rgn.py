@@ -26,8 +26,7 @@ from typing import List, Optional
 from ..dialects import arith, lp, rgn
 from ..dialects.builtin import ModuleOp
 from ..ir.builder import Builder, InsertionPoint
-from ..ir.core import Block, Operation, Value
-from ..rewrite.pass_manager import ModulePass
+from ..ir.core import Block, Value
 from .lowering_context import LabelScope, LoweringContext
 
 
@@ -160,16 +159,6 @@ class LpToRgnLowering:
         builder = Builder(InsertionPoint.before(jump))
         builder.create(rgn.RunOp, target, jump.args)
         jump.erase()
-
-
-class LpToRgnPass(ModulePass):
-    """Pass wrapper around :class:`LpToRgnLowering`."""
-
-    name = "lp-to-rgn"
-
-    def run(self, module: Operation) -> None:
-        if isinstance(module, ModuleOp):
-            LpToRgnLowering(module).run()
 
 
 def lower_lp_to_rgn(

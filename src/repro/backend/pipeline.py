@@ -183,9 +183,9 @@ class CompilationArtifacts(Record):
     """Everything produced while compiling one program."""
 
     _fields = (
-        "surface_source", "pure_program", "rc_program", "lp_module",
-        "cfg_module", "c_source", "pass_statistics", "rc_report",
-        "module_op_counts", "captured_ir",
+        "surface_source", "pure_program", "rc_program", "cfg_module",
+        "c_source", "pass_statistics", "rc_report", "module_op_counts",
+        "captured_ir",
     )
 
     def __init__(
@@ -193,7 +193,6 @@ class CompilationArtifacts(Record):
         surface_source: str,
         pure_program: PureProgram,
         rc_program: PureProgram,
-        lp_module: Optional[ModuleOp] = None,
         cfg_module: Optional[ModuleOp] = None,
         c_source: Optional[str] = None,
         pass_statistics: Optional[Dict[str, Dict[str, int]]] = None,
@@ -204,7 +203,6 @@ class CompilationArtifacts(Record):
         self.surface_source = surface_source
         self.pure_program = pure_program
         self.rc_program = rc_program
-        self.lp_module = lp_module
         self.cfg_module = cfg_module
         self.c_source = c_source
         self.pass_statistics = (
@@ -676,7 +674,6 @@ class MlirCompiler(_Compiler):
                 surface_source=source,
                 pure_program=pure,
                 rc_program=rc,
-                lp_module=lp_module,
                 rc_report=rc_report,
             )
             artifacts.module_op_counts["lp"] = sum(1 for _ in lp_module.walk()) - 1

@@ -23,7 +23,6 @@ from ..dialects import arith, cf, lp, rgn
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp, ReturnOp
 from ..ir.core import Block, Operation, Value
-from ..rewrite.pass_manager import ModulePass
 from ..transforms.dce import eliminate_dead_code
 
 
@@ -149,27 +148,13 @@ class RgnToCfLowering:
     # -- cleanup -----------------------------------------------------------------------------
     def _cleanup(self) -> None:
         # Remove the (now empty) rgn.val shells and any dispatch ops whose
-        # results became unused.
+        # results became unused.  rgn.val is Pure and DCE runs to fixpoint,
+        # so one sweep leaves nothing dead behind.
         eliminate_dead_code(self.func)
-        for op in list(self.func.walk()):
-            if isinstance(op, rgn.ValOp) and not op.results_used():
-                op.erase()
-        eliminate_dead_code(self.func)
-
-
-class RgnToCfPass(ModulePass):
-    """Flatten rgn structure into CFG form for every function."""
-
-    name = "rgn-to-cf"
-
-    def run(self, module: Operation) -> None:
-        if not isinstance(module, ModuleOp):
-            return
-        for func in module.functions():
-            RgnToCfLowering(func).run()
 
 
 def lower_rgn_to_cf(module: ModuleOp) -> ModuleOp:
     """Lower every function of ``module`` from rgn form to a flat CFG."""
-    RgnToCfPass().run(module)
+    for func in module.functions():
+        RgnToCfLowering(func).run()
     return module

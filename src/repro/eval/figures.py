@@ -67,9 +67,9 @@ FIGURE11_ROWS = [
     ("Backend", "C-like emission (c_backend)", "mini-MLIR (lp + rgn dialects)"),
     ("Vectorization", "No", "possible via dialects (affine/linalg analogue)"),
     ("Testing harness", "ad-hoc scripts", "pytest + textual IR FileCheck-style tests"),
-    ("Constant folding", "hand-written (λpure simplifier)", "rewrite patterns (constant-fold pass)"),
+    ("Constant folding", "hand-written (λpure simplifier)", "rewrite patterns (canonicalize drain)"),
     ("CSE", "none", "builtin pass (cse, extended by region-gvn)"),
-    ("DCE", "hand-written", "builtin pass (dce / dead-region-elimination)"),
+    ("DCE", "hand-written", "builtin pass (dce)"),
     ("Inliner", "hand-written join inlining", "builtin pass (inline)"),
     ("Test minimization", "none",
      "crash bundle cut at the failing pass + hypothesis program shrinking"),

@@ -6,8 +6,8 @@ The compiler's failure-path machinery (see ``docs/RESILIENCE.md``):
 * :mod:`~repro.resilience.faults` — seeded, deterministic fault injection
   at named sites (``--inject-fault site:N``) so every failure path in the
   stack can be exercised on demand,
-* :mod:`~repro.resilience.budgets` — wall-clock and step budgets on the
-  rewrite drivers and all four execution engines
+* :mod:`~repro.resilience.budgets` — wall-clock and step budgets on all
+  four execution engines
   (:class:`ExecutionBudgetExceeded` instead of a hang),
 * :mod:`~repro.resilience.bundle` — MLIR-style crash reproducer bundles
   (pre-pass IR + remaining pipeline spec + environment + telemetry),
@@ -23,7 +23,6 @@ from ..lazy import lazy_exports
 __getattr__, __all__ = lazy_exports(__name__, {
     ".budgets": (
         "BudgetExceeded", "ExecutionBudget", "ExecutionBudgetExceeded",
-        "RewriteBudgetExceeded",
     ),
     ".bundle": (
         "CrashBundle", "CrashBundleWriter", "load_bundle",

@@ -1,4 +1,4 @@
-"""Wall-clock and step budgets for rewriting and execution.
+"""Wall-clock and step budgets for execution.
 
 An :class:`ExecutionBudget` bounds one run of an execution engine: *steps*
 (control transfers — calls, jumps, branches — plus VM instructions at a
@@ -8,11 +8,9 @@ the bytecode VM — charge the budget at every control transfer, so a
 diverging program raises :class:`ExecutionBudgetExceeded` instead of
 hanging (or permanently riding ``sys.setrecursionlimit``).
 
-The rewrite drivers have an analogous wall-clock budget: exceeding it
-raises :class:`RewriteBudgetExceeded`, which the pattern-driver passes
-treat exactly like
-:class:`~repro.rewrite.driver.NonConvergenceError`: the pass fails and
-the pass manager writes a crash bundle.
+The rewrite drivers read no clock: a fixpoint is bounded by its
+deterministic rewrite/iteration budget, and missing it raises
+:class:`~repro.rewrite.driver.NonConvergenceError` under ``verify_each``.
 
 Budget trips count as ``resilience.budget.trips`` in the active metrics
 registry.
@@ -32,14 +30,6 @@ class BudgetExceeded(RuntimeError):
 
 class ExecutionBudgetExceeded(BudgetExceeded):
     """An execution engine exceeded its step or wall-clock budget."""
-
-
-class RewriteBudgetExceeded(BudgetExceeded):
-    """A rewrite driver exceeded its wall-clock budget mid-fixpoint.
-
-    The pattern-driver passes handle it like a non-convergence: one rescan
-    retry, then a crash bundle.
-    """
 
 
 #: How many steps pass between wall-clock reads (a power of two minus one,

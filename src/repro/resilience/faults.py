@@ -15,10 +15,9 @@ Injection sites live in every layer, and every injected fault fails
 loudly — nothing recovers from one:
 
 * ``pass.<name>`` — one hit when the pass starts (from the pass manager)
-  plus one hit per successful pattern application for
-  :class:`~repro.rewrite.driver.PatternRewritePass` subclasses (from the
-  rewrite driver, which blames the applied pattern on the raised fault);
-  a crash bundle,
+  plus, for ``pass.canonicalize``, one hit per successful pattern
+  application (from the rewrite driver, which blames the applied pattern
+  on the raised fault); a crash bundle,
 * ``verify`` — the IR verifier entry; a crash bundle,
 * ``vm.dispatch`` — the VM's function dispatch; the run fails
   (``python -m repro`` exits 5),
@@ -70,9 +69,10 @@ class InjectedFault(RuntimeError):
         self, site: str, occurrence: int, *, pattern: Optional[str] = None
     ):
         detail = f" during pattern {pattern}" if pattern else ""
-        super().__init__(
-            f"injected fault at site {site!r} (hit {occurrence}){detail}"
-        )
+        # No hit count in the message: it runs from when the plan was armed,
+        # a bundle replay's from the failing pass, so it would send the
+        # replay's content-addressed bundle to another directory.
+        super().__init__(f"injected fault at site {site!r}{detail}")
         self.site = site
         self.occurrence = occurrence
         #: Pattern class name blamed by the rewrite driver, when the fault

@@ -6,8 +6,7 @@ from ..lazy import lazy_exports
 __getattr__, __all__ = lazy_exports(__name__, {
     ".driver": (
         "ENGINES", "GreedyRewriteResult", "NonConvergenceError",
-        "PatternRewritePass", "PatternSet", "Worklist",
-        "apply_patterns_greedily",
+        "PatternSet", "Worklist", "apply_patterns_greedily",
     ),
     ".pass_manager": ("FunctionPass", "ModulePass", "Pass", "PassManager"),
     ".pattern": ("PatternRewriter", "RewritePattern"),

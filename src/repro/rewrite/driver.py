@@ -24,28 +24,15 @@ Two engines implement the fixpoint:
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ..ir.core import Operation
 from ..record import Record
-from ..resilience.budgets import RewriteBudgetExceeded
 from ..resilience.faults import fault_hit
-from ..telemetry import get_metrics
-from .pass_manager import FunctionPass
 from .pattern import PatternRewriter, RewritePattern
-from .registry import PassOption
 
 #: The rewrite engines understood by :func:`apply_patterns_greedily`.
 ENGINES = ("worklist", "rescan")
-
-#: Pipeline-spec option shared by every pattern-driver pass.
-ENGINE_OPTION = PassOption(
-    "engine",
-    "rewrite engine driving the greedy fixpoint",
-    choices=ENGINES,
-    default="worklist",
-)
 
 
 class NonConvergenceError(RuntimeError):
@@ -54,7 +41,8 @@ class NonConvergenceError(RuntimeError):
     Raised under ``strict=True`` (which the :class:`~repro.rewrite.
     pass_manager.PassManager` enables together with ``verify_each``) so that
     a diverging pattern set fails loudly instead of silently returning
-    half-rewritten IR.
+    half-rewritten IR.  This deterministic bound is the only one a fixpoint
+    has: the engines read no clock.
     """
 
 
@@ -194,7 +182,6 @@ def apply_patterns_greedily(
     max_rewrites: Optional[int] = None,
     engine: str = "worklist",
     strict: bool = False,
-    max_seconds: Optional[float] = None,
     fault_site: Optional[str] = None,
 ) -> GreedyRewriteResult:
     """Apply ``patterns`` to every op under ``root`` until fixpoint.
@@ -206,26 +193,22 @@ def apply_patterns_greedily(
     either budget raises :class:`NonConvergenceError` instead of returning
     with ``converged=False`` (which historically no caller checked).
 
-    ``max_seconds`` is a wall-clock budget on the whole invocation — a
-    fixpoint still in flight past the deadline raises
-    :class:`~repro.resilience.budgets.RewriteBudgetExceeded`.
     ``fault_site`` names the fault-injection site hit once per successful
-    pattern application (the pattern-driver passes pass their
-    ``pass.<name>`` site, giving pattern-granular injection; the raised
+    pattern application (the canonicalize pass passes its
+    ``pass.canonicalize`` site, giving pattern-granular injection; the raised
     :class:`~repro.resilience.faults.InjectedFault` blames the applied
     pattern).
     """
     pattern_set = (
         patterns if isinstance(patterns, PatternSet) else PatternSet(patterns)
     )
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     if engine == "worklist":
         result = _apply_worklist(
-            root, pattern_set, max_iterations, max_rewrites, deadline, fault_site
+            root, pattern_set, max_iterations, max_rewrites, fault_site
         )
     elif engine == "rescan":
         result = _apply_rescan(
-            root, pattern_set, max_iterations, max_rewrites, deadline, fault_site
+            root, pattern_set, max_iterations, max_rewrites, fault_site
         )
     else:
         raise ValueError(f"unknown rewrite engine {engine!r} (expected {ENGINES})")
@@ -238,23 +221,9 @@ def apply_patterns_greedily(
     return result
 
 
-def _check_rewrite_deadline(
-    deadline: Optional[float], result: GreedyRewriteResult, engine: str
-) -> None:
-    """Trip the wall-clock rewrite budget (cheap no-op without a deadline)."""
-    if deadline is None or time.monotonic() <= deadline:
-        return
-    registry = get_metrics()
-    if registry.enabled:
-        registry.bump("resilience.budget.trips")
-    raise RewriteBudgetExceeded(
-        f"rewrite budget exceeded after {result.applications} applications "
-        f"({result.match_attempts} match attempts, engine={engine!r})"
-    )
-
-
 def _blame_pattern(error: BaseException, pattern: RewritePattern) -> None:
-    """Tag ``error`` with the pattern it escaped from (for bisection)."""
+    """Tag ``error`` with the pattern it escaped from; the crash bundle's
+    manifest records it as ``failing_pattern``."""
     if getattr(error, "failing_pattern", None) is None:
         try:
             error.failing_pattern = type(pattern).__name__
@@ -270,7 +239,6 @@ def _apply_worklist(
     pattern_set: PatternSet,
     max_iterations: int,
     max_rewrites: Optional[int],
-    deadline: Optional[float] = None,
     fault_site: Optional[str] = None,
 ) -> GreedyRewriteResult:
     fault_hit("driver.worklist")
@@ -291,8 +259,6 @@ def _apply_worklist(
             continue  # erased (or detached) since it was queued
         for pattern in pattern_set.candidates(op, result):
             result.match_attempts += 1
-            if not (result.match_attempts & 255):
-                _check_rewrite_deadline(deadline, result, "worklist")
             rewriter = PatternRewriter(op)
             try:
                 matched = pattern.match_and_rewrite(op, rewriter)
@@ -304,7 +270,6 @@ def _apply_worklist(
             result.record(pattern)
             if fault_site is not None:
                 fault_hit(fault_site, pattern=type(pattern).__name__)
-            _check_rewrite_deadline(deadline, result, "worklist")
             for touched in rewriter.touched:
                 if not touched.attached:
                     continue
@@ -376,7 +341,6 @@ def _apply_rescan(
     pattern_set: PatternSet,
     max_iterations: int,
     max_rewrites: Optional[int],
-    deadline: Optional[float] = None,
     fault_site: Optional[str] = None,
 ) -> GreedyRewriteResult:
     result = GreedyRewriteResult()
@@ -398,8 +362,6 @@ def _apply_rescan(
                 continue
             for pattern in pattern_set.candidates(op, result):
                 result.match_attempts += 1
-                if not (result.match_attempts & 255):
-                    _check_rewrite_deadline(deadline, result, "rescan")
                 rewriter = _SeedPatternRewriter(op)
                 try:
                     matched = pattern.match_and_rewrite(op, rewriter)
@@ -410,7 +372,6 @@ def _apply_rescan(
                     result.record(pattern)
                     if fault_site is not None:
                         fault_hit(fault_site, pattern=type(pattern).__name__)
-                    _check_rewrite_deadline(deadline, result, "rescan")
                     changed_this_iteration = True
                     # Faithful to the seed driver: duplicates are appended,
                     # so one op can be re-matched many times per iteration.
@@ -429,77 +390,3 @@ def _apply_rescan(
             return result
     result.converged = False
     return result
-
-
-# -- pattern-driver passes ---------------------------------------------------------
-
-
-class PatternRewritePass(FunctionPass):
-    """A function pass that drives a fixed pattern set to fixpoint.
-
-    Subclasses implement :meth:`patterns`; the pass indexes them once,
-    applies them per function with the configured engine, and surfaces the
-    driver statistics (applications, match attempts, worklist pushes)
-    through the pass-manager counters.
-
-    A failed fixpoint — non-convergence, a tripped
-    :class:`~repro.resilience.budgets.RewriteBudgetExceeded` budget or an
-    injected ``driver.worklist`` / ``pass.<name>`` fault — propagates to
-    the pass manager's crash-bundle path (see ``docs/RESILIENCE.md``).
-    """
-
-    #: Rewrite engine used by this pass; overridable per instance.
-    engine: str = "worklist"
-
-    #: Wall-clock budget per driver invocation (None = unbounded).
-    budget_seconds: Optional[float] = None
-
-    SPEC_OPTIONS = (ENGINE_OPTION,)
-
-    @classmethod
-    def from_spec_options(cls, options):
-        if "engine" in options:
-            return cls(engine=options["engine"][-1])
-        return cls()
-
-    def __init__(self, *, engine: Optional[str] = None):
-        super().__init__()
-        if engine is not None:
-            if engine not in ENGINES:
-                raise ValueError(
-                    f"unknown rewrite engine {engine!r} (expected {ENGINES})"
-                )
-            self.engine = engine
-        self._pattern_set: Optional[PatternSet] = None
-
-    def patterns(self) -> Sequence[RewritePattern]:
-        raise NotImplementedError
-
-    @property
-    def pattern_set(self) -> PatternSet:
-        if self._pattern_set is None:
-            self._pattern_set = PatternSet(self.patterns())
-        return self._pattern_set
-
-    def apply(self, func) -> GreedyRewriteResult:
-        result = apply_patterns_greedily(
-            func,
-            self.pattern_set,
-            engine=self.engine,
-            strict=self.strict_convergence,
-            max_seconds=self.budget_seconds,
-            fault_site=f"pass.{self.name}",
-        )
-        self.statistics.bump("applications", result.applications)
-        self.statistics.bump_meter("match-attempts", result.match_attempts)
-        self.statistics.bump_meter("worklist-pushes", result.worklist_pushes)
-        if result.prefilter_skips:
-            self.statistics.bump_meter("prefilter-skips", result.prefilter_skips)
-        # Per-pattern application counts, as meters so the already-counted
-        # "applications" rewrite total is not double-counted.
-        for pattern_name, count in result.per_pattern.items():
-            self.statistics.bump_meter(pattern_name, count)
-        return result
-
-    def run_on_function(self, func) -> None:
-        self.apply(func)

@@ -83,7 +83,7 @@ class Pass:
     #: Human-readable pass name used in pipeline descriptions and reports.
     name: str = "unnamed-pass"
 
-    #: When True, pattern-driver passes raise
+    #: When True, the canonicalize pass raises
     #: :class:`~repro.rewrite.driver.NonConvergenceError` if the rewrite
     #: fixpoint is not reached.  :meth:`PassManager.run` syncs this with its
     #: ``verify_each`` setting before running the pass.

@@ -3,24 +3,27 @@
 Classical SSA passes
     * :class:`~repro.transforms.dce.DeadCodeEliminationPass`
     * :class:`~repro.transforms.cse.CSEPass`
-    * :class:`~repro.transforms.constant_fold.ConstantFoldPass`
     * :class:`~repro.transforms.canonicalize.CanonicalizePass`
     * :class:`~repro.transforms.inliner.InlinerPass`
 
 Region passes (the paper's contribution, §IV-B)
-    * :class:`~repro.transforms.dead_region.DeadRegionEliminationPass`
     * :class:`~repro.transforms.region_gvn.RegionGVNPass`
-    * :class:`~repro.transforms.case_elimination.CaseEliminationPass`
-    * :class:`~repro.transforms.common_branch.CommonBranchEliminationPass`
+    * case, common-branch and dead region elimination, and constant
+      folding: pattern families of the ``canonicalize`` drain
+      (:mod:`~repro.transforms.case_elimination`,
+      :mod:`~repro.transforms.common_branch`,
+      :mod:`~repro.transforms.dead_region`,
+      :mod:`~repro.transforms.constant_fold`), selected with
+      :func:`~repro.transforms.canonicalize.canonicalization_patterns`
 """
 
 from .canonicalize import CanonicalizePass, canonicalization_patterns
-from .case_elimination import CaseEliminationPass, case_elimination_patterns
-from .common_branch import CommonBranchEliminationPass, common_branch_patterns
-from .constant_fold import ConstantFoldPass, constant_fold_patterns
+from .case_elimination import case_elimination_patterns
+from .common_branch import common_branch_patterns
+from .constant_fold import constant_fold_patterns
 from .cse import CSEPass
 from .dce import DeadCodeEliminationPass, eliminate_dead_code
-from .dead_region import DeadRegionEliminationPass
+from .dead_region import dead_region_patterns
 from .inliner import InlinerPass
 from .region_gvn import (
     RegionFingerprinter,
@@ -32,16 +35,13 @@ from .region_gvn import (
 __all__ = [
     "CanonicalizePass",
     "canonicalization_patterns",
-    "CaseEliminationPass",
     "case_elimination_patterns",
-    "CommonBranchEliminationPass",
     "common_branch_patterns",
-    "ConstantFoldPass",
     "constant_fold_patterns",
     "CSEPass",
     "DeadCodeEliminationPass",
     "eliminate_dead_code",
-    "DeadRegionEliminationPass",
+    "dead_region_patterns",
     "InlinerPass",
     "RegionFingerprinter",
     "RegionGVNPass",

@@ -10,23 +10,23 @@ pattern family.  The rgn optimisation pipeline
 with the worklist engine, so an op is queued once and every follow-up match
 comes from rewriter notifications rather than a re-seed per pass.
 
-The individual passes (:class:`~repro.transforms.constant_fold.
-ConstantFoldPass` etc.) remain available for targeted use and for the
-ablation benchmarks, which shrink the drain's pattern set instead of
-removing pipeline stages.
+This is the only way a pattern family runs: ``canonicalize{ablate=...}``
+drops families from the drain (the ablation benchmarks), and
+``CanonicalizePass(canonicalization_patterns(...))`` or a hand-picked
+pattern list narrows it for targeted use.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..rewrite.driver import ENGINE_OPTION, PatternRewritePass
+from ..rewrite.driver import ENGINES, PatternSet, apply_patterns_greedily
+from ..rewrite.pass_manager import FunctionPass
 from ..rewrite.pattern import RewritePattern
 from ..rewrite.registry import PassOption, register_pass
 from .case_elimination import case_elimination_patterns
 from .common_branch import common_branch_patterns
 from .constant_fold import constant_fold_patterns
-from .dce import eliminate_dead_code
 from .dead_region import dead_region_patterns
 
 
@@ -66,15 +66,19 @@ ABLATABLE_FAMILIES = {
 
 
 @register_pass
-class CanonicalizePass(PatternRewritePass):
-    """Drive the canonicalisation drain to fixpoint, optionally followed by
-    DCE.
+class CanonicalizePass(FunctionPass):
+    """Drive the canonicalisation drain to fixpoint.
 
-    ``patterns`` narrows the drain to a subset (the ablation benchmarks pass
-    the enabled pattern families); by default every registered
-    canonicalisation pattern participates.  ``run_dce`` controls the
-    trailing dead-code sweep — the backend pipeline disables it because it
-    schedules one final DCE pass itself.
+    ``patterns`` narrows the drain to a subset (``canonicalize{ablate=...}``
+    passes the families it keeps); by default every registered
+    canonicalisation pattern participates.  The patterns are indexed once
+    per pass and applied per function with the configured engine; the
+    driver statistics (applications, match attempts, worklist pushes,
+    per-pattern applications) become the pass-manager counters.
+
+    A failed fixpoint — non-convergence, or an injected ``driver.worklist``
+    / ``pass.canonicalize`` fault — propagates to the pass manager's
+    crash-bundle path (see ``docs/RESILIENCE.md``).
     """
 
     name = "canonicalize"
@@ -86,12 +90,11 @@ class CanonicalizePass(PatternRewritePass):
             repeatable=True,
             choices=tuple(ABLATABLE_FAMILIES),
         ),
-        ENGINE_OPTION,
         PassOption(
-            "dce",
-            "run a dead-code sweep after the drain converges",
-            choices=("true", "false"),
-            default="false",
+            "engine",
+            "rewrite engine driving the greedy fixpoint",
+            choices=ENGINES,
+            default="worklist",
         ),
     )
 
@@ -101,31 +104,38 @@ class CanonicalizePass(PatternRewritePass):
             ABLATABLE_FAMILIES[choice]: False
             for choice in options.get("ablate", ())
         }
-        patterns = canonicalization_patterns(**toggles) if toggles else None
         return cls(
-            patterns,
-            engine=options.get("engine", [None])[-1],
-            run_dce=options.get("dce", ["false"])[-1] == "true",
+            canonicalization_patterns(**toggles),
+            engine=options.get("engine", ["worklist"])[-1],
         )
 
     def __init__(
         self,
         patterns: Optional[Sequence[RewritePattern]] = None,
         *,
-        engine: Optional[str] = None,
-        run_dce: bool = True,
+        engine: str = "worklist",
     ):
-        super().__init__(engine=engine)
-        self._patterns = list(patterns) if patterns is not None else None
-        self.run_dce = run_dce
-
-    def patterns(self) -> List[RewritePattern]:
-        if self._patterns is not None:
-            return list(self._patterns)
-        return canonicalization_patterns()
+        super().__init__()
+        self.engine = engine
+        self.patterns: List[RewritePattern] = (
+            canonicalization_patterns() if patterns is None else list(patterns)
+        )
+        self.pattern_set = PatternSet(self.patterns)
 
     def run_on_function(self, func) -> None:
-        self.apply(func)
-        if self.run_dce:
-            erased = eliminate_dead_code(func)
-            self.statistics.bump("ops-erased", erased)
+        result = apply_patterns_greedily(
+            func,
+            self.pattern_set,
+            engine=self.engine,
+            strict=self.strict_convergence,
+            fault_site=f"pass.{self.name}",
+        )
+        self.statistics.bump("applications", result.applications)
+        self.statistics.bump_meter("match-attempts", result.match_attempts)
+        self.statistics.bump_meter("worklist-pushes", result.worklist_pushes)
+        if result.prefilter_skips:
+            self.statistics.bump_meter("prefilter-skips", result.prefilter_skips)
+        # Per-pattern application counts, as meters so the already-counted
+        # "applications" rewrite total is not double-counted.
+        for pattern_name, count in result.per_pattern.items():
+            self.statistics.bump_meter(pattern_name, count)

@@ -21,8 +21,6 @@ from typing import List
 
 from ..dialects import arith, lp, rgn
 from ..ir.core import IRMapping, Operation
-from ..rewrite.driver import PatternRewritePass
-from ..rewrite.registry import register_pass
 from ..rewrite.pattern import PatternRewriter, RewritePattern
 
 
@@ -152,13 +150,3 @@ def case_elimination_patterns() -> List[RewritePattern]:
         FoldSwitchOfConstant(),
         InlineRunOfKnownRegion(),
     ]
-
-
-@register_pass
-class CaseEliminationPass(PatternRewritePass):
-    """Greedily apply the case-elimination patterns."""
-
-    name = "case-elimination"
-
-    def patterns(self) -> List[RewritePattern]:
-        return case_elimination_patterns()

@@ -16,8 +16,6 @@ from typing import List
 
 from ..dialects import arith, rgn
 from ..ir.core import Operation
-from ..rewrite.driver import PatternRewritePass
-from ..rewrite.registry import register_pass
 from ..rewrite.pattern import PatternRewriter, RewritePattern
 
 
@@ -54,13 +52,3 @@ class FoldSwitchSameOperands(RewritePattern):
 
 def common_branch_patterns() -> List[RewritePattern]:
     return [FoldSelectSameOperands(), FoldSwitchSameOperands()]
-
-
-@register_pass
-class CommonBranchEliminationPass(PatternRewritePass):
-    """Greedily apply the common-branch-elimination patterns."""
-
-    name = "common-branch-elimination"
-
-    def patterns(self) -> List[RewritePattern]:
-        return common_branch_patterns()

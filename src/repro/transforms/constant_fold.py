@@ -1,7 +1,8 @@
 """Constant folding patterns for the arith dialect.
 
 The baseline LEAN backend hand-writes constant folding; in the MLIR-style
-pipeline it is just another set of rewrite patterns (Figure 11).
+pipeline it is just another family of rewrite patterns in the
+canonicalize drain (Figure 11).
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from typing import List
 
 from ..dialects import arith
 from ..ir.core import Operation
-from ..rewrite.driver import PatternRewritePass
-from ..rewrite.registry import register_pass
 from ..rewrite.pattern import PatternRewriter, RewritePattern
 
 
@@ -109,13 +108,3 @@ class FoldCmpI(RewritePattern):
 def constant_fold_patterns() -> List[RewritePattern]:
     """The full set of constant-folding patterns."""
     return [FoldBinaryOp(), FoldAddZero(), FoldCmpI()]
-
-
-@register_pass
-class ConstantFoldPass(PatternRewritePass):
-    """Greedily apply the constant-folding patterns."""
-
-    name = "constant-fold"
-
-    def patterns(self) -> List[RewritePattern]:
-        return constant_fold_patterns()

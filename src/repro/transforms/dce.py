@@ -13,23 +13,15 @@ dead as well.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from ..ir.core import Operation
 from ..ir.traits import Pure
 from ..rewrite.pass_manager import FunctionPass
 from ..rewrite.registry import register_pass
 
 
-def eliminate_dead_code(
-    root: Operation,
-    *,
-    is_removable: Optional[Callable[[Operation], bool]] = None,
-) -> int:
+def eliminate_dead_code(root: Operation) -> int:
     """Remove dead pure operations nested under ``root``.
 
-    ``is_removable`` optionally restricts which dead ops may be removed
-    (used by :class:`DeadRegionEliminationPass` to restrict to ``rgn.val``).
     Returns the number of erased operations.
 
     Like the pattern driver, this is worklist-driven rather than
@@ -47,8 +39,6 @@ def eliminate_dead_code(
         if op.erased or op.parent is None:
             continue
         if not op.has_trait(Pure) or not op.results or op.results_used():
-            continue
-        if is_removable is not None and not is_removable(op):
             continue
         # Erasing releases every use held by the whole nested subtree, so
         # any producer referenced from inside may become dead.

@@ -4,11 +4,10 @@ Dead *expression* elimination in a functional compiler removes let bindings
 whose bound expression is never referenced.  In the rgn encoding a
 let-bound sub-expression is a ``rgn.val``; if its SSA result has no uses it
 is never run, hence dead.  This is exactly SSA dead code elimination
-restricted to region values — which is why the pass is a thin wrapper around
-:func:`repro.transforms.dce.eliminate_dead_code`.
-
-The pass exists separately from the generic DCE so that the ablation
-benchmarks can toggle it on its own.
+restricted to region values: the generic ``dce`` pass
+(:func:`repro.transforms.dce.eliminate_dead_code`) removes dead regions
+unchanged.  The pattern below lets the canonicalize drain interleave that
+erasure with folding, and ``canonicalize{ablate=dead-region}`` drops it.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ from typing import List
 
 from ..dialects.rgn import ValOp
 from ..ir.core import Operation
-from ..rewrite.pass_manager import FunctionPass
-from ..rewrite.registry import register_pass
 from ..rewrite.pattern import PatternRewriter, RewritePattern
-from .dce import eliminate_dead_code
 
 
 class EraseDeadRegionValue(RewritePattern):
@@ -48,16 +44,3 @@ class EraseDeadRegionValue(RewritePattern):
 
 def dead_region_patterns() -> List[RewritePattern]:
     return [EraseDeadRegionValue()]
-
-
-@register_pass
-class DeadRegionEliminationPass(FunctionPass):
-    """Remove ``rgn.val`` definitions whose result is never referenced."""
-
-    name = "dead-region-elimination"
-
-    def run_on_function(self, func) -> None:
-        erased = eliminate_dead_code(
-            func, is_removable=lambda op: isinstance(op, ValOp)
-        )
-        self.statistics.bump("regions-erased", erased)

@@ -12,6 +12,7 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.backend.pipeline import MlirCompiler, PipelineOptions
 from repro.dialects.builtin import ModuleOp
+from repro.ir.parser import parse_module
 from repro.opt import main as opt_main
 from repro.rewrite.pass_manager import PassManager
 from repro.telemetry import telemetry_session
@@ -32,6 +33,9 @@ def sum (xs : List) : Nat :=
 
 def main : Nat := sum (upto 10)
 """
+
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
 
 @pytest.fixture
@@ -98,6 +102,21 @@ class TestCli:
         assert "lp.construct" in capsys.readouterr().out
         assert cli_main([source_file, "--emit", "cfg"]) == 0
         assert "func.func" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("variant", ("default", "rgn", "none", "rc-opt+reuse"))
+    def test_emit_lp_prints_the_lp_module_not_the_cfg(self, capsys, variant):
+        # The lowerings rewrite the lp module in place, so --emit lp must
+        # print the snapshot taken before lp-to-rgn, not the final module.
+        program = str(CORPUS / "seed_list_fold_map.lean")
+        assert cli_main([program, "--variant", variant, "--emit", "lp"]) == 0
+        lp_text = capsys.readouterr().out
+        assert cli_main([program, "--variant", variant, "--emit", "cfg"]) == 0
+        cfg_text = capsys.readouterr().out
+        assert '"cf.' not in lp_text
+        assert '"lp.switch"' in lp_text
+        assert lp_text != cfg_text
+        # The snapshot is IR that the parser (and so repro.opt) reads back.
+        assert isinstance(parse_module(lp_text), ModuleOp)
 
     def test_emit_c_requires_baseline(self, source_file, capsys):
         assert cli_main([source_file, "--emit", "c"]) == 2
@@ -200,7 +219,7 @@ class TestCliEdgeCases:
 class TestPassStatistics:
     def test_statistics_populated(self):
         artifacts = MlirCompiler(PipelineOptions()).compile(SOURCE)
-        module = artifacts.lp_module
+        module = artifacts.cfg_module
         assert isinstance(module, ModuleOp)
 
         manager = PassManager([DeadCodeEliminationPass()])
@@ -212,7 +231,7 @@ class TestPassStatistics:
         artifacts = MlirCompiler(PipelineOptions()).compile(SOURCE)
         manager = PassManager([DeadCodeEliminationPass()])
         with telemetry_session() as session:
-            manager.run(artifacts.lp_module)
+            manager.run(artifacts.cfg_module)
         report = session.tracer.report()
         assert "pass:dce" in report
         assert "verify:dce" in report

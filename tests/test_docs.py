@@ -218,8 +218,9 @@ FIGURE11_CODE = {
         "hand-written (λpure simplifier)": (
             "repro.lambda_pure.simplifier.Simplifier._fold_call",
         ),
-        "rewrite patterns (constant-fold pass)": (
-            "repro.transforms.constant_fold.ConstantFoldPass",
+        "rewrite patterns (canonicalize drain)": (
+            "repro.transforms.constant_fold.constant_fold_patterns",
+            "repro.transforms.canonicalize.CanonicalizePass",
         ),
     },
     "CSE": {
@@ -230,10 +231,7 @@ FIGURE11_CODE = {
     },
     "DCE": {
         "hand-written": ("repro.lambda_pure.simplifier.Simplifier._simplify",),
-        "builtin pass (dce / dead-region-elimination)": (
-            "repro.transforms.dce.DeadCodeEliminationPass",
-            "repro.transforms.dead_region.DeadRegionEliminationPass",
-        ),
+        "builtin pass (dce)": ("repro.transforms.dce.DeadCodeEliminationPass",),
     },
     "Inliner": {
         "hand-written join inlining": (

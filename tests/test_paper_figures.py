@@ -12,11 +12,12 @@ from repro.ir import Builder, FunctionType, InsertionPoint, box, i1, verify
 from repro.lambda_rc import insert_rc
 from repro.rewrite import PassManager
 from repro.transforms import (
-    CaseEliminationPass,
-    CommonBranchEliminationPass,
+    CanonicalizePass,
     DeadCodeEliminationPass,
-    DeadRegionEliminationPass,
     RegionGVNPass,
+    case_elimination_patterns,
+    common_branch_patterns,
+    dead_region_patterns,
 )
 
 
@@ -43,7 +44,7 @@ class TestFigure1:
         builder = Builder(InsertionPoint.at_end(func.entry_block))
         _region_returning(builder, 1)  # %x = rgn.val { e }, never run
         builder.create(lp.ReturnOp, func.arguments[0])
-        DeadRegionEliminationPass().run(module)
+        CanonicalizePass(dead_region_patterns()).run(module)
         assert "rgn.val" not in op_names(func)
 
     def test_case_elimination(self):
@@ -57,7 +58,9 @@ class TestFigure1:
         true = builder.create(arith.ConstantOp, 1, i1)
         selected = builder.create(arith.SelectOp, true.result(), e.result(), f.result())
         builder.create(rgn.RunOp, selected.result())
-        PassManager([CaseEliminationPass(), DeadCodeEliminationPass()]).run(module)
+        PassManager(
+            [CanonicalizePass(case_elimination_patterns()), DeadCodeEliminationPass()]
+        ).run(module)
         ints = [op.value for op in func.walk() if isinstance(op, lp.IntOp)]
         assert ints == [3]
 
@@ -76,8 +79,8 @@ class TestFigure1:
         PassManager(
             [
                 RegionGVNPass(),
-                CommonBranchEliminationPass(),
-                CaseEliminationPass(),
+                CanonicalizePass(common_branch_patterns()),
+                CanonicalizePass(case_elimination_patterns()),
                 DeadCodeEliminationPass(),
             ]
         ).run(module)

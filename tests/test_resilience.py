@@ -13,7 +13,6 @@ Five layers, mirroring ``docs/RESILIENCE.md``:
   pass is involved); nothing recovers from a fault,
 * **budgets** — all four execution engines trip
   ``ExecutionBudgetExceeded`` on a diverging program instead of hanging,
-  and rewrite fixpoints trip ``RewriteBudgetExceeded``,
 * **CLI contracts** — ``python -m repro`` exit codes name the failing
   layer; ``python -m repro.opt`` writes and replays bundles,
 * **drift guards** — the site catalogue in ``docs/RESILIENCE.md`` matches
@@ -43,15 +42,18 @@ from repro.resilience import (
     ExecutionBudgetExceeded,
     FaultPlan,
     InjectedFault,
-    RewriteBudgetExceeded,
     fault_plan,
     known_sites,
     load_bundle,
 )
 from repro.resilience.faults import STATIC_SITES
 from repro.interp.limits import DEFAULT_RECURSION_LIMIT, recursion_limit
-from repro.rewrite.registry import build_pipeline, registered_passes
-from repro.telemetry import telemetry_session
+from repro.rewrite.registry import (
+    build_pipeline,
+    canonical_pipeline_spec,
+    registered_passes,
+)
+from repro.transforms.canonicalize import ABLATABLE_FAMILIES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESILIENCE_MD = REPO_ROOT / "docs" / "RESILIENCE.md"
@@ -223,6 +225,34 @@ class TestPassSiteSweep:
             (replayed / "input.mlir").read_text(encoding="utf-8")
             == (path / "input.mlir").read_text(encoding="utf-8")
         )
+
+    @pytest.mark.parametrize("family", sorted(ABLATABLE_FAMILIES))
+    def test_one_family_drain_bundles_its_spec_and_replays(
+        self, family, tmp_path, rgn_file, capsys
+    ):
+        # A pattern family runs alone as the drain with the other three
+        # ablated, so its bundle must record the options with the pass.
+        spec = "canonicalize{" + ",".join(
+            f"ablate={other}" for other in ABLATABLE_FAMILIES if other != family
+        ) + "}"
+        code, _, err = run_opt(
+            capsys,
+            rgn_file,
+            "--pipeline", spec,
+            "--inject-fault", "pass.canonicalize:1",
+            "--crash-dir", str(tmp_path / "crashes"),
+        )
+        assert code == 1
+        bundle = load_bundle(bundle_path_from(err))
+        assert bundle.failing_pass == "canonicalize"
+        assert bundle.pipeline_spec == canonical_pipeline_spec(spec)
+        code, _, err = run_opt(
+            capsys,
+            "--pipeline-from-bundle", str(bundle.path),
+            "--crash-dir", str(tmp_path / "replay"),
+        )
+        assert code == 1
+        assert Path(bundle_path_from(err)).name == bundle.path.name
 
     def test_pattern_level_fault_blames_the_applied_pattern(self, tmp_path):
         """Hit 2 of a ``pass.<name>`` site is the first pattern application
@@ -432,14 +462,10 @@ class TestOneSnapshotPerRun:
                 (replayed / name).read_text(encoding="utf-8")
                 == (bundle.path / name).read_text(encoding="utf-8")
             )
-        if fault != "verify:2":
-            assert replayed.name == bundle.path.name
-        else:
-            # The fault message names the hit count since the plan was
-            # armed ("hit 2"); the re-based plan of the replay fires at
-            # its first verify ("hit 1"), so the error text, and with it
-            # the directory name, differs.
-            assert "(hit 2)" in bundle.error_message
+        # The fault message names no hit count, so a fault already hit
+        # before the failing pass (verify:2) replays into the same
+        # content-addressed directory too.
+        assert replayed.name == bundle.path.name
 
     def test_failing_cli_run_counts_one_fault_and_one_span_per_pass(
         self, rbmap_source, tmp_path, capsys
@@ -497,7 +523,7 @@ class TestOneSnapshotPerRun:
             .splitlines()
         )
         assert error_lines[0] == (
-            "InjectedFault: injected fault at site 'pass.dce' (hit 1)"
+            "InjectedFault: injected fault at site 'pass.dce'"
         )
         assert error_lines[1].startswith(
             "note: the IR before pass 2 (dce) could not be rebuilt "
@@ -625,20 +651,6 @@ class TestExecutionBudgets:
         options = PipelineOptions()
         options.execution_budget_steps = 1_000_000
         assert run_mlir(SOURCE, options).value == run_mlir(SOURCE).value
-
-    def test_rewrite_budget_trips_and_counts(self):
-        from repro.transforms.canonicalize import CanonicalizePass
-        from repro.ir.parser import parse_module
-
-        options = PipelineOptions(capture_ir=("rgn",))
-        rgn_ir = MlirCompiler(options).compile(SOURCE).captured_ir["rgn"]
-        pass_ = CanonicalizePass()
-        pass_.budget_seconds = 0.0
-        with telemetry_session() as t:
-            with pytest.raises(RewriteBudgetExceeded):
-                pass_.run(parse_module(rgn_ir))
-            snapshot = t.metrics.snapshot()
-        assert snapshot["resilience.budget.trips"] >= 1
 
     def test_diverging_program_is_a_differential_finding(self):
         from repro.fuzz.differential import DifferentialFailure, run_matrix

@@ -271,13 +271,17 @@ class TestConvergence:
             )
 
     def test_pass_manager_threads_strictness(self):
-        from repro.transforms.constant_fold import ConstantFoldPass
+        from repro.transforms.canonicalize import CanonicalizePass
 
         module, func = fold_chain_func(depth=2)
-        manager = PassManager([ConstantFoldPass()], verify_each=False)
+        manager = PassManager(
+            [CanonicalizePass(constant_fold_patterns())], verify_each=False
+        )
         manager.run(module)
         assert manager.passes[0].strict_convergence is False
-        manager = PassManager([ConstantFoldPass()], verify_each=True)
+        manager = PassManager(
+            [CanonicalizePass(constant_fold_patterns())], verify_each=True
+        )
         manager.run(module)
         assert manager.passes[0].strict_convergence is True
 
@@ -355,16 +359,10 @@ class TestOperandArityPrefilter:
         assert result.converged
 
     def test_canonicalization_drain_reports_skips_in_statistics(self):
-        from repro.rewrite.driver import PatternRewritePass
-
-        class TwoOnlyPass(PatternRewritePass):
-            name = "two-only"
-
-            def patterns(self):
-                return [TestOperandArityPrefilter.ExactlyTwo()]
+        from repro.transforms.canonicalize import CanonicalizePass
 
         module, _ = fold_chain_func(depth=2)
-        pass_ = TwoOnlyPass()
+        pass_ = CanonicalizePass([TestOperandArityPrefilter.ExactlyTwo()])
         manager = PassManager([pass_], verify_each=False)
         manager.run(module)
         assert pass_.statistics.get("prefilter-skips") == 3

@@ -9,14 +9,14 @@ from repro.ir import Builder, FunctionType, InsertionPoint, box, i1, i64, verify
 from repro.rewrite import PassManager, apply_patterns_greedily
 from repro.transforms import (
     CanonicalizePass,
-    CaseEliminationPass,
-    CommonBranchEliminationPass,
-    ConstantFoldPass,
     CSEPass,
     DeadCodeEliminationPass,
-    DeadRegionEliminationPass,
     InlinerPass,
     RegionGVNPass,
+    case_elimination_patterns,
+    common_branch_patterns,
+    constant_fold_patterns,
+    dead_region_patterns,
     region_value_number,
 )
 
@@ -74,17 +74,17 @@ class TestDCE:
         func, builder = new_func(module, "f", [box], [box])
         make_region_returning_int(builder, 99)  # dead let-bound expression
         builder.create(lp.ReturnOp, func.arguments[0])
-        pass_ = DeadRegionEliminationPass()
+        pass_ = CanonicalizePass(dead_region_patterns())
         pass_.run(module)
         assert "rgn.val" not in ops_by_name(func)
-        assert pass_.statistics.get("regions-erased") == 1
+        assert pass_.statistics.get("EraseDeadRegionValue") == 1
 
     def test_dead_region_pass_ignores_other_ops(self):
         module = ModuleOp()
         func, builder = new_func(module, "f", [i64], [i64])
         builder.create(arith.ConstantOp, 1)
         builder.create(ReturnOp, [func.arguments[0]])
-        DeadRegionEliminationPass().run(module)
+        CanonicalizePass(dead_region_patterns()).run(module)
         assert "arith.constant" in ops_by_name(func)
 
 
@@ -132,7 +132,7 @@ class TestConstantFolding:
         b = builder.create(arith.ConstantOp, 22)
         s = builder.create(arith.AddIOp, a.result(), b.result())
         builder.create(ReturnOp, [s.result()])
-        ConstantFoldPass().run(module)
+        CanonicalizePass(constant_fold_patterns()).run(module)
         DeadCodeEliminationPass().run(module)
         constants = [op for op in func.walk() if isinstance(op, arith.ConstantOp)]
         assert any(c.value == 42 for c in constants)
@@ -145,7 +145,7 @@ class TestConstantFolding:
         b = builder.create(arith.ConstantOp, 2)
         cmp = builder.create(arith.CmpIOp, "slt", a.result(), b.result())
         builder.create(ReturnOp, [cmp.result()])
-        ConstantFoldPass().run(module)
+        CanonicalizePass(constant_fold_patterns()).run(module)
         DeadCodeEliminationPass().run(module)
         assert not any(op.name == "arith.cmpi" for op in func.walk())
 
@@ -155,7 +155,7 @@ class TestConstantFolding:
         zero = builder.create(arith.ConstantOp, 0)
         s = builder.create(arith.AddIOp, func.arguments[0], zero.result())
         builder.create(ReturnOp, [s.result()])
-        ConstantFoldPass().run(module)
+        CanonicalizePass(constant_fold_patterns()).run(module)
         DeadCodeEliminationPass().run(module)
         assert ops_by_name(func) == ["func.return"]
         ret = func.entry_block.operations[-1]
@@ -168,7 +168,7 @@ class TestConstantFolding:
         z = builder.create(arith.ConstantOp, 0)
         d = builder.create(arith.DivSIOp, a.result(), z.result())
         builder.create(ReturnOp, [d.result()])
-        ConstantFoldPass().run(module)
+        CanonicalizePass(constant_fold_patterns()).run(module)
         assert any(op.name == "arith.divsi" for op in func.walk())
 
 
@@ -218,8 +218,8 @@ class TestRegionGVN:
         pm = PassManager(
             [
                 RegionGVNPass(),
-                CommonBranchEliminationPass(),
-                CaseEliminationPass(),
+                CanonicalizePass(common_branch_patterns()),
+                CanonicalizePass(case_elimination_patterns()),
                 DeadCodeEliminationPass(),
             ]
         )
@@ -251,7 +251,7 @@ class TestCaseElimination:
         sel = builder.create(arith.SelectOp, t.result(), a.result(), b.result())
         builder.create(rgn.RunOp, sel.result())
         PassManager(
-            [CaseEliminationPass(), DeadCodeEliminationPass()]
+            [CanonicalizePass(case_elimination_patterns()), DeadCodeEliminationPass()]
         ).run(module)
         names = ops_by_name(func)
         assert names == ["lp.int", "lp.return"]
@@ -271,7 +271,9 @@ class TestCaseElimination:
             [regions[0].result(), regions[1].result()],
         )
         builder.create(rgn.RunOp, switch.result())
-        PassManager([CaseEliminationPass(), DeadCodeEliminationPass()]).run(module)
+        PassManager(
+            [CanonicalizePass(case_elimination_patterns()), DeadCodeEliminationPass()]
+        ).run(module)
         ints = [op.value for op in func.walk() if isinstance(op, lp.IntOp)]
         assert ints == [20]
 
@@ -285,7 +287,7 @@ class TestCaseElimination:
         )
         builder.create(rgn.RunOp, shared.result())
         # The region has two uses (select + run): the run must not inline it.
-        CaseEliminationPass().run(module)
+        CanonicalizePass(case_elimination_patterns()).run(module)
         assert any(isinstance(op, rgn.RunOp) for op in func.walk())
 
 
@@ -298,7 +300,7 @@ class TestCommonBranchElimination:
             arith.SelectOp, func.arguments[0], shared.result(), shared.result()
         )
         builder.create(rgn.RunOp, sel.result())
-        CommonBranchEliminationPass().run(module)
+        CanonicalizePass(common_branch_patterns()).run(module)
         selects = [op for op in func.walk() if isinstance(op, arith.SelectOp)]
         assert not selects
 
@@ -314,7 +316,7 @@ class TestCommonBranchElimination:
             [shared.result(), shared.result()],
         )
         builder.create(rgn.RunOp, switch.result())
-        CommonBranchEliminationPass().run(module)
+        CanonicalizePass(common_branch_patterns()).run(module)
         assert not any(isinstance(op, rgn.SwitchOp) for op in func.walk())
 
 
@@ -329,7 +331,7 @@ class TestCanonicalizeAndInline:
         cmp = builder.create(arith.CmpIOp, "slt", lhs.result(), rhs.result())
         sel = builder.create(arith.SelectOp, cmp.result(), a.result(), b.result())
         builder.create(rgn.RunOp, sel.result())
-        CanonicalizePass().run(module)
+        PassManager([CanonicalizePass(), DeadCodeEliminationPass()]).run(module)
         names = ops_by_name(func)
         assert names == ["lp.int", "lp.return"]
 
@@ -360,8 +362,6 @@ class TestCanonicalizeAndInline:
 
 class TestGreedyDriverAndPassManager:
     def test_driver_reaches_fixpoint(self):
-        from repro.transforms.constant_fold import constant_fold_patterns
-
         module = ModuleOp()
         func, builder = new_func(module, "f", [], [i64])
         value = builder.create(arith.ConstantOp, 1)
