@@ -60,10 +60,40 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
+def _format_result(value: object) -> str:
+    """``str(value)`` for a run's value, built with an explicit stack: a
+    long list nests deeper than ``str`` can recurse."""
+    if value.__class__ is not tuple and value.__class__ is not list:
+        return str(value)
+    parts: List[str] = []
+    # Rendered text, or a tuple/list still to open.
+    stack: List[object] = [value]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+            continue
+        if item.__class__ is tuple:
+            parts.append("(")
+            stack.append(",)" if len(item) == 1 else ")")
+        else:
+            parts.append("[")
+            stack.append("]")
+        for index in range(len(item) - 1, -1, -1):
+            element = item[index]
+            if element.__class__ is tuple or element.__class__ is list:
+                stack.append(element)
+            else:
+                stack.append(repr(element))
+            if index:
+                stack.append(", ")
+    return "".join(parts)
+
+
 def _print_run_report(result, *, show_metrics: bool) -> None:
     for line in result.output:
         print(line)
-    print(f"result: {result.value}")
+    print(f"result: {_format_result(result.value)}")
     if not show_metrics:
         return
     metrics = result.metrics

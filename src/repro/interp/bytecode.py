@@ -45,9 +45,13 @@ Four execution-speed levers sit on top of that contract:
   stay byte-identical.  A rule earns its entry by firing on compiled
   programs; ``tests/test_execution_engine.py`` fails on one that never
   does.
-* *direct threading* — the VM precompiles every instruction to a
-  bound closure capturing its operands, so the run loop is
-  ``pc = ops[pc](regs)``.
+* *direct threading with block chains* — the VM precompiles every
+  instruction to a bound closure capturing its operands, so the run loop
+  is ``pc = ops[pc](regs)``.  A closure that falls through calls the next
+  instruction's closure itself, so one loop turn runs a basic block (or
+  its part up to a call); :data:`CHAIN_LIMIT` bounds the Python depth of
+  a chain, and a call site leaves the pc its caller resumes at for the
+  loop.
 * *an explicit call stack* — ``call``/``ret`` push and pop VM frames
   inside the run loop instead of recursing in Python, and so does
   closure application, so deep recursion never rides
@@ -57,11 +61,13 @@ Four execution-speed levers sit on top of that contract:
   itself, and a ``tailcall`` (a ``call`` whose result the next
   instruction returns) replaces the current frame instead of stacking a
   new one, so a tail-recursive loop runs in constant frame memory.
-* *scalar-specialised runtime calls* — threaded ``rtcall`` sites of the
-  :data:`SCALAR_RTCALLS` builtins (Nat/Int ``add``/``sub``/``mul`` and the
-  comparisons) compute on unboxed ``int`` operands inside the closure and
-  call the generic builtin otherwise, with the generic call's values, heap
-  statistics and charges.
+* *scalar-specialised runtime work* — threaded ``rtcall`` and
+  ``inc_rtcall`` sites of the :data:`SCALAR_RTCALLS` builtins (Nat/Int
+  ``add``/``sub``/``mul`` and the comparisons) compute on unboxed ``int``
+  operands inside the closure and call the generic builtin otherwise, with
+  the generic call's values, heap statistics and charges.  Likewise
+  ``inc``/``dec`` of an ``int`` bump the heap's statistic in place and tag
+  reads happen inline: no runtime call does nothing but count.
 """
 
 from __future__ import annotations
@@ -248,6 +254,19 @@ SCALAR_RTCALLS: Dict[str, Tuple[str, Callable[[int, int], object]]] = {
 }
 
 
+#: The most closures a chain runs nested in Python: a straight-line run
+#: longer than this is cut by a :func:`_goto` closure, so the Python stack
+#: stays shallow however long a basic block is.
+CHAIN_LIMIT = 32
+
+
+def _goto(pc: int) -> Callable:
+    """A chain-cutting closure: it hands ``pc`` back to the loop."""
+    def op(regs, t=pc):
+        return t
+    return op
+
+
 def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
     """The threaded closure of an ``rtcall`` site in :data:`SCALAR_RTCALLS`:
     ``int`` operands are computed here, any other goes to ``slow`` (the
@@ -264,7 +283,7 @@ def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
                 regs[d] = yes if f(x, y) else no
             else:
                 regs[d] = slow(ctx, [x, y])
-            return n
+            return n(regs)
     elif shape == "nat":
         def op(regs, s=sites, i=pc, d=dst, a=lhs, b=rhs, f=fn, slow=slow,
                ctx=ctx, alloc=alloc, int_=int, lim=SCALAR_INT_LIMIT, n=nxt):
@@ -278,7 +297,7 @@ def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
                 regs[d] = r if r < lim else alloc(r)
             else:
                 regs[d] = slow(ctx, [x, y])
-            return n
+            return n(regs)
     else:
         def op(regs, s=sites, i=pc, d=dst, a=lhs, b=rhs, f=fn, slow=slow,
                ctx=ctx, alloc=alloc, int_=int, lim=SCALAR_INT_LIMIT, n=nxt):
@@ -290,7 +309,57 @@ def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
                 regs[d] = r if -lim < r < lim else alloc(r)
             else:
                 regs[d] = slow(ctx, [x, y])
-            return n
+            return n(regs)
+    return op
+
+
+def _rtcall_site(sites, pc, dst, name, argr, ctx, nxt):
+    """The threaded closure of an ``rtcall`` site.  The builtin is resolved
+    here: ``BUILTINS`` is sealed at import time, so a per-call name lookup
+    would be dead weight.  An unknown name keeps ``call_builtin``'s error,
+    raised when the site runs."""
+    impl = BUILTINS.get(name)
+    scalar = SCALAR_RTCALLS.get(name)
+    if scalar is not None and dst >= 0 and len(argr) == 2:
+        return _scalar_rtcall(
+            scalar, impl, ctx, ctx.heap.alloc_int, sites, pc, dst, argr, nxt
+        )
+    if impl is None:
+        def impl(ctx, args, name=name):
+            return call_builtin(ctx, name, args)
+    if dst >= 0:
+        def op(regs, s=sites, i=pc, d=dst, fn_=impl, argr=argr, ctx=ctx,
+               n=nxt):
+            s[i] += 1
+            regs[d] = fn_(ctx, [regs[r] for r in argr])
+            return n(regs)
+    else:
+        def op(regs, s=sites, i=pc, fn_=impl, argr=argr, ctx=ctx, n=nxt):
+            s[i] += 1
+            fn_(ctx, [regs[r] for r in argr])
+            return n(regs)
+    return op
+
+
+def _inc_rtcall_site(sites, pc, src, count, heap, counts, rtcall):
+    """The threaded closure of an ``inc_rtcall`` site: the ``inc``, then
+    ``rtcall``, the :func:`_rtcall_site` closure of the same site, which
+    counts it.  The ``inc`` of an unboxed ``int`` only bumps ``inc_ops``;
+    an ``inc`` that raises counts the site itself and takes back the
+    builtin's charge, as the unfused sequence stops there."""
+    def op(regs, s=sites, i=pc, src=src, k=count, inc=heap.inc,
+           st=heap.stats, cnt=counts, then=rtcall, int_=int):
+        value = regs[src]
+        if value.__class__ is int_:
+            st.inc_ops += 1
+        else:
+            try:
+                inc(value, k)
+            except RuntimeError_:
+                s[i] += 1
+                cnt["runtime_call"] -= 1
+                raise
+        return then(regs)
     return op
 
 
@@ -302,50 +371,57 @@ def _frame_pad(callee: "BytecodeFunction") -> List[None]:
 def _call_site(sites, pc, dst, callee, argr, pend, sentinel):
     """The threaded closure of a direct ``call`` (``sentinel`` -2) or
     ``tailcall`` (-3) site: it builds the callee's finished register frame
-    and hands it to the loop in ``pend``.  Up to three arguments are read
+    and hands it to the loop in ``pend``, with the pc the caller resumes
+    at (a tail call's is never read).  Up to three arguments are read
     without a comprehension, which is a call of its own before 3.12."""
     pad = _frame_pad(callee)
+    resume = pc + 1
     count = len(argr)
     if count == 0:
         def op(regs, s=sites, i=pc, d=dst, c=callee, pad=pad, pend=pend,
-               sig=sentinel):
+               r=resume, sig=sentinel):
             s[i] += 1
             pend[0] = c
             pend[1] = pad[:]
             pend[2] = d
+            pend[3] = r
             return sig
     elif count == 1:
         def op(regs, s=sites, i=pc, d=dst, c=callee, a=argr[0], pad=pad,
-               pend=pend, sig=sentinel):
+               pend=pend, r=resume, sig=sentinel):
             s[i] += 1
             pend[0] = c
             pend[1] = [regs[a]] + pad
             pend[2] = d
+            pend[3] = r
             return sig
     elif count == 2:
         def op(regs, s=sites, i=pc, d=dst, c=callee, a=argr[0], b=argr[1],
-               pad=pad, pend=pend, sig=sentinel):
+               pad=pad, pend=pend, r=resume, sig=sentinel):
             s[i] += 1
             pend[0] = c
             pend[1] = [regs[a], regs[b]] + pad
             pend[2] = d
+            pend[3] = r
             return sig
     elif count == 3:
         def op(regs, s=sites, i=pc, d=dst, c=callee, a=argr[0], b=argr[1],
-               e=argr[2], pad=pad, pend=pend, sig=sentinel):
+               e=argr[2], pad=pad, pend=pend, r=resume, sig=sentinel):
             s[i] += 1
             pend[0] = c
             pend[1] = [regs[a], regs[b], regs[e]] + pad
             pend[2] = d
+            pend[3] = r
             return sig
     else:
         def op(regs, s=sites, i=pc, d=dst, c=callee,
-               get=operator.itemgetter(*argr), pad=pad, pend=pend,
+               get=operator.itemgetter(*argr), pad=pad, pend=pend, r=resume,
                sig=sentinel):
             s[i] += 1
             pend[0] = c
             pend[1] = list(get(regs)) + pad
             pend[2] = d
+            pend[3] = r
             return sig
     return op
 
@@ -358,21 +434,26 @@ def _proj_call_site(sites, pc, ins, heap, counts, error, pend):
     _, pd, src, idx, cd, callee, argr = ins
     get = operator.itemgetter(*argr) if len(argr) > 1 else None
     def op(regs, s=sites, i=pc, pd=pd, src=src, idx=idx, cd=cd, c=callee,
-           get=get, pad=_frame_pad(callee), heap=heap, cnt=counts,
-           err=error, ctor=CtorObject, pend=pend):
+           get=get, pad=_frame_pad(callee), inc=heap.inc, st=heap.stats,
+           cnt=counts, err=error, ctor=CtorObject, int_=int, pend=pend,
+           r=pc + 1):
         s[i] += 1
         value = regs[src]
-        if not isinstance(value, ctor):
+        if value.__class__ is not ctor:
             # The unfused charge stops at proj on this error.
             cnt["rc"] -= 1
             cnt["call"] -= 1
             raise err(f"projection from non-constructor {value!r}")
         field = value.fields[idx]
-        heap.inc(field)
+        if field.__class__ is int_:
+            st.inc_ops += 1
+        else:
+            inc(field)
         regs[pd] = field
         pend[0] = c
         pend[1] = ([field] if get is None else list(get(regs))) + pad
         pend[2] = cd
+        pend[3] = r
         return -2
     return op
 
@@ -456,23 +537,19 @@ class _Label:
         self.pc: Optional[int] = None
 
 
+class _LabelPcs:
+    """``mapping[label]`` for :func:`_remap_targets`: the label's pc."""
+
+    def __getitem__(self, label: _Label) -> int:
+        return label.pc
+
+
+_LABEL_PCS = _LabelPcs()
+
+
 def _resolve_labels(code: List[Tuple]) -> List[Tuple]:
-    """Replace :class:`_Label` references (including dict values) with pcs."""
-    resolved = []
-    for ins in code:
-        out = []
-        for element in ins:
-            if isinstance(element, _Label):
-                out.append(element.pc)
-            elif isinstance(element, dict):
-                out.append({
-                    key: value.pc if isinstance(value, _Label) else value
-                    for key, value in element.items()
-                })
-            else:
-                out.append(element)
-        resolved.append(tuple(out))
-    return resolved
+    """Replace the :class:`_Label` branch targets with their pcs."""
+    return [_remap_targets(ins, _LABEL_PCS) for ins in code]
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +707,15 @@ _TARGET_FIELDS = {
 }
 
 
+#: Opcodes whose threaded closure never runs the next instruction's: it
+#: hands the loop a pc (a branch or ``papextend``) or a sentinel (``ret``
+#: and the call sites), or it only raises.
+_CHAIN_ENDS = frozenset(_TARGET_FIELDS) | {
+    OP_RET, OP_UNREACHABLE, OP_CALL, OP_BADCALL, OP_PAPEXTEND,
+    OP_PROJ_CALL, OP_TAILCALL,
+}
+
+
 def _jump_targets(code: List[Tuple]) -> set:
     """Every pc some instruction can transfer control to."""
     targets = set()
@@ -682,6 +768,8 @@ def fuse_code(code: List[Tuple]) -> Tuple[List[Tuple], int]:
                 continue
         fused.append(ins)
         index += 1
+    if not sites:
+        return code, 0
     return [_remap_targets(ins, mapping) for ins in fused], sites
 
 
@@ -1174,11 +1262,12 @@ class VirtualMachine:
         #: Threaded-loop state: per-function closure arrays, the
         #: per-site execution counters they bump, and the two cells the
         #: call/ret closures use to talk to the frame loop: ``_pending``
-        #: holds (callee, its frame, destination register, arguments left
-        #: over for the callee's result), ``_retslot`` the returned value.
+        #: holds (callee, its frame, destination register, the pc the
+        #: caller resumes at, arguments left over for the callee's
+        #: result), ``_retslot`` the returned value.
         self._threaded: Dict[BytecodeFunction, List[Callable]] = {}
         self._site_tables: Dict[BytecodeFunction, List[int]] = {}
-        self._pending: List[object] = [None, None, None, None]
+        self._pending: List[object] = [None, None, None, None, None]
         self._retslot: List[object] = [None]
         #: The code of an over-application's continuation frame, whose
         #: registers are ``[callee result, arguments left over]``: apply
@@ -1319,12 +1408,14 @@ class VirtualMachine:
         """Apply ``closure`` to ``args`` for the instruction that resumes
         at ``resume``; return the loop's next pc or sentinel.
 
-        An unsaturated result lands in ``regs[dst]``.  A saturated call of
-        a bytecode function goes through the loop's frame stack like a
-        direct call (``-2``); with arguments left over (``-4``) the loop
-        also stacks a continuation frame that applies the callee's result
-        to them.  The charge order is the tree-walkers': ``apply``,
-        ``call``, the ``vm.dispatch`` fault site, the budget step.
+        An unsaturated result lands in ``regs[dst]`` and the caller goes
+        on at ``resume``.  A saturated call of a bytecode function goes
+        through the loop's frame stack like a direct call (``-2``, with
+        ``resume`` in the pending slot); with arguments left over (``-4``)
+        the loop also stacks a continuation frame that applies the
+        callee's result to them.  The charge order is the tree-walkers':
+        ``apply``, ``call``, the ``vm.dispatch`` fault site, the budget
+        step.
         """
         counts = self._counts
         heap = self.ctx.heap
@@ -1359,9 +1450,10 @@ class VirtualMachine:
             pending[0] = fn
             pending[1] = call_args + _frame_pad(fn)
             pending[2] = dst
+            pending[3] = resume
             if outcome.extra_args is None:
                 return -2
-            pending[3] = outcome.extra_args
+            pending[4] = outcome.extra_args
             return -4
 
     # -- the interpreter loop ---------------------------------------------
@@ -1369,13 +1461,16 @@ class VirtualMachine:
         """The direct-threaded loop: ``pc = ops[pc](regs)``.
 
         Every instruction is a closure built by :meth:`_compile_threaded`
-        with its operands bound as defaults; it bumps its site counter and
-        returns the next pc.  Negative sentinels thread control back:
+        with its operands bound as defaults.  A closure that falls through
+        runs the next instruction's closure itself, so one turn of the
+        loop runs a whole chain: a basic block, or its part up to a call.
+        The chain hands back the next pc, or a negative sentinel:
 
         * ``-1`` returns (value in ``self._retslot``): pop the caller's
           frame and write its destination register;
         * ``-2`` calls: push the caller's frame and adopt the callee's,
-          which the call site built (``self._pending``);
+          which the call site built (``self._pending``, with the pc the
+          caller resumes at);
         * ``-3`` tail-calls: adopt the callee's frame in place of the
           current one and push nothing;
         * ``-4`` calls, then applies the result to the arguments left over
@@ -1432,11 +1527,11 @@ class VirtualMachine:
                 if next_pc == -3:
                     tails += 1
                 else:
-                    stack.append((ops, regs, pc + 1, pending[2], tails))
+                    stack.append((ops, regs, pending[3], pending[2], tails))
                     tails = 0
                     if next_pc == -4:
                         stack.append(
-                            (continuation, [None, pending[3]], 0, 0, 0)
+                            (continuation, [None, pending[4]], 0, 0, 0)
                         )
                 if fh is not None:
                     fh("vm.dispatch")
@@ -1458,33 +1553,55 @@ class VirtualMachine:
         """Translate ``fn.code`` into the closure array the threaded loop
         runs, registering its per-site execution counters.
 
+        The closures are built back to front.  One that falls through ends
+        with ``return n(regs)``, where ``n`` is the next instruction's
+        closure: a straight-line run is one chain of Python calls.  After
+        :data:`CHAIN_LIMIT` nested closures, ``n`` is a :func:`_goto` that
+        hands the next pc back to the loop instead.  Branches, ``ret``,
+        the call sites, ``switch``, ``case`` and ``papextend`` end a chain.
+
         Closures bind everything through default arguments (locals, not
         cell lookups) and do no cost accounting beyond one list increment:
         charges and frequencies are derived from :data:`_STATIC_CHARGES`
         at flush time.  Only the genuinely dynamic charges (``reuse``
         tokens, closure application) and the partial-charge error
-        corrections touch the counter dict while running.
+        corrections touch the counter dict while running.  Work on an
+        unboxed ``int`` makes no runtime call: ``inc``/``dec`` of one bump
+        ``inc_ops``/``dec_ops`` in place, and tags are read inline.
         """
         code = fn.code
-        sites = [0] * len(code)
-        ops: List[Callable] = [None] * len(code)
+        length = len(code)
+        sites = [0] * length
+        ops: List[Callable] = [None] * length
+        # How many closures a chain entered at each pc runs nested.
+        depth = [0] * length
         counts = self._counts
         ctx = self.ctx
         heap = ctx.heap
+        stats = heap.stats
         charge = self.budget.charge if self.budget is not None else None
         pending = self._pending
         retslot = self._retslot
         error = self._error
         flavor = self.program.flavor
-        for pc, ins in enumerate(code):
+        for pc in range(length - 1, -1, -1):
+            ins = code[pc]
             opcode = ins[0]
-            nxt = pc + 1
+            if opcode in _CHAIN_ENDS:
+                nxt = None
+                depth[pc] = 1
+            elif pc + 1 < length and depth[pc + 1] < CHAIN_LIMIT:
+                nxt = ops[pc + 1]
+                depth[pc] = depth[pc + 1] + 1
+            else:
+                nxt = _goto(pc + 1)
+                depth[pc] = 1
             if opcode == OP_BINARITH or opcode == OP_CMP:
                 def op(regs, s=sites, i=pc, d=ins[1], f=ins[2], a=ins[3],
                        b=ins[4], n=nxt):
                     s[i] += 1
                     regs[d] = f(regs[a], regs[b])
-                    return n
+                    return n(regs)
             elif opcode == OP_JMP:
                 if not ins[2]:
                     def op(regs, s=sites, i=pc, t=ins[1], ch=charge):
@@ -1536,9 +1653,13 @@ class VirtualMachine:
                         return target
             elif opcode == OP_CASE:
                 def op(regs, s=sites, i=pc, src=ins[1], table=ins[2],
-                       default=ins[3], ch=charge, err=error, tg=tag_of):
+                       default=ins[3], ch=charge, err=error, tg=tag_of,
+                       int_=int, ctor=CtorObject):
                     s[i] += 1
-                    tag = tg(regs[src])
+                    value = regs[src]
+                    cls = value.__class__
+                    tag = (value if cls is int_ else
+                           value.tag if cls is ctor else tg(value))
                     target = table.get(tag, default)
                     if target is None:
                         raise err(f"no alternative for tag {tag} in case")
@@ -1585,41 +1706,61 @@ class VirtualMachine:
                                 regs[dst] = moved
                         return target
             elif opcode == OP_GETLABEL_CMP_CONDBR:
-                if not ins[10] and not ins[13]:
-                    def op(regs, s=sites, i=pc, gd=ins[1], gsrc=ins[2],
-                           cd=ins[3], v=ins[4], d=ins[5], f=ins[6],
-                           a=ins[7], b=ins[8], tpc=ins[9], fpc=ins[12],
-                           ch=charge, cnt=counts, tg=tag_of):
+                gd, cd, f, a, b = ins[1], ins[3], ins[6], ins[7], ins[8]
+                if (f is _CMP_FNS["eq"] and gd != cd and {a, b} == {gd, cd}
+                        and not ins[10] and not ins[13]):
+                    # Constructor-tag dispatch: the label equals the
+                    # constant, compared here.
+                    def op(regs, s=sites, i=pc, gd=gd, gsrc=ins[2], cd=cd,
+                           v=ins[4], d=ins[5], tpc=ins[9], fpc=ins[12],
+                           ch=charge, cnt=counts, tg=tag_of, int_=int,
+                           ctor=CtorObject):
                         s[i] += 1
-                        try:
-                            tag = tg(regs[gsrc])
-                        except RuntimeError_:
-                            # The unfused sequence stops after getlabel.
-                            cnt["const"] -= 1
-                            cnt["arith"] -= 1
-                            cnt["branch"] -= 1
-                            raise
+                        value = regs[gsrc]
+                        cls = value.__class__
+                        if cls is int_:
+                            tag = value
+                        elif cls is ctor:
+                            tag = value.tag
+                        else:
+                            try:
+                                tag = tg(value)
+                            except RuntimeError_:
+                                # The unfused sequence stops after getlabel.
+                                cnt["const"] -= 1
+                                cnt["arith"] -= 1
+                                cnt["branch"] -= 1
+                                raise
                         regs[gd] = tag
                         regs[cd] = v
-                        value = f(regs[a], regs[b])
-                        regs[d] = value
                         if ch is not None:
                             ch()
-                        return tpc if value else fpc
+                        if tag == v:
+                            regs[d] = 1
+                            return tpc
+                        regs[d] = 0
+                        return fpc
                 else:
-                    def op(regs, s=sites, i=pc, gd=ins[1], gsrc=ins[2],
-                           cd=ins[3], v=ins[4], d=ins[5], f=ins[6],
-                           a=ins[7], b=ins[8], tpc=ins[9], ts=ins[10],
-                           td=ins[11], fpc=ins[12], fs=ins[13], fd=ins[14],
-                           ch=charge, cnt=counts, tg=tag_of):
+                    def op(regs, s=sites, i=pc, gd=gd, gsrc=ins[2], cd=cd,
+                           v=ins[4], d=ins[5], f=f, a=a, b=b, tpc=ins[9],
+                           ts=ins[10], td=ins[11], fpc=ins[12], fs=ins[13],
+                           fd=ins[14], ch=charge, cnt=counts, tg=tag_of,
+                           int_=int, ctor=CtorObject):
                         s[i] += 1
-                        try:
-                            tag = tg(regs[gsrc])
-                        except RuntimeError_:
-                            cnt["const"] -= 1
-                            cnt["arith"] -= 1
-                            cnt["branch"] -= 1
-                            raise
+                        value = regs[gsrc]
+                        cls = value.__class__
+                        if cls is int_:
+                            tag = value
+                        elif cls is ctor:
+                            tag = value.tag
+                        else:
+                            try:
+                                tag = tg(value)
+                            except RuntimeError_:
+                                cnt["const"] -= 1
+                                cnt["arith"] -= 1
+                                cnt["branch"] -= 1
+                                raise
                         regs[gd] = tag
                         regs[cd] = v
                         value = f(regs[a], regs[b])
@@ -1637,156 +1778,187 @@ class VirtualMachine:
                         return target
             elif opcode == OP_PROJ_PROJ:
                 def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-                       d2=ins[4], s2=ins[5], i2=ins[6], heap=heap,
-                       cnt=counts, err=error, ctor=CtorObject, n=nxt):
+                       d2=ins[4], s2=ins[5], i2=ins[6], inc=heap.inc,
+                       st=stats, cnt=counts, err=error, ctor=CtorObject,
+                       int_=int, n=nxt):
                     s[i] += 1
                     value = regs[s1]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         # Unfused charge stops at the first proj.
                         cnt["rc"] -= 2
                         cnt["proj"] -= 1
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[i1]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d1] = field
                     value = regs[s2]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         cnt["rc"] -= 1
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[i2]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d2] = field
-                    return n
+                    return n(regs)
             elif opcode == OP_INT_INC:
-                def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], src=ins[3],
-                       k=ins[4], alloc=heap.alloc_int, inc=heap.inc, n=nxt):
+                # Bind an unboxed constant; box a big one per execution.
+                box = None if -SCALAR_INT_LIMIT < ins[2] < SCALAR_INT_LIMIT \
+                    else heap.alloc_int
+                def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], box=box,
+                       src=ins[3], k=ins[4], inc=heap.inc, st=stats,
+                       int_=int, n=nxt):
                     s[i] += 1
-                    regs[d] = alloc(v)
-                    inc(regs[src], k)
-                    return n
+                    regs[d] = v if box is None else box(v)
+                    value = regs[src]
+                    if value.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(value, k)
+                    return n(regs)
             elif opcode == OP_DEC_DEC:
                 def op(regs, s=sites, i=pc, s1=ins[1], c1=ins[2], s2=ins[3],
-                       c2=ins[4], dec=heap.dec, cnt=counts, n=nxt):
+                       c2=ins[4], dec=heap.dec, st=stats, cnt=counts,
+                       int_=int, n=nxt):
                     s[i] += 1
-                    try:
-                        dec(regs[s1], c1)
-                    except RuntimeError_:
-                        # Unfused charge stops at the first dec.
-                        cnt["rc"] -= 1
-                        raise
-                    dec(regs[s2], c2)
-                    return n
+                    value = regs[s1]
+                    if value.__class__ is int_:
+                        st.dec_ops += 1
+                    else:
+                        try:
+                            dec(value, c1)
+                        except RuntimeError_:
+                            # Unfused charge stops at the first dec.
+                            cnt["rc"] -= 1
+                            raise
+                    value = regs[s2]
+                    if value.__class__ is int_:
+                        st.dec_ops += 1
+                    else:
+                        dec(value, c2)
+                    return n(regs)
             elif opcode == OP_DEC_INC:
                 def op(regs, s=sites, i=pc, s1=ins[1], c1=ins[2], s2=ins[3],
-                       c2=ins[4], dec=heap.dec, inc=heap.inc, cnt=counts,
-                       n=nxt):
+                       c2=ins[4], dec=heap.dec, inc=heap.inc, st=stats,
+                       cnt=counts, int_=int, n=nxt):
                     s[i] += 1
-                    try:
-                        dec(regs[s1], c1)
-                    except RuntimeError_:
-                        # Unfused charge stops at the dec.
-                        cnt["rc"] -= 1
-                        raise
-                    inc(regs[s2], c2)
-                    return n
+                    value = regs[s1]
+                    if value.__class__ is int_:
+                        st.dec_ops += 1
+                    else:
+                        try:
+                            dec(value, c1)
+                        except RuntimeError_:
+                            # Unfused charge stops at the dec.
+                            cnt["rc"] -= 1
+                            raise
+                    value = regs[s2]
+                    if value.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(value, c2)
+                    return n(regs)
             elif opcode == OP_PROJ3:
                 def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
                        d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
-                       i3=ins[9], heap=heap, cnt=counts, err=error,
-                       ctor=CtorObject, n=nxt):
+                       i3=ins[9], inc=heap.inc, st=stats, cnt=counts,
+                       err=error, ctor=CtorObject, int_=int, n=nxt):
                     s[i] += 1
                     value = regs[s1]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         # Unfused charge stops at the failing proj.
                         cnt["proj"] -= 2
                         cnt["rc"] -= 3
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[i1]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d1] = field
                     value = regs[s2]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         cnt["proj"] -= 1
                         cnt["rc"] -= 2
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[i2]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d2] = field
                     value = regs[s3]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         cnt["rc"] -= 1
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[i3]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d3] = field
-                    return n
+                    return n(regs)
             elif opcode == OP_PROJ4:
                 def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
                        d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
                        i3=ins[9], d4=ins[10], s4=ins[11], i4=ins[12],
-                       heap=heap, cnt=counts, err=error, ctor=CtorObject,
-                       n=nxt):
+                       inc=heap.inc, st=stats, cnt=counts, err=error,
+                       ctor=CtorObject, int_=int, n=nxt):
                     s[i] += 1
                     value = regs[s1]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         # Unfused charge stops at the failing proj.
                         cnt["proj"] -= 3
                         cnt["rc"] -= 4
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[i1]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d1] = field
                     value = regs[s2]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         cnt["proj"] -= 2
                         cnt["rc"] -= 3
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[i2]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d2] = field
                     value = regs[s3]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         cnt["proj"] -= 1
                         cnt["rc"] -= 2
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[i3]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d3] = field
                     value = regs[s4]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         cnt["rc"] -= 1
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[i4]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d4] = field
-                    return n
+                    return n(regs)
             elif opcode == OP_INC_RTCALL:
-                impl = BUILTINS.get(ins[4])
-                if impl is not None:
-                    def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                           d=ins[3], fn_=impl, argr=ins[5], inc=heap.inc,
-                           ctx=ctx, cnt=counts, n=nxt):
-                        s[i] += 1
-                        try:
-                            inc(regs[src], k)
-                        except RuntimeError_:
-                            # Unfused charge stops at the inc.
-                            cnt["runtime_call"] -= 1
-                            raise
-                        regs[d] = fn_(ctx, [regs[r] for r in argr])
-                        return n
-                else:
-                    def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                           d=ins[3], name=ins[4], argr=ins[5], inc=heap.inc,
-                           ctx=ctx, cb=call_builtin, cnt=counts, n=nxt):
-                        s[i] += 1
-                        try:
-                            inc(regs[src], k)
-                        except RuntimeError_:
-                            cnt["runtime_call"] -= 1
-                            raise
-                        regs[d] = cb(ctx, name, [regs[r] for r in argr])
-                        return n
+                op = _inc_rtcall_site(
+                    sites, pc, ins[1], ins[2], heap, counts,
+                    _rtcall_site(sites, pc, ins[3], ins[4], ins[5], ctx, nxt),
+                )
             elif opcode == OP_RET:
                 if ins[1] >= 0:
                     def op(regs, s=sites, i=pc, src=ins[1], ret=retslot):
@@ -1812,18 +1984,21 @@ class VirtualMachine:
                     )
             elif opcode == OP_PROJ:
                 def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], idx=ins[3],
-                       heap=heap, cnt=counts, err=error, ctor=CtorObject,
-                       n=nxt):
+                       inc=heap.inc, st=stats, cnt=counts, err=error,
+                       ctor=CtorObject, int_=int, n=nxt):
                     s[i] += 1
                     value = regs[src]
-                    if not isinstance(value, ctor):
+                    if value.__class__ is not ctor:
                         # The unfused charge stops at proj on this error.
                         cnt["rc"] -= 1
                         raise err(f"projection from non-constructor {value!r}")
                     field = value.fields[idx]
-                    heap.inc(field)
+                    if field.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(field)
                     regs[d] = field
-                    return n
+                    return n(regs)
             elif opcode == OP_PROJ_CALL:
                 if len(ins[6]) != ins[5].num_params:
                     def op(regs, s=sites, i=pc, pd=ins[1], src=ins[2],
@@ -1851,96 +2026,87 @@ class VirtualMachine:
                         sites, pc, ins, heap, counts, error, pending
                     )
             elif opcode == OP_CONSTRUCT:
-                def op(regs, s=sites, i=pc, d=ins[1], tag=ins[2], fr=ins[3],
-                       alloc=heap.alloc_ctor, n=nxt):
-                    s[i] += 1
-                    regs[d] = alloc(tag, [regs[r] for r in fr])
-                    return n
+                if ins[3]:
+                    # Heap.alloc_ctor, inline.
+                    def op(regs, s=sites, i=pc, d=ins[1], tag=ins[2],
+                           fr=ins[3], ctor=CtorObject, live=heap.live,
+                           st=stats, id_=id, len_=len, n=nxt):
+                        s[i] += 1
+                        cell = ctor(tag, [regs[r] for r in fr])
+                        live[id_(cell)] = cell
+                        st.allocations += 1
+                        if len_(live) > st.peak_live:
+                            st.peak_live = len_(live)
+                        regs[d] = cell
+                        return n(regs)
+                else:
+                    # A field-less constructor is its unboxed tag.
+                    def op(regs, s=sites, i=pc, d=ins[1], tag=ins[2], n=nxt):
+                        s[i] += 1
+                        regs[d] = tag
+                        return n(regs)
             elif opcode == OP_INT or opcode == OP_BIGINT:
                 if -SCALAR_INT_LIMIT < ins[2] < SCALAR_INT_LIMIT:
                     # Unboxed: alloc_int would return the constant itself.
                     def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], n=nxt):
                         s[i] += 1
                         regs[d] = v
-                        return n
+                        return n(regs)
                 else:
                     def op(regs, s=sites, i=pc, d=ins[1], v=ins[2],
                            alloc=heap.alloc_int, n=nxt):
                         s[i] += 1
                         regs[d] = alloc(v)
-                        return n
+                        return n(regs)
             elif opcode == OP_CONST:
                 def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], n=nxt):
                     s[i] += 1
                     regs[d] = v
-                    return n
+                    return n(regs)
             elif opcode == OP_CONST_CMP:
                 def op(regs, s=sites, i=pc, cd=ins[1], v=ins[2], d=ins[3],
                        f=ins[4], a=ins[5], b=ins[6], n=nxt):
                     s[i] += 1
                     regs[cd] = v
                     regs[d] = f(regs[a], regs[b])
-                    return n
+                    return n(regs)
             elif opcode == OP_GETLABEL:
                 def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], tg=tag_of,
-                       n=nxt):
+                       int_=int, ctor=CtorObject, n=nxt):
                     s[i] += 1
-                    regs[d] = tg(regs[src])
-                    return n
+                    value = regs[src]
+                    cls = value.__class__
+                    regs[d] = (value if cls is int_ else
+                               value.tag if cls is ctor else tg(value))
+                    return n(regs)
             elif opcode == OP_INC:
                 def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                       inc=heap.inc, n=nxt):
+                       inc=heap.inc, st=stats, int_=int, n=nxt):
                     s[i] += 1
-                    inc(regs[src], k)
-                    return n
+                    value = regs[src]
+                    if value.__class__ is int_:
+                        st.inc_ops += 1
+                    else:
+                        inc(value, k)
+                    return n(regs)
             elif opcode == OP_DEC:
                 def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                       dec=heap.dec, n=nxt):
+                       dec=heap.dec, st=stats, int_=int, n=nxt):
                     s[i] += 1
-                    dec(regs[src], k)
-                    return n
+                    value = regs[src]
+                    if value.__class__ is int_:
+                        st.dec_ops += 1
+                    else:
+                        dec(value, k)
+                    return n(regs)
             elif opcode == OP_SELECT:
                 def op(regs, s=sites, i=pc, d=ins[1], c=ins[2], a=ins[3],
                        b=ins[4], n=nxt):
                     s[i] += 1
                     regs[d] = regs[a] if regs[c] else regs[b]
-                    return n
+                    return n(regs)
             elif opcode == OP_RTCALL:
-                # Pre-resolve the builtin: BUILTINS is sealed at import
-                # time, so the per-call name lookup in call_builtin is
-                # dead weight on the hot path.  Unknown names keep the
-                # lazy call_builtin error.
-                impl = BUILTINS.get(ins[2])
-                scalar = SCALAR_RTCALLS.get(ins[2])
-                if scalar is not None and ins[1] >= 0 and len(ins[3]) == 2:
-                    op = _scalar_rtcall(
-                        scalar, impl, ctx, heap.alloc_int, sites, pc, ins[1],
-                        ins[3], nxt,
-                    )
-                elif impl is not None and ins[1] >= 0:
-                    def op(regs, s=sites, i=pc, d=ins[1], fn_=impl,
-                           argr=ins[3], ctx=ctx, n=nxt):
-                        s[i] += 1
-                        regs[d] = fn_(ctx, [regs[r] for r in argr])
-                        return n
-                elif impl is not None:
-                    def op(regs, s=sites, i=pc, fn_=impl, argr=ins[3],
-                           ctx=ctx, n=nxt):
-                        s[i] += 1
-                        fn_(ctx, [regs[r] for r in argr])
-                        return n
-                elif ins[1] >= 0:
-                    def op(regs, s=sites, i=pc, d=ins[1], name=ins[2],
-                           argr=ins[3], ctx=ctx, cb=call_builtin, n=nxt):
-                        s[i] += 1
-                        regs[d] = cb(ctx, name, [regs[r] for r in argr])
-                        return n
-                else:
-                    def op(regs, s=sites, i=pc, name=ins[2], argr=ins[3],
-                           ctx=ctx, cb=call_builtin, n=nxt):
-                        s[i] += 1
-                        cb(ctx, name, [regs[r] for r in argr])
-                        return n
+                op = _rtcall_site(sites, pc, ins[1], ins[2], ins[3], ctx, nxt)
             elif opcode == OP_PAP:
                 if ins[3] is None:
                     def op(regs, s=sites, i=pc, name=ins[2], err=error):
@@ -1952,12 +2118,12 @@ class VirtualMachine:
                            mk=make_closure, n=nxt):
                         s[i] += 1
                         regs[d] = mk(heap, name, arity, [regs[r] for r in argr])
-                        return n
+                        return n(regs)
             elif opcode == OP_PAPEXTEND:
                 def op(regs, s=sites, i=pc, d=ins[1], c=ins[2], argr=ins[3],
-                       apply=self._apply, n=nxt):
+                       apply=self._apply, r=pc + 1):
                     s[i] += 1
-                    return apply(regs, d, regs[c], [regs[r] for r in argr], n)
+                    return apply(regs, d, regs[c], [regs[x] for x in argr], r)
             elif opcode == OP_REUSE:
                 category = "alloc_ctor" if ins[4] else "move"
                 def op(regs, s=sites, i=pc, d=ins[1], tok=ins[2], tag=ins[3],
@@ -1971,18 +2137,18 @@ class VirtualMachine:
                     else:
                         cnt[cat] += 1
                     regs[d] = heap.reuse(token, tag, fields)
-                    return n
+                    return n(regs)
             elif opcode == OP_RESET:
                 def op(regs, s=sites, i=pc, d=ins[1], src=ins[2],
                        reset=heap.reset, n=nxt):
                     s[i] += 1
                     regs[d] = reset(regs[src])
-                    return n
+                    return n(regs)
             elif opcode == OP_CAST:
                 def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], n=nxt):
                     s[i] += 1
                     regs[d] = regs[src]
-                    return n
+                    return n(regs)
             elif opcode == OP_UNREACHABLE:
                 def op(regs, s=sites, i=pc, err=error, msg=ins[1]):
                     s[i] += 1

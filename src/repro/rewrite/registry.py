@@ -10,10 +10,9 @@ Grammar (whitespace is insignificant outside names and values)::
 
     pipeline ::= pass ("," pass)*
     pass     ::= name [ "{" option ("," option)* "}" ]
-    option   ::= key [ "=" value ]
+    option   ::= key "=" value
 
-An option without ``=value`` is a flag and parses as ``true``.  Options
-are validated against the pass's declared :class:`PassOption` list before
+Options are validated against the pass's declared :class:`PassOption` list before
 the pass is constructed, so unknown passes, unknown options, duplicate
 non-repeatable options and out-of-choice values all fail with a
 :class:`PipelineSpecError` naming the offending spec fragment.
@@ -207,10 +206,15 @@ def parse_pipeline_spec(spec: str) -> List[PassInvocation]:
                     continue
                 key, eq, value = raw.partition("=")
                 key = key.strip()
-                value = value.strip() if eq else "true"
+                value = value.strip()
                 if not key or (eq and not value):
                     raise PipelineSpecError(
                         f"malformed option {raw!r} for pass {invocation.name!r}"
+                    )
+                if not eq:
+                    raise PipelineSpecError(
+                        f"option {key!r} of pass {invocation.name!r} needs "
+                        f"a value: write {key}=<value>"
                     )
                 invocation.options.setdefault(key, []).append(value)
         invocations.append(invocation)

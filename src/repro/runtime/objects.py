@@ -79,9 +79,12 @@ class CtorObject(HeapObject):
     kind = "ctor"
 
     def __init__(self, tag: int, fields: List[Value]):
-        super().__init__()
+        # ``fields`` is adopted, not copied: every caller passes a fresh
+        # list.
+        self.rc = 1
+        self.freed = False
         self.tag = tag
-        self.fields = list(fields)
+        self.fields = fields
 
     def children(self) -> List[Value]:
         return self.fields
@@ -167,6 +170,11 @@ class StringObject(HeapObject):
 class HeapStatistics:
     """Aggregate allocation / reference-counting statistics."""
 
+    __slots__ = (
+        "allocations", "frees", "inc_ops", "dec_ops", "peak_live", "resets",
+        "reuses",
+    )
+
     def __init__(self):
         self.allocations = 0
         self.frees = 0
@@ -239,34 +247,37 @@ class Heap:
         self.stats.dec_ops += 1
         if value.__class__ is int or not isinstance(value, HeapObject):
             return
-        self._dec_object(value, count)
-
-    def _dec_object(self, obj: HeapObject, count: int = 1) -> None:
-        if obj.freed:
+        if value.freed:
             raise RuntimeError_("dec of a freed object (double free)")
-        if obj.rc < count:
+        if value.rc < count:
             raise RuntimeError_(
-                f"reference count underflow on {obj!r} (rc={obj.rc}, dec {count})"
+                f"reference count underflow on {value!r} "
+                f"(rc={value.rc}, dec {count})"
             )
-        obj.rc -= count
-        if obj.rc == 0:
-            self._free(obj)
+        value.rc -= count
+        if value.rc == 0:
+            self._free(value)
 
     def _free(self, obj: HeapObject) -> None:
-        """Free ``obj`` and every object whose last reference it held.
+        """Free ``obj`` (at rc 0) and every object whose last reference it
+        held."""
+        obj.freed = True
+        self.live.pop(id(obj), None)
+        self.stats.frees += 1
+        self._drop(obj.fields if obj.__class__ is CtorObject else obj.children())
+
+    def _drop(self, values: List[Value]) -> None:
+        """Drop one reference to each of ``values``, freeing every object
+        whose last reference that was, and what it alone held.
 
         An explicit worklist, not recursion: dropping a long constructor
         chain must not depend on Python's recursion limit.
         """
         live = self.live
         stats = self.stats
-        worklist = [obj]
+        worklist = [values]
         while worklist:
-            obj = worklist.pop()
-            obj.freed = True
-            live.pop(id(obj), None)
-            stats.frees += 1
-            for child in obj.children():
+            for child in worklist.pop():
                 if child.__class__ is int or not isinstance(child, HeapObject):
                     continue
                 if child.freed:
@@ -278,7 +289,13 @@ class Heap:
                     )
                 child.rc -= 1
                 if child.rc == 0:
-                    worklist.append(child)
+                    child.freed = True
+                    live.pop(id(child), None)
+                    stats.frees += 1
+                    worklist.append(
+                        child.fields if child.__class__ is CtorObject
+                        else child.children()
+                    )
 
     # -- constructor reuse (reset/reuse tokens) -----------------------------------
     def reset(self, value: Value) -> Value:
@@ -294,9 +311,7 @@ class Heap:
             if value.freed:
                 raise RuntimeError_("reset of a freed object")
             if value.rc == 1:
-                for child in value.fields:
-                    if child.__class__ is not int and isinstance(child, HeapObject):
-                        self._dec_object(child)
+                self._drop(value.fields)
                 value.fields = []
                 return value
         self.dec(value)
@@ -306,17 +321,18 @@ class Heap:
         """Construct ``tag(fields)`` through a reuse token.
 
         A live token is overwritten in place — no allocation is performed;
-        the null token falls back to :meth:`alloc_ctor`.
+        the null token falls back to :meth:`alloc_ctor`.  ``fields`` is
+        adopted, not copied, as by :class:`CtorObject`.
         """
         if isinstance(token, CtorObject):
             if token.freed or token.rc != 1:
                 raise RuntimeError_(f"reuse of an invalid token {token!r}")
             if not fields:
                 # Field-less constructors are unboxed: discard the cell.
-                self._dec_object(token)
+                self._drop((token,))
                 return tag
             token.tag = tag
-            token.fields = list(fields)
+            token.fields = fields
             self.stats.reuses += 1
             return token
         if not isinstance(token, NullToken):
@@ -361,17 +377,38 @@ def tag_of(value: Value) -> int:
 
 
 def python_value(value: Value) -> object:
-    """Convert a runtime value into a plain Python value (for tests/reports)."""
-    if value.__class__ is int:
-        return value
-    if isinstance(value, BigIntObject):
-        return value.value
-    if isinstance(value, CtorObject):
-        return (value.tag, tuple(python_value(f) for f in value.fields))
-    if isinstance(value, ArrayObject):
-        return [python_value(v) for v in value.items]
-    if isinstance(value, StringObject):
-        return value.value
-    if isinstance(value, ClosureObject):
-        return f"<closure {value.fn_name}>"
-    raise RuntimeError_(f"cannot convert {value!r}")
+    """Convert a runtime value into a plain Python value (for tests/reports).
+
+    A constructor cell becomes ``(tag, fields)`` and an array a list.  An
+    explicit stack, not recursion: converting a long constructor chain
+    must not depend on Python's recursion limit.
+    """
+    # Frames: (the values left to convert, those converted, the cell's tag
+    # or None for an array).  The bottom frame holds ``value`` alone.
+    stack = [(iter((value,)), [], None)]
+    while stack:
+        items, converted, tag = stack[-1]
+        for item in items:
+            if item.__class__ is int:
+                converted.append(item)
+            elif isinstance(item, CtorObject):
+                stack.append((iter(item.fields), [], item.tag))
+                break
+            elif isinstance(item, ArrayObject):
+                stack.append((iter(item.items), [], None))
+                break
+            elif isinstance(item, BigIntObject):
+                converted.append(item.value)
+            elif isinstance(item, StringObject):
+                converted.append(item.value)
+            elif isinstance(item, ClosureObject):
+                converted.append(f"<closure {item.fn_name}>")
+            else:
+                raise RuntimeError_(f"cannot convert {item!r}")
+        else:
+            stack.pop()
+            if not stack:
+                return converted[0]
+            stack[-1][1].append(
+                converted if tag is None else (tag, tuple(converted))
+            )

@@ -8,6 +8,8 @@ session-level bytecode cache and the engine-selection plumbing.
 """
 
 import functools
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,7 @@ from repro.interp.bytecode import (
     SCALAR_RTCALLS,
     BytecodeFunction,
     BytecodeProgram,
+    EXECUTION_ENGINES,
     VirtualMachine,
     compile_cfg_module,
     compile_rc_program,
@@ -1711,6 +1714,47 @@ def test_hypothesis_scalar_rtcall_matches_generic_builtin(name, lhs, rhs):
     assert run.heap_stats == ctx.heap.stats.as_dict()
 
 
+def _inc_rtcall_program(name):
+    """``inc`` of the first operand, the builtin, then a ``dec`` that
+    drops the reference the builtin did not consume."""
+    return _vm_program([
+        (OP_INC, 0, 1),
+        (OP_RTCALL, 2, name, (0, 1)),
+        (OP_DEC, 0, 1),
+        (OP_RET, 2),
+    ], 3, num_params=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SCALAR_RTCALLS)),
+    lhs=_OPERANDS,
+    rhs=_OPERANDS,
+)
+def test_hypothesis_inc_rtcall_matches_generic_builtin(name, lhs, rhs):
+    ctx = RuntimeContext()
+    args = [_materialise(ctx.heap, lhs), _materialise(ctx.heap, rhs)]
+    ctx.heap.inc(args[0], 1)
+    result = BUILTINS[name](ctx, list(args))
+    ctx.heap.dec(args[0], 1)
+    expected = python_value(result)
+    ctx.release(result)
+    ctx.heap.check_balanced()
+
+    program = fuse_program(_inc_rtcall_program(name))
+    code = program.functions["main"].code
+    assert [ins[0] for ins in code] == [OP_INC_RTCALL, OP_DEC, OP_RET]
+    vm_ctx = RuntimeContext()
+    args = [_materialise(vm_ctx.heap, lhs), _materialise(vm_ctx.heap, rhs)]
+    run = VirtualMachine(program, context=vm_ctx).run_main(args)
+    assert run.value == expected
+    assert type(run.value) is int
+    assert run.heap_stats == ctx.heap.stats.as_dict()
+    assert run.metrics.counts == {
+        "call": 1, "return": 1, "rc": 2, "runtime_call": 1,
+    }
+
+
 class TestScalarSpecialisation:
     def test_table_covers_arithmetic_and_every_comparison(self):
         comparisons = {
@@ -1747,3 +1791,153 @@ class TestScalarSpecialisation:
         run = VirtualMachine(program).run_main()
         assert run.value == value and type(run.value) is int
         assert run.heap_stats == ctx.heap.stats.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# Block chains: a closure that falls through runs the next one itself
+# ---------------------------------------------------------------------------
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+class TestBlockChains:
+    def test_long_block_runs_in_bounded_python_depth(self):
+        # 10,000 straight-line instructions; the chain is cut every
+        # CHAIN_LIMIT closures, so 100 frames of headroom are enough.
+        code = [(OP_CONST, 0, 0), (OP_CONST, 1, 1)]
+        code += [(OP_BINARITH, 0, _ADD, 0, 1)] * 10_000
+        code.append((OP_RET, 0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            vm = VirtualMachine(_vm_program(code, 2))
+            run = vm.run_main()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert run.value == 10_000
+        assert run.metrics.counts == {
+            "const": 2, "arith": 10_000, "call": 1, "return": 1,
+        }
+
+    def test_call_mid_chain_resumes_after_the_call(self):
+        callee = _identity_callee()
+        factory = lambda: _vm_program([
+            (OP_CONST, 0, 2),
+            (OP_CALL, 1, callee, (0,)),
+            (OP_BINARITH, 2, _ADD, 1, 0),
+            (OP_CALL, 3, callee, (2,)),
+            (OP_CONST, 4, 10),
+            (OP_BINARITH, 5, _MUL, 3, 4),
+            (OP_RET, 5),
+        ], 6, extras=(callee,))
+        _assert_outcome(factory, (), ("ok", 40, {
+            "const": 2, "call": 3, "arith": 2, "return": 3,
+        }))
+
+    def test_saturating_papextend_mid_chain_resumes_after_it(self):
+        callee = _identity_callee()
+        factory = lambda: _vm_program([
+            (OP_CONST, 0, 7),
+            (OP_PAP, 1, "callee", 1, ()),
+            (OP_PAPEXTEND, 2, 1, (0,)),
+            (OP_BINARITH, 3, _ADD, 2, 0),
+            (OP_RET, 3),
+        ], 4, extras=(callee,))
+        _assert_outcome(factory, (), ("ok", 14, {
+            "const": 1, "alloc_closure": 1, "apply": 1, "call": 2,
+            "arith": 1, "return": 2,
+        }))
+
+    def _assert_charged_through(self, code, num_regs, raising_pc, message):
+        """A run that raises at ``raising_pc`` counts every instruction up
+        to and including it, and none after it."""
+        vm = VirtualMachine(_vm_program(code, num_regs))
+        with pytest.raises((CfgInterpreterError, RuntimeError_),
+                           match=re.escape(message)):
+            vm.run_main(check_heap=False)
+        expected = [0] * len(OPCODE_NAMES)
+        for ins in code[:raising_pc + 1]:
+            expected[ins[0]] += 1
+        assert vm.opcode_counts == expected
+        return vm.metrics.counts
+
+    def test_dec_of_a_freed_cell_mid_chain(self):
+        counts = self._assert_charged_through([
+            (OP_INT, 0, 1),
+            (OP_CONSTRUCT, 1, 1, (0,), "alloc_ctor"),
+            (OP_DEC, 1, 1),  # frees the cell
+            (OP_CONST, 2, 5),
+            (OP_DEC, 1, 1),  # raises
+            (OP_CONST, 3, 6),
+            (OP_RET, 3),
+        ], 4, 4, "dec of a freed object (double free)")
+        assert counts == {
+            "call": 1, "move": 1, "alloc_ctor": 1, "rc": 2, "const": 1,
+        }
+
+    def test_proj_of_a_non_constructor_mid_chain(self):
+        counts = self._assert_charged_through([
+            (OP_CONST, 0, 9),
+            (OP_INT, 1, 2),
+            (OP_PROJ, 2, 0, 0),  # raises before its rc charge
+            (OP_CONST, 3, 1),
+            (OP_RET, 3),
+        ], 4, 2, "projection from non-constructor 9")
+        assert counts == {"call": 1, "const": 1, "move": 1, "proj": 1}
+
+
+# ---------------------------------------------------------------------------
+# Deep results: converting and printing a long list does not recurse
+# ---------------------------------------------------------------------------
+
+_CELLS = 5000
+
+DEEP_RESULT = (
+    "inductive List where\n"
+    "| nil\n"
+    "| cons (head : Nat) (tail : List)\n"
+    "\n"
+    "def build (n : Nat) (acc : List) : List :=\n"
+    "  if n == 0 then acc else build (n - 1) (List.cons n acc)\n"
+    f"def main : List := build {_CELLS} List.nil\n"
+)
+
+
+class TestDeepResults:
+    @pytest.mark.parametrize("engine", EXECUTION_ENGINES)
+    @pytest.mark.parametrize("run", (run_mlir, run_baseline),
+                             ids=("mlir", "baseline"))
+    def test_long_list_value_comes_back(self, run, engine):
+        value = run(DEEP_RESULT, PipelineOptions(execution_engine=engine)).value
+        # Walked, not compared with ==: tuple equality recurses too.
+        for head in range(1, _CELLS + 1):
+            tag, (field, value) = value
+            assert (tag, field) == (1, head)
+        assert value == 0
+
+    @pytest.mark.parametrize("engine", EXECUTION_ENGINES)
+    def test_cli_prints_a_long_list(self, engine, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "deep.lean"
+        path.write_text(DEEP_RESULT, encoding="utf-8")
+        assert main([str(path), "--execution-engine", engine]) == 0
+        expected = "".join(f"(1, ({head}, " for head in range(1, _CELLS + 1))
+        expected += "0" + "))" * _CELLS
+        assert capsys.readouterr().out == f"result: {expected}\n"
+
+    @pytest.mark.parametrize("value", [
+        None, 5, -3, "text", "it's", (), (1,), ((),), (0, ()), [],
+        [1, "x", (3, [4, (5,)])], (1, (2, (3, (4, 0)))), [(1,)],
+        "<closure f>", 10**30,
+    ])
+    def test_result_text_is_str_of_the_value(self, value):
+        from repro.__main__ import _format_result
+
+        assert _format_result(value) == str(value)

@@ -85,9 +85,20 @@ class TestParsing:
             "engine": ["rescan"],
         }
 
-    def test_bare_option_is_a_true_flag(self):
-        (inv,) = parse_pipeline_spec("cse{flag}")
-        assert inv.options == {"flag": ["true"]}
+    @pytest.mark.parametrize(
+        "spec, key, name",
+        [
+            ("cse{flag}", "flag", "cse"),
+            ("canonicalize{ablate}", "ablate", "canonicalize"),
+        ],
+    )
+    def test_bare_option_asks_for_a_value(self, spec, key, name):
+        message = (
+            f"option {key!r} of pass {name!r} needs a value: "
+            f"write {key}=<value>"
+        )
+        with pytest.raises(PipelineSpecError, match=re.escape(message)):
+            parse_pipeline_spec(spec)
 
     def test_empty_option_braces(self):
         (inv,) = parse_pipeline_spec("cse{}")
