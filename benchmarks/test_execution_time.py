@@ -94,15 +94,21 @@ class TestExecutionSpeed:
         )
 
     def test_bytecode_compilation_is_cheap(self):
-        """Translating to bytecode must stay well under one execution."""
+        """Translating to bytecode must stay under one execution.  Both
+        sides are the best of five runs, so one slow sample (a collection,
+        a scheduler hiccup) on either side cannot decide the comparison."""
         source = benchmark_sources(
             {"rbmap_checkpoint": DEFAULT_SIZES["rbmap_checkpoint"]}
         )["rbmap_checkpoint"]
         module = MlirCompiler(measurement_options("default")).compile(source).cfg_module
-        start = time.perf_counter()
-        bytecode = compile_cfg_module(module)
-        compile_seconds = time.perf_counter() - start
-        execute_seconds = run_seconds(VirtualMachine(bytecode))
+        compile_seconds = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            bytecode = compile_cfg_module(module)
+            compile_seconds = min(compile_seconds, time.perf_counter() - start)
+        execute_seconds = min(
+            run_seconds(VirtualMachine(bytecode)) for _ in range(5)
+        )
         assert compile_seconds < execute_seconds, (
             f"bytecode compile {compile_seconds * 1e3:.1f}ms exceeds "
             f"execution {execute_seconds * 1e3:.1f}ms"

@@ -132,13 +132,15 @@ class LpCodegen:
 
     # -- bodies -------------------------------------------------------------------------------
     def _gen_body(self, body: FnBody, block: Block, env: Dict[str, Value]) -> None:
+        """Emit ``body`` into ``block``.  ``env`` belongs to this body alone
+        (``case`` and join points hand each region a copy), so its ``let``
+        spine extends it in place."""
         builder = Builder(InsertionPoint.at_end(block))
         while True:
             if isinstance(body, Let):
                 tail = isinstance(body.body, Ret) and body.body.var == body.var
                 value = self._gen_expr(builder, body.expr, env, tail)
                 value.name_hint = body.var
-                env = dict(env)
                 env[body.var] = value
                 body = body.body
                 continue

@@ -10,7 +10,7 @@ results plus a balanced heap.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..record import FrozenRecord
 
@@ -565,3 +565,22 @@ def programs_by_category() -> Dict[str, List[TestProgram]]:
     for program in regression_programs():
         grouped.setdefault(program.category, []).append(program)
     return grouped
+
+
+def let_spine_program(length: int) -> Tuple[str, int]:
+    """A straight-line function of ``length`` ``let`` bindings, with the
+    value its ``main`` returns.
+
+    Each binding adds a small constant to the previous one, so every
+    binding stays live until the next and none folds away before λrc.  A
+    frontend layer that recurses once per binding overflows Python's stack
+    on a long enough spine; this program is how that is tested.
+    """
+    lines = ["def spine (n : Nat) : Nat :="]
+    previous = "n"
+    for index in range(1, length + 1):
+        lines.append(f"  let x{index} := {previous} + {index % 7};")
+        previous = f"x{index}"
+    lines.append(f"  {previous}")
+    lines.append("def main : Nat := spine 1")
+    return "\n".join(lines) + "\n", 1 + sum(i % 7 for i in range(1, length + 1))

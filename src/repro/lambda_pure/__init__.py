@@ -8,7 +8,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "App", "Call", "Case", "CaseAlt", "ConstructorInfo", "Ctor", "Dec",
         "Expr", "FnBody", "Function", "Inc", "JDecl", "Jmp", "Let", "Lit",
         "PAp", "Program", "Proj", "Reset", "Ret", "Reuse", "Unreachable",
-        "body_size", "count_jumps", "free_vars",
+        "body_size", "count_jumps", "free_vars", "live_sets",
     ),
     ".lowering": ("LoweringError", "lower_program"),
     ".simplifier": ("Simplifier", "SimplifierStats", "simplify_program"),

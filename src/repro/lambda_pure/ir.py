@@ -443,7 +443,11 @@ class Program(Record):
 
 
 def free_vars(body: FnBody, join_env: Optional[Dict[str, Tuple[List[str], Set[str]]]] = None) -> Set[str]:
-    """Free variables of a function body.
+    """Free variables of a function body, by a direct recursive walk.
+
+    The compiler reads liveness from :func:`live_sets`, which computes this
+    set for every node of a body in one pass; this function is the
+    specification that pass is tested against.
 
     ``join_env`` maps join labels to ``(params, free_vars_of_join_body)``;
     a ``jmp`` then contributes the join body's free variables as well, which
@@ -479,6 +483,57 @@ def free_vars(body: FnBody, join_env: Optional[Dict[str, Tuple[List[str], Set[st
     if isinstance(body, Unreachable):
         return set()
     raise TypeError(f"unknown FnBody node: {body!r}")
+
+
+def live_sets(body: FnBody) -> Dict[int, Set[str]]:
+    """Backward liveness over one function body, in a single pass.
+
+    Returns ``id(node) -> live set`` for every node of ``body``: the
+    variables the node and everything after it read, which is exactly
+    ``free_vars(node, join_env)`` under the join points declared around it.
+    A chain of ``let``/``inc``/``dec`` is walked in a loop, so a long spine
+    costs one set per binding and no recursion; only ``case`` alternatives
+    and join points recurse.  The sets are shared with the caller and must
+    not be mutated.
+    """
+    sets: Dict[int, Set[str]] = {}
+
+    def visit(node: FnBody, join_env: Dict[str, Set[str]]) -> Set[str]:
+        chain = []
+        while isinstance(node, (Let, Inc, Dec)):
+            chain.append(node)
+            node = node.body
+        if isinstance(node, Ret):
+            live = {node.var}
+        elif isinstance(node, Case):
+            live = {node.var}
+            for alt in node.alts:
+                live |= visit(alt.body, join_env)
+            if node.default is not None:
+                live |= visit(node.default, join_env)
+        elif isinstance(node, Jmp):
+            live = set(node.args)
+            jfree = join_env.get(node.label)
+            if jfree is not None:
+                live |= jfree
+        elif isinstance(node, JDecl):
+            jfree = visit(node.jbody, join_env) - set(node.params)
+            live = jfree | visit(node.rest, {**join_env, node.label: jfree})
+        elif isinstance(node, Unreachable):
+            live = set()
+        else:
+            raise TypeError(f"unknown FnBody node: {node!r}")
+        sets[id(node)] = live
+        for link in reversed(chain):
+            if isinstance(link, Let):
+                live = (live - {link.var}) | link.expr.free_vars()
+            else:
+                live = live | {link.var}
+            sets[id(link)] = live
+        return live
+
+    visit(body, {})
+    return sets
 
 
 def body_size(body: FnBody) -> int:

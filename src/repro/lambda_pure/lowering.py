@@ -42,6 +42,29 @@ def jump_dest(label: str) -> Dest:
     return ("jmp", label)
 
 
+class _Hole(ir.FnBody):
+    """Where the rest of a ``let`` spine goes: what a spine's continuation
+    returns in place of the lowered remainder, until the spine loop fills
+    it in."""
+
+
+class _Spine:
+    """State of one ``let`` spine being lowered in a loop.
+
+    ``captures`` counts the bindings whose value has reached the spine's
+    continuation.  ``pending`` holds the value join points whose ``rest``
+    (the ``if``/``match`` branches) is lowered only after the rest of the
+    spine (see :meth:`FunctionLowering._lower_control_value`): one list per
+    binding, each in the order the recursive lowering would reach them.
+    """
+
+    __slots__ = ("captures", "pending")
+
+    def __init__(self):
+        self.captures = 0
+        self.pending: List[list] = []
+
+
 class ProgramLowering:
     """Shared state while lowering a whole program."""
 
@@ -85,6 +108,8 @@ class FunctionLowering:
         self.env = ctx.env
         self.name = name
         self._lambda_counter = 0
+        #: The innermost ``let`` spine whose bindings are being lowered.
+        self._spine: Optional[_Spine] = None
 
     # -- entry points -----------------------------------------------------------
     def lower_def(self, decl: ast.DefDecl) -> ir.Function:
@@ -136,12 +161,8 @@ class FunctionLowering:
     def lower_dest(self, expr: ast.Expr, vars_: Dict[str, str], dest: Dest) -> ir.FnBody:
         """Lower ``expr`` so that its value flows to ``dest``."""
         if isinstance(expr, ast.Let):
-            return self.lower_value(
-                expr.value,
-                vars_,
-                lambda v: self.lower_dest(
-                    expr.body, {**vars_, expr.name: v}, dest
-                ),
+            return self._lower_spine(
+                expr, vars_, lambda body, scope: self.lower_dest(body, scope, dest)
             )
         if isinstance(expr, ast.If):
             return self._lower_if(expr, vars_, dest)
@@ -194,16 +215,68 @@ class FunctionLowering:
                 lambda v: self._bind(ir.Call("lean_int_neg", [v]), "r", k),
             )
         if isinstance(expr, ast.Let):
-            return self.lower_value(
-                expr.value,
-                vars_,
-                lambda v: self.lower_value(expr.body, {**vars_, expr.name: v}, k),
+            return self._lower_spine(
+                expr, vars_, lambda body, scope: self.lower_value(body, scope, k)
             )
         if isinstance(expr, (ast.If, ast.Match)):
             return self._lower_control_value(expr, vars_, k)
         if isinstance(expr, ast.Lambda):
             return self._lower_lambda_value(expr, vars_, k)
         raise LoweringError(f"cannot lower expression {expr!r}")
+
+    def _lower_spine(
+        self,
+        expr: ast.Let,
+        vars_: Dict[str, str],
+        lower_tail: Callable[[ast.Expr, Dict[str, str]], ir.FnBody],
+    ) -> ir.FnBody:
+        """Lower a ``let`` spine in one loop with one scope map.
+
+        Each binding's value is lowered with a continuation that records the
+        bound variable and returns a :class:`_Hole`; the next binding's code
+        is then plugged into that hole.  The first non-``let`` body is
+        lowered by ``lower_tail``.  Fresh names come out in the order of a
+        recursive continuation-passing lowering: the branches of a value
+        ``if``/``match``, which that lowering reaches only after its
+        continuation returns, are queued on ``pending`` and lowered once the
+        whole spine (and so the whole continuation) is in place.
+        """
+        outer = self._spine
+        spine = self._spine = _Spine()
+        scope = dict(vars_)
+        bound: List[str] = []
+
+        def capture(var: str) -> ir.FnBody:
+            spine.captures += 1
+            bound.append(var)
+            return _HOLE
+
+        root: Optional[ir.FnBody] = None
+        parent: Optional[ir.FnBody] = None
+        while isinstance(expr, ast.Let):
+            group: list = []
+            spine.pending.append(group)
+            part = self.lower_value(expr.value, scope, capture)
+            if part is not _HOLE:
+                root = _attach(root, parent, part)
+                parent = _hole_parent(part)
+            scope[expr.name] = bound.pop()
+            expr = expr.body
+        self._spine = outer
+        captures = outer.captures if outer is not None else 0
+        root = _attach(root, parent, lower_tail(expr, scope))
+        if outer is not None and outer.captures != captures:
+            # The tail reached the enclosing spine's continuation: this
+            # spine's queued branches follow the enclosing remainder.
+            for group in reversed(spine.pending):
+                outer.pending[-1].extend(group)
+        else:
+            for group in reversed(spine.pending):
+                for jdecl, branches, branch_scope in group:
+                    jdecl.rest = self.lower_dest(
+                        branches, branch_scope, jump_dest(jdecl.label)
+                    )
+        return root
 
     def _bind(
         self, rhs: ir.Expr, prefix: str, k: Callable[[str], ir.FnBody]
@@ -425,7 +498,15 @@ class FunctionLowering:
         introducing a join point for the continuation."""
         label = self.ctx.fresh("jp")
         result = self.ctx.fresh("res")
+        spine = self._spine
+        captures = spine.captures if spine is not None else 0
         jbody = k(result)
+        if spine is not None and spine.captures != captures:
+            # ``k`` stopped at a hole of the spine being lowered: the rest
+            # of the spine comes first, then these branches.
+            jdecl = ir.JDecl(label, [result], jbody, None)
+            spine.pending[-1].append((jdecl, expr, dict(vars_)))
+            return jdecl
         inner = self.lower_dest(expr, vars_, jump_dest(label))
         return ir.JDecl(label, [result], jbody, inner)
 
@@ -552,6 +633,37 @@ class FunctionLowering:
                 ir.Let(eq_var, ir.Call(dec_eq, [svar, lit_var]), case),
             )
         raise LoweringError(f"cannot compile pattern {pattern!r}")
+
+
+_HOLE = _Hole()
+
+
+def _attach(
+    root: Optional[ir.FnBody], parent: Optional[ir.FnBody], part: ir.FnBody
+) -> ir.FnBody:
+    """Put ``part`` into the hole below ``parent``; return the spine's root."""
+    if parent is None:
+        return part
+    if isinstance(parent, ir.Let):
+        parent.body = part
+    else:
+        parent.jbody = part
+    return root
+
+
+def _hole_parent(part: ir.FnBody) -> ir.FnBody:
+    """The node of ``part`` whose child is the hole.
+
+    A value's continuation only ever sits in a ``let`` body or in the join
+    body of a value join point, so the hole is found by following those
+    two links through the code of one binding.
+    """
+    node = part
+    while True:
+        child = node.body if isinstance(node, ir.Let) else node.jbody
+        if child is _HOLE:
+            return node
+        node = child
 
 
 def lower_program(surface: ast.Program, env: Optional[GlobalEnv] = None) -> ir.Program:

@@ -19,7 +19,7 @@ insertion, as in LEAN.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..record import Record
 from .ir import (
@@ -43,7 +43,6 @@ from .ir import (
     Ret,
     Unreachable,
     count_jumps,
-    free_vars,
 )
 
 #: Runtime calls that are pure and foldable when all arguments are literals.
@@ -160,7 +159,7 @@ class Simplifier:
         body = fn.body
         for _ in range(self.max_rounds):
             before = self.stats.total()
-            body = self._simplify(body, {}, {})
+            body = self._simplify(body, {}, {})[0]
             body = self._inline_single_jumps(body)
             if self.stats.total() == before:
                 break
@@ -214,7 +213,16 @@ class Simplifier:
         body: FnBody,
         bindings: Dict[str, _Binding],
         subst: Dict[str, str],
-    ) -> FnBody:
+    ) -> Tuple[FnBody, Set[str]]:
+        """Rewrite ``body``; return it with its free variables.
+
+        The free variables are built bottom-up from the children's sets as
+        the body is rebuilt, so the dead-let test never re-walks a
+        continuation.  Each returned set belongs to the caller, which may
+        update it in place.  ``bindings`` and ``subst`` are scoped by hand:
+        an entry added for a continuation is removed again once the
+        continuation is rewritten, so no binding copies either map.
+        """
         def s(v: str) -> str:
             return subst.get(v, v)
 
@@ -233,16 +241,22 @@ class Simplifier:
                 if ctor is not None and expr.index < len(ctor.args):
                     # proj i (ctor ... a_i ...)  ==>  a_i  (pure renaming).
                     self.stats.projections_folded += 1
-                    new_subst = dict(subst)
-                    new_subst[body.var] = ctor.args[expr.index]
-                    return self._simplify(body.body, bindings, new_subst)
-            new_bindings = dict(bindings)
-            new_bindings[body.var] = _Binding(expr)
-            inner = self._simplify(body.body, new_bindings, subst)
-            if _is_pure_expr(expr) and body.var not in free_vars(inner):
+                    shadowed = subst.get(body.var)
+                    subst[body.var] = ctor.args[expr.index]
+                    result = self._simplify(body.body, bindings, subst)
+                    _restore(subst, body.var, shadowed)
+                    return result
+            shadowed = bindings.get(body.var)
+            bindings[body.var] = _Binding(expr)
+            inner, live = self._simplify(body.body, bindings, subst)
+            _restore(bindings, body.var, shadowed)
+            if _is_pure_expr(expr) and body.var not in live:
                 self.stats.dead_lets += 1
-                return inner
-            return Let(body.var, expr, inner)
+                return inner, live
+            live.discard(body.var)
+            live.update(expr.arg_vars())
+            live.update(expr.borrowed_vars())
+            return Let(body.var, expr, inner), live
 
         if isinstance(body, Case):
             scrutinee = s(body.var)
@@ -264,42 +278,50 @@ class Simplifier:
                 if chosen is not None:
                     self.stats.cases_simplified += 1
                     return self._simplify(chosen, bindings, subst)
-            new_alts = [
-                CaseAlt(
-                    alt.tag,
-                    alt.ctor_name,
-                    self._simplify(alt.body, bindings, subst),
-                )
-                for alt in body.alts
+            branches = [
+                self._simplify(alt.body, bindings, subst) for alt in body.alts
             ]
-            new_default = (
-                self._simplify(body.default, bindings, subst)
-                if body.default is not None
-                else None
-            )
-            collapsed = self._collapse_identical_branches(
-                Case(scrutinee, new_alts, new_default, body.type_name)
-            )
-            return collapsed
+            new_alts = [
+                CaseAlt(alt.tag, alt.ctor_name, branch)
+                for alt, (branch, _) in zip(body.alts, branches)
+            ]
+            new_default = None
+            if body.default is not None:
+                default = self._simplify(body.default, bindings, subst)
+                new_default = default[0]
+                branches.append(default)
+            case = Case(scrutinee, new_alts, new_default, body.type_name)
+            collapsed = self._collapse_identical_branches(case)
+            if collapsed is not case:
+                return branches[0]
+            live = {scrutinee}
+            for _, branch_live in branches:
+                live |= branch_live
+            return case, live
 
         if isinstance(body, Ret):
-            return Ret(s(body.var))
+            var = s(body.var)
+            return Ret(var), {var}
         if isinstance(body, Jmp):
-            return Jmp(body.label, [s(a) for a in body.args])
+            args = [s(a) for a in body.args]
+            return Jmp(body.label, args), set(args)
         if isinstance(body, JDecl):
-            new_jbody = self._simplify(body.jbody, bindings, subst)
-            new_rest = self._simplify(body.rest, bindings, subst)
+            new_jbody, live = self._simplify(body.jbody, bindings, subst)
+            new_rest, rest_live = self._simplify(body.rest, bindings, subst)
             if count_jumps(new_rest, body.label) == 0:
                 # The join point is never reached: drop it.
                 self.stats.dead_lets += 1
-                return new_rest
-            return JDecl(body.label, body.params, new_jbody, new_rest)
-        if isinstance(body, Inc):
-            return Inc(s(body.var), self._simplify(body.body, bindings, subst), body.count)
-        if isinstance(body, Dec):
-            return Dec(s(body.var), self._simplify(body.body, bindings, subst), body.count)
+                return new_rest, rest_live
+            live.difference_update(body.params)
+            live |= rest_live
+            return JDecl(body.label, body.params, new_jbody, new_rest), live
+        if isinstance(body, (Inc, Dec)):
+            var = s(body.var)
+            inner, live = self._simplify(body.body, bindings, subst)
+            live.add(var)
+            return type(body)(var, inner, body.count), live
         if isinstance(body, Unreachable):
-            return body
+            return body, set()
         raise TypeError(f"unknown FnBody {body!r}")
 
     # -- identical branch collapse -------------------------------------------------------
@@ -343,6 +365,14 @@ class Simplifier:
         if isinstance(body, Dec):
             return Dec(body.var, self._inline_single_jumps(body.body), body.count)
         return body
+
+
+def _restore(scope: Dict[str, object], name: str, shadowed: Optional[object]) -> None:
+    """Undo ``scope[name] = ...``: put back the entry it shadowed, if any."""
+    if shadowed is None:
+        del scope[name]
+    else:
+        scope[name] = shadowed
 
 
 def _structural_repr(body: FnBody) -> str:

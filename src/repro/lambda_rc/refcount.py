@@ -20,6 +20,10 @@ Perceus/"Counting Immutable Beans" scheme):
   ``jmp`` to it (they are consumed by the join body, not at the jump site),
   which keeps every control-flow path balanced.
 
+Liveness comes from one backward pass per function
+(:func:`~repro.lambda_pure.ir.live_sets`); the insertion walk reads the live
+set of each continuation instead of re-walking it.
+
 The naive scheme is deliberately not optimal — the paper's evaluation does
 not depend on RC optimisation — but it is *balanced*: the runtime's heap
 checker verifies that every program ends with zero live objects and never
@@ -57,7 +61,7 @@ from ..lambda_pure.ir import (
     Proj,
     Ret,
     Unreachable,
-    free_vars,
+    live_sets,
 )
 
 #: join label -> (params, free variables of the join body)
@@ -72,9 +76,12 @@ class RCInserter:
 
     def __init__(
         self,
+        live: Dict[int, Set[str]],
         borrow_signatures: Optional[BorrowSignatures] = None,
         borrowed_vars: Optional[Set[str]] = None,
     ):
+        #: ``live_sets`` of the function body being rewritten.
+        self.live = live
         self.incs_inserted = 0
         self.decs_inserted = 0
         self.borrow_signatures = borrow_signatures or {}
@@ -118,8 +125,10 @@ class RCInserter:
 
     # -- the insertion walk -------------------------------------------------------
     def visit(self, body: FnBody, held: Set[str], joins: JoinEnv) -> FnBody:
+        """Rewrite ``body``, which starts out owning ``held``.  The set
+        belongs to this path alone: it is updated in place, and each
+        ``case`` branch gets its own copy."""
         if isinstance(body, Ret):
-            held = set(held)
             incs = self._consume([body.var], set(), held)
             dead = [v for v in held]
             return self._wrap_incs(self._wrap_decs(Ret(body.var), dead), incs)
@@ -131,7 +140,7 @@ class RCInserter:
             new_alts = []
             for alt in body.alts:
                 branch_held = set(held)
-                branch_live = free_vars(alt.body, joins)
+                branch_live = self.live[id(alt.body)]
                 dead = [v for v in branch_held if v not in branch_live]
                 for v in dead:
                     branch_held.discard(v)
@@ -142,7 +151,7 @@ class RCInserter:
             new_default = None
             if body.default is not None:
                 branch_held = set(held)
-                branch_live = free_vars(body.default, joins)
+                branch_live = self.live[id(body.default)]
                 dead = [v for v in branch_held if v not in branch_live]
                 for v in dead:
                     branch_held.discard(v)
@@ -152,7 +161,7 @@ class RCInserter:
             return Case(body.var, new_alts, new_default, body.type_name)
 
         if isinstance(body, JDecl):
-            jfree = free_vars(body.jbody, joins) - set(body.params)
+            jfree = self.live[id(body.jbody)] - set(body.params)
             new_joins = dict(joins)
             new_joins[body.label] = (body.params, jfree)
             # The join body owns its parameters plus the captured free
@@ -162,12 +171,11 @@ class RCInserter:
             # nor the join body ever own (or release) them.
             jbody_held = set(body.params) | (set(jfree) - self.borrowed_vars)
             new_jbody = self.visit(body.jbody, jbody_held, new_joins)
-            new_rest = self.visit(body.rest, set(held), new_joins)
+            new_rest = self.visit(body.rest, held, new_joins)
             return JDecl(body.label, body.params, new_jbody, new_rest)
 
         if isinstance(body, Jmp):
             params, jfree = joins.get(body.label, ([], set()))
-            held = set(held)
             incs = self._consume(list(body.args), set(jfree), held)
             dead = [v for v in held if v not in jfree and v not in body.args]
             return self._wrap_incs(
@@ -183,38 +191,44 @@ class RCInserter:
         raise TypeError(f"unknown FnBody node {body!r}")
 
     def _visit_let(self, body: Let, held: Set[str], joins: JoinEnv) -> FnBody:
-        expr = body.expr
-        continuation_live = free_vars(body.body, joins)
-        held = set(held)
+        """Rewrite a ``let`` spine in one loop, then wrap it inside out."""
+        spine = []
+        while isinstance(body, Let):
+            expr = body.expr
+            continuation_live = self.live[id(body.body)]
+            incs: List[str] = []
+            if isinstance(expr, Call):
+                borrowed_positions = self.borrow_signatures.get(expr.fn, frozenset())
+                consumed = [
+                    a for i, a in enumerate(expr.args) if i not in borrowed_positions
+                ]
+                borrowed_here = {
+                    a for i, a in enumerate(expr.args) if i in borrowed_positions
+                }
+                # A variable passed both owned and borrowed in the same call
+                # must survive the ownership transfer (the callee may release
+                # the owned reference before its last borrowed use), so treat
+                # the borrowed occurrences as live across the call.
+                incs = self._consume(consumed, continuation_live | borrowed_here, held)
+            elif isinstance(expr, (Ctor, PAp, App)):
+                consumed = expr.arg_vars()
+                incs = self._consume(consumed, continuation_live, held)
+            # Proj and Lit borrow/consume nothing.
 
-        incs: List[str] = []
-        if isinstance(expr, Call):
-            borrowed_positions = self.borrow_signatures.get(expr.fn, frozenset())
-            consumed = [
-                a for i, a in enumerate(expr.args) if i not in borrowed_positions
-            ]
-            borrowed_here = {
-                a for i, a in enumerate(expr.args) if i in borrowed_positions
-            }
-            # A variable passed both owned and borrowed in the same call must
-            # survive the ownership transfer (the callee may release the
-            # owned reference before its last borrowed use), so treat the
-            # borrowed occurrences as live across the call.
-            incs = self._consume(consumed, continuation_live | borrowed_here, held)
-        elif isinstance(expr, (Ctor, PAp, App)):
-            consumed = expr.arg_vars()
-            incs = self._consume(consumed, continuation_live, held)
-        # Proj and Lit borrow/consume nothing.
-
-        held.add(body.var)
-        # Variables (including possibly the new one) that are dead in the
-        # continuation are released right after the binding.
-        dead = [v for v in held if v not in continuation_live]
-        for v in dead:
-            held.discard(v)
-        inner = self.visit(body.body, held, joins)
-        inner = self._wrap_decs(inner, dead)
-        return self._wrap_incs(Let(body.var, expr, inner), incs)
+            held.add(body.var)
+            # Variables (including possibly the new one) that are dead in the
+            # continuation are released right after the binding.
+            dead = [v for v in held if v not in continuation_live]
+            for v in dead:
+                held.discard(v)
+            spine.append((body, incs, dead))
+            body = body.body
+        result = self.visit(body, held, joins)
+        for let, incs, dead in reversed(spine):
+            result = self._wrap_incs(
+                Let(let.var, let.expr, self._wrap_decs(result, dead)), incs
+            )
+        return result
 
 
 def insert_rc_function(
@@ -223,10 +237,11 @@ def insert_rc_function(
     """Insert reference counting into a single λpure function."""
     borrowed = (borrow_signatures or {}).get(fn.name, frozenset())
     borrowed_names = {p for i, p in enumerate(fn.params) if i in borrowed}
-    inserter = RCInserter(borrow_signatures, borrowed_names)
+    sets = live_sets(fn.body)
+    inserter = RCInserter(sets, borrow_signatures, borrowed_names)
     owned_params = [p for i, p in enumerate(fn.params) if i not in borrowed]
     held = set(owned_params)
-    live = free_vars(fn.body)
+    live = sets[id(fn.body)]
     # Owned parameters never used at all must still be released (borrowed
     # parameters stay owned by the caller and are never released here).
     dead_params = [p for p in owned_params if p not in live]

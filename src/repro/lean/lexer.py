@@ -56,30 +56,37 @@ class Token(Record):
 
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenise ``source``, dropping comments and whitespace."""
+    """Tokenise ``source``, dropping comments and whitespace.
+
+    The list always ends with an ``EOF`` token, which the parser uses as a
+    sentinel: it never reads past it.
+    """
     tokens: List[Token] = []
+    append = tokens.append
+    match_at = _TOKEN_RE.match
     pos = 0
+    end = len(source)
     line = 1
     line_start = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
+    while pos < end:
+        match = match_at(source, pos)
         if match is None:
             raise LexError(
                 f"unexpected character {source[pos]!r} at line {line}"
             )
         kind = match.lastgroup
-        text = match.group()
-        if kind not in ("WS", "COMMENT"):
-            token_kind = kind
+        next_pos = match.end()
+        if kind == "WS" or kind == "COMMENT":
+            # Only whitespace and block comments span lines.
+            newlines = source.count("\n", pos, next_pos)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, next_pos) + 1
+        else:
+            text = match.group()
             if kind == "IDENT" and text in KEYWORDS:
-                token_kind = "KEYWORD"
-            tokens.append(
-                Token(token_kind, text, line, match.start() - line_start + 1)
-            )
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = match.start() + text.rfind("\n") + 1
-        pos = match.end()
-    tokens.append(Token("EOF", "", line, 1))
+                kind = "KEYWORD"
+            append(Token(kind, text, line, pos - line_start + 1))
+        pos = next_pos
+    append(Token("EOF", "", line, 1))
     return tokens

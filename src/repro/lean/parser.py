@@ -28,15 +28,25 @@ _BINARY_LEVELS = [
     ("*", "/", "%"),
 ]
 
+#: Binary operator -> its index in :data:`_BINARY_LEVELS` (higher binds tighter).
+_BINARY_PRECEDENCE = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops
+}
+
+#: Keywords that start an atom (and so continue an application).
+_ATOM_KEYWORDS = ("true", "false")
+
 
 class Parser:
     def __init__(self, source: str):
+        # The list ends with an EOF token, and only ``expect("EOF")`` moves
+        # past it, so every read below indexes the list directly.
         self.tokens = tokenize(source)
         self.index = 0
 
     # -- token helpers -------------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.index]
 
     def next(self) -> Token:
         tok = self.tokens[self.index]
@@ -44,21 +54,24 @@ class Parser:
         return tok
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.index]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.next()
+        tok = self.tokens[self.index]
+        if tok.kind == kind and (text is None or tok.text == text):
+            self.index += 1
+            return tok
         return None
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.tokens[self.index]
+        if tok.kind != kind or (text is not None and tok.text != text):
             raise ParseError(
                 f"expected {text or kind}, got {tok.text!r} at line {tok.line}"
             )
-        return self.next()
+        self.index += 1
+        return tok
 
     # -- program --------------------------------------------------------------
     def parse_program(self) -> ast.Program:
@@ -150,28 +163,38 @@ class Parser:
 
     # -- expressions -------------------------------------------------------------------
     def parse_expr(self) -> ast.Expr:
-        if self.at("KEYWORD", "let"):
-            return self.parse_let()
-        if self.at("KEYWORD", "if"):
-            return self.parse_if()
-        if self.at("KEYWORD", "match"):
-            return self.parse_match()
-        if self.at("KEYWORD", "fun"):
-            return self.parse_lambda()
+        tok = self.tokens[self.index]
+        if tok.kind == "KEYWORD":
+            text = tok.text
+            if text == "let":
+                return self.parse_let()
+            if text == "if":
+                return self.parse_if()
+            if text == "match":
+                return self.parse_match()
+            if text == "fun":
+                return self.parse_lambda()
         return self.parse_binary(0)
 
     def parse_let(self) -> ast.Expr:
-        self.expect("KEYWORD", "let")
-        name = self.expect("IDENT").text
-        annotation = None
-        if self.accept("PUNCT", ":"):
-            annotation = self.parse_type()
-        self.expect("ARROW", ":=")
-        value = self.parse_expr()
-        self.accept("PUNCT", ";")
-        self.accept("KEYWORD", "in")
+        """Parse a ``let`` spine: consecutive bindings are read in a loop and
+        nested right to left once the body is known."""
+        bindings = []
+        while self.at("KEYWORD", "let"):
+            self.next()
+            name = self.expect("IDENT").text
+            annotation = None
+            if self.accept("PUNCT", ":"):
+                annotation = self.parse_type()
+            self.expect("ARROW", ":=")
+            value = self.parse_expr()
+            self.accept("PUNCT", ";")
+            self.accept("KEYWORD", "in")
+            bindings.append((name, value, annotation))
         body = self.parse_expr()
-        return ast.Let(name, value, body, annotation)
+        for name, value, annotation in reversed(bindings):
+            body = ast.Let(name, value, body, annotation)
+        return body
 
     def parse_if(self) -> ast.Expr:
         self.expect("KEYWORD", "if")
@@ -257,16 +280,20 @@ class Parser:
         return self.at("IDENT")
 
     # -- binary operators --------------------------------------------------------------------
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
-        while self.at("OP") and self.peek().text in ops:
-            op = self.next().text
-            right = self.parse_binary(level + 1)
-            left = ast.BinOp(op, left, right)
-        return left
+    def parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: fold operators of level ``min_level`` or
+        tighter into a left-associative tree."""
+        left = self.parse_unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.index]
+            if tok.kind != "OP":
+                return left
+            level = _BINARY_PRECEDENCE[tok.text]
+            if level < min_level:
+                return left
+            self.index += 1
+            left = ast.BinOp(tok.text, left, self.parse_binary(level + 1))
 
     def parse_unary(self) -> ast.Expr:
         if self.at("OP", "-"):
@@ -288,28 +315,31 @@ class Parser:
         return fn
 
     def _at_atom_start(self) -> bool:
-        if self.at("NUMBER") or self.at("PUNCT", "("):
+        tok = self.tokens[self.index]
+        kind = tok.kind
+        if kind == "IDENT" or kind == "NUMBER":
             return True
-        if self.at("KEYWORD", "true") or self.at("KEYWORD", "false"):
-            return True
-        if self.at("IDENT"):
-            return True
-        return False
+        if kind == "PUNCT":
+            return tok.text == "("
+        return kind == "KEYWORD" and tok.text in _ATOM_KEYWORDS
 
     def parse_atom(self) -> ast.Expr:
-        if self.at("NUMBER"):
-            return ast.NatLit(int(self.next().text))
-        if self.accept("KEYWORD", "true"):
-            return ast.BoolLit(True)
-        if self.accept("KEYWORD", "false"):
-            return ast.BoolLit(False)
-        if self.accept("PUNCT", "("):
+        tok = self.tokens[self.index]
+        kind = tok.kind
+        if kind == "IDENT":
+            self.index += 1
+            return ast.Var(tok.text)
+        if kind == "NUMBER":
+            self.index += 1
+            return ast.NatLit(int(tok.text))
+        if kind == "KEYWORD" and tok.text in _ATOM_KEYWORDS:
+            self.index += 1
+            return ast.BoolLit(tok.text == "true")
+        if kind == "PUNCT" and tok.text == "(":
+            self.index += 1
             inner = self.parse_expr()
             self.expect("PUNCT", ")")
             return inner
-        if self.at("IDENT"):
-            return ast.Var(self.next().text)
-        tok = self.peek()
         raise ParseError(
             f"unexpected token {tok.text!r} at line {tok.line}"
         )

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main as cli_main
+from repro.__main__ import VARIANTS, main as cli_main
 from repro.backend.pipeline import MlirCompiler, PipelineOptions
 from repro.dialects.builtin import ModuleOp
+from repro.eval.testsuite import let_spine_program
 from repro.ir.parser import parse_module
 from repro.opt import main as opt_main
 from repro.rewrite.pass_manager import PassManager
@@ -353,3 +354,33 @@ class TestStartup:
         done = run_fresh("-c", script, package)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) > 0
+
+
+class TestLongLetSpine:
+    """A function of 300 ``let``s compiles and runs under every variant.
+
+    Each variant runs in a fresh ``python -m repro``: under pytest the test
+    runner's own frames use part of the recursion budget, so only a new
+    process sees the stack a user's run sees.
+    """
+
+    def test_every_variant_runs_a_300_let_function(self, tmp_path):
+        source, expected = let_spine_program(300)
+        path = tmp_path / "spine.lean"
+        path.write_text(source)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        children = {
+            variant: subprocess.Popen(
+                [sys.executable, "-m", "repro", str(path), "--variant", variant],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for variant in VARIANTS
+        }
+        outcomes = {}
+        for variant, child in children.items():
+            stdout, stderr = child.communicate(timeout=300)
+            outcomes[variant] = (child.returncode, stdout.strip(), stderr.strip())
+        assert "baseline" in outcomes
+        assert outcomes == {
+            variant: (0, f"result: {expected}", "") for variant in VARIANTS
+        }

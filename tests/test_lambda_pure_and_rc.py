@@ -1,7 +1,13 @@
 """Tests for the λpure lowering, the simplifier and reference-count insertion."""
 
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.eval.benchmarks import benchmark_sources
+from repro.eval.testsuite import regression_programs
+from repro.fuzz.generator import typed_programs
 from repro.interp.rc_interp import run_rc_program
 from repro.interp.reference import ReferenceInterpreter, normalize
 from repro.lambda_pure import (
@@ -20,12 +26,14 @@ from repro.lambda_pure import (
     body_size,
     count_jumps,
     free_vars,
+    live_sets,
     lower_program,
     simplify_program,
 )
 from repro.lambda_pure.simplifier import Simplifier
 from repro.lambda_rc import insert_rc
 from repro.lean import check_program, parse_program
+from repro.lean.printer import print_program
 
 
 def to_pure(src):
@@ -185,6 +193,86 @@ class TestAnalyses:
         body = JDecl("j", [], Ret("x"), Case("c", [], Jmp("j", [])))
         assert count_jumps(body.rest, "j") == 1
         assert body_size(body) >= 3
+
+
+def assert_live_sets_match_free_vars(body):
+    """At every ``let``/``case``/join point of ``body``, the set
+    :func:`live_sets` gives each continuation equals ``free_vars`` of that
+    continuation under the same join environment."""
+    sets = live_sets(body)
+    assert sets[id(body)] == free_vars(body)
+    stack = [(body, {})]
+    while stack:
+        node, joins = stack.pop()
+        if isinstance(node, (Let, Inc, Dec)):
+            assert sets[id(node.body)] == free_vars(node.body, joins), str(node)
+            stack.append((node.body, joins))
+        elif isinstance(node, Case):
+            branches = [alt.body for alt in node.alts]
+            if node.default is not None:
+                branches.append(node.default)
+            for branch in branches:
+                assert sets[id(branch)] == free_vars(branch, joins), str(node)
+                stack.append((branch, joins))
+        elif isinstance(node, JDecl):
+            assert sets[id(node.jbody)] == free_vars(node.jbody, joins), str(node)
+            jfree = free_vars(node.jbody, joins) - set(node.params)
+            inner = {**joins, node.label: (node.params, jfree)}
+            assert sets[id(node.rest)] == free_vars(node.rest, inner), str(node)
+            stack.append((node.jbody, joins))
+            stack.append((node.rest, inner))
+
+
+def assert_program_live_sets(source):
+    pure = to_pure(source)
+    for program in (pure, simplify_program(pure)):
+        for fn in program.functions.values():
+            assert_live_sets_match_free_vars(fn.body)
+
+
+def suite_sources():
+    """The regression suite, the fuzz corpus seeds and the nine benchmarks."""
+    sources = [(p.name, p.source) for p in regression_programs()]
+    corpus = Path(__file__).resolve().parent / "corpus"
+    sources += [(path.stem, path.read_text()) for path in sorted(corpus.glob("*.lean"))]
+    sources += sorted(benchmark_sources().items())
+    return sources
+
+
+SUITE = suite_sources()
+
+
+class TestLiveSets:
+    """``live_sets`` (one backward pass) against ``free_vars`` (a fresh walk
+    per query), before and after the simplifier."""
+
+    def test_join_point_liveness(self):
+        body = JDecl(
+            "j",
+            ["p"],
+            Let("r", Call("lean_nat_add", ["p", "captured"]), Ret("r")),
+            Let("a", Lit(1), Case("c", [], Jmp("j", ["a"]))),
+        )
+        sets = live_sets(body)
+        assert sets[id(body.rest)] == {"c", "captured"}
+        assert sets[id(body.rest.body)] == {"a", "c", "captured"}
+        assert_live_sets_match_free_vars(body)
+
+    @pytest.mark.parametrize(
+        "source", [source for _, source in SUITE], ids=[name for name, _ in SUITE]
+    )
+    def test_suite_programs(self, source):
+        assert_program_live_sets(source)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=list(HealthCheck),
+        database=None,
+    )
+    @given(program=typed_programs())
+    def test_generated_programs(self, program):
+        assert_program_live_sets(print_program(program))
 
 
 class TestSimplifier:

@@ -148,6 +148,102 @@ def f (x : Nat) (y : Nat) : Nat :=
         assert len(program.definition("add3").params) == 3
 
 
+
+# Binary operators by precedence level, loosest first; all are left-associative.
+_OPERATOR_LEVELS = [
+    ("||",),
+    ("&&",),
+    ("==", "!=", "<", "<=", ">", ">="),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+_OPERATOR_LEVEL = {
+    op: level for level, ops in enumerate(_OPERATOR_LEVELS) for op in ops
+}
+
+
+class TestParserPins:
+    """Exact parser and lexer output: the AST of every operator pair, error
+    texts with their line, and token positions."""
+
+    @pytest.mark.parametrize("op2", sorted(_OPERATOR_LEVEL))
+    @pytest.mark.parametrize("op1", sorted(_OPERATOR_LEVEL))
+    def test_operator_pair_ast(self, op1, op2):
+        a, b, c = ast.Var("a"), ast.Var("b"), ast.Var("c")
+        if _OPERATOR_LEVEL[op1] >= _OPERATOR_LEVEL[op2]:
+            expected = ast.BinOp(op2, ast.BinOp(op1, a, b), c)
+        else:
+            expected = ast.BinOp(op1, a, ast.BinOp(op2, b, c))
+        assert parse_expression(f"a {op1} b {op2} c") == expected
+
+    def test_unary_minus_and_application(self):
+        assert parse_expression("f x - -y * -3") == ast.BinOp(
+            "-",
+            ast.App(ast.Var("f"), [ast.Var("x")]),
+            ast.BinOp("*", ast.UnaryOp("-", ast.Var("y")), ast.IntLit(-3)),
+        )
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ("def f (x : Nat) : Nat :=\n  x +\n", ParseError,
+             "unexpected token '' at line 3"),
+            ("def f (x : Nat) : Nat\n  x", ParseError,
+             "expected :=, got 'x' at line 2"),
+            ("def f (x : Nat) : Nat :=\n  let y := 1\n  y )", ParseError,
+             "unexpected token ')' at line 3"),
+            ("inductive T where\ndef f : Nat := 0", ParseError,
+             "inductive T has no constructors"),
+            ("def f : Nat :=\n  match 1 with\n", ParseError,
+             "match expression has no arms"),
+            ("def f : Nat :=\n  fun => 1", ParseError,
+             "lambda parameters must be annotated: (x : T), at line 2"),
+            ("def f : Nat :=\n  if 1 then 2", ParseError,
+             "expected else, got '' at line 2"),
+            ("foo", ParseError, "expected a declaration, got 'foo' at line 1"),
+            ("def f : Nat :=\n  (1 + 2", ParseError,
+             "expected ), got '' at line 2"),
+            ("def f : Nat :=\n  match 1, 2 with\n  | 1 => 3", ParseError,
+             "match arm pattern count does not match scrutinees"),
+            ("def f (x : Nat) : Nat :=\n  x $", LexError,
+             "unexpected character '$' at line 2"),
+        ],
+    )
+    def test_error_text(self, source, error, message):
+        with pytest.raises(error) as info:
+            parse_program(source)
+        assert str(info.value) == message
+
+    def test_expression_error_text(self):
+        with pytest.raises(ParseError) as info:
+            parse_expression("1 2 )")
+        assert str(info.value) == "expected EOF, got ')' at line 1"
+
+    def test_token_positions_across_comments(self):
+        source = (
+            "def f (x : Nat) : Nat := -- line comment\n"
+            "  /- block\n"
+            "  comment -/ x +\n"
+            "    /- -/ 1 -- tail\n"
+            "-- end\n"
+        )
+        assert [(t.kind, t.text, t.line, t.column) for t in tokenize(source)] == [
+            ("KEYWORD", "def", 1, 1),
+            ("IDENT", "f", 1, 5),
+            ("PUNCT", "(", 1, 7),
+            ("IDENT", "x", 1, 8),
+            ("PUNCT", ":", 1, 10),
+            ("IDENT", "Nat", 1, 12),
+            ("PUNCT", ")", 1, 15),
+            ("PUNCT", ":", 1, 17),
+            ("IDENT", "Nat", 1, 19),
+            ("ARROW", ":=", 1, 23),
+            ("IDENT", "x", 3, 14),
+            ("OP", "+", 3, 16),
+            ("NUMBER", "1", 4, 11),
+            ("EOF", "", 6, 1),
+        ]
+
 class TestTypeChecker:
     def check(self, src):
         program = parse_program(src)
