@@ -21,7 +21,8 @@ Exit codes tell failure layers apart (see ``docs/RESILIENCE.md``):
 
 * 0 — success,
 * 2 — usage errors (bad flags, unreadable input),
-* 3 — frontend errors (lexing, parsing, type checking),
+* 3 — frontend errors (lexing, parsing, type checking, lowering to
+  λpure; also a program that nests too deeply for one of them),
 * 4 — pipeline errors (a pass crashed or verification rejected its
   output; a crash reproducer bundle is written into ``--crash-dir`` and
   its path printed),
@@ -45,6 +46,7 @@ from .backend.pipeline import (
 )
 from .interp.bytecode import EXECUTION_ENGINES, FUSED_OPCODE_BASES
 from .ir.printer import print_module
+from .lambda_pure.lowering import LoweringError
 from .lean import LexError, ParseError, TypeError_
 from .resilience import FaultPlan, fault_plan
 from .rewrite.driver import ENGINES
@@ -322,7 +324,7 @@ def _compile_and_run(args, source: str) -> int:
 
     try:
         artifacts = compiler.compile(source)
-    except (LexError, ParseError, TypeError_) as error:
+    except (LexError, ParseError, TypeError_, LoweringError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
     except Exception as error:  # noqa: BLE001 - CLI boundary

@@ -535,39 +535,3 @@ def live_sets(body: FnBody) -> Dict[int, Set[str]]:
     visit(body, {})
     return sets
 
-
-def body_size(body: FnBody) -> int:
-    """Number of nodes in a function body (used by inlining heuristics)."""
-    if isinstance(body, Let):
-        return 1 + body_size(body.body)
-    if isinstance(body, Case):
-        total = 1 + sum(body_size(a.body) for a in body.alts)
-        if body.default is not None:
-            total += body_size(body.default)
-        return total
-    if isinstance(body, JDecl):
-        return 1 + body_size(body.jbody) + body_size(body.rest)
-    if isinstance(body, (Inc, Dec)):
-        return 1 + body_size(body.body)
-    return 1
-
-
-def count_jumps(body: FnBody, label: str) -> int:
-    """Number of ``jmp`` nodes targeting ``label`` inside ``body``."""
-    if isinstance(body, Jmp):
-        return 1 if body.label == label else 0
-    if isinstance(body, Let):
-        return count_jumps(body.body, label)
-    if isinstance(body, Case):
-        total = sum(count_jumps(a.body, label) for a in body.alts)
-        if body.default is not None:
-            total += count_jumps(body.default, label)
-        return total
-    if isinstance(body, JDecl):
-        if body.label == label:
-            # Shadowed: jumps inside refer to the inner declaration.
-            return count_jumps(body.rest, label) if body.label != label else 0
-        return count_jumps(body.jbody, label) + count_jumps(body.rest, label)
-    if isinstance(body, (Inc, Dec)):
-        return count_jumps(body.body, label)
-    return 0

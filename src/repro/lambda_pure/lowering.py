@@ -670,4 +670,10 @@ def lower_program(surface: ast.Program, env: Optional[GlobalEnv] = None) -> ir.P
     """Type-check (if needed) and lower a surface program to λpure."""
     if env is None:
         env = check_program(surface)
-    return ProgramLowering(surface, env).lower()
+    try:
+        return ProgramLowering(surface, env).lower()
+    except RecursionError:
+        raise LoweringError(
+            "the program nests too deeply for λpure lowering "
+            "(Python's recursion limit was reached)"
+        ) from None

@@ -10,8 +10,17 @@ passes before emitting C.  We reproduce the ones relevant to the evaluation:
   constructor (the λrc analogue of the rgn case-elimination optimisation;
   Figure 10's variant (b) disables exactly this pass),
 * collapse of case expressions whose branches are structurally identical
-  (the λrc analogue of common-branch elimination),
-* inlining of join points that are jumped to exactly once.
+  (Record ``==``; the λrc analogue of common-branch elimination),
+* dropping join points that are never jumped to, and inlining those that
+  are jumped to exactly once.
+
+A round is one rewriting walk, :meth:`Simplifier._simplify`, which does
+all of the above; rounds repeat until one rewrites nothing, at most
+:data:`MAX_ROUNDS` times per function.  The walk returns each rebuilt body
+with its free variables and its jump sites per join label, both built
+bottom-up from the children's, so the dead-let test, the dead-join test
+and join inlining read what the walk already has instead of walking a
+subtree again.
 
 The simplifier is purely λpure-level: it runs before reference-count
 insertion, as in LEAN.
@@ -42,7 +51,6 @@ from .ir import (
     Program,
     Ret,
     Unreachable,
-    count_jumps,
 )
 
 #: Runtime calls that are pure and foldable when all arguments are literals.
@@ -88,65 +96,25 @@ def _is_pure_expr(expr: Expr) -> bool:
     return False
 
 
-class _Binding(Record):
-    """What the simplifier knows about a let-bound variable."""
+#: Rounds of the rewriting walk per function at most; a round that
+#: rewrites nothing ends the loop earlier.
+MAX_ROUNDS = 8
 
-    _fields = ("expr",)
-
-    def __init__(self, expr: Optional[Expr] = None):
-        self.expr = expr
-
-    @property
-    def as_lit(self) -> Optional[int]:
-        return self.expr.value if isinstance(self.expr, Lit) else None
-
-    @property
-    def as_ctor(self) -> Optional[Ctor]:
-        return self.expr if isinstance(self.expr, Ctor) else None
-
-
-class SimplifierStats(Record):
-    """Counters reported by one simplifier run."""
-
-    _fields = (
-        "dead_lets", "constants_folded", "cases_simplified",
-        "projections_folded", "branches_collapsed", "joins_inlined",
-    )
-
-    def __init__(
-        self,
-        dead_lets: int = 0,
-        constants_folded: int = 0,
-        cases_simplified: int = 0,
-        projections_folded: int = 0,
-        branches_collapsed: int = 0,
-        joins_inlined: int = 0,
-    ):
-        self.dead_lets = dead_lets
-        self.constants_folded = constants_folded
-        self.cases_simplified = cases_simplified
-        self.projections_folded = projections_folded
-        self.branches_collapsed = branches_collapsed
-        self.joins_inlined = joins_inlined
-
-    def total(self) -> int:
-        return (
-            self.dead_lets
-            + self.constants_folded
-            + self.cases_simplified
-            + self.projections_folded
-            + self.branches_collapsed
-            + self.joins_inlined
-        )
+#: Where a jump sits in a rebuilt body: the node and the name of the field
+#: that holds it, or ``None`` while the jump is the whole body.
+Site = Optional[Tuple[Record, str]]
+#: The jump sites of a rebuilt body by join label; a list's length is the
+#: number of jumps to that label.
+Jumps = Dict[str, List[Site]]
 
 
 class Simplifier:
-    """Runs the λpure simplification pipeline to a (bounded) fixpoint."""
+    """Runs the λpure simplification walk to a (bounded) fixpoint."""
 
-    def __init__(self, *, enable_simp_case: bool = True, max_rounds: int = 8):
+    def __init__(self, *, enable_simp_case: bool = True):
         self.enable_simp_case = enable_simp_case
-        self.max_rounds = max_rounds
-        self.stats = SimplifierStats()
+        #: Rewrites made so far; a round that adds none is the last.
+        self.rewrites = 0
 
     # -- program / function entry points -----------------------------------------
     def run(self, program: Program) -> Program:
@@ -157,11 +125,10 @@ class Simplifier:
 
     def run_on_function(self, fn: Function) -> Function:
         body = fn.body
-        for _ in range(self.max_rounds):
-            before = self.stats.total()
+        for _ in range(MAX_ROUNDS):
+            before = self.rewrites
             body = self._simplify(body, {}, {})[0]
-            body = self._inline_single_jumps(body)
-            if self.stats.total() == before:
+            if self.rewrites == before:
                 break
         return Function(fn.name, fn.params, body, fn.borrowed)
 
@@ -184,14 +151,13 @@ class Simplifier:
             return Lit(expr.value)
         raise TypeError(f"unknown expression {expr!r}")
 
-    def _fold_call(self, expr: Call, bindings: Dict[str, _Binding]) -> Optional[Expr]:
+    def _fold_call(self, expr: Call, bindings: Dict[str, Expr]) -> Optional[Expr]:
         arg_lits = []
         for a in expr.args:
-            binding = bindings.get(a)
-            lit = binding.as_lit if binding is not None else None
-            if lit is None:
+            bound = bindings.get(a)
+            if not isinstance(bound, Lit):
                 return None
-            arg_lits.append(lit)
+            arg_lits.append(bound.value)
         if expr.fn in _FOLDABLE_CALLS:
             try:
                 return Lit(_FOLDABLE_CALLS[expr.fn](*arg_lits))
@@ -207,21 +173,23 @@ class Simplifier:
             return Ctor(tag, [], "Bool", name)
         return None
 
-    # -- the main rewriting walk -------------------------------------------------------
+    # -- the rewriting walk ------------------------------------------------------------
     def _simplify(
         self,
         body: FnBody,
-        bindings: Dict[str, _Binding],
+        bindings: Dict[str, Expr],
         subst: Dict[str, str],
-    ) -> Tuple[FnBody, Set[str]]:
-        """Rewrite ``body``; return it with its free variables.
+    ) -> Tuple[FnBody, Set[str], Jumps]:
+        """Rewrite ``body``; return it with its free variables and its jumps.
 
-        The free variables are built bottom-up from the children's sets as
-        the body is rebuilt, so the dead-let test never re-walks a
-        continuation.  Each returned set belongs to the caller, which may
-        update it in place.  ``bindings`` and ``subst`` are scoped by hand:
-        an entry added for a continuation is removed again once the
-        continuation is rewritten, so no binding copies either map.
+        Both are built bottom-up from the children's as the body is
+        rebuilt, so the dead-let test never re-walks a continuation and a
+        join point reads its jump count instead of counting.  Each returned
+        set and map belongs to the caller, which may update it in place.
+        ``bindings`` (variable -> the expression bound to it) and ``subst``
+        are scoped by hand: an entry added for a continuation is removed
+        again once the continuation is rewritten, so no binding copies
+        either map.
         """
         def s(v: str) -> str:
             return subst.get(v, v)
@@ -232,139 +200,131 @@ class Simplifier:
             if isinstance(expr, Call):
                 folded = self._fold_call(expr, bindings)
                 if folded is not None:
-                    self.stats.constants_folded += 1
+                    self.rewrites += 1
                     expr = folded
             if self.enable_simp_case and isinstance(expr, Proj):
-                ctor = (
-                    bindings[expr.var].as_ctor if expr.var in bindings else None
-                )
-                if ctor is not None and expr.index < len(ctor.args):
+                ctor = bindings.get(expr.var)
+                if isinstance(ctor, Ctor) and expr.index < len(ctor.args):
                     # proj i (ctor ... a_i ...)  ==>  a_i  (pure renaming).
-                    self.stats.projections_folded += 1
+                    self.rewrites += 1
                     shadowed = subst.get(body.var)
                     subst[body.var] = ctor.args[expr.index]
                     result = self._simplify(body.body, bindings, subst)
                     _restore(subst, body.var, shadowed)
                     return result
             shadowed = bindings.get(body.var)
-            bindings[body.var] = _Binding(expr)
-            inner, live = self._simplify(body.body, bindings, subst)
+            bindings[body.var] = expr
+            inner, live, jumps = self._simplify(body.body, bindings, subst)
             _restore(bindings, body.var, shadowed)
             if _is_pure_expr(expr) and body.var not in live:
-                self.stats.dead_lets += 1
-                return inner, live
+                self.rewrites += 1
+                return inner, live, jumps
             live.discard(body.var)
             live.update(expr.arg_vars())
             live.update(expr.borrowed_vars())
-            return Let(body.var, expr, inner), live
+            return _attach(Let(body.var, expr, inner), "body", jumps), live, jumps
 
         if isinstance(body, Case):
             scrutinee = s(body.var)
-            binding = bindings.get(scrutinee)
-            if (
-                self.enable_simp_case
-                and binding is not None
-                and binding.as_ctor is not None
-            ):
+            ctor = bindings.get(scrutinee)
+            if self.enable_simp_case and isinstance(ctor, Ctor):
                 # case of a known constructor: take the matching branch.
-                tag = binding.as_ctor.tag
-                chosen: Optional[FnBody] = None
-                for alt in body.alts:
-                    if alt.tag == tag:
-                        chosen = alt.body
-                        break
-                if chosen is None:
-                    chosen = body.default
+                chosen = next(
+                    (alt.body for alt in body.alts if alt.tag == ctor.tag),
+                    body.default,
+                )
                 if chosen is not None:
-                    self.stats.cases_simplified += 1
+                    self.rewrites += 1
                     return self._simplify(chosen, bindings, subst)
-            branches = [
-                self._simplify(alt.body, bindings, subst) for alt in body.alts
-            ]
-            new_alts = [
-                CaseAlt(alt.tag, alt.ctor_name, branch)
-                for alt, (branch, _) in zip(body.alts, branches)
-            ]
-            new_default = None
+            branches = [alt.body for alt in body.alts]
             if body.default is not None:
-                default = self._simplify(body.default, bindings, subst)
-                new_default = default[0]
-                branches.append(default)
-            case = Case(scrutinee, new_alts, new_default, body.type_name)
-            collapsed = self._collapse_identical_branches(case)
-            if collapsed is not case:
-                return branches[0]
+                branches.append(body.default)
+            results = [self._simplify(b, bindings, subst) for b in branches]
+            if len(results) > 1 and all(r[0] == results[0][0] for r in results[1:]):
+                # Every branch rewrote to the same body: keep one.
+                self.rewrites += 1
+                return results[0]
+            case = Case(
+                scrutinee,
+                [CaseAlt(alt.tag, alt.ctor_name, r[0]) for alt, r in zip(body.alts, results)],
+                results[-1][0] if body.default is not None else None,
+                body.type_name,
+            )
+            holders = [(alt, "body") for alt in case.alts]
+            if case.default is not None:
+                holders.append((case, "default"))
             live = {scrutinee}
-            for _, branch_live in branches:
+            jumps: Jumps = {}
+            for (holder, field), (_, branch_live, branch_jumps) in zip(holders, results):
                 live |= branch_live
-            return case, live
+                _attach(holder, field, branch_jumps)
+                _merge(jumps, branch_jumps)
+            return case, live, jumps
 
         if isinstance(body, Ret):
             var = s(body.var)
-            return Ret(var), {var}
+            return Ret(var), {var}, {}
         if isinstance(body, Jmp):
             args = [s(a) for a in body.args]
-            return Jmp(body.label, args), set(args)
+            return Jmp(body.label, args), set(args), {body.label: [None]}
         if isinstance(body, JDecl):
-            new_jbody, live = self._simplify(body.jbody, bindings, subst)
-            new_rest, rest_live = self._simplify(body.rest, bindings, subst)
-            if count_jumps(new_rest, body.label) == 0:
+            rest, live, jumps = self._simplify(body.rest, bindings, subst)
+            sites = jumps.pop(body.label, [])
+            if len(sites) == 1:
+                return self._inline_join(body, rest, live, jumps, sites[0], bindings, subst)
+            if not sites:
                 # The join point is never reached: drop it.
-                self.stats.dead_lets += 1
-                return new_rest, rest_live
-            live.difference_update(body.params)
-            live |= rest_live
-            return JDecl(body.label, body.params, new_jbody, new_rest), live
+                self.rewrites += 1
+                return rest, live, jumps
+            jbody, jlive, jjumps = self._simplify(body.jbody, bindings, subst)
+            jlive.difference_update(body.params)
+            live |= jlive
+            decl = JDecl(body.label, body.params, jbody, rest)
+            _attach(decl, "rest", jumps)
+            _attach(decl, "jbody", jjumps)
+            _merge(jumps, jjumps)
+            return decl, live, jumps
         if isinstance(body, (Inc, Dec)):
             var = s(body.var)
-            inner, live = self._simplify(body.body, bindings, subst)
+            inner, live, jumps = self._simplify(body.body, bindings, subst)
             live.add(var)
-            return type(body)(var, inner, body.count), live
+            return _attach(type(body)(var, inner, body.count), "body", jumps), live, jumps
         if isinstance(body, Unreachable):
-            return body, set()
+            return body, set(), {}
         raise TypeError(f"unknown FnBody {body!r}")
 
-    # -- identical branch collapse -------------------------------------------------------
-    def _collapse_identical_branches(self, case: Case) -> FnBody:
-        branches: List[FnBody] = [alt.body for alt in case.alts]
-        if case.default is not None:
-            branches.append(case.default)
-        if len(branches) < 2:
-            return case
-        first_repr = _structural_repr(branches[0])
-        if all(_structural_repr(b) == first_repr for b in branches[1:]):
-            self.stats.branches_collapsed += 1
-            return branches[0]
-        return case
+    def _inline_join(
+        self,
+        decl: JDecl,
+        rest: FnBody,
+        live: Set[str],
+        jumps: Jumps,
+        site: Site,
+        bindings: Dict[str, Expr],
+        subst: Dict[str, str],
+    ) -> Tuple[FnBody, Set[str], Jumps]:
+        """Finish a join point that its rewritten ``rest`` jumps to once:
+        rewrite the join body with its parameters renamed to the jump's
+        arguments, and put it where the jump was.
 
-    # -- join point inlining ----------------------------------------------------------------
-    def _inline_single_jumps(self, body: FnBody) -> FnBody:
-        if isinstance(body, JDecl):
-            jbody = self._inline_single_jumps(body.jbody)
-            rest = self._inline_single_jumps(body.rest)
-            if count_jumps(rest, body.label) == 1:
-                self.stats.joins_inlined += 1
-                return _replace_jump(rest, body.label, body.params, jbody)
-            return JDecl(body.label, body.params, jbody, rest)
-        if isinstance(body, Let):
-            return Let(body.var, body.expr, self._inline_single_jumps(body.body))
-        if isinstance(body, Case):
-            return Case(
-                body.var,
-                [
-                    CaseAlt(a.tag, a.ctor_name, self._inline_single_jumps(a.body))
-                    for a in body.alts
-                ],
-                self._inline_single_jumps(body.default)
-                if body.default is not None
-                else None,
-                body.type_name,
-            )
-        if isinstance(body, Inc):
-            return Inc(body.var, self._inline_single_jumps(body.body), body.count)
-        if isinstance(body, Dec):
-            return Dec(body.var, self._inline_single_jumps(body.body), body.count)
-        return body
+        Labels and variables are fresh per function, so the inlined body
+        captures nothing.  ``live`` keeps the jump's arguments, so the
+        returned set may name a variable the join body no longer reads;
+        the round made a rewrite, so the next one drops such a binding.
+        """
+        self.rewrites += 1
+        jmp = rest if site is None else getattr(*site)
+        subst.update(zip(decl.params, jmp.args))
+        jbody, jlive, jjumps = self._simplify(decl.jbody, bindings, subst)
+        for param in decl.params:
+            del subst[param]
+        live |= jlive
+        if site is None:
+            return jbody, live, jjumps
+        setattr(*site, jbody)
+        _attach(*site, jjumps)
+        _merge(jumps, jjumps)
+        return rest, live, jumps
 
 
 def _restore(scope: Dict[str, object], name: str, shadowed: Optional[object]) -> None:
@@ -375,90 +335,19 @@ def _restore(scope: Dict[str, object], name: str, shadowed: Optional[object]) ->
         scope[name] = shadowed
 
 
-def _structural_repr(body: FnBody) -> str:
-    """A canonical string used to compare branches for structural equality."""
-    return str(body)
+def _attach(parent: Record, field: str, jumps: Jumps) -> Record:
+    """Give the jump in ``parent.field``, if the child there is a bare jump,
+    its site (a bare jump's site is ``None``); returns ``parent``."""
+    child = getattr(parent, field)
+    if child.__class__ is Jmp:
+        jumps[child.label] = [(parent, field)]
+    return parent
 
 
-def _replace_jump(
-    body: FnBody, label: str, params: List[str], jbody: FnBody
-) -> FnBody:
-    """Replace the single ``jmp label(args)`` inside ``body`` with ``jbody``
-    where the join parameters are renamed to the jump arguments."""
-    if isinstance(body, Jmp) and body.label == label:
-        subst = dict(zip(params, body.args))
-        return _rename(jbody, subst)
-    if isinstance(body, Let):
-        return Let(body.var, body.expr, _replace_jump(body.body, label, params, jbody))
-    if isinstance(body, Case):
-        return Case(
-            body.var,
-            [
-                CaseAlt(a.tag, a.ctor_name, _replace_jump(a.body, label, params, jbody))
-                for a in body.alts
-            ],
-            _replace_jump(body.default, label, params, jbody)
-            if body.default is not None
-            else None,
-            body.type_name,
-        )
-        # (each label is jumped to exactly once, so recursing into every
-        # branch is safe: at most one branch contains the jump)
-    if isinstance(body, JDecl):
-        if body.label == label:
-            return body
-        return JDecl(
-            body.label,
-            body.params,
-            _replace_jump(body.jbody, label, params, jbody),
-            _replace_jump(body.rest, label, params, jbody),
-        )
-    if isinstance(body, Inc):
-        return Inc(body.var, _replace_jump(body.body, label, params, jbody), body.count)
-    if isinstance(body, Dec):
-        return Dec(body.var, _replace_jump(body.body, label, params, jbody), body.count)
-    return body
-
-
-def _rename(body: FnBody, subst: Dict[str, str]) -> FnBody:
-    """Rename free variables of ``body`` according to ``subst``."""
-    def s(v: str) -> str:
-        return subst.get(v, v)
-
-    if isinstance(body, Let):
-        expr = body.expr
-        renamed_expr: Expr
-        if isinstance(expr, Ctor):
-            renamed_expr = Ctor(expr.tag, [s(a) for a in expr.args], expr.type_name, expr.ctor_name)
-        elif isinstance(expr, Proj):
-            renamed_expr = Proj(expr.index, s(expr.var))
-        elif isinstance(expr, Call):
-            renamed_expr = Call(expr.fn, [s(a) for a in expr.args])
-        elif isinstance(expr, PAp):
-            renamed_expr = PAp(expr.fn, [s(a) for a in expr.args])
-        elif isinstance(expr, App):
-            renamed_expr = App(s(expr.closure), [s(a) for a in expr.args])
-        else:
-            renamed_expr = expr
-        return Let(body.var, renamed_expr, _rename(body.body, subst))
-    if isinstance(body, Case):
-        return Case(
-            s(body.var),
-            [CaseAlt(a.tag, a.ctor_name, _rename(a.body, subst)) for a in body.alts],
-            _rename(body.default, subst) if body.default is not None else None,
-            body.type_name,
-        )
-    if isinstance(body, Ret):
-        return Ret(s(body.var))
-    if isinstance(body, Jmp):
-        return Jmp(body.label, [s(a) for a in body.args])
-    if isinstance(body, JDecl):
-        return JDecl(body.label, body.params, _rename(body.jbody, subst), _rename(body.rest, subst))
-    if isinstance(body, Inc):
-        return Inc(s(body.var), _rename(body.body, subst), body.count)
-    if isinstance(body, Dec):
-        return Dec(s(body.var), _rename(body.body, subst), body.count)
-    return body
+def _merge(jumps: Jumps, more: Jumps) -> None:
+    """Add the jump sites of ``more`` to ``jumps``."""
+    for label, sites in more.items():
+        jumps.setdefault(label, []).extend(sites)
 
 
 def simplify_program(program: Program, *, enable_simp_case: bool = True) -> Program:

@@ -347,7 +347,13 @@ class Parser:
 
 def parse_program(source: str) -> ast.Program:
     """Parse a mini-LEAN source file into a surface :class:`~repro.lean.ast.Program`."""
-    return Parser(source).parse_program()
+    try:
+        return Parser(source).parse_program()
+    except RecursionError:
+        raise ParseError(
+            "the program nests too deeply for the parser "
+            "(Python's recursion limit was reached)"
+        ) from None
 
 
 def parse_expression(source: str) -> ast.Expr:

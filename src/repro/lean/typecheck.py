@@ -325,4 +325,10 @@ class TypeChecker:
 
 def check_program(program: ast.Program) -> GlobalEnv:
     """Type-check ``program``; returns the resolved global environment."""
-    return TypeChecker(program).check_program()
+    try:
+        return TypeChecker(program).check_program()
+    except RecursionError:
+        raise TypeError_(
+            "the program nests too deeply for the type checker "
+            "(Python's recursion limit was reached)"
+        ) from None

@@ -384,3 +384,59 @@ class TestLongLetSpine:
         assert outcomes == {
             variant: (0, f"result: {expected}", "") for variant in VARIANTS
         }
+
+
+class TestFrontendNestingOverflow:
+    """A program that nests deeper than a recursive frontend layer can go
+    is a frontend error: ``python -m repro`` exits 3 and names the layer.
+
+    Each case runs in a fresh process, for the reason
+    :class:`TestLongLetSpine` gives.
+    """
+
+    #: Checks that λpure lowering turns its own overflow into a
+    #: ``LoweringError``: the program parses and type checks at the default
+    #: limit, and lowering then runs under a limit it cannot fit in.
+    LOWERING = (
+        "import sys\n"
+        "from repro.lambda_pure import LoweringError, lower_program\n"
+        "from repro.lean import check_program, parse_program\n"
+        "surface = parse_program(sys.stdin.read())\n"
+        "env = check_program(surface)\n"
+        "sys.setrecursionlimit(80)\n"
+        "try:\n"
+        "    lower_program(surface, env)\n"
+        "except LoweringError as error:\n"
+        "    print(error)\n"
+    )
+
+    def test_each_layer_reports_its_overflow(self, tmp_path):
+        spine = tmp_path / "spine.lean"
+        spine.write_text(let_spine_program(520)[0])
+        parens = tmp_path / "parens.lean"
+        parens.write_text("def main : Nat := " + "(" * 400 + "1" + ")" * 400 + "\n")
+        sums = "def main : Nat := " + "1 + (" * 100 + "1" + ")" * 100 + "\n"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        commands = {
+            "type checker": [sys.executable, "-m", "repro", str(spine)],
+            "parser": [sys.executable, "-m", "repro", str(parens)],
+            "λpure lowering": [sys.executable, "-c", self.LOWERING],
+        }
+        children = {
+            layer: subprocess.Popen(
+                command, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, encoding="utf-8",
+            )
+            for layer, command in commands.items()
+        }
+        outcomes = {}
+        for layer, child in children.items():
+            stdin = sums if layer == "λpure lowering" else ""
+            stdout, stderr = child.communicate(stdin, timeout=300)
+            outcomes[layer] = (child.returncode, stdout.strip(), stderr.strip())
+        too_deep = "the program nests too deeply for {} (Python's recursion limit was reached)"
+        assert outcomes == {
+            "type checker": (3, "", "error: " + too_deep.format("the type checker")),
+            "parser": (3, "", "error: " + too_deep.format("the parser")),
+            "λpure lowering": (0, too_deep.format("λpure lowering"), ""),
+        }

@@ -235,7 +235,7 @@ FIGURE11_CODE = {
     },
     "Inliner": {
         "hand-written join inlining": (
-            "repro.lambda_pure.simplifier.Simplifier._inline_single_jumps",
+            "repro.lambda_pure.simplifier.Simplifier._inline_join",
         ),
         "builtin pass (inline)": ("repro.transforms.inliner.InlinerPass",),
     },

@@ -13,8 +13,10 @@ from repro.interp.reference import ReferenceInterpreter, normalize
 from repro.lambda_pure import (
     Call,
     Case,
+    CaseAlt,
     Ctor,
     Dec,
+    Function,
     Inc,
     JDecl,
     Jmp,
@@ -23,8 +25,6 @@ from repro.lambda_pure import (
     PAp,
     Proj,
     Ret,
-    body_size,
-    count_jumps,
     free_vars,
     live_sets,
     lower_program,
@@ -189,11 +189,6 @@ class TestAnalyses:
         )
         assert free_vars(body) == {"captured", "arg"}
 
-    def test_count_jumps_and_size(self):
-        body = JDecl("j", [], Ret("x"), Case("c", [], Jmp("j", [])))
-        assert count_jumps(body.rest, "j") == 1
-        assert body_size(body) >= 3
-
 
 def assert_live_sets_match_free_vars(body):
     """At every ``let``/``case``/join point of ``body``, the set
@@ -352,6 +347,133 @@ def f (x : Nat) : Nat :=
         # must be preserved; but simplification must preserve semantics.
         reference = normalize(ReferenceInterpreter(simplified).call("f", [0]))
         assert reference == 11
+
+    def test_join_jumped_to_once_is_inlined(self):
+        program = to_pure(
+            """
+def f (x : Nat) : Nat :=
+  let y := (if 1 == 1 then x else 2);
+  y + 10
+"""
+        )
+        body = simplify_program(program).functions["f"].body
+        assert not collect_nodes(body, JDecl)
+        assert str(body) == "let n_4 := 10;\nlet r_5 := lean_nat_add(x_1, n_4);\nret r_5"
+
+    def test_join_jumped_to_twice_is_kept(self):
+        program = to_pure(
+            """
+def f (x : Nat) : Nat :=
+  let y := (if x == 0 then 1 else 2);
+  y + 10
+"""
+        )
+        body = simplify_program(program).functions["f"].body
+        assert len(collect_nodes(body, JDecl)) == 1
+        assert len(collect_nodes(body, Jmp)) == 2
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            pytest.param(
+                JDecl("j", ["p"], Ret("p"), Ret("x")),
+                Ret("x"),
+                id="never-jumped-to-dropped",
+            ),
+            pytest.param(
+                JDecl("j", ["p"], Ret("p"), Jmp("j", ["x"])),
+                Ret("x"),
+                id="rest-is-the-jump",
+            ),
+            pytest.param(
+                JDecl(
+                    "j", ["p"],
+                    Let("r", Call("lean_nat_add", ["p", "x"]), Ret("r")),
+                    Let("a", Call("g", []), Jmp("j", ["a"])),
+                ),
+                Let("a", Call("g", []), Let("r", Call("lean_nat_add", ["a", "x"]), Ret("r"))),
+                id="params-renamed-to-args",
+            ),
+            pytest.param(
+                JDecl(
+                    "j", ["p"], Ret("p"),
+                    Case("b", [CaseAlt(0, "f", Ret("y")), CaseAlt(1, "t", Jmp("j", ["x"]))]),
+                ),
+                Case("b", [CaseAlt(0, "f", Ret("y")), CaseAlt(1, "t", Ret("x"))]),
+                id="jump-in-a-branch",
+            ),
+            pytest.param(
+                JDecl("j", [], Ret("x"), Case("b", [], Jmp("j", []))),
+                Case("b", [], Ret("x")),
+                id="jump-in-a-default-branch",
+            ),
+            pytest.param(
+                JDecl(
+                    "outer", ["p"], Ret("p"),
+                    JDecl(
+                        "inner", ["q"], Jmp("outer", ["q"]),
+                        Case("b", [CaseAlt(0, "f", Jmp("inner", ["x"])), CaseAlt(1, "t", Ret("y"))]),
+                    ),
+                ),
+                Case("b", [CaseAlt(0, "f", Ret("x")), CaseAlt(1, "t", Ret("y"))]),
+                id="inlined-body-jumps-to-an-outer-join",
+            ),
+            pytest.param(
+                JDecl(
+                    "outer", ["p"], Ret("p"),
+                    JDecl(
+                        "inner", ["q"], Jmp("outer", ["q"]),
+                        Case("b", [CaseAlt(0, "f", Jmp("inner", ["x"])), CaseAlt(1, "t", Jmp("inner", ["y"]))]),
+                    ),
+                ),
+                JDecl(
+                    "inner", ["q"], Ret("q"),
+                    Case("b", [CaseAlt(0, "f", Jmp("inner", ["x"])), CaseAlt(1, "t", Jmp("inner", ["y"]))]),
+                ),
+                id="jump-from-a-kept-join-body",
+            ),
+        ],
+    )
+    def test_join_points(self, body, expected):
+        fn = Function("f", ["x", "y", "b"], body)
+        assert Simplifier().run_on_function(fn).body == expected
+
+    def test_identical_nested_cases_collapse_at_both_levels(self):
+        def nested():
+            inner = Case("c", [CaseAlt(0, "f", Ret("k")), CaseAlt(1, "t", Ret("k"))])
+            return Case("c", [CaseAlt(0, "f", inner), CaseAlt(1, "t", inner)])
+
+        body = Case("b", [CaseAlt(0, "f", nested()), CaseAlt(1, "t", nested())])
+        fn = Function("f", ["b", "c", "k"], body)
+        assert Simplifier().run_on_function(fn).body == Ret("k")
+
+    @pytest.mark.parametrize("values, collapsed", [((7, 7), True), ((7, 8), False)])
+    def test_branches_differing_in_one_literal_are_not_collapsed(self, values, collapsed):
+        alts = [
+            CaseAlt(tag, name, Let("n", Lit(value), Ret("n")))
+            for tag, name, value in zip((0, 1), ("f", "t"), values)
+        ]
+        fn = Function("f", ["b"], Case("b", alts))
+        body = Simplifier().run_on_function(fn).body
+        assert isinstance(body, Case) != collapsed
+        assert body == (alts[0].body if collapsed else Case("b", alts))
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=list(HealthCheck),
+        database=None,
+    )
+    @given(program=typed_programs())
+    def test_generated_programs_simplify_to_a_fixpoint(self, program):
+        """A second simplification changes nothing, and the simplified
+        program computes what the unsimplified one does."""
+        pure = to_pure(print_program(program))
+        expected = normalize(ReferenceInterpreter(pure).run_main())
+        for simp_case in (True, False):
+            once = simplify_program(pure, enable_simp_case=simp_case)
+            assert simplify_program(once, enable_simp_case=simp_case) == once
+            assert normalize(ReferenceInterpreter(once).run_main()) == expected
 
     def test_simplifier_preserves_semantics(self):
         src = """
