@@ -24,7 +24,7 @@ runs between RC insertion and backend lowering):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dialects.builtin import ModuleOp
 from ..interp.bytecode import (
@@ -209,14 +209,29 @@ class CompilationArtifacts(Record):
             {} if pass_statistics is None else pass_statistics
         )
         self.rc_report = rc_report
-        #: Module op counts sampled at pipeline points ("lp" after codegen,
-        #: "rgn" entering the rgn optimisations).  The lowerings mutate the
-        #: module in place, so these cannot be recomputed afterwards.
+        #: Module op counts sampled at pipeline points ("rgn" entering the
+        #: rgn optimisations).  The lowerings mutate the module in place, so
+        #: these cannot be recomputed afterwards.
         self.module_op_counts = (
             {} if module_op_counts is None else module_op_counts
         )
         #: Textual IR snapshots requested via ``PipelineOptions.capture_ir``.
         self.captured_ir = {} if captured_ir is None else captured_ir
+
+    def branch(self) -> "CompilationArtifacts":
+        """A copy whose pass statistics, op counts and IR captures grow on
+        their own; the programs are persistent and stay shared."""
+        return CompilationArtifacts(
+            surface_source=self.surface_source,
+            pure_program=self.pure_program,
+            rc_program=self.rc_program,
+            cfg_module=self.cfg_module,
+            c_source=self.c_source,
+            pass_statistics=dict(self.pass_statistics),
+            rc_report=self.rc_report,
+            module_op_counts=dict(self.module_op_counts),
+            captured_ir=dict(self.captured_ir),
+        )
 
 
 class Frontend:
@@ -489,12 +504,27 @@ def pass_instrumentations(options: PipelineOptions) -> List[PassInstrumentation]
 LP_FUSION_SPEC = "lp-rc-fusion"
 
 
+#: The engine-independent head of the rgn optimisation pipeline: the
+#: rewrite engine reaches only the ``canonicalize`` element after it.
+RGN_PREFIX_SPEC = "cse,region-gvn"
+
+
+def rgn_suffix_spec(rewrite_engine: str) -> str:
+    """The rgn optimisation pipeline after :data:`RGN_PREFIX_SPEC`: the
+    canonicalize drain under ``rewrite_engine``, then dce."""
+    canonicalize = "canonicalize"
+    if rewrite_engine != "worklist":
+        canonicalize += "{engine=" + rewrite_engine + "}"
+    return canonicalize + ",dce"
+
+
 def rgn_pipeline_spec(options: PipelineOptions) -> str:
     """The textual pipeline spec of the rgn optimisation pipeline.
 
     It reads ``cse,region-gvn,canonicalize,dce`` — runnable verbatim
     through ``python -m repro.opt`` — with ``canonicalize{engine=rescan}``
-    under the rescan engine.  An ablation is a different spec, not an
+    under the rescan engine: :data:`RGN_PREFIX_SPEC` joined to
+    :func:`rgn_suffix_spec`.  An ablation is a different spec, not an
     option: leave out the ``cse`` or ``region-gvn`` element, or drop a
     pattern family from the drain with ``canonicalize{ablate=...}``.
 
@@ -502,10 +532,7 @@ def rgn_pipeline_spec(options: PipelineOptions) -> str:
     what exposes the identical-operand select/switch folds.  Constants the
     drain materialises are not re-CSE'd; the final dce drops unused ones.
     """
-    canonicalize = "canonicalize"
-    if options.rewrite_engine != "worklist":
-        canonicalize += "{engine=" + options.rewrite_engine + "}"
-    return f"cse,region-gvn,{canonicalize},dce"
+    return RGN_PREFIX_SPEC + "," + rgn_suffix_spec(options.rewrite_engine)
 
 
 def build_spec_pipeline(spec: str, options: PipelineOptions) -> PassManager:
@@ -651,75 +678,124 @@ class MlirCompiler(_Compiler):
         return CfgInterpreter
 
     def compile(self, source: str) -> CompilationArtifacts:
+        """Compile ``source`` under the options' rewrite engine.  The whole
+        rgn pipeline runs as one pass-manager run, which is what a crash
+        bundle records."""
+        return next(self.compile_engines(source, (self.options.rewrite_engine,)))
+
+    def compile_engines(
+        self, source: str, rewrite_engines: Sequence[str]
+    ) -> Iterator[CompilationArtifacts]:
+        """Compile ``source`` once per rewrite engine, yielding one
+        :class:`CompilationArtifacts` per engine, in order, as each is asked
+        for.
+
+        The rewrite engine reaches only the rgn pipeline's suffix
+        (:func:`rgn_suffix_spec`).  Everything before it — the frontend,
+        λrc, lp codegen and fusion, lp→rgn and :data:`RGN_PREFIX_SPEC` —
+        runs once, inside the first engine's ``compile`` span.  Each engine
+        then runs its suffix and rgn→cf on a clone of that module; the last
+        engine takes the module itself.  With one engine the prefix and
+        suffix run as one pipeline.
+        """
+        options = self.options
+        engines = tuple(rewrite_engines)
+        head = RGN_PREFIX_SPEC
+        suffixes = [rgn_suffix_spec(engine) for engine in engines]
+        if len(engines) == 1:
+            head, suffixes = head + "," + suffixes[0], [None]
+        shared = None
+        for index, (engine, suffix) in enumerate(zip(engines, suffixes)):
+            with get_tracer().span(
+                "compile", category="pipeline", pipeline="lp+rgn",
+                rc_mode=options.rc_mode, rewrite_engine=engine,
+            ):
+                if shared is None:
+                    shared = self._lower_to_rgn(source)
+                    self._optimize(*shared, head)
+                artifacts, module = shared
+                if index < len(engines) - 1:
+                    artifacts = artifacts.branch()
+                    module = module.clone()
+                if suffix is not None:
+                    self._optimize(artifacts, module, suffix, verified=True)
+                if options.run_rgn_optimizations and "rgn-opt" in options.capture_ir:
+                    artifacts.captured_ir["rgn-opt"] = print_module(module)
+                with phase("rgn-to-cf"):
+                    artifacts.cfg_module = lower_rgn_to_cf(module)
+            yield artifacts
+
+    def _lower_to_rgn(self, source: str) -> Tuple[CompilationArtifacts, ModuleOp]:
+        """Frontend → λrc → lp (+ lp fusion) → rgn: the artifacts so far and
+        the rgn module."""
         options = self.options
         session = self.session
         lowering_context = (
             session.lowering_context if session is not None else LoweringContext()
         )
-        with get_tracer().span(
-            "compile", category="pipeline", pipeline="lp+rgn",
+        pure = self._frontend(source)
+        rc, rc_report = lower_to_rc(
+            source, pure, session,
+            run_simplifier=options.run_lambda_simplifier,
+            enable_simp_case=options.enable_simp_case,
             rc_mode=options.rc_mode,
-            rewrite_engine=options.rewrite_engine,
-        ):
-            pure = self._frontend(source)
-            rc, rc_report = lower_to_rc(
-                source, pure, session,
-                run_simplifier=options.run_lambda_simplifier,
-                enable_simp_case=options.enable_simp_case,
-                rc_mode=options.rc_mode,
+        )
+        with phase("lp-codegen"):
+            lp_module = generate_lp_module(rc, lowering_context)
+        artifacts = CompilationArtifacts(
+            surface_source=source,
+            pure_program=pure,
+            rc_program=rc,
+            rc_report=rc_report,
+        )
+        if options.rc_mode != "naive":
+            # The SSA twin of dup/drop fusion.  It runs before lp→rgn,
+            # on runs λrc fusion already normalised, and removes no op
+            # on the benchmark suite or generated programs.
+            with phase("lp-fusion"):
+                lp_fusion = build_spec_pipeline(LP_FUSION_SPEC, options)
+                lp_fusion.run(lp_module)
+            artifacts.pass_statistics.update(
+                (name, stats.counters)
+                for name, stats in lp_fusion.statistics.items()
             )
-            with phase("lp-codegen"):
-                lp_module = generate_lp_module(rc, lowering_context)
-            artifacts = CompilationArtifacts(
-                surface_source=source,
-                pure_program=pure,
-                rc_program=rc,
-                rc_report=rc_report,
-            )
-            artifacts.module_op_counts["lp"] = sum(1 for _ in lp_module.walk()) - 1
-            if options.rc_mode != "naive":
-                # The SSA twin of dup/drop fusion.  It runs before lp→rgn,
-                # on runs λrc fusion already normalised, and removes no op
-                # on the benchmark suite or generated programs.
-                with phase("lp-fusion"):
-                    lp_fusion = build_spec_pipeline(LP_FUSION_SPEC, options)
-                    lp_fusion.run(lp_module)
-                artifacts.pass_statistics.update(
-                    (name, stats.counters)
-                    for name, stats in lp_fusion.statistics.items()
-                )
-            if "lp" in options.capture_ir:
-                artifacts.captured_ir["lp"] = print_module(lp_module)
-            with phase("lp-to-rgn"):
-                cfg_module = lower_lp_to_rgn(lp_module, lowering_context)
-            artifacts.module_op_counts["rgn"] = sum(1 for _ in cfg_module.walk()) - 1
-            if "rgn" in options.capture_ir:
-                artifacts.captured_ir["rgn"] = print_module(cfg_module)
-            if options.run_rgn_optimizations:
-                spec = rgn_pipeline_spec(options)
-                with phase("rgn-opt"):
-                    pipeline = build_spec_pipeline(spec, options)
-                    if session is not None and options.incremental_rgn_opt:
-                        from .incremental import run_incremental_rgn_opt
+        if "lp" in options.capture_ir:
+            artifacts.captured_ir["lp"] = print_module(lp_module)
+        with phase("lp-to-rgn"):
+            module = lower_lp_to_rgn(lp_module, lowering_context)
+        artifacts.module_op_counts["rgn"] = sum(1 for _ in module.walk()) - 1
+        if "rgn" in options.capture_ir:
+            artifacts.captured_ir["rgn"] = print_module(module)
+        return artifacts, module
 
-                        run_incremental_rgn_opt(
-                            cfg_module,
-                            pipeline,
-                            session,
-                            pipeline_fingerprint(spec),
-                        )
-                    else:
-                        pipeline.run(cfg_module)
-                artifacts.pass_statistics.update(
-                    (name, stats.counters)
-                    for name, stats in pipeline.statistics.items()
+    def _optimize(
+        self,
+        artifacts: CompilationArtifacts,
+        module: ModuleOp,
+        spec: str,
+        *,
+        verified: bool = False,
+    ) -> None:
+        """Run the rgn pipeline ``spec`` over ``module`` (the ``rgn-opt``
+        phase) and add its pass statistics to ``artifacts``.  ``verified``
+        says ``module`` is a state the verifier already accepted."""
+        options = self.options
+        session = self.session
+        if not options.run_rgn_optimizations:
+            return
+        with phase("rgn-opt"):
+            pipeline = build_spec_pipeline(spec, options)
+            if session is not None and options.incremental_rgn_opt:
+                from .incremental import run_incremental_rgn_opt
+
+                run_incremental_rgn_opt(
+                    module, pipeline, session, pipeline_fingerprint(spec)
                 )
-                if "rgn-opt" in options.capture_ir:
-                    artifacts.captured_ir["rgn-opt"] = print_module(cfg_module)
-            with phase("rgn-to-cf"):
-                cfg_module = lower_rgn_to_cf(cfg_module)
-        artifacts.cfg_module = cfg_module
-        return artifacts
+            else:
+                pipeline.run(module, verified=verified)
+        artifacts.pass_statistics.update(
+            (name, stats.counters) for name, stats in pipeline.statistics.items()
+        )
 
 
 def run_reference(

@@ -36,13 +36,21 @@ configuration that asks for it:
 
 * the baseline compiles one λrc program per rc mode and runs it on both
   ``vm`` and ``tree``;
-* the lp+rgn configurations group by compile key (rc mode, rewrite
-  engine).  The first configuration of a group compiles; the other runs
-  the same CFG module on the other execution engine.
+* the lp+rgn configurations of one rc mode share one
+  :meth:`~repro.backend.pipeline.MlirCompiler.compile_engines`: the
+  rewrite engine reaches only the rgn pipeline's suffix, so lp codegen,
+  lp→rgn and the ``cse,region-gvn`` prefix run once per rc mode, on its
+  first configuration.  Each (rc mode, rewrite engine) group then runs
+  the suffix and rgn→cf on its first configuration, on a clone of that
+  module (the last engine takes the module itself), and the group's other
+  configuration runs the same CFG module on the other execution engine.
 
-Executing never writes into a CFG module or a λrc program, so sharing
-leaves labels, values and metric fingerprints as separate compiles would.
-A compile failure names the configuration whose compile failed.
+Executing never writes into a CFG module or a λrc program, and a clone
+compiles as the module it copies would, so sharing leaves labels, values
+and metric fingerprints as separate compiles would.  A compile failure
+names the configuration whose compile step failed: the rc mode's first
+configuration for the shared prefix, the group's first configuration for
+its suffix.
 
 Every execution runs under a per-program step budget
 (:data:`DEFAULT_BUDGET_STEPS`, overridable per call), so a generated
@@ -55,7 +63,7 @@ nightly fuzz run.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..backend.pipeline import (
     RC_VARIANTS,
@@ -106,8 +114,9 @@ class MatrixConfig(FrozenRecord):
 
 def full_matrix() -> Tuple[MatrixConfig, ...]:
     """Every lp+rgn configuration: 3 rc modes × 2 rewrite engines ×
-    2 execution engines = 12 configurations, built by 6 compiles per
-    program (one per rc mode and rewrite engine)."""
+    2 execution engines = 12 configurations, built per program by 3 shared
+    prefixes (one per rc mode) and 6 suffixes (one per rc mode and rewrite
+    engine)."""
     return tuple(
         MatrixConfig(rc, engine, execution)
         for rc, engine, execution in itertools.product(
@@ -117,8 +126,9 @@ def full_matrix() -> Tuple[MatrixConfig, ...]:
 
 
 def smoke_matrix() -> Tuple[MatrixConfig, ...]:
-    """A cheaper diagonal of five configurations (five compiles): every rc
-    mode, rewrite engine and execution engine appears at least once."""
+    """A cheaper diagonal of five configurations, built by 3 shared
+    prefixes and 5 suffixes: every rc mode, rewrite engine and execution
+    engine appears at least once."""
     return (
         MatrixConfig("rc-naive", "worklist", "vm"),
         MatrixConfig("rc-naive", "rescan", "tree"),
@@ -184,10 +194,12 @@ def run_matrix(
     ``session`` shares frontend work and the λrc lowering (one per rc mode,
     for the baselines and lp+rgn configurations alike) across the whole
     matrix; the caller may reuse one session across many programs — the
-    cache is content-keyed.  Each (rc mode, rewrite engine) group compiles
-    once, on its first configuration, and every later configuration of the
-    group executes that module: the full matrix makes 6 lp+rgn compiles and
-    3 baseline compiles per program.
+    cache is content-keyed.  Each rc mode's lp+rgn configurations share one
+    engine-independent prefix, built on the rc mode's first configuration;
+    each (rc mode, rewrite engine) group runs its suffix on its first
+    configuration, and every later configuration of the group executes
+    that module: the full matrix builds 3 prefixes, 6 suffixes and 3
+    baseline compiles per program.
 
     ``budget_steps`` bounds every execution (reference, baselines and the
     lp+rgn matrix alike); a trip surfaces as a :class:`DifferentialFailure`
@@ -210,14 +222,11 @@ def run_matrix(
     # Compile key -> the group's compiled artifact.
     artifacts: Dict[Tuple, object] = {}
 
-    def compile_and_execute(label, compiler, key):
-        """Run ``label``: compile on the group's first use, then execute
-        the group's artifact."""
+    def execute(label, compiler, key, build):
+        """Run ``label``: build the group's artifact on its first use, then
+        execute it."""
         if key not in artifacts:
-            artifacts[key] = guarded(
-                label,
-                lambda: getattr(compiler.compile(source), compiler.executable),
-            )
+            artifacts[key] = guarded(label, build)
         return guarded(label, lambda: compiler.execute(artifacts[key]))
 
     def options_for(rc_variant, execution_engine, rewrite_engine=None):
@@ -243,21 +252,39 @@ def run_matrix(
                 compiler = BaselineCompiler(
                     options_for(rc_variant, execution_engine), session=session
                 )
-                result = compile_and_execute(
-                    label, compiler, ("baseline", rc_variant)
+                result = execute(
+                    label, compiler, ("baseline", rc_variant),
+                    lambda: compiler.compile(source).rc_program,
                 )
                 _check_run(report, label, result)
+
+    # rc mode -> its rewrite engines, in the order the configs first use them.
+    engines: Dict[str, List[str]] = {}
+    for config in configs:
+        rc_engines = engines.setdefault(config.rc_variant, [])
+        if config.rewrite_engine not in rc_engines:
+            rc_engines.append(config.rewrite_engine)
+    # rc mode -> its compile, yielding one module per engine as asked for.
+    compiles: Dict[str, Iterator] = {}
 
     fingerprints: Dict[str, Tuple[str, Tuple]] = {}
     for config in configs:
         label = config.label
-        options = options_for(
-            config.rc_variant, config.execution_engine, config.rewrite_engine
+        compiler = MlirCompiler(
+            options_for(
+                config.rc_variant,
+                config.execution_engine,
+                config.rewrite_engine,
+            ),
+            session=session,
         )
-        result = compile_and_execute(
-            label,
-            MlirCompiler(options, session=session),
-            (config.rc_variant, config.rewrite_engine),
+        if config.rc_variant not in compiles:
+            compiles[config.rc_variant] = compiler.compile_engines(
+                source, engines[config.rc_variant]
+            )
+        result = execute(
+            label, compiler, (config.rc_variant, config.rewrite_engine),
+            lambda: next(compiles[config.rc_variant]).cfg_module,
         )
         _check_run(report, label, result)
         fingerprint = _metric_fingerprint(result)

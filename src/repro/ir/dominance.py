@@ -1,7 +1,8 @@
 """Dominance analysis for CFG regions.
 
-Used by the verifier (operands must dominate their uses) and by the
-value-numbering passes.  The algorithm is the classic iterative dominator
+Used by the verifier (operands must dominate their uses; it asks only
+about operands outside its walk's scope) and by the value-numbering
+passes.  The algorithm is the classic iterative dominator
 data-flow computation; our regions are small so simplicity wins over the
 Lengauer-Tarjan algorithm.
 """
@@ -113,9 +114,13 @@ def operand_dominance_errors(op: Operation, analysis: DominanceAnalysis) -> List
 
 
 def verify_dominance(op: Operation) -> List[str]:
-    """Check SSA dominance for every operand use nested under ``op``.
+    """Check SSA dominance for every operand use nested under ``op``, one
+    precise query per op.
 
     Returns a list of human-readable error strings (empty when valid).
+    This is the oracle for the verifier's scoped walk
+    (:func:`~repro.ir.verifier.collect_errors`), whose dominance errors
+    must equal these (``tests/test_ir_text_and_verify.py``).
     """
     errors: List[str] = []
     analysis = DominanceAnalysis()

@@ -153,7 +153,8 @@ class PassManager:
 
     With ``verify_each`` every IR state the run produces is verified once.
     The verifier always runs after the first pass, which also covers the
-    run's input; after each later pass it runs only if
+    run's input (unless :meth:`run` is told the input is verified); after
+    each later pass it runs only if
     :func:`~repro.ir.core.mutation_count` moved since the last
     verification.  The count belongs to the IR, not to the passes, so a
     pass cannot claim "unchanged" falsely.
@@ -273,11 +274,18 @@ class PassManager:
         except Exception:
             pass
 
-    def run(self, module: Operation) -> Operation:
+    def run(self, module: Operation, *, verified: bool = False) -> Operation:
+        """Run every pass over ``module`` in place and return it.
+
+        ``verified`` says the verifier already accepted ``module`` as given
+        (say, a clone of a verified module), so under ``verify_each`` the
+        first pass, like every later one, verifies only if it changed the
+        IR.
+        """
         tracer = get_tracer()
         registry = get_metrics()
         # Mutation count at the last verification (None: not verified yet).
-        verified_at: Optional[int] = None
+        verified_at: Optional[int] = mutation_count() if verified else None
         # The crash handler's snapshot: the module printed once, and the
         # fault plan's hit counts at every pass entry (while one is armed).
         pipeline_input: Optional[str] = None

@@ -17,6 +17,7 @@ Four guarantees are pinned here (see ``docs/FUZZING.md``):
 """
 
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -348,27 +349,140 @@ class TestDifferentialMatrix:
         assert reason.startswith("VerificationError:")
         assert "dominate" in reason
 
+    @staticmethod
+    def _break_pass(monkeypatch, pass_class, when=lambda pass_: True):
+        """Make ``pass_class`` move one op below its first same-block user
+        (an SSA dominance violation) in every function it runs on while
+        ``when(pass_)`` holds."""
+        original = pass_class.run_on_function
+
+        def broken(self, func):
+            original(self, func)
+            if not when(self):
+                return
+            for op in func.walk():
+                users = [
+                    user
+                    for result in op.results
+                    for user in result.users()
+                    if user.parent is op.parent
+                ]
+                if users:
+                    op.move_after(users[0])
+                    return
+
+        monkeypatch.setattr(pass_class, "run_on_function", broken)
+
+    def test_broken_rgn_pass_is_a_verifier_finding(self, monkeypatch):
+        # A dce that also moves one op below its first same-block user
+        # breaks SSA dominance; the verifier, on under fuzzing, must reject
+        # the first compile and name its configuration.
+        from repro.transforms.dce import DeadCodeEliminationPass
+
+        self._break_pass(monkeypatch, DeadCodeEliminationPass)
+        _, source = CORPUS[0]
+        with pytest.raises(DifferentialFailure) as excinfo:
+            run_matrix(source, configs=smoke_matrix(), baselines=False)
+        label, reason = excinfo.value.reason.split(": ", 1)
+        assert label == smoke_matrix()[0].label
+        assert reason.startswith("VerificationError:")
+        assert "dominate" in reason
+
+    @pytest.mark.parametrize("configs", [full_matrix(), smoke_matrix()],
+                             ids=["full", "smoke"])
+    def test_broken_rescan_suffix_names_a_rescan_configuration(
+        self, monkeypatch, configs
+    ):
+        # The rescan engine runs only in its group's suffix, on the shared
+        # prefix's module: its fault names the first rescan configuration.
+        from repro.transforms.canonicalize import CanonicalizePass
+
+        self._break_pass(
+            monkeypatch, CanonicalizePass, lambda p: p.engine == "rescan"
+        )
+        _, source = CORPUS[0]
+        with pytest.raises(DifferentialFailure) as excinfo:
+            run_matrix(source, configs=configs, baselines=False)
+        label, reason = excinfo.value.reason.split(": ", 1)
+        assert label == next(
+            c.label for c in configs if c.rewrite_engine == "rescan"
+        )
+        assert reason.startswith("VerificationError:")
+
+    @pytest.mark.parametrize("configs", [full_matrix(), smoke_matrix()],
+                             ids=["full", "smoke"])
+    def test_broken_prefix_names_the_rc_modes_first_configuration(
+        self, monkeypatch, configs
+    ):
+        from repro.transforms.region_gvn import RegionGVNPass
+
+        self._break_pass(monkeypatch, RegionGVNPass)
+        _, source = CORPUS[0]
+        with pytest.raises(DifferentialFailure) as excinfo:
+            run_matrix(source, configs=configs, baselines=False)
+        label, reason = excinfo.value.reason.split(": ", 1)
+        assert label == configs[0].label
+        assert reason.startswith("VerificationError:")
+
     @pytest.mark.parametrize(
-        "configs,compiles", [(full_matrix(), 6), (smoke_matrix(), 5)],
+        "configs,suffixes,clones", [(full_matrix(), 6, 3), (smoke_matrix(), 5, 2)],
         ids=["full", "smoke"],
     )
-    def test_one_compile_per_group(self, monkeypatch, configs, compiles):
-        # One compile per (rc mode, rewrite engine) group; every execution
-        # engine reuses the module.
-        spied = []
-        original = MlirCompiler.compile
+    def test_one_prefix_per_rc_mode_one_suffix_per_group(
+        self, monkeypatch, configs, suffixes, clones
+    ):
+        # lp codegen, lp→rgn and the cse,region-gvn prefix run once per rc
+        # mode; canonicalize, dce and rgn→cf once per (rc mode, rewrite
+        # engine) group; one clone per rc mode with two rewrite engines.
+        # Every execution engine reuses its group's module.
+        import repro.backend.pipeline as pipeline
+        from repro.dialects.builtin import ModuleOp
 
-        def spy(compiler, source):
-            options = compiler.options
-            spied.append((options.rc_mode, options.rewrite_engine))
-            return original(compiler, source)
+        built, calls = [], {"lp": 0, "rgn": 0, "cf": 0, "clone": 0}
 
-        monkeypatch.setattr(MlirCompiler, "compile", spy)
+        def spy(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        def spy_build(spec, options):
+            built.append((options.rc_mode, spec))
+            return original_build(spec, options)
+
+        original_build = pipeline.build_spec_pipeline
+        monkeypatch.setattr(pipeline, "build_spec_pipeline", spy_build)
+        for name, attribute in (("lp", "generate_lp_module"),
+                                ("rgn", "lower_lp_to_rgn"),
+                                ("cf", "lower_rgn_to_cf")):
+            monkeypatch.setattr(
+                pipeline, attribute, spy(name, getattr(pipeline, attribute))
+            )
+        monkeypatch.setattr(ModuleOp, "clone", spy("clone", ModuleOp.clone))
         session = CompilationSession()
         _, source = CORPUS[0]
         report = run_matrix(source, session=session, configs=configs)
         assert report.configurations == len(configs) + 6
-        assert len(spied) == len(set(spied)) == compiles
+        # Pass runs per (rc mode, pipeline element), read off the specs
+        # built: one prefix per rc mode (joined to the suffix when the rc
+        # mode has one rewrite engine), one suffix per group.
+        ran = Counter(
+            (rc, element) for rc, spec in built for element in spec.split(",")
+        )
+        groups = {(c.rc_variant[len("rc-"):], c.rewrite_engine) for c in configs}
+        expected = Counter()
+        for rc in {rc for rc, _ in groups}:
+            expected.update([(rc, "cse"), (rc, "region-gvn")])
+            if rc != "naive":
+                expected[(rc, "lp-rc-fusion")] += 1
+        for rc, engine in groups:
+            canonicalize = "canonicalize"
+            if engine != "worklist":
+                canonicalize += "{engine=" + engine + "}"
+            expected.update([(rc, canonicalize), (rc, "dce")])
+        assert ran == expected
+        assert len(groups) == suffixes
+        assert calls == {"lp": 3, "rgn": 3, "cf": suffixes, "clone": clones}
         # The matrix never turns the incremental rgn-opt cache on.
         assert (session.incremental_hits, session.incremental_misses) == (0, 0)
 

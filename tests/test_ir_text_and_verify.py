@@ -1,6 +1,7 @@
 """Tests for types, attributes, the printer/parser round trip and the verifier."""
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.dialects import arith, cf, lp, rgn
 from repro.dialects.builtin import ModuleOp
@@ -289,3 +290,212 @@ class TestDominanceInfo:
         assert info.dominates_block(entry, join)
         assert not info.dominates_block(left, join)
         assert info.properly_dominates_block(entry, left)
+
+
+# ---------------------------------------------------------------------------
+# The scoped verifier walk against the dominance oracle
+# ---------------------------------------------------------------------------
+
+
+def _compiled_modules(program):
+    """The rgn module (parsed from the captured text, so it is a fresh
+    copy) and the CFG module of ``program`` at rc-opt+reuse."""
+    from repro.backend.pipeline import MlirCompiler
+    from repro.eval.harness import measurement_options
+    from repro.lean.printer import print_program
+
+    options = measurement_options("rc-opt+reuse")
+    options.capture_ir = ("rgn",)
+    artifacts = MlirCompiler(options).compile(print_program(program))
+    return parse_module(artifacts.captured_ir["rgn"]), artifacts.cfg_module
+
+
+def _nested_ops(op):
+    """Every op strictly inside ``op``'s regions, in pre-order."""
+    return [nested for nested in op.walk() if nested is not op]
+
+
+def _takes_any_operand(op):
+    """Ops whose own ``verify_`` cannot notice an operand swap."""
+    from repro.ir.core import Operation
+
+    return bool(op.operands) and type(op).verify_ is Operation.verify_
+
+
+def _move_below_first_user(rgn_module, _cfg, data):
+    from repro.ir import IsTerminator
+
+    candidates = []
+    for op in _nested_ops(rgn_module):
+        user = op.next_op
+        while user is not None and not any(
+            operand.owner_op() is op for operand in user.operands
+        ):
+            user = user.next_op
+        if user is not None and not user.has_trait(IsTerminator):
+            candidates.append((op, user))
+    op, user = data.draw(st.sampled_from(candidates)) if candidates else (None, None)
+    if op is None:
+        return None
+    op.move_after(user)
+    return rgn_module, []
+
+
+def _use_own_result_in_region(rgn_module, _cfg, data):
+    candidates = [
+        (op, user)
+        for op in _nested_ops(rgn_module)
+        if op.regions and op.results
+        for user in _nested_ops(op)
+        if _takes_any_operand(user)
+    ]
+    if not candidates:
+        return None
+    op, user = data.draw(st.sampled_from(candidates))
+    user.set_operand(0, op.result(0))
+    return rgn_module, []
+
+
+def _use_value_from_sibling_region(rgn_module, _cfg, data):
+    holders = [op for op in _nested_ops(rgn_module) if op.regions]
+    candidates = [
+        (value, user)
+        for source in holders
+        for target in holders
+        if not source.is_ancestor_of(target)
+        and not target.is_ancestor_of(source)
+        for value in [
+            result for op in _nested_ops(source) for result in op.results
+        ][:3]
+        for user in _nested_ops(target)[:3]
+        if _takes_any_operand(user)
+    ]
+    if not candidates:
+        return None
+    value, user = data.draw(st.sampled_from(candidates))
+    user.set_operand(0, value)
+    return rgn_module, []
+
+
+def _drop_terminator(rgn_module, _cfg, data):
+    from repro.ir import IsTerminator, NoTerminatorRequired
+
+    candidates = [
+        block
+        for op in rgn_module.walk()
+        if not op.has_trait(NoTerminatorRequired)
+        for region in op.regions
+        for block in region.blocks
+        if block.last_op is not None and block.last_op.has_trait(IsTerminator)
+    ]
+    if not candidates:
+        return None
+    block = data.draw(st.sampled_from(candidates))
+    block.last_op.erase()
+    parent = block.parent.parent.name
+    if block.is_empty:
+        return rgn_module, [f"{parent}: empty block requires a terminator"]
+    return rgn_module, [
+        f"{parent}: block does not end with a terminator "
+        f"(last op is {block.last_op.name})"
+    ]
+
+
+def _use_value_across_cf_blocks(_rgn, cfg_module, data):
+    from repro.ir import DominanceInfo
+
+    candidates = []
+    for func in cfg_module.body:
+        region = func.regions[0]
+        if len(region.blocks) < 2:
+            continue
+        info = DominanceInfo(region)
+        for source in region.blocks:
+            values = [result for op in source for result in op.results][:3]
+            for target in region.blocks:
+                if info.dominates_block(source, target):
+                    continue
+                for user in list(target)[:3]:
+                    if _takes_any_operand(user):
+                        candidates += [(value, user) for value in values]
+    if not candidates:
+        return None
+    value, user = data.draw(st.sampled_from(candidates))
+    user.set_operand(0, value)
+    return cfg_module, []
+
+
+INVALIDATIONS = {
+    "op-below-its-first-user": _move_below_first_user,
+    "own-result-inside-its-region": _use_own_result_in_region,
+    "value-from-a-sibling-region": _use_value_from_sibling_region,
+    "dropped-terminator": _drop_terminator,
+    "value-across-cf-blocks": _use_value_across_cf_blocks,
+}
+
+
+class TestScopedVerifier:
+    """``collect_errors`` answers dominance from the set of values in scope
+    and asks ``operand_dominance_errors`` only for operands out of scope and
+    ops in multi-block regions; ``verify_dominance`` (one precise query per
+    op) is the oracle its dominance errors must equal."""
+
+    @pytest.mark.parametrize("invalidation", sorted(INVALIDATIONS))
+    def test_dominance_errors_equal_the_oracle(self, invalidation):
+        from hypothesis import HealthCheck, assume, given, seed, settings
+
+        from repro.fuzz import typed_programs
+        from repro.ir import verify_dominance
+
+        @seed(2022)
+        @settings(
+            max_examples=25,
+            database=None,
+            deadline=None,
+            suppress_health_check=list(HealthCheck),
+        )
+        @given(program=typed_programs(), data=st.data())
+        def check(program, data):
+            rgn_module, cfg_module = _compiled_modules(program)
+            assert collect_errors(rgn_module) == []
+            assert collect_errors(cfg_module) == []
+            broken = INVALIDATIONS[invalidation](rgn_module, cfg_module, data)
+            assume(broken is not None)
+            module, structural = broken
+            oracle = verify_dominance(module)
+            assert collect_errors(module) == structural + oracle
+            if invalidation != "dropped-terminator":
+                assert oracle and all("dominate" in e for e in oracle)
+
+        check()
+
+    def test_structural_messages_keep_their_order(self):
+        # One function holds a region op whose block lost its terminator
+        # and an op after the function's terminator; a second function's
+        # block is empty.  Messages follow the pre-order walk, dominance
+        # errors last.
+        module = ModuleOp()
+        first = FuncOp("f", FunctionType([], [i64]))
+        module.append(first)
+        value = rgn.ValOp()
+        value.body_block.append(arith.ConstantOp(3))
+        first.entry_block.append(value)
+        c = arith.ConstantOp(1)
+        add = arith.AddIOp(c.result(), c.result())
+        first.entry_block.append(add)
+        first.entry_block.append(c)
+        first.entry_block.append(ReturnOp([add.result()]))
+        first.entry_block.append(arith.ConstantOp(2))
+        second = FuncOp("g", FunctionType([], [i64]))
+        module.append(second)
+        assert collect_errors(module) == [
+            "func.return: terminator is not the last operation in its block "
+            "(inside func.func)",
+            "func.func: block does not end with a terminator "
+            "(last op is arith.constant)",
+            "rgn.val: block does not end with a terminator "
+            "(last op is arith.constant)",
+            "func.func: empty block requires a terminator",
+            "arith.addi: operand 0 does not dominate its use",
+            "arith.addi: operand 1 does not dominate its use",
+        ]

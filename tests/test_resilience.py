@@ -366,9 +366,9 @@ class TestOneSnapshotPerRun:
             calls["print"] += 1
             return real_print(module)
 
-        def spy_run(self, module):
+        def spy_run(self, module, **kwargs):
             calls["run"] += 1
-            return real_run(self, module)
+            return real_run(self, module, **kwargs)
 
         monkeypatch.setattr(printer, "print_module", spy_print)
         monkeypatch.setattr(PassManager, "run", spy_run)
