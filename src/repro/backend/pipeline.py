@@ -24,7 +24,7 @@ runs between RC insertion and backend lowering):
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dialects.builtin import ModuleOp
 from ..interp.bytecode import (
@@ -245,14 +245,16 @@ class Frontend:
 
 
 class _FrontendEntry:
-    """One source's row in the session cache: its λpure program and the λrc
-    lowerings of it, keyed by (``run_lambda_simplifier``,
-    ``enable_simp_case``, ``rc_mode``)."""
+    """One source's row in the session cache: its λpure program, the
+    simplified program per ``enable_simp_case`` setting, and the λrc
+    lowerings, keyed by (``run_lambda_simplifier``, ``enable_simp_case``,
+    ``rc_mode``)."""
 
-    __slots__ = ("pure", "rc")
+    __slots__ = ("pure", "simplified", "rc")
 
     def __init__(self, pure: PureProgram):
         self.pure = pure
+        self.simplified: Dict[bool, PureProgram] = {}
         self.rc: Dict[tuple, Tuple[PureProgram, RcOptReport]] = {}
 
 
@@ -271,10 +273,11 @@ class CompilationSession:
 
     The same cache entry memoises the **λrc lowering** of its source, keyed
     by (``run_lambda_simplifier``, ``enable_simp_case``, ``rc_mode``): the
-    baseline and lp+rgn pipelines at one rc mode share one simplifier run
-    and one RC insertion.  These entries live and die with their source's
-    frontend entry; hit/miss counts publish as ``session.rc.hits`` /
-    ``.misses``.
+    baseline and lp+rgn pipelines at one rc mode share one RC insertion.
+    The simplified λpure program is memoised one level up, per
+    ``enable_simp_case`` setting, so the rc modes share one simplifier
+    run.  These entries live and die with their source's frontend entry;
+    λrc hit/miss counts publish as ``session.rc.hits`` / ``.misses``.
 
     The prelude itself is shared one level deeper: the builtin typing
     tables are resolved once per process (see
@@ -357,6 +360,19 @@ class CompilationSession:
         if registry.enabled:
             registry.bump("session.rc.misses")
         return None
+
+    def simplified(
+        self, source: str, enable_simp_case: bool,
+        simplify: Callable[[], PureProgram],
+    ) -> PureProgram:
+        """The simplified λpure program of ``source`` (after
+        :meth:`frontend`) for ``enable_simp_case``, made by ``simplify()``
+        the first time it is asked for."""
+        memo = self._pure_cache[source].simplified
+        program = memo.get(enable_simp_case)
+        if program is None:
+            program = memo[enable_simp_case] = simplify()
+        return program
 
     def rc_store(
         self, source: str, key: tuple, lowered: Tuple[PureProgram, RcOptReport]
@@ -469,18 +485,25 @@ def lower_to_rc(
 
     With a session the result is memoised per (source, simplifier flags, rc
     mode); a hit runs neither the ``simplify`` nor the ``rc-insert`` phase.
+    The simplified program is memoised per (source, ``enable_simp_case``),
+    so a miss at another rc mode runs only ``rc-insert``.
     """
     key = (run_simplifier, enable_simp_case, rc_mode)
     if session is not None:
         cached = session.rc_cached(source, key)
         if cached is not None:
             return cached
-    with phase("simplify"):
-        staged = (
-            simplify_program(pure, enable_simp_case=enable_simp_case)
-            if run_simplifier
-            else pure
-        )
+
+    def simplify() -> PureProgram:
+        with phase("simplify"):
+            if not run_simplifier:
+                return pure
+            return simplify_program(pure, enable_simp_case=enable_simp_case)
+
+    if session is None or not run_simplifier:
+        staged = simplify()
+    else:
+        staged = session.simplified(source, enable_simp_case, simplify)
     with phase("rc-insert"):
         lowered = insert_optimized_rc(staged, rc_mode)
     if session is not None:

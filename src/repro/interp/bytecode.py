@@ -61,13 +61,15 @@ Four execution-speed levers sit on top of that contract:
   itself, and a ``tailcall`` (a ``call`` whose result the next
   instruction returns) replaces the current frame instead of stacking a
   new one, so a tail-recursive loop runs in constant frame memory.
-* *scalar-specialised runtime work* — threaded ``rtcall`` and
-  ``inc_rtcall`` sites of the :data:`SCALAR_RTCALLS` builtins (Nat/Int
-  ``add``/``sub``/``mul`` and the comparisons) compute on unboxed ``int``
-  operands inside the closure and call the generic builtin otherwise, with
-  the generic call's values, heap statistics and charges.  Likewise
-  ``inc``/``dec`` of an ``int`` bump the heap's statistic in place and tag
-  reads happen inline: no runtime call does nothing but count.
+* *scalar-specialised runtime work* — threaded ``rtcall``,
+  ``inc_rtcall`` and ``rtcall_cmp_br`` sites of the :data:`SCALAR_RTCALLS`
+  builtins (Nat/Int arithmetic, division and the comparisons) compute on
+  unboxed ``int`` operands inside the closure and call the generic builtin
+  otherwise, with the generic call's values, heap statistics and charges.
+  Likewise ``inc``/``dec`` of an ``int`` bump the heap's statistic in
+  place, tag reads happen inline, and so does reference counting of a
+  live constructor cell whose count stays positive: only a free, an error
+  or another heap kind calls ``Heap.inc``/``Heap.dec``.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ from ..runtime import (
     python_value,
     tag_of,
 )
+from ..runtime.builtins import int_div, int_mod, nat_div, nat_mod
 from ..resilience.budgets import ExecutionBudget
 from ..resilience.faults import active_plan, fault_hit
 from ..telemetry import get_metrics, get_tracer
@@ -167,6 +170,9 @@ OP_PROJ4 = 35             # (op, d1, s1, i1, ..., d4, s4, i4)
 # A call whose result the next instruction returns: the callee's frame
 # replaces the caller's instead of stacking on it.
 OP_TAILCALL = 36          # (op, BytecodeFunction, arg_regs)
+# A scalar-comparison rtcall whose Bool result a tag dispatch reads.
+OP_RTCALL_CMP_BR = 37     # (op, rdst, name, arg_regs) + the getlabel_cmp_br
+                          #  operands
 
 #: Human-readable opcode names (docs/EXECUTION.md and the unit tests).
 OPCODE_NAMES = {
@@ -184,6 +190,7 @@ OPCODE_NAMES = {
     OP_INT_INC: "int_inc", OP_DEC_DEC: "dec_dec",
     OP_INC_RTCALL: "inc_rtcall", OP_DEC_INC: "dec_inc",
     OP_PROJ3: "proj3", OP_PROJ4: "proj4", OP_TAILCALL: "tailcall",
+    OP_RTCALL_CMP_BR: "rtcall_cmp_br",
 }
 
 #: Size of the per-VM opcode frequency table.
@@ -238,14 +245,19 @@ _CMP_FNS: Dict[str, Callable[[int, int], int]] = {
 #: ±``SCALAR_INT_LIMIT`` goes through ``Heap.alloc_int`` and any other
 #: operand (a ``BigIntObject``) through the generic builtin, so values and
 #: heap statistics are the generic call's; the site's charge is the static
-#: ``runtime_call`` either way.
+#: ``runtime_call`` either way.  The division operators are the generic
+#: builtins' own functions, zero divisors included.
 SCALAR_RTCALLS: Dict[str, Tuple[str, Callable[[int, int], object]]] = {
     "lean_nat_add": ("nat", operator.add),
     "lean_nat_sub": ("nat", operator.sub),
     "lean_nat_mul": ("nat", operator.mul),
+    "lean_nat_div": ("nat", nat_div),
+    "lean_nat_mod": ("nat", nat_mod),
     "lean_int_add": ("int", operator.add),
     "lean_int_sub": ("int", operator.sub),
     "lean_int_mul": ("int", operator.mul),
+    "lean_int_div": ("int", int_div),
+    "lean_int_mod": ("int", int_mod),
     **{
         f"lean_{domain}_dec_{predicate}": ("cmp", getattr(operator, predicate))
         for domain in ("nat", "int")
@@ -313,6 +325,46 @@ def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
     return op
 
 
+def _rtcall_cmp_br_site(sites, pc, ins, ctx, counts, charge):
+    """The threaded closure of an ``rtcall_cmp_br`` site: the comparison,
+    computed here on ``int`` operands as :func:`_scalar_rtcall` does, then
+    the tag dispatch on its ``Bool`` result, which is its own tag.  Every
+    register the unfused pair writes is written.  If the generic builtin
+    raises, the unfused sequence stops at the ``rtcall``: the dispatch's
+    charges are taken back."""
+    (_, rdst, name, (lhs, rhs), gdst, _, cdst, value, dst, _, _, _,
+     tpc, _, _, fpc, _, _) = ins
+    def op(regs, s=sites, i=pc, rd=rdst, a=lhs, b=rhs,
+           f=SCALAR_RTCALLS[name][1], slow=BUILTINS[name], ctx=ctx, gd=gdst,
+           cd=cdst, v=value, d=dst, tpc=tpc, fpc=fpc, ch=charge, cnt=counts,
+           int_=int, yes=TRUE, no=FALSE):
+        s[i] += 1
+        x = regs[a]
+        y = regs[b]
+        if x.__class__ is int_ and y.__class__ is int_:
+            tag = yes if f(x, y) else no
+        else:
+            try:
+                tag = slow(ctx, [x, y])
+            except BaseException:
+                cnt["getlabel"] -= 1
+                cnt["const"] -= 1
+                cnt["arith"] -= 1
+                cnt["branch"] -= 1
+                raise
+        regs[rd] = tag
+        regs[gd] = tag
+        regs[cd] = v
+        if ch is not None:
+            ch()
+        if tag == v:
+            regs[d] = 1
+            return tpc
+        regs[d] = 0
+        return fpc
+    return op
+
+
 def _rtcall_site(sites, pc, dst, name, argr, ctx, nxt):
     """The threaded closure of an ``rtcall`` site.  The builtin is resolved
     here: ``BUILTINS`` is sealed at import time, so a per-call name lookup
@@ -327,7 +379,15 @@ def _rtcall_site(sites, pc, dst, name, argr, ctx, nxt):
     if impl is None:
         def impl(ctx, args, name=name):
             return call_builtin(ctx, name, args)
-    if dst >= 0:
+    if dst >= 0 and len(argr) == 2:
+        # Two registers read without a comprehension, which is a call of
+        # its own before 3.12.
+        def op(regs, s=sites, i=pc, d=dst, fn_=impl, a=argr[0], b=argr[1],
+               ctx=ctx, n=nxt):
+            s[i] += 1
+            regs[d] = fn_(ctx, [regs[a], regs[b]])
+            return n(regs)
+    elif dst >= 0:
         def op(regs, s=sites, i=pc, d=dst, fn_=impl, argr=argr, ctx=ctx,
                n=nxt):
             s[i] += 1
@@ -344,13 +404,19 @@ def _rtcall_site(sites, pc, dst, name, argr, ctx, nxt):
 def _inc_rtcall_site(sites, pc, src, count, heap, counts, rtcall):
     """The threaded closure of an ``inc_rtcall`` site: the ``inc``, then
     ``rtcall``, the :func:`_rtcall_site` closure of the same site, which
-    counts it.  The ``inc`` of an unboxed ``int`` only bumps ``inc_ops``;
-    an ``inc`` that raises counts the site itself and takes back the
-    builtin's charge, as the unfused sequence stops there."""
+    counts it.  The ``inc`` of an unboxed ``int`` only bumps ``inc_ops``,
+    and that of a live constructor cell bumps its ``rc`` too; an ``inc``
+    that raises counts the site itself and takes back the builtin's
+    charge, as the unfused sequence stops there."""
     def op(regs, s=sites, i=pc, src=src, k=count, inc=heap.inc,
-           st=heap.stats, cnt=counts, then=rtcall, int_=int):
+           st=heap.stats, cnt=counts, then=rtcall, int_=int,
+           ctor=CtorObject):
         value = regs[src]
-        if value.__class__ is int_:
+        cls = value.__class__
+        if cls is int_:
+            st.inc_ops += 1
+        elif cls is ctor and not value.freed:
+            value.rc += k
             st.inc_ops += 1
         else:
             try:
@@ -360,6 +426,56 @@ def _inc_rtcall_site(sites, pc, src, count, heap, counts, rtcall):
                 cnt["runtime_call"] -= 1
                 raise
         return then(regs)
+    return op
+
+
+def _construct_site(sites, pc, ins, heap, nxt):
+    """The threaded closure of a ``construct`` site: ``Heap.alloc_ctor``,
+    inline.  One or two fields are read without a comprehension, which is
+    a call of its own before 3.12; a field-less constructor is its
+    unboxed tag."""
+    _, dst, tag, fields, _ = ins
+    if not fields:
+        def op(regs, s=sites, i=pc, d=dst, tag=tag, n=nxt):
+            s[i] += 1
+            regs[d] = tag
+            return n(regs)
+    elif len(fields) == 1:
+        def op(regs, s=sites, i=pc, d=dst, tag=tag, a=fields[0],
+               ctor=CtorObject, live=heap.live, st=heap.stats, id_=id,
+               len_=len, n=nxt):
+            s[i] += 1
+            cell = ctor(tag, [regs[a]])
+            live[id_(cell)] = cell
+            st.allocations += 1
+            if len_(live) > st.peak_live:
+                st.peak_live = len_(live)
+            regs[d] = cell
+            return n(regs)
+    elif len(fields) == 2:
+        def op(regs, s=sites, i=pc, d=dst, tag=tag, a=fields[0],
+               b=fields[1], ctor=CtorObject, live=heap.live, st=heap.stats,
+               id_=id, len_=len, n=nxt):
+            s[i] += 1
+            cell = ctor(tag, [regs[a], regs[b]])
+            live[id_(cell)] = cell
+            st.allocations += 1
+            if len_(live) > st.peak_live:
+                st.peak_live = len_(live)
+            regs[d] = cell
+            return n(regs)
+    else:
+        def op(regs, s=sites, i=pc, d=dst, tag=tag, fr=fields,
+               ctor=CtorObject, live=heap.live, st=heap.stats, id_=id,
+               len_=len, n=nxt):
+            s[i] += 1
+            cell = ctor(tag, [regs[r] for r in fr])
+            live[id_(cell)] = cell
+            st.allocations += 1
+            if len_(live) > st.peak_live:
+                st.peak_live = len_(live)
+            regs[d] = cell
+            return n(regs)
     return op
 
 
@@ -426,11 +542,213 @@ def _call_site(sites, pc, dst, callee, argr, pend, sentinel):
     return op
 
 
+#: ``proj`` and its fused runs: ``(op, d1, s1, i1, d2, s2, i2, ...)``.
+_PROJ_RUNS = frozenset((OP_PROJ, OP_PROJ_PROJ, OP_PROJ3, OP_PROJ4))
+
+
+def _proj_site(sites, pc, ins, heap, counts, error, nxt):
+    """The threaded closure of a ``proj`` site or of a fused run of two to
+    four (``proj_proj``, ``proj3``, ``proj4``).  Each member reads a field
+    of a constructor cell and takes a reference to it: inline for an
+    ``int`` or a live cell, through ``Heap.inc`` otherwise.  A member that
+    fails (a source that is no constructor, or ``Heap.inc`` raising)
+    stops the unfused sequence after its ``proj`` charge, so the closure
+    takes back that member's ``rc`` and every later member's charges."""
+    if len(ins) == 4:
+        def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], idx=ins[3],
+               inc=heap.inc, st=heap.stats, cnt=counts, err=error,
+               ctor=CtorObject, int_=int, n=nxt):
+            s[i] += 1
+            try:
+                value = regs[src]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[idx]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+            except BaseException:
+                cnt["rc"] -= 1
+                raise
+            regs[d] = field
+            return n(regs)
+    elif len(ins) == 7:
+        def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
+               d2=ins[4], s2=ins[5], i2=ins[6], inc=heap.inc, st=heap.stats,
+               cnt=counts, err=error, ctor=CtorObject, int_=int, n=nxt):
+            s[i] += 1
+            done = 0
+            try:
+                value = regs[s1]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[i1]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+                regs[d1] = field
+                done = 1
+                value = regs[s2]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[i2]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+            except BaseException:
+                cnt["proj"] -= 1 - done
+                cnt["rc"] -= 2 - done
+                raise
+            regs[d2] = field
+            return n(regs)
+    elif len(ins) == 10:
+        def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
+               d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
+               i3=ins[9], inc=heap.inc, st=heap.stats, cnt=counts,
+               err=error, ctor=CtorObject, int_=int, n=nxt):
+            s[i] += 1
+            done = 0
+            try:
+                value = regs[s1]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[i1]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+                regs[d1] = field
+                done = 1
+                value = regs[s2]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[i2]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+                regs[d2] = field
+                done = 2
+                value = regs[s3]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[i3]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+            except BaseException:
+                cnt["proj"] -= 2 - done
+                cnt["rc"] -= 3 - done
+                raise
+            regs[d3] = field
+            return n(regs)
+    else:
+        def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
+               d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
+               i3=ins[9], d4=ins[10], s4=ins[11], i4=ins[12], inc=heap.inc,
+               st=heap.stats, cnt=counts, err=error, ctor=CtorObject,
+               int_=int, n=nxt):
+            s[i] += 1
+            done = 0
+            try:
+                value = regs[s1]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[i1]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+                regs[d1] = field
+                done = 1
+                value = regs[s2]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[i2]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+                regs[d2] = field
+                done = 2
+                value = regs[s3]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[i3]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+                regs[d3] = field
+                done = 3
+                value = regs[s4]
+                if value.__class__ is not ctor:
+                    raise err(f"projection from non-constructor {value!r}")
+                field = value.fields[i4]
+                cls = field.__class__
+                if cls is int_:
+                    st.inc_ops += 1
+                elif cls is ctor and not field.freed:
+                    field.rc += 1
+                    st.inc_ops += 1
+                else:
+                    inc(field)
+            except BaseException:
+                cnt["proj"] -= 3 - done
+                cnt["rc"] -= 4 - done
+                raise
+            regs[d4] = field
+            return n(regs)
+    return op
+
+
 def _proj_call_site(sites, pc, ins, heap, counts, error, pend):
-    """The threaded closure of a ``proj_call`` site: ``proj``, then a call
-    that builds its callee's frame as :func:`_call_site` does.  The
-    projected field is always an argument: with one argument it is the
-    frame's only value, and more are read with one ``itemgetter``."""
+    """The threaded closure of a ``proj_call`` site: ``proj``, as
+    :func:`_proj_site` runs it, then a call that builds its callee's frame
+    as :func:`_call_site` does.  The projected field is always an
+    argument: with one argument it is the frame's only value, and more are
+    read with one ``itemgetter``.  The fusion rule requires a callee that
+    takes as many arguments as the site passes."""
     _, pd, src, idx, cd, callee, argr = ins
     get = operator.itemgetter(*argr) if len(argr) > 1 else None
     def op(regs, s=sites, i=pc, pd=pd, src=src, idx=idx, cd=cd, c=callee,
@@ -438,17 +756,24 @@ def _proj_call_site(sites, pc, ins, heap, counts, error, pend):
            cnt=counts, err=error, ctor=CtorObject, int_=int, pend=pend,
            r=pc + 1):
         s[i] += 1
-        value = regs[src]
-        if value.__class__ is not ctor:
-            # The unfused charge stops at proj on this error.
+        try:
+            value = regs[src]
+            if value.__class__ is not ctor:
+                raise err(f"projection from non-constructor {value!r}")
+            field = value.fields[idx]
+            cls = field.__class__
+            if cls is int_:
+                st.inc_ops += 1
+            elif cls is ctor and not field.freed:
+                field.rc += 1
+                st.inc_ops += 1
+            else:
+                inc(field)
+        except BaseException:
+            # The unfused charge stops at proj.
             cnt["rc"] -= 1
             cnt["call"] -= 1
-            raise err(f"projection from non-constructor {value!r}")
-        field = value.fields[idx]
-        if field.__class__ is int_:
-            st.inc_ops += 1
-        else:
-            inc(field)
+            raise
         regs[pd] = field
         pend[0] = c
         pend[1] = ([field] if get is None else list(get(regs))) + pad
@@ -564,6 +889,22 @@ def _resolve_labels(code: List[Tuple]) -> List[Tuple]:
 # ExecutionMetrics, heap statistics and results.
 
 
+def _is_scalar_cmp(ins: Tuple) -> bool:
+    """Whether an ``rtcall`` is a :data:`SCALAR_RTCALLS` comparison whose
+    result lands in a register."""
+    scalar = SCALAR_RTCALLS.get(ins[2])
+    return (scalar is not None and scalar[0] == "cmp" and ins[1] >= 0
+            and len(ins[3]) == 2)
+
+
+def _is_tag_dispatch(ins: Tuple) -> bool:
+    """Whether a ``getlabel_cmp_br`` is a constructor-tag dispatch: an
+    ``eq`` of the label against its constant, no block arguments."""
+    gd, cd, fn, lhs, rhs = ins[1], ins[3], ins[6], ins[7], ins[8]
+    return (fn is _CMP_FNS["eq"] and gd != cd and {lhs, rhs} == {gd, cd}
+            and not ins[10] and not ins[13])
+
+
 class FusionRule:
     """One declarative peephole entry: adjacent ``first``+``second``
     opcodes fuse into ``opcode`` when ``match`` accepts the pair."""
@@ -590,10 +931,10 @@ FUSION_RULES = (
             OP_CONST_CMP, a[1], a[2], b[1], b[2], b[3], b[4]
         ),
     ),
-    # proj dst feeds a direct-call argument.
+    # proj dst feeds a direct-call argument (of a callee taking as many).
     FusionRule(
         OP_PROJ, OP_CALL, OP_PROJ_CALL,
-        match=lambda a, b: a[1] in b[3],
+        match=lambda a, b: a[1] in b[3] and len(b[3]) == b[2].num_params,
         build=lambda a, b: (
             OP_PROJ_CALL, a[1], a[2], a[3], b[1], b[2], b[3]
         ),
@@ -665,6 +1006,15 @@ FUSION_RULES = (
         match=lambda a, b: a[1] >= 0 and b[1] == a[1],
         build=lambda a, b: (OP_TAILCALL, a[2], a[3]),
     ),
+    # A Nat/Int comparison whose Bool result a tag dispatch branches on
+    # (``if a < b then ...`` lowered through ``Decidable``).
+    FusionRule(
+        OP_RTCALL, OP_GETLABEL_CMP_CONDBR, OP_RTCALL_CMP_BR,
+        match=lambda a, b: (
+            _is_scalar_cmp(a) and _is_tag_dispatch(b) and b[2] == a[1]
+        ),
+        build=lambda a, b: (OP_RTCALL_CMP_BR,) + a[1:] + b[1:],
+    ),
 )
 
 _RULES_BY_PAIR = {(rule.first, rule.second): rule for rule in FUSION_RULES}
@@ -704,6 +1054,7 @@ _TARGET_FIELDS = {
     OP_CASE: (2, 3),
     OP_CONST_CMP_CONDBR: (7, 10),
     OP_GETLABEL_CMP_CONDBR: (9, 12),
+    OP_RTCALL_CMP_BR: (12, 15),
 }
 
 
@@ -1567,7 +1918,14 @@ class VirtualMachine:
         tokens, closure application) and the partial-charge error
         corrections touch the counter dict while running.  Work on an
         unboxed ``int`` makes no runtime call: ``inc``/``dec`` of one bump
-        ``inc_ops``/``dec_ops`` in place, and tags are read inline.
+        ``inc_ops``/``dec_ops`` in place, and tags are read inline.  Every
+        closure that takes or drops a reference (``inc``, ``dec``,
+        ``int_inc``, ``dec_dec``, ``dec_inc``, ``inc_rtcall`` and the
+        projections) handles a live ``CtorObject`` inline as well: an
+        ``inc`` adds to ``rc``, and a ``dec`` with ``rc > count`` lowers it
+        (a freed cell's ``rc`` is 0), each bumping the statistic.  A freed
+        cell, a ``dec`` that would free or underflow, and every other heap
+        kind go through ``Heap.inc``/``Heap.dec``, which raise and free.
         """
         code = fn.code
         length = len(code)
@@ -1707,8 +2065,7 @@ class VirtualMachine:
                         return target
             elif opcode == OP_GETLABEL_CMP_CONDBR:
                 gd, cd, f, a, b = ins[1], ins[3], ins[6], ins[7], ins[8]
-                if (f is _CMP_FNS["eq"] and gd != cd and {a, b} == {gd, cd}
-                        and not ins[10] and not ins[13]):
+                if _is_tag_dispatch(ins):
                     # Constructor-tag dispatch: the label equals the
                     # constant, compared here.
                     def op(regs, s=sites, i=pc, gd=gd, gsrc=ins[2], cd=cd,
@@ -1776,46 +2133,25 @@ class VirtualMachine:
                             for dst, moved in zip(dsts, values):
                                 regs[dst] = moved
                         return target
-            elif opcode == OP_PROJ_PROJ:
-                def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-                       d2=ins[4], s2=ins[5], i2=ins[6], inc=heap.inc,
-                       st=stats, cnt=counts, err=error, ctor=CtorObject,
-                       int_=int, n=nxt):
-                    s[i] += 1
-                    value = regs[s1]
-                    if value.__class__ is not ctor:
-                        # Unfused charge stops at the first proj.
-                        cnt["rc"] -= 2
-                        cnt["proj"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i1]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d1] = field
-                    value = regs[s2]
-                    if value.__class__ is not ctor:
-                        cnt["rc"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i2]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d2] = field
-                    return n(regs)
+            elif opcode == OP_RTCALL_CMP_BR:
+                op = _rtcall_cmp_br_site(sites, pc, ins, ctx, counts, charge)
+            elif opcode in _PROJ_RUNS:
+                op = _proj_site(sites, pc, ins, heap, counts, error, nxt)
             elif opcode == OP_INT_INC:
                 # Bind an unboxed constant; box a big one per execution.
                 box = None if -SCALAR_INT_LIMIT < ins[2] < SCALAR_INT_LIMIT \
                     else heap.alloc_int
                 def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], box=box,
                        src=ins[3], k=ins[4], inc=heap.inc, st=stats,
-                       int_=int, n=nxt):
+                       int_=int, ctor=CtorObject, n=nxt):
                     s[i] += 1
                     regs[d] = v if box is None else box(v)
                     value = regs[src]
-                    if value.__class__ is int_:
+                    cls = value.__class__
+                    if cls is int_:
+                        st.inc_ops += 1
+                    elif cls is ctor and not value.freed:
+                        value.rc += k
                         st.inc_ops += 1
                     else:
                         inc(value, k)
@@ -1823,10 +2159,14 @@ class VirtualMachine:
             elif opcode == OP_DEC_DEC:
                 def op(regs, s=sites, i=pc, s1=ins[1], c1=ins[2], s2=ins[3],
                        c2=ins[4], dec=heap.dec, st=stats, cnt=counts,
-                       int_=int, n=nxt):
+                       int_=int, ctor=CtorObject, n=nxt):
                     s[i] += 1
                     value = regs[s1]
-                    if value.__class__ is int_:
+                    cls = value.__class__
+                    if cls is int_:
+                        st.dec_ops += 1
+                    elif cls is ctor and value.rc > c1:
+                        value.rc -= c1
                         st.dec_ops += 1
                     else:
                         try:
@@ -1836,7 +2176,11 @@ class VirtualMachine:
                             cnt["rc"] -= 1
                             raise
                     value = regs[s2]
-                    if value.__class__ is int_:
+                    cls = value.__class__
+                    if cls is int_:
+                        st.dec_ops += 1
+                    elif cls is ctor and value.rc > c2:
+                        value.rc -= c2
                         st.dec_ops += 1
                     else:
                         dec(value, c2)
@@ -1844,10 +2188,14 @@ class VirtualMachine:
             elif opcode == OP_DEC_INC:
                 def op(regs, s=sites, i=pc, s1=ins[1], c1=ins[2], s2=ins[3],
                        c2=ins[4], dec=heap.dec, inc=heap.inc, st=stats,
-                       cnt=counts, int_=int, n=nxt):
+                       cnt=counts, int_=int, ctor=CtorObject, n=nxt):
                     s[i] += 1
                     value = regs[s1]
-                    if value.__class__ is int_:
+                    cls = value.__class__
+                    if cls is int_:
+                        st.dec_ops += 1
+                    elif cls is ctor and value.rc > c1:
+                        value.rc -= c1
                         st.dec_ops += 1
                     else:
                         try:
@@ -1857,102 +2205,14 @@ class VirtualMachine:
                             cnt["rc"] -= 1
                             raise
                     value = regs[s2]
-                    if value.__class__ is int_:
+                    cls = value.__class__
+                    if cls is int_:
+                        st.inc_ops += 1
+                    elif cls is ctor and not value.freed:
+                        value.rc += c2
                         st.inc_ops += 1
                     else:
                         inc(value, c2)
-                    return n(regs)
-            elif opcode == OP_PROJ3:
-                def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-                       d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
-                       i3=ins[9], inc=heap.inc, st=stats, cnt=counts,
-                       err=error, ctor=CtorObject, int_=int, n=nxt):
-                    s[i] += 1
-                    value = regs[s1]
-                    if value.__class__ is not ctor:
-                        # Unfused charge stops at the failing proj.
-                        cnt["proj"] -= 2
-                        cnt["rc"] -= 3
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i1]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d1] = field
-                    value = regs[s2]
-                    if value.__class__ is not ctor:
-                        cnt["proj"] -= 1
-                        cnt["rc"] -= 2
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i2]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d2] = field
-                    value = regs[s3]
-                    if value.__class__ is not ctor:
-                        cnt["rc"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i3]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d3] = field
-                    return n(regs)
-            elif opcode == OP_PROJ4:
-                def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-                       d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
-                       i3=ins[9], d4=ins[10], s4=ins[11], i4=ins[12],
-                       inc=heap.inc, st=stats, cnt=counts, err=error,
-                       ctor=CtorObject, int_=int, n=nxt):
-                    s[i] += 1
-                    value = regs[s1]
-                    if value.__class__ is not ctor:
-                        # Unfused charge stops at the failing proj.
-                        cnt["proj"] -= 3
-                        cnt["rc"] -= 4
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i1]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d1] = field
-                    value = regs[s2]
-                    if value.__class__ is not ctor:
-                        cnt["proj"] -= 2
-                        cnt["rc"] -= 3
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i2]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d2] = field
-                    value = regs[s3]
-                    if value.__class__ is not ctor:
-                        cnt["proj"] -= 1
-                        cnt["rc"] -= 2
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i3]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d3] = field
-                    value = regs[s4]
-                    if value.__class__ is not ctor:
-                        cnt["rc"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i4]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d4] = field
                     return n(regs)
             elif opcode == OP_INC_RTCALL:
                 op = _inc_rtcall_site(
@@ -1982,69 +2242,12 @@ class VirtualMachine:
                         sites, pc, -1 if tail else ins[1], callee, argr,
                         pending, -3 if tail else -2,
                     )
-            elif opcode == OP_PROJ:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], idx=ins[3],
-                       inc=heap.inc, st=stats, cnt=counts, err=error,
-                       ctor=CtorObject, int_=int, n=nxt):
-                    s[i] += 1
-                    value = regs[src]
-                    if value.__class__ is not ctor:
-                        # The unfused charge stops at proj on this error.
-                        cnt["rc"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[idx]
-                    if field.__class__ is int_:
-                        st.inc_ops += 1
-                    else:
-                        inc(field)
-                    regs[d] = field
-                    return n(regs)
             elif opcode == OP_PROJ_CALL:
-                if len(ins[6]) != ins[5].num_params:
-                    def op(regs, s=sites, i=pc, pd=ins[1], src=ins[2],
-                           idx=ins[3], callee=ins[5], argc=len(ins[6]),
-                           heap=heap, cnt=counts, err=error,
-                           ctor=CtorObject, fh=fault_hit):
-                        s[i] += 1
-                        value = regs[src]
-                        if not isinstance(value, ctor):
-                            cnt["rc"] -= 1
-                            cnt["call"] -= 1
-                            raise err(
-                                f"projection from non-constructor {value!r}"
-                            )
-                        field = value.fields[idx]
-                        heap.inc(field)
-                        regs[pd] = field
-                        fh("vm.dispatch")
-                        raise err(
-                            f"calling {callee.name} with {argc} arguments, "
-                            f"expected {callee.num_params}"
-                        )
-                else:
-                    op = _proj_call_site(
-                        sites, pc, ins, heap, counts, error, pending
-                    )
+                op = _proj_call_site(
+                    sites, pc, ins, heap, counts, error, pending
+                )
             elif opcode == OP_CONSTRUCT:
-                if ins[3]:
-                    # Heap.alloc_ctor, inline.
-                    def op(regs, s=sites, i=pc, d=ins[1], tag=ins[2],
-                           fr=ins[3], ctor=CtorObject, live=heap.live,
-                           st=stats, id_=id, len_=len, n=nxt):
-                        s[i] += 1
-                        cell = ctor(tag, [regs[r] for r in fr])
-                        live[id_(cell)] = cell
-                        st.allocations += 1
-                        if len_(live) > st.peak_live:
-                            st.peak_live = len_(live)
-                        regs[d] = cell
-                        return n(regs)
-                else:
-                    # A field-less constructor is its unboxed tag.
-                    def op(regs, s=sites, i=pc, d=ins[1], tag=ins[2], n=nxt):
-                        s[i] += 1
-                        regs[d] = tag
-                        return n(regs)
+                op = _construct_site(sites, pc, ins, heap, nxt)
             elif opcode == OP_INT or opcode == OP_BIGINT:
                 if -SCALAR_INT_LIMIT < ins[2] < SCALAR_INT_LIMIT:
                     # Unboxed: alloc_int would return the constant itself.
@@ -2081,20 +2284,30 @@ class VirtualMachine:
                     return n(regs)
             elif opcode == OP_INC:
                 def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                       inc=heap.inc, st=stats, int_=int, n=nxt):
+                       inc=heap.inc, st=stats, int_=int, ctor=CtorObject,
+                       n=nxt):
                     s[i] += 1
                     value = regs[src]
-                    if value.__class__ is int_:
+                    cls = value.__class__
+                    if cls is int_:
+                        st.inc_ops += 1
+                    elif cls is ctor and not value.freed:
+                        value.rc += k
                         st.inc_ops += 1
                     else:
                         inc(value, k)
                     return n(regs)
             elif opcode == OP_DEC:
                 def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                       dec=heap.dec, st=stats, int_=int, n=nxt):
+                       dec=heap.dec, st=stats, int_=int, ctor=CtorObject,
+                       n=nxt):
                     s[i] += 1
                     value = regs[src]
-                    if value.__class__ is int_:
+                    cls = value.__class__
+                    if cls is int_:
+                        st.dec_ops += 1
+                    elif cls is ctor and value.rc > k:
+                        value.rc -= k
                         st.dec_ops += 1
                     else:
                         dec(value, k)

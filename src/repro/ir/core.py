@@ -406,24 +406,10 @@ class Operation:
         values absent from the mapping are reused as-is (they are defined
         outside the cloned IR).
         """
+        global _mutations
+        _mutations += 1
         mapper = mapper if mapper is not None else IRMapping()
-        new_op = _build_like(
-            type(self),
-            name=self._name,
-            operands=[mapper.lookup(v) for v in self._operands],
-            result_types=[r.type for r in self.results],
-            attributes=dict(self.attributes),
-            successors=[mapper.lookup_block(b) for b in self.successors],
-            num_regions=0,
-        )
-        for old_res, new_res in zip(self.results, new_op.results):
-            mapper.map_value(old_res, new_res)
-            new_res.name_hint = old_res.name_hint
-        for region in self.regions:
-            new_region = Region(parent=new_op)
-            new_op.regions.append(new_region)
-            region.clone_into(new_region, mapper)
-        return new_op
+        return _clone_op(self, mapper.value_map, mapper.block_map)
 
     # -- traversal -------------------------------------------------------------
     def walk(self) -> Iterator["Operation"]:
@@ -487,6 +473,91 @@ def _build_like(
         name=name,
     )
     return op
+
+
+# Cloning builds ops, values, uses and block links directly: the
+# constructors and the linking primitives would re-check and re-count what
+# a copy of valid IR already satisfies.  The public entry points
+# (:meth:`Operation.clone`, :meth:`Region.clone_into`) count one mutation
+# per call.
+
+
+def _clone_op(op: Operation, values: Dict, blocks: Dict) -> Operation:
+    """A detached deep copy of ``op``; its results and nested blocks and
+    block arguments are recorded in ``values`` / ``blocks``."""
+    new = object.__new__(type(op))
+    new._name = op._name
+    operands = [values.get(v, v) for v in op._operands]
+    new._operands = operands
+    for index, value in enumerate(operands):
+        value.uses.append(Use(new, index))
+    results = []
+    for old in op.results:
+        result = object.__new__(OpResult)
+        result.type = old.type
+        result.uses = []
+        result.name_hint = old.name_hint
+        result.op = new
+        result.index = old.index
+        values[old] = result
+        results.append(result)
+    new.results = results
+    new.attributes = dict(op.attributes)
+    new.successors = [blocks.get(b, b) for b in op.successors]
+    new.parent = None
+    new.prev_op = None
+    new.next_op = None
+    new._order = 0
+    new.erased = False
+    regions = []
+    for region in op.regions:
+        copy = Region(parent=new)
+        _clone_blocks(region, copy, values, blocks)
+        regions.append(copy)
+    new.regions = regions
+    return new
+
+
+def _clone_blocks(region: "Region", dest: "Region", values: Dict,
+                  blocks: Dict) -> None:
+    """Append copies of ``region``'s blocks to ``dest``.  Every block and
+    its arguments are mapped before any op is copied, so forward branches
+    and region-internal references remap."""
+    copies = []
+    for block in region.blocks:
+        copy = Block()
+        arguments = copy.arguments
+        for old in block.arguments:
+            argument = object.__new__(BlockArgument)
+            argument.type = old.type
+            argument.uses = []
+            argument.name_hint = old.name_hint
+            argument.block = copy
+            argument.index = old.index
+            values[old] = argument
+            arguments.append(argument)
+        blocks[block] = copy
+        copies.append(copy)
+    for block, copy in zip(region.blocks, copies):
+        copy.parent = dest
+        dest.blocks.append(copy)
+        prev = None
+        order = 0
+        op = block._first_op
+        while op is not None:
+            new = _clone_op(op, values, blocks)
+            new.parent = copy
+            new.prev_op = prev
+            new._order = order
+            if prev is None:
+                copy._first_op = new
+            else:
+                prev.next_op = new
+            prev = new
+            order += _ORDER_STRIDE
+            op = op.next_op
+        copy._last_op = prev
+        copy._num_ops = len(block)
 
 
 class Block:
@@ -847,21 +918,10 @@ class Region:
 
     def clone_into(self, dest: "Region", mapper: Optional[IRMapping] = None) -> None:
         """Clone the blocks of this region into ``dest`` (appending)."""
+        global _mutations
+        _mutations += 1
         mapper = mapper if mapper is not None else IRMapping()
-        # Create the destination blocks (and argument values) first so that
-        # forward branches and region-internal references remap correctly.
-        new_blocks = []
-        for block in self.blocks:
-            new_block = Block()
-            for arg in block.arguments:
-                new_arg = new_block.add_argument(arg.type, arg.name_hint)
-                mapper.map_value(arg, new_arg)
-            mapper.map_block(block, new_block)
-            new_blocks.append(new_block)
-        for block, new_block in zip(self.blocks, new_blocks):
-            dest.add_block(new_block)
-            for op in block:
-                new_block.append(op.clone(mapper))
+        _clone_blocks(self, dest, mapper.value_map, mapper.block_map)
 
     def walk(self) -> Iterator[Operation]:
         for block in list(self.blocks):

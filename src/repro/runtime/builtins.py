@@ -43,9 +43,18 @@ class RuntimeContext:
 
     # -- helpers ---------------------------------------------------------------
     def release(self, value: Value) -> None:
-        """Release a consumed (owned) argument."""
+        """Release a consumed (owned) argument.
+
+        A shared object's count is lowered here, as :meth:`Heap.dec` would
+        lower it (a freed object's count is 0, so it never takes this
+        path); the last reference goes through ``Heap.dec``, which frees.
+        """
         if value.__class__ is not int and isinstance(value, HeapObject):
-            self.heap.dec(value)
+            if value.rc > 1:
+                value.rc -= 1
+                self.heap.stats.dec_ops += 1
+            else:
+                self.heap.dec(value)
 
     def bool_value(self, flag: bool) -> int:
         return TRUE if flag else FALSE
@@ -122,14 +131,36 @@ def _nat_mul(ctx, args):
     return _binary_int(ctx, args, lambda a, b: a * b, truncate_nat=True)
 
 
+# The division operators, shared with the VM's scalar ``rtcall`` closures
+# (``SCALAR_RTCALLS`` in ``interp/bytecode.py``) so both compute alike.
+def nat_div(a: int, b: int) -> int:
+    """``Nat`` division: ``a / 0`` is 0."""
+    return a // b if b else 0
+
+
+def nat_mod(a: int, b: int) -> int:
+    """``Nat`` remainder: ``a % 0`` is ``a``."""
+    return a % b if b else a
+
+
+def int_div(a: int, b: int) -> int:
+    """``Int`` division truncates towards zero; ``a / 0`` is 0."""
+    return int(a / b) if b else 0
+
+
+def int_mod(a: int, b: int) -> int:
+    """The remainder of :func:`int_div`; ``a % 0`` is ``a``."""
+    return a - int(a / b) * b if b else a
+
+
 @builtin("lean_nat_div")
 def _nat_div(ctx, args):
-    return _binary_int(ctx, args, lambda a, b: a // b if b else 0, truncate_nat=True)
+    return _binary_int(ctx, args, nat_div, truncate_nat=True)
 
 
 @builtin("lean_nat_mod")
 def _nat_mod(ctx, args):
-    return _binary_int(ctx, args, lambda a, b: a % b if b else a, truncate_nat=True)
+    return _binary_int(ctx, args, nat_mod, truncate_nat=True)
 
 
 @builtin("lean_int_add")
@@ -149,23 +180,12 @@ def _int_mul(ctx, args):
 
 @builtin("lean_int_div")
 def _int_div(ctx, args):
-    # LEAN's Int division truncates towards zero.
-    return _binary_int(
-        ctx,
-        args,
-        lambda a, b: int(a / b) if b else 0,
-        truncate_nat=False,
-    )
+    return _binary_int(ctx, args, int_div, truncate_nat=False)
 
 
 @builtin("lean_int_mod")
 def _int_mod(ctx, args):
-    return _binary_int(
-        ctx,
-        args,
-        lambda a, b: a - int(a / b) * b if b else a,
-        truncate_nat=False,
-    )
+    return _binary_int(ctx, args, int_mod, truncate_nat=False)
 
 
 @builtin("lean_int_neg")
@@ -276,7 +296,10 @@ def _array_get(ctx, args):
     if i < 0 or i >= len(array.items):
         raise RuntimeError_(f"array index {i} out of bounds ({len(array.items)})")
     result = array.items[i]
-    ctx.heap.inc(result)
+    if result.__class__ is int:
+        ctx.heap.stats.inc_ops += 1
+    else:
+        ctx.heap.inc(result)
     ctx.release(index)
     ctx.release(array)
     return result

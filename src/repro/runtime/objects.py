@@ -53,7 +53,13 @@ NULL_TOKEN = NullToken()
 
 
 class HeapObject(Value):
-    """Base class of reference-counted heap objects."""
+    """Base class of reference-counted heap objects.
+
+    An object is freed exactly when its count reaches 0, so a freed
+    object's ``rc`` is 0 and one with a positive count is live: the VM's
+    inline ``dec`` and ``RuntimeContext.release`` rely on that to lower a
+    count that stays positive without a ``freed`` test.
+    """
 
     __slots__ = ("rc", "freed")
 

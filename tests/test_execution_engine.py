@@ -69,6 +69,7 @@ from repro.interp.bytecode import (
     OP_PROJ4,
     OP_PROJ_CALL,
     OP_PROJ_PROJ,
+    OP_RTCALL_CMP_BR,
     OP_TAILCALL,
     FUSED_OPCODE_BASES,
     FUSION_RULES,
@@ -850,6 +851,28 @@ def _superinstruction_cases():
     ], 2), [
         ((), ("ok", 3, {"call": 2, "return": 2, "move": 1})),
     ]))
+    # Both branches sum the four registers the pair writes: the Bool, its
+    # label, the constant and the comparison.
+    cases.append((OP_RTCALL_CMP_BR, lambda: _vm_program([
+        (OP_RTCALL, 2, "lean_nat_dec_lt", (0, 1)),
+        (OP_GETLABEL, 3, 2),
+        (OP_CONST, 4, 1),
+        (OP_CMP, 5, _EQ, 3, 4),
+        (OP_CONDBR, 5, 5, (), (), 5, (), ()),
+        (OP_BINARITH, 6, _ADD, 2, 3),
+        (OP_BINARITH, 6, _ADD, 6, 4),
+        (OP_BINARITH, 6, _ADD, 6, 5),
+        (OP_RET, 6),
+    ], 7, num_params=2), [
+        ((1, 2), ("ok", 4, {
+            "runtime_call": 1, "getlabel": 1, "const": 1, "arith": 4,
+            "branch": 1, "call": 1, "return": 1,
+        })),
+        ((2, 1), ("ok", 1, {
+            "runtime_call": 1, "getlabel": 1, "const": 1, "arith": 4,
+            "branch": 1, "call": 1, "return": 1,
+        })),
+    ]))
     return cases
 
 
@@ -998,6 +1021,9 @@ class TestSuperinstructions:
         assert FUSED_OPCODE_BASES["proj4"] == ("proj",) * 4
         assert FUSED_OPCODE_BASES["dec_inc"] == ("dec", "inc")
         assert FUSED_OPCODE_BASES["tailcall"] == ("call", "ret")
+        assert FUSED_OPCODE_BASES["rtcall_cmp_br"] == (
+            "rtcall", "getlabel", "const", "cmp", "cond_br"
+        )
         for bases in FUSED_OPCODE_BASES.values():
             base_names = set(OPCODE_NAMES.values()) - set(FUSED_OPCODE_BASES)
             assert set(bases) <= base_names
@@ -1030,12 +1056,14 @@ class TestSuperinstructions:
             (OP_CONST_CMP_CONDBR, 1, 5, 2, _EQ, 0, 1, 8, (), (), 9, (), ()),
             (OP_GETLABEL_CMP_CONDBR, 0, 3, 1, 5, 2, _EQ, 0, 1,
              10, (), (), 11, (), ()),
+            (OP_RTCALL_CMP_BR, 2, "lean_nat_dec_lt", (0, 1), 3, 2, 4, 1, 5,
+             _EQ, 3, 4, 12, (), (), 13, (), ()),
         ]
         assert {ins[0] for ins in samples} == set(_TARGET_FIELDS)
-        assert _jump_targets(samples) == set(range(1, 12))
-        mapping = {pc: pc + 100 for pc in range(12)}
+        assert _jump_targets(samples) == set(range(1, 14))
+        mapping = {pc: pc + 100 for pc in range(14)}
         remapped = [_remap_targets(ins, mapping) for ins in samples]
-        assert _jump_targets(remapped) == {pc + 100 for pc in range(1, 12)}
+        assert _jump_targets(remapped) == {pc + 100 for pc in range(1, 14)}
         for before, after in zip(samples, remapped):
             fields = _TARGET_FIELDS[before[0]]
             assert [x for i, x in enumerate(before) if i not in fields] == [
@@ -1154,6 +1182,25 @@ class TestSuperinstructionErrorPaths:
             (OP_RET, -1),
         ], 2), (), ("ok", None, {"call": 1, "return": 1, "rc": 4, "move": 2}))
 
+    def test_rtcall_cmp_br_fails_in_the_generic_builtin(self):
+        factory = lambda: _vm_program([
+            (OP_INT, 0, 1),
+            (OP_CONSTRUCT, 1, 1, (0,), "alloc_ctor"),
+            (OP_RTCALL, 2, "lean_nat_dec_lt", (1, 0)),  # a cell is no Nat
+            (OP_GETLABEL, 3, 2),
+            (OP_CONST, 4, 1),
+            (OP_CMP, 5, _EQ, 3, 4),
+            (OP_CONDBR, 5, 7, (), (), 9, (), ()),
+            (OP_CONST, 6, 1), (OP_RET, 6),
+            (OP_CONST, 6, 0), (OP_RET, 6),
+        ], 7)
+        assert OP_RTCALL_CMP_BR in [
+            ins[0] for ins in fuse_program(factory()).functions["main"].code
+        ]
+        _assert_outcome(factory, (), ("error", (
+            "expected an integer value, got Ctor(tag=1, fields=1, rc=1)"
+        ), {"call": 1, "move": 1, "alloc_ctor": 1, "runtime_call": 1}))
+
     def test_inc_rtcall_fails_at_the_inc(self):
         _assert_outcome(lambda: _vm_program([
             (OP_INT, 0, 5),
@@ -1166,6 +1213,127 @@ class TestSuperinstructionErrorPaths:
             "call": 1, "return": 1, "runtime_call": 1, "rc": 2, "move": 1,
             "const": 1,
         }))
+
+
+def _rc_spine(*steps):
+    """A λrc body: ``("let", var, expr)``, ``("inc" | "dec", var[,
+    count])`` steps, then a final ``("ret", var)``."""
+    body = rc_ir.Ret(steps[-1][1])
+    for step in reversed(steps[:-1]):
+        if step[0] == "let":
+            body = rc_ir.Let(step[1], step[2], body)
+        else:
+            node = rc_ir.Inc if step[0] == "inc" else rc_ir.Dec
+            body = node(step[1], body, *step[2:])
+    return body
+
+
+#: ``c`` is a live cell holding the unboxed 1 in ``x``.
+_LIVE_CELL = (("let", "x", rc_ir.Lit(1)), ("let", "c", rc_ir.Ctor(1, ["x"])))
+#: ``k`` is a live cell holding ``x``; ``c`` is live but its field, ``a``,
+#: was freed behind its back, so projecting it increments a freed cell.
+_FREED_FIELD = (
+    ("let", "x", rc_ir.Lit(1)),
+    ("let", "a", rc_ir.Ctor(1, ["x"])),
+    ("let", "c", rc_ir.Ctor(2, ["a"])),
+    ("let", "k", rc_ir.Ctor(3, ["x"])),
+    ("dec", "a"),
+)
+_UNIT = rc_ir.Ctor(0, [])
+_DOUBLE_FREE = "dec of a freed object (double free)"
+_UNDERFLOW = (
+    "reference count underflow on Ctor(tag=1, fields=1, rc=1) (rc=1, dec 2)"
+)
+_INC_FREED = "inc of a freed object"
+
+#: (id, the closure under test, λrc body, error message).  Unboxed
+#: constructors (``_UNIT``) keep neighbours from fusing.
+_INLINE_RC_ERRORS = [
+    ("dec-double-free", OP_DEC, _rc_spine(
+        *_LIVE_CELL, ("dec", "c"), ("let", "u", _UNIT), ("dec", "c"),
+        ("ret", "u"),
+    ), _DOUBLE_FREE),
+    ("dec-underflow", OP_DEC, _rc_spine(
+        *_LIVE_CELL, ("dec", "c", 2), ("ret", "x"),
+    ), _UNDERFLOW),
+    ("inc-freed", OP_INC, _rc_spine(
+        *_LIVE_CELL, ("dec", "c"), ("let", "u", _UNIT), ("inc", "c"),
+        ("ret", "u"),
+    ), _INC_FREED),
+    ("int_inc-freed", OP_INT_INC, _rc_spine(
+        *_LIVE_CELL, ("dec", "c"), ("let", "u", rc_ir.Lit(2)), ("inc", "c"),
+        ("ret", "u"),
+    ), _INC_FREED),
+    ("dec_dec-second-double-free", OP_DEC_DEC, _rc_spine(
+        *_LIVE_CELL, ("dec", "c"), ("dec", "c"), ("ret", "x"),
+    ), _DOUBLE_FREE),
+    ("dec_dec-first-underflow", OP_DEC_DEC, _rc_spine(
+        *_LIVE_CELL, ("dec", "c", 2), ("dec", "c"), ("ret", "x"),
+    ), _UNDERFLOW),
+    ("dec_inc-inc-freed", OP_DEC_INC, _rc_spine(
+        *_LIVE_CELL, ("dec", "c"), ("inc", "c"), ("ret", "x"),
+    ), _INC_FREED),
+    ("dec_inc-dec-double-free", OP_DEC_INC, _rc_spine(
+        *_LIVE_CELL, ("dec", "c"), ("let", "u", _UNIT), ("dec", "c"),
+        ("inc", "x"), ("ret", "u"),
+    ), _DOUBLE_FREE),
+    ("inc_rtcall-freed", OP_INC_RTCALL, _rc_spine(
+        *_LIVE_CELL, ("dec", "c"), ("let", "u", _UNIT), ("inc", "c"),
+        ("let", "r", rc_ir.Call("lean_nat_add", ["x", "x"])), ("ret", "r"),
+    ), _INC_FREED),
+    ("proj-freed-field", OP_PROJ, _rc_spine(
+        *_FREED_FIELD, ("let", "f", rc_ir.Proj(0, "c")), ("ret", "f"),
+    ), _INC_FREED),
+    ("proj_proj-second", OP_PROJ_PROJ, _rc_spine(
+        *_FREED_FIELD, ("let", "f", rc_ir.Proj(0, "k")),
+        ("let", "g", rc_ir.Proj(0, "c")), ("ret", "g"),
+    ), _INC_FREED),
+    ("proj3-third", OP_PROJ3, _rc_spine(
+        *_FREED_FIELD, ("let", "f", rc_ir.Proj(0, "k")),
+        ("let", "g", rc_ir.Proj(0, "k")), ("let", "h", rc_ir.Proj(0, "c")),
+        ("ret", "h"),
+    ), _INC_FREED),
+    ("proj4-second", OP_PROJ4, _rc_spine(
+        *_FREED_FIELD, ("let", "f", rc_ir.Proj(0, "k")),
+        ("let", "g", rc_ir.Proj(0, "c")), ("let", "h", rc_ir.Proj(0, "k")),
+        ("let", "j", rc_ir.Proj(0, "k")), ("ret", "j"),
+    ), _INC_FREED),
+    ("proj_call-freed-field", OP_PROJ_CALL, _rc_spine(
+        *_FREED_FIELD, ("let", "f", rc_ir.Proj(0, "c")),
+        ("let", "r", rc_ir.Call("identity", ["f"])), ("ret", "r"),
+    ), _INC_FREED),
+]
+
+
+class TestInlineRcErrorPaths:
+    """The closures that take or drop a reference handle a live
+    constructor cell inline; a freed cell, an ``rc`` that would reach 0 or
+    underflow, and a freed field go through ``Heap.inc``/``Heap.dec``.
+    Their failures carry the fused, unfused and tree runs to the same
+    error, charges and heap statistics."""
+
+    @pytest.mark.parametrize(
+        "opcode,body,message",
+        [case[1:] for case in _INLINE_RC_ERRORS],
+        ids=[case[0] for case in _INLINE_RC_ERRORS],
+    )
+    def test_failure_matches_unfused_and_tree(self, opcode, body, message):
+        program = rc_program(body, extra=(
+            rc_ir.Function("identity", ["p"], rc_ir.Ret("p")),
+        ))
+        fused = compile_rc_program(program)
+        unfused = compile_rc_program(program, fuse=False)
+        assert opcode in opcodes(fused, "main")
+        assert set(opcodes(unfused, "main")) <= set(OPCODE_NAMES) - {
+            rule.opcode for rule in FUSION_RULES
+        }
+        outcomes = [
+            _failed_run(VirtualMachine(fused)),
+            _failed_run(VirtualMachine(unfused)),
+            _failed_run(RcInterpreter(program)),
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][0] == ("RuntimeError_", message)
 
 
 class TestExplicitCallStack:
@@ -1755,6 +1923,44 @@ def test_hypothesis_inc_rtcall_matches_generic_builtin(name, lhs, rhs):
     }
 
 
+def _rtcall_cmp_br_program(name):
+    """``name`` of the two parameters, dispatched on: 1 when true, 0 when
+    false."""
+    return _vm_program([
+        (OP_RTCALL, 2, name, (0, 1)),
+        (OP_GETLABEL, 3, 2),
+        (OP_CONST, 4, 1),
+        (OP_CMP, 5, _EQ, 3, 4),
+        (OP_CONDBR, 5, 5, (), (), 7, (), ()),
+        (OP_CONST, 6, 1), (OP_RET, 6),
+        (OP_CONST, 6, 0), (OP_RET, 6),
+    ], 7, num_params=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(
+        name for name, (shape, _) in SCALAR_RTCALLS.items() if shape == "cmp"
+    )),
+    lhs=_OPERANDS,
+    rhs=_OPERANDS,
+)
+def test_hypothesis_rtcall_cmp_br_matches_unfused(name, lhs, rhs):
+    runs = []
+    for fused in (False, True):
+        program = _rtcall_cmp_br_program(name)
+        if fused:
+            fuse_program(program)
+            assert program.functions["main"].code[0][0] == OP_RTCALL_CMP_BR
+        ctx = RuntimeContext()
+        args = [_materialise(ctx.heap, lhs), _materialise(ctx.heap, rhs)]
+        run = VirtualMachine(program, context=ctx).run_main(args)
+        runs.append((run.value, run.metrics.counts, run.heap_stats))
+    assert runs[0] == runs[1]
+    expected = BUILTINS[name](RuntimeContext(), [lhs[1], rhs[1]])
+    assert runs[0][0] == expected
+
+
 class TestScalarSpecialisation:
     def test_table_covers_arithmetic_and_every_comparison(self):
         comparisons = {
@@ -1764,7 +1970,7 @@ class TestScalarSpecialisation:
         arithmetic = {
             f"lean_{domain}_{op}"
             for domain in ("nat", "int")
-            for op in ("add", "sub", "mul")
+            for op in ("add", "sub", "mul", "div", "mod")
         }
         assert len(comparisons) == 12
         assert set(SCALAR_RTCALLS) == comparisons | arithmetic

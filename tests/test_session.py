@@ -37,7 +37,7 @@ from repro.interp.bytecode import EXECUTION_ENGINES
 from repro.ir.printer import print_module
 from repro.lambda_pure.simplifier import simplify_program
 from repro.lean.printer import print_program
-from repro.rc_opt import insert_optimized_rc
+from repro.rc_opt import RC_MODES, insert_optimized_rc
 from repro.telemetry import Tracer, telemetry_session
 
 SOURCES = benchmark_sources(
@@ -182,6 +182,21 @@ class TestRcLoweringCache:
         # lp+rgn prefixes (one per rc mode, shared by its rewrite engines),
         # 3 distinct λrc.
         assert (session.stats["rc_misses"], session.stats["rc_hits"]) == (3, 3)
+
+    def test_rc_modes_share_one_simplifier_run(self):
+        session = CompilationSession()
+        _, source = load_corpus()[0]
+        with telemetry_session(tracer=Tracer()) as telemetry:
+            run_matrix(source, session=session, configs=full_matrix())
+            assert len(telemetry.tracer.find("phase:simplify")) == 1
+            for mode in RC_MODES:
+                BaselineCompiler(
+                    PipelineOptions(rc_mode=mode, enable_simp_case=False),
+                    session=session,
+                ).compile(source)
+        # One run per simp_case setting; RC insertion ran per rc mode.
+        assert len(telemetry.tracer.find("phase:simplify")) == 2
+        assert len(telemetry.tracer.find("phase:rc-insert")) == 6
 
 
 def _observable(program):
