@@ -44,7 +44,7 @@ from .backend.pipeline import (
     MlirCompiler,
     PipelineOptions,
 )
-from .interp.bytecode import EXECUTION_ENGINES, FUSED_OPCODE_BASES
+from .interp.bytecode import EXECUTION_ENGINES, base_frequencies
 from .ir.printer import print_module
 from .lambda_pure.lowering import LoweringError
 from .lean import LexError, ParseError, TypeError_
@@ -131,11 +131,7 @@ def _print_exec_stats(registry: MetricsRegistry, *, unfused: bool = False) -> No
         if name.startswith(prefix)
     }
     if unfused:
-        decomposed: dict = {}
-        for name, count in frequencies.items():
-            for base in FUSED_OPCODE_BASES.get(name, (name,)):
-                decomposed[base] = decomposed.get(base, 0) + count
-        frequencies = decomposed
+        frequencies = base_frequencies(frequencies)
     total = sum(frequencies.values())
     print(f"[exec-stats] {total} instructions across "
           f"{len(frequencies)} opcodes")

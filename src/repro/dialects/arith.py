@@ -206,6 +206,13 @@ class ExtUIOp(Operation):
         super().__init__(operands=[value], result_types=[result_type])
 
 
+def _truncated_quotient(lhs: int, rhs: int) -> int:
+    """``lhs / rhs`` rounded towards zero, in integer arithmetic (exact at
+    any magnitude, unlike a float division)."""
+    quotient = abs(lhs) // abs(rhs)
+    return quotient if (lhs < 0) == (rhs < 0) else -quotient
+
+
 def evaluate_binary(op_name: str, lhs: int, rhs: int) -> int:
     """Constant-fold helper shared by the folder and the interpreters."""
     if op_name == AddIOp.OP_NAME:
@@ -217,11 +224,11 @@ def evaluate_binary(op_name: str, lhs: int, rhs: int) -> int:
     if op_name == DivSIOp.OP_NAME:
         if rhs == 0:
             raise ZeroDivisionError("division by zero in arith.divsi")
-        return int(lhs / rhs)
+        return _truncated_quotient(lhs, rhs)
     if op_name == RemSIOp.OP_NAME:
         if rhs == 0:
             raise ZeroDivisionError("remainder by zero in arith.remsi")
-        return lhs - int(lhs / rhs) * rhs
+        return lhs - _truncated_quotient(lhs, rhs) * rhs
     if op_name == AndIOp.OP_NAME:
         return lhs & rhs
     if op_name == OrIOp.OP_NAME:

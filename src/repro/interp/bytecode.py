@@ -51,7 +51,9 @@ Four execution-speed levers sit on top of that contract:
   instruction's closure itself, so one loop turn runs a basic block (or
   its part up to a call); :data:`CHAIN_LIMIT` bounds the Python depth of
   a chain, and a call site leaves the pc its caller resumes at for the
-  loop.
+  loop.  No closure counts itself: the loop counts the chains it enters,
+  and each site's executions are derived from those entries when a run
+  ends.
 * *an explicit call stack* — ``call``/``ret`` push and pop VM frames
   inside the run loop instead of recursing in Python, and so does
   closure application, so deep recursion never rides
@@ -68,8 +70,9 @@ Four execution-speed levers sit on top of that contract:
   otherwise, with the generic call's values, heap statistics and charges.
   Likewise ``inc``/``dec`` of an ``int`` bump the heap's statistic in
   place, tag reads happen inline, and so does reference counting of a
-  live constructor cell whose count stays positive: only a free, an error
-  or another heap kind calls ``Heap.inc``/``Heap.dec``.
+  live constructor cell whose count stays positive (and an ``inc`` of a
+  live array): only a free, an error or another heap kind calls
+  ``Heap.inc``/``Heap.dec``.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ from ..runtime import (
     FALSE,
     SCALAR_INT_LIMIT,
     TRUE,
+    ArrayObject,
     CtorObject,
     RuntimeContext,
     RuntimeError_,
@@ -199,13 +203,13 @@ NUM_OPCODES = len(OPCODE_NAMES)
 def _divsi(a: int, b: int) -> int:
     if b == 0:
         raise ZeroDivisionError("division by zero in arith.divsi")
-    return int(a / b)
+    return int_div(a, b)
 
 
 def _remsi(a: int, b: int) -> int:
     if b == 0:
         raise ZeroDivisionError("remainder by zero in arith.remsi")
-    return a - int(a / b) * b
+    return int_mod(a, b)
 
 
 #: Binary arithmetic resolved to callables at compile time.  The semantics
@@ -279,16 +283,15 @@ def _goto(pc: int) -> Callable:
     return op
 
 
-def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
+def _scalar_rtcall(scalar, slow, ctx, alloc, dst, args, nxt):
     """The threaded closure of an ``rtcall`` site in :data:`SCALAR_RTCALLS`:
     ``int`` operands are computed here, any other goes to ``slow`` (the
     generic builtin)."""
     shape, fn = scalar
     lhs, rhs = args
     if shape == "cmp":
-        def op(regs, s=sites, i=pc, d=dst, a=lhs, b=rhs, f=fn, slow=slow,
-               ctx=ctx, int_=int, yes=TRUE, no=FALSE, n=nxt):
-            s[i] += 1
+        def op(regs, d=dst, a=lhs, b=rhs, f=fn, slow=slow, ctx=ctx, int_=int,
+               yes=TRUE, no=FALSE, n=nxt):
             x = regs[a]
             y = regs[b]
             if x.__class__ is int_ and y.__class__ is int_:
@@ -297,9 +300,8 @@ def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
                 regs[d] = slow(ctx, [x, y])
             return n(regs)
     elif shape == "nat":
-        def op(regs, s=sites, i=pc, d=dst, a=lhs, b=rhs, f=fn, slow=slow,
-               ctx=ctx, alloc=alloc, int_=int, lim=SCALAR_INT_LIMIT, n=nxt):
-            s[i] += 1
+        def op(regs, d=dst, a=lhs, b=rhs, f=fn, slow=slow, ctx=ctx,
+               alloc=alloc, int_=int, lim=SCALAR_INT_LIMIT, n=nxt):
             x = regs[a]
             y = regs[b]
             if x.__class__ is int_ and y.__class__ is int_:
@@ -311,9 +313,8 @@ def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
                 regs[d] = slow(ctx, [x, y])
             return n(regs)
     else:
-        def op(regs, s=sites, i=pc, d=dst, a=lhs, b=rhs, f=fn, slow=slow,
-               ctx=ctx, alloc=alloc, int_=int, lim=SCALAR_INT_LIMIT, n=nxt):
-            s[i] += 1
+        def op(regs, d=dst, a=lhs, b=rhs, f=fn, slow=slow, ctx=ctx,
+               alloc=alloc, int_=int, lim=SCALAR_INT_LIMIT, n=nxt):
             x = regs[a]
             y = regs[b]
             if x.__class__ is int_ and y.__class__ is int_:
@@ -325,7 +326,7 @@ def _scalar_rtcall(scalar, slow, ctx, alloc, sites, pc, dst, args, nxt):
     return op
 
 
-def _rtcall_cmp_br_site(sites, pc, ins, ctx, counts, charge):
+def _rtcall_cmp_br_site(ins, ctx, counts, charge):
     """The threaded closure of an ``rtcall_cmp_br`` site: the comparison,
     computed here on ``int`` operands as :func:`_scalar_rtcall` does, then
     the tag dispatch on its ``Bool`` result, which is its own tag.  Every
@@ -334,11 +335,10 @@ def _rtcall_cmp_br_site(sites, pc, ins, ctx, counts, charge):
     charges are taken back."""
     (_, rdst, name, (lhs, rhs), gdst, _, cdst, value, dst, _, _, _,
      tpc, _, _, fpc, _, _) = ins
-    def op(regs, s=sites, i=pc, rd=rdst, a=lhs, b=rhs,
-           f=SCALAR_RTCALLS[name][1], slow=BUILTINS[name], ctx=ctx, gd=gdst,
-           cd=cdst, v=value, d=dst, tpc=tpc, fpc=fpc, ch=charge, cnt=counts,
-           int_=int, yes=TRUE, no=FALSE):
-        s[i] += 1
+    def op(regs, rd=rdst, a=lhs, b=rhs, f=SCALAR_RTCALLS[name][1],
+           slow=BUILTINS[name], ctx=ctx, gd=gdst, cd=cdst, v=value, d=dst,
+           tpc=tpc, fpc=fpc, ch=charge, cnt=counts, int_=int, yes=TRUE,
+           no=FALSE):
         x = regs[a]
         y = regs[b]
         if x.__class__ is int_ and y.__class__ is int_:
@@ -365,7 +365,7 @@ def _rtcall_cmp_br_site(sites, pc, ins, ctx, counts, charge):
     return op
 
 
-def _rtcall_site(sites, pc, dst, name, argr, ctx, nxt):
+def _rtcall_site(dst, name, argr, ctx, nxt):
     """The threaded closure of an ``rtcall`` site.  The builtin is resolved
     here: ``BUILTINS`` is sealed at import time, so a per-call name lookup
     would be dead weight.  An unknown name keeps ``call_builtin``'s error,
@@ -374,7 +374,7 @@ def _rtcall_site(sites, pc, dst, name, argr, ctx, nxt):
     scalar = SCALAR_RTCALLS.get(name)
     if scalar is not None and dst >= 0 and len(argr) == 2:
         return _scalar_rtcall(
-            scalar, impl, ctx, ctx.heap.alloc_int, sites, pc, dst, argr, nxt
+            scalar, impl, ctx, ctx.heap.alloc_int, dst, argr, nxt
         )
     if impl is None:
         def impl(ctx, args, name=name):
@@ -382,99 +382,82 @@ def _rtcall_site(sites, pc, dst, name, argr, ctx, nxt):
     if dst >= 0 and len(argr) == 2:
         # Two registers read without a comprehension, which is a call of
         # its own before 3.12.
-        def op(regs, s=sites, i=pc, d=dst, fn_=impl, a=argr[0], b=argr[1],
-               ctx=ctx, n=nxt):
-            s[i] += 1
+        def op(regs, d=dst, fn_=impl, a=argr[0], b=argr[1], ctx=ctx, n=nxt):
             regs[d] = fn_(ctx, [regs[a], regs[b]])
             return n(regs)
     elif dst >= 0:
-        def op(regs, s=sites, i=pc, d=dst, fn_=impl, argr=argr, ctx=ctx,
-               n=nxt):
-            s[i] += 1
+        def op(regs, d=dst, fn_=impl, argr=argr, ctx=ctx, n=nxt):
             regs[d] = fn_(ctx, [regs[r] for r in argr])
             return n(regs)
     else:
-        def op(regs, s=sites, i=pc, fn_=impl, argr=argr, ctx=ctx, n=nxt):
-            s[i] += 1
+        def op(regs, fn_=impl, argr=argr, ctx=ctx, n=nxt):
             fn_(ctx, [regs[r] for r in argr])
             return n(regs)
     return op
 
 
-def _inc_rtcall_site(sites, pc, src, count, heap, counts, rtcall):
+def _inc_rtcall_site(src, count, heap, counts, rtcall):
     """The threaded closure of an ``inc_rtcall`` site: the ``inc``, then
-    ``rtcall``, the :func:`_rtcall_site` closure of the same site, which
-    counts it.  The ``inc`` of an unboxed ``int`` only bumps ``inc_ops``,
-    and that of a live constructor cell bumps its ``rc`` too; an ``inc``
-    that raises counts the site itself and takes back the builtin's
-    charge, as the unfused sequence stops there."""
-    def op(regs, s=sites, i=pc, src=src, k=count, inc=heap.inc,
-           st=heap.stats, cnt=counts, then=rtcall, int_=int,
-           ctor=CtorObject):
+    ``rtcall``, the :func:`_rtcall_site` closure of the same site.  The
+    ``inc`` of an unboxed ``int`` only bumps ``inc_ops``, and that of a
+    live constructor cell or array bumps its ``rc`` too; an ``inc`` that
+    raises takes back the builtin's charge, as the unfused sequence stops
+    there."""
+    def op(regs, src=src, k=count, inc=heap.inc, st=heap.stats, cnt=counts,
+           then=rtcall, int_=int, ctor=CtorObject, arr=ArrayObject):
         value = regs[src]
         cls = value.__class__
         if cls is int_:
             st.inc_ops += 1
-        elif cls is ctor and not value.freed:
+        elif (cls is ctor or cls is arr) and not value.freed:
             value.rc += k
             st.inc_ops += 1
         else:
             try:
                 inc(value, k)
             except RuntimeError_:
-                s[i] += 1
                 cnt["runtime_call"] -= 1
                 raise
         return then(regs)
     return op
 
 
-def _construct_site(sites, pc, ins, heap, nxt):
+def _construct_site(ins, heap, nxt):
     """The threaded closure of a ``construct`` site: ``Heap.alloc_ctor``,
     inline.  One or two fields are read without a comprehension, which is
     a call of its own before 3.12; a field-less constructor is its
     unboxed tag."""
     _, dst, tag, fields, _ = ins
     if not fields:
-        def op(regs, s=sites, i=pc, d=dst, tag=tag, n=nxt):
-            s[i] += 1
+        def op(regs, d=dst, tag=tag, n=nxt):
             regs[d] = tag
             return n(regs)
     elif len(fields) == 1:
-        def op(regs, s=sites, i=pc, d=dst, tag=tag, a=fields[0],
-               ctor=CtorObject, live=heap.live, st=heap.stats, id_=id,
-               len_=len, n=nxt):
-            s[i] += 1
-            cell = ctor(tag, [regs[a]])
-            live[id_(cell)] = cell
+        def op(regs, d=dst, tag=tag, a=fields[0], ctor=CtorObject,
+               st=heap.stats, n=nxt):
+            regs[d] = ctor(tag, [regs[a]])
             st.allocations += 1
-            if len_(live) > st.peak_live:
-                st.peak_live = len_(live)
-            regs[d] = cell
+            live = st.allocations - st.frees
+            if live > st.peak_live:
+                st.peak_live = live
             return n(regs)
     elif len(fields) == 2:
-        def op(regs, s=sites, i=pc, d=dst, tag=tag, a=fields[0],
-               b=fields[1], ctor=CtorObject, live=heap.live, st=heap.stats,
-               id_=id, len_=len, n=nxt):
-            s[i] += 1
-            cell = ctor(tag, [regs[a], regs[b]])
-            live[id_(cell)] = cell
+        def op(regs, d=dst, tag=tag, a=fields[0], b=fields[1], ctor=CtorObject,
+               st=heap.stats, n=nxt):
+            regs[d] = ctor(tag, [regs[a], regs[b]])
             st.allocations += 1
-            if len_(live) > st.peak_live:
-                st.peak_live = len_(live)
-            regs[d] = cell
+            live = st.allocations - st.frees
+            if live > st.peak_live:
+                st.peak_live = live
             return n(regs)
     else:
-        def op(regs, s=sites, i=pc, d=dst, tag=tag, fr=fields,
-               ctor=CtorObject, live=heap.live, st=heap.stats, id_=id,
-               len_=len, n=nxt):
-            s[i] += 1
-            cell = ctor(tag, [regs[r] for r in fr])
-            live[id_(cell)] = cell
+        def op(regs, d=dst, tag=tag, fr=fields, ctor=CtorObject, st=heap.stats,
+               n=nxt):
+            regs[d] = ctor(tag, [regs[r] for r in fr])
             st.allocations += 1
-            if len_(live) > st.peak_live:
-                st.peak_live = len_(live)
-            regs[d] = cell
+            live = st.allocations - st.frees
+            if live > st.peak_live:
+                st.peak_live = live
             return n(regs)
     return op
 
@@ -484,7 +467,7 @@ def _frame_pad(callee: "BytecodeFunction") -> List[None]:
     return [None] * (callee.num_regs - callee.num_params)
 
 
-def _call_site(sites, pc, dst, callee, argr, pend, sentinel):
+def _call_site(pc, dst, callee, argr, pend, sentinel):
     """The threaded closure of a direct ``call`` (``sentinel`` -2) or
     ``tailcall`` (-3) site: it builds the callee's finished register frame
     and hands it to the loop in ``pend``, with the pc the caller resumes
@@ -494,46 +477,40 @@ def _call_site(sites, pc, dst, callee, argr, pend, sentinel):
     resume = pc + 1
     count = len(argr)
     if count == 0:
-        def op(regs, s=sites, i=pc, d=dst, c=callee, pad=pad, pend=pend,
-               r=resume, sig=sentinel):
-            s[i] += 1
+        def op(regs, d=dst, c=callee, pad=pad, pend=pend, r=resume,
+               sig=sentinel):
             pend[0] = c
             pend[1] = pad[:]
             pend[2] = d
             pend[3] = r
             return sig
     elif count == 1:
-        def op(regs, s=sites, i=pc, d=dst, c=callee, a=argr[0], pad=pad,
-               pend=pend, r=resume, sig=sentinel):
-            s[i] += 1
+        def op(regs, d=dst, c=callee, a=argr[0], pad=pad, pend=pend, r=resume,
+               sig=sentinel):
             pend[0] = c
             pend[1] = [regs[a]] + pad
             pend[2] = d
             pend[3] = r
             return sig
     elif count == 2:
-        def op(regs, s=sites, i=pc, d=dst, c=callee, a=argr[0], b=argr[1],
-               pad=pad, pend=pend, r=resume, sig=sentinel):
-            s[i] += 1
+        def op(regs, d=dst, c=callee, a=argr[0], b=argr[1], pad=pad, pend=pend,
+               r=resume, sig=sentinel):
             pend[0] = c
             pend[1] = [regs[a], regs[b]] + pad
             pend[2] = d
             pend[3] = r
             return sig
     elif count == 3:
-        def op(regs, s=sites, i=pc, d=dst, c=callee, a=argr[0], b=argr[1],
-               e=argr[2], pad=pad, pend=pend, r=resume, sig=sentinel):
-            s[i] += 1
+        def op(regs, d=dst, c=callee, a=argr[0], b=argr[1], e=argr[2], pad=pad,
+               pend=pend, r=resume, sig=sentinel):
             pend[0] = c
             pend[1] = [regs[a], regs[b], regs[e]] + pad
             pend[2] = d
             pend[3] = r
             return sig
     else:
-        def op(regs, s=sites, i=pc, d=dst, c=callee,
-               get=operator.itemgetter(*argr), pad=pad, pend=pend, r=resume,
-               sig=sentinel):
-            s[i] += 1
+        def op(regs, d=dst, c=callee, get=operator.itemgetter(*argr), pad=pad,
+               pend=pend, r=resume, sig=sentinel):
             pend[0] = c
             pend[1] = list(get(regs)) + pad
             pend[2] = d
@@ -546,7 +523,7 @@ def _call_site(sites, pc, dst, callee, argr, pend, sentinel):
 _PROJ_RUNS = frozenset((OP_PROJ, OP_PROJ_PROJ, OP_PROJ3, OP_PROJ4))
 
 
-def _proj_site(sites, pc, ins, heap, counts, error, nxt):
+def _proj_site(ins, heap, counts, error, nxt):
     """The threaded closure of a ``proj`` site or of a fused run of two to
     four (``proj_proj``, ``proj3``, ``proj4``).  Each member reads a field
     of a constructor cell and takes a reference to it: inline for an
@@ -555,10 +532,9 @@ def _proj_site(sites, pc, ins, heap, counts, error, nxt):
     stops the unfused sequence after its ``proj`` charge, so the closure
     takes back that member's ``rc`` and every later member's charges."""
     if len(ins) == 4:
-        def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], idx=ins[3],
-               inc=heap.inc, st=heap.stats, cnt=counts, err=error,
-               ctor=CtorObject, int_=int, n=nxt):
-            s[i] += 1
+        def op(regs, d=ins[1], src=ins[2], idx=ins[3], inc=heap.inc,
+               st=heap.stats, cnt=counts, err=error, ctor=CtorObject, int_=int,
+               n=nxt):
             try:
                 value = regs[src]
                 if value.__class__ is not ctor:
@@ -578,10 +554,9 @@ def _proj_site(sites, pc, ins, heap, counts, error, nxt):
             regs[d] = field
             return n(regs)
     elif len(ins) == 7:
-        def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-               d2=ins[4], s2=ins[5], i2=ins[6], inc=heap.inc, st=heap.stats,
-               cnt=counts, err=error, ctor=CtorObject, int_=int, n=nxt):
-            s[i] += 1
+        def op(regs, d1=ins[1], s1=ins[2], i1=ins[3], d2=ins[4], s2=ins[5],
+               i2=ins[6], inc=heap.inc, st=heap.stats, cnt=counts, err=error,
+               ctor=CtorObject, int_=int, n=nxt):
             done = 0
             try:
                 value = regs[s1]
@@ -617,11 +592,10 @@ def _proj_site(sites, pc, ins, heap, counts, error, nxt):
             regs[d2] = field
             return n(regs)
     elif len(ins) == 10:
-        def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-               d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
-               i3=ins[9], inc=heap.inc, st=heap.stats, cnt=counts,
-               err=error, ctor=CtorObject, int_=int, n=nxt):
-            s[i] += 1
+        def op(regs, d1=ins[1], s1=ins[2], i1=ins[3], d2=ins[4], s2=ins[5],
+               i2=ins[6], d3=ins[7], s3=ins[8], i3=ins[9], inc=heap.inc,
+               st=heap.stats, cnt=counts, err=error, ctor=CtorObject, int_=int,
+               n=nxt):
             done = 0
             try:
                 value = regs[s1]
@@ -671,12 +645,10 @@ def _proj_site(sites, pc, ins, heap, counts, error, nxt):
             regs[d3] = field
             return n(regs)
     else:
-        def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-               d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
-               i3=ins[9], d4=ins[10], s4=ins[11], i4=ins[12], inc=heap.inc,
-               st=heap.stats, cnt=counts, err=error, ctor=CtorObject,
-               int_=int, n=nxt):
-            s[i] += 1
+        def op(regs, d1=ins[1], s1=ins[2], i1=ins[3], d2=ins[4], s2=ins[5],
+               i2=ins[6], d3=ins[7], s3=ins[8], i3=ins[9], d4=ins[10],
+               s4=ins[11], i4=ins[12], inc=heap.inc, st=heap.stats, cnt=counts,
+               err=error, ctor=CtorObject, int_=int, n=nxt):
             done = 0
             try:
                 value = regs[s1]
@@ -742,7 +714,7 @@ def _proj_site(sites, pc, ins, heap, counts, error, nxt):
     return op
 
 
-def _proj_call_site(sites, pc, ins, heap, counts, error, pend):
+def _proj_call_site(pc, ins, heap, counts, error, pend):
     """The threaded closure of a ``proj_call`` site: ``proj``, as
     :func:`_proj_site` runs it, then a call that builds its callee's frame
     as :func:`_call_site` does.  The projected field is always an
@@ -751,11 +723,9 @@ def _proj_call_site(sites, pc, ins, heap, counts, error, pend):
     takes as many arguments as the site passes."""
     _, pd, src, idx, cd, callee, argr = ins
     get = operator.itemgetter(*argr) if len(argr) > 1 else None
-    def op(regs, s=sites, i=pc, pd=pd, src=src, idx=idx, cd=cd, c=callee,
-           get=get, pad=_frame_pad(callee), inc=heap.inc, st=heap.stats,
-           cnt=counts, err=error, ctor=CtorObject, int_=int, pend=pend,
-           r=pc + 1):
-        s[i] += 1
+    def op(regs, pd=pd, src=src, idx=idx, cd=cd, c=callee, get=get,
+           pad=_frame_pad(callee), inc=heap.inc, st=heap.stats, cnt=counts,
+           err=error, ctor=CtorObject, int_=int, pend=pend, r=pc + 1):
         try:
             value = regs[src]
             if value.__class__ is not ctor:
@@ -783,14 +753,12 @@ def _proj_call_site(sites, pc, ins, heap, counts, error, pend):
     return op
 
 
-def _bad_arity_site(sites, pc, callee, argc, counts, error, tail):
+def _bad_arity_site(callee, argc, counts, error, tail):
     """The threaded closure of a call site whose argument count does not
     match its callee: it raises at execution time, after the call's fault
     site, as a function entry does.  A ``tailcall`` site's fused ``ret``
     never runs, so it takes back that charge first."""
-    def op(regs, s=sites, i=pc, owed=1 if tail else 0, cnt=counts,
-           fh=fault_hit, err=error):
-        s[i] += 1
+    def op(regs, owed=1 if tail else 0, cnt=counts, fh=fault_hit, err=error):
         cnt["return"] -= owed
         fh("vm.dispatch")
         raise err(
@@ -1041,6 +1009,17 @@ FUSED_OPCODE_BASES = {
     )
     for rule in FUSION_RULES
 }
+
+
+def base_frequencies(frequencies: Dict[str, int]) -> Dict[str, int]:
+    """``frequencies`` (opcode name -> count) with each superinstruction
+    counted once for every base opcode it decomposes into: what the
+    unfused bytecode (``fuse=False``) executes."""
+    bases: Dict[str, int] = {}
+    for name, count in frequencies.items():
+        for base in FUSED_OPCODE_BASES.get(name, (name,)):
+            bases[base] = bases.get(base, 0) + count
+    return bases
 
 
 #: The branch-target fields of each opcode that transfers control: an
@@ -1524,10 +1503,10 @@ def compile_rc_program(
 # ---------------------------------------------------------------------------
 
 #: Per-opcode cost-model events that are fixed at compile time.  The
-#: threaded loop counts executions per instruction *site* and
-#: derives charge counts (and opcode frequencies) from this table when a
-#: run flushes — one list increment per instruction instead of dict
-#: updates in the hot loop.  ``None`` marks ``construct``, whose category
+#: threaded loop counts chain entries per instruction *site*; when a run
+#: flushes, the VM derives each site's executions and from them, with
+#: this table, the charge counts and opcode frequencies — one list
+#: increment per loop turn instead of dict updates in the hot loop.  ``None`` marks ``construct``, whose category
 #: is per-site (``ins[4]``); empty tuples mark the dynamically-charged
 #: opcodes (``reuse``, ``papextend``) whose closures charge inline.
 #: A fused opcode charges the events of the base opcodes it decomposes
@@ -1610,20 +1589,26 @@ class VirtualMachine:
         #: ``vm.instr.freq.<op>`` metrics.
         self.opcode_counts: List[int] = [0] * NUM_OPCODES
         self.budget = budget
-        #: Threaded-loop state: per-function closure arrays, the
-        #: per-site execution counters they bump, and the two cells the
-        #: call/ret closures use to talk to the frame loop: ``_pending``
-        #: holds (callee, its frame, destination register, the pc the
-        #: caller resumes at, arguments left over for the callee's
-        #: result), ``_retslot`` the returned value.
-        self._threaded: Dict[BytecodeFunction, List[Callable]] = {}
-        self._site_tables: Dict[BytecodeFunction, List[int]] = {}
+        #: Threaded-loop state: per function, its closure array, its
+        #: site table and which pcs the previous closure falls into (see
+        #: :meth:`_compile_threaded`); the pc step from each chain
+        #: closure's code to the next closure's (``_chain_steps``, read
+        #: by :meth:`_count_raise`); and the two cells the call/ret
+        #: closures use to talk to the frame loop: ``_pending`` holds
+        #: (callee, its frame, destination register, the pc the caller
+        #: resumes at, arguments left over for the callee's result),
+        #: ``_retslot`` the returned value.
+        self._threaded: Dict[
+            BytecodeFunction, Tuple[List[Callable], List[int], List[bool]]
+        ] = {}
+        self._chain_steps: Dict[object, int] = {}
         self._pending: List[object] = [None, None, None, None, None]
         self._retslot: List[object] = [None]
         #: The code of an over-application's continuation frame, whose
         #: registers are ``[callee result, arguments left over]``: apply
-        #: the result to the leftovers, then return what that gives.  It
-        #: has no sites, so it charges nothing the applications do not.
+        #: the result to the leftovers, then return what that gives.  Its
+        #: site table is never drained, so it charges nothing the
+        #: applications do not.
         def resume(regs, apply=self._apply):
             return apply(regs, 0, regs[0], regs[1], 1)
 
@@ -1631,7 +1616,7 @@ class VirtualMachine:
             ret[0] = regs[0]
             return -1
 
-        self._continuation: List[Callable] = [resume, finish]
+        self._continuation = ([resume, finish], [0, 0, 0, 0])
 
     # -- error shaping ----------------------------------------------------
     def _error(self, message: str) -> Exception:
@@ -1684,7 +1669,7 @@ class VirtualMachine:
         )
 
     def _flush_counts(self) -> None:
-        if self._site_tables:
+        if self._threaded:
             self._drain_sites()
         counts = self.metrics.counts
         for category, count in self._counts.items():
@@ -1693,13 +1678,26 @@ class VirtualMachine:
                 self._counts[category] = 0
 
     def _drain_sites(self) -> None:
-        """Fold the threaded loop's per-site execution counters into
-        the charge accumulator and the opcode frequency table."""
+        """Fold the threaded loop's site tables into the charge
+        accumulator and the opcode frequency table.
+
+        The loop counts the chains it enters at each pc; a closure that
+        raises counts in its site's ``raised`` slot.  A site runs once per
+        chain entered there plus, if the previous closure falls into it,
+        once per run of that closure that did not raise:
+        ``executed[pc] = entered[pc] + executed[pc-1] - raised[pc-1]``.
+        """
         counts = self._counts
         freq = self.opcode_counts
-        for fn, sites in self._site_tables.items():
+        for fn, (_, sites, falls) in self._threaded.items():
             code = fn.code
-            for pc, executed in enumerate(sites):
+            length = len(code)
+            executed = 0
+            for pc in range(length):
+                if falls[pc]:
+                    executed += sites[pc] - sites[length + pc - 1]
+                else:
+                    executed = sites[pc]
                 if not executed:
                     continue
                 ins = code[pc]
@@ -1711,7 +1709,7 @@ class VirtualMachine:
                 else:
                     for category in charges:
                         counts[category] += executed
-                sites[pc] = 0
+            sites[:] = [0] * (2 * length)
 
     def instruction_frequencies(self) -> Dict[str, int]:
         """Dynamic instruction frequencies, most-executed first."""
@@ -1828,13 +1826,19 @@ class VirtualMachine:
           from an over-application: as ``-2``, with a continuation frame
           (``self._continuation``) stacked between caller and callee.
 
-        A stacked frame is ``(ops, regs, return pc, return register, tail
-        calls)``.  The last field counts the tail calls that frame made:
-        a ``tailcall`` site charges its fused ``ret`` when it runs, so a
-        run that raises takes back the returns of every chain still open.
-        The ``vm.dispatch`` fault site and the budget step come once per
-        call of any kind; with no fault plan active, no site can fire and
-        the loop skips the hit.
+        Each turn counts the chain it enters in the function's site
+        table, the one cost-accounting event of the loop: the closures
+        count nothing, and :meth:`_drain_sites` derives every site's
+        executions from the entries.  A run that raises counts the
+        raising closure too (:meth:`_count_raise`).
+
+        A stacked frame is ``(ops, sites, regs, return pc, return
+        register, tail calls)``.  The last field counts the tail calls
+        that frame made: a ``tailcall`` site charges its fused ``ret``
+        when it runs, so a run that raises takes back the returns of
+        every chain still open.  The ``vm.dispatch`` fault site and the
+        budget step come once per call of any kind; with no fault plan
+        active, no site can fire and the loop skips the hit.
         """
         fh = fault_hit if active_plan() is not None else None
         if fh is not None:
@@ -1845,9 +1849,10 @@ class VirtualMachine:
                 f"expected {fn.num_params}"
             )
         threaded = self._threaded
-        ops = threaded.get(fn)
-        if ops is None:
-            ops = self._compile_threaded(fn)
+        entry = threaded.get(fn)
+        if entry is None:
+            entry = self._compile_threaded(fn)
+        ops, sites, _ = entry
         regs = list(args) + _frame_pad(fn)
         budget = self.budget
         if budget is not None:
@@ -1860,6 +1865,7 @@ class VirtualMachine:
         pc = 0
         try:
             while True:
+                sites[pc] += 1
                 next_pc = ops[pc](regs)
                 if next_pc >= 0:
                     pc = next_pc
@@ -1869,7 +1875,7 @@ class VirtualMachine:
                     retslot[0] = None
                     if not stack:
                         return value
-                    ops, regs, pc, dst, tails = stack.pop()
+                    ops, sites, regs, pc, dst, tails = stack.pop()
                     if dst >= 0:
                         regs[dst] = value
                     continue
@@ -1878,61 +1884,101 @@ class VirtualMachine:
                 if next_pc == -3:
                     tails += 1
                 else:
-                    stack.append((ops, regs, pending[3], pending[2], tails))
+                    stack.append(
+                        (ops, sites, regs, pending[3], pending[2], tails)
+                    )
                     tails = 0
                     if next_pc == -4:
                         stack.append(
-                            (continuation, [None, pending[4]], 0, 0, 0)
+                            continuation + ([None, pending[4]], 0, 0, 0)
                         )
                 if fh is not None:
                     fh("vm.dispatch")
                 if budget is not None:
                     budget.charge()
                 callee = pending[0]
-                ops = threaded.get(callee)
-                if ops is None:
-                    ops = self._compile_threaded(callee)
+                entry = threaded.get(callee)
+                if entry is None:
+                    entry = self._compile_threaded(callee)
+                ops, sites, _ = entry
                 regs = pending[1]
                 pc = 0
-        except BaseException:
-            owed = tails + sum(frame[4] for frame in stack)
+        except BaseException as exc:
+            self._count_raise(exc.__traceback__, len(ops), sites, pc)
+            owed = tails + sum(frame[5] for frame in stack)
             if owed:
                 self._counts["return"] -= owed
             raise
 
-    def _compile_threaded(self, fn: BytecodeFunction) -> List[Callable]:
+    def _count_raise(self, tb, length: int, sites: List[int], pc: int) -> None:
+        """Count the closure that raised in the chain entered at ``pc``.
+
+        ``tb`` is the traceback as the loop's frame caught it; the frames
+        after the loop's are the chain's closures, each run by the one
+        before, down to the raising closure and what it called.  Each
+        closure frame runs the next site, except that an ``inc_rtcall``
+        closure runs its own site's ``rtcall`` closure (a step of 0 in
+        ``_chain_steps``).  The walk stops at the first frame that is no
+        chain closure, such as a builtin, or ``_run_threaded`` running a
+        nested call.  An exception raised by the loop itself, outside a
+        chain, counts nothing.
+        """
+        steps = self._chain_steps
+        raising = pc - 1
+        step = 1
+        tb = tb.tb_next
+        while tb is not None:
+            following = steps.get(tb.tb_frame.f_code)
+            if following is None:
+                break
+            raising += step
+            step = following
+            tb = tb.tb_next
+        if raising >= pc:
+            sites[length + raising] += 1
+
+    def _compile_threaded(
+        self, fn: BytecodeFunction
+    ) -> Tuple[List[Callable], List[int], List[bool]]:
         """Translate ``fn.code`` into the closure array the threaded loop
-        runs, registering its per-site execution counters.
+        runs; return it with the site table the loop counts in and the
+        pcs that are fallen into.
 
         The closures are built back to front.  One that falls through ends
         with ``return n(regs)``, where ``n`` is the next instruction's
-        closure: a straight-line run is one chain of Python calls.  After
-        :data:`CHAIN_LIMIT` nested closures, ``n`` is a :func:`_goto` that
-        hands the next pc back to the loop instead.  Branches, ``ret``,
-        the call sites, ``switch``, ``case`` and ``papextend`` end a chain.
+        closure: a straight-line run is one chain of Python calls, and
+        the next pc is *fallen into*.  After :data:`CHAIN_LIMIT` nested
+        closures, ``n`` is a :func:`_goto` that hands the next pc back to
+        the loop instead.  Branches, ``ret``, the call sites, ``switch``,
+        ``case`` and ``papextend`` end a chain.
 
-        Closures bind everything through default arguments (locals, not
-        cell lookups) and do no cost accounting beyond one list increment:
-        charges and frequencies are derived from :data:`_STATIC_CHARGES`
-        at flush time.  Only the genuinely dynamic charges (``reuse``
-        tokens, closure application) and the partial-charge error
-        corrections touch the counter dict while running.  Work on an
-        unboxed ``int`` makes no runtime call: ``inc``/``dec`` of one bump
-        ``inc_ops``/``dec_ops`` in place, and tags are read inline.  Every
-        closure that takes or drops a reference (``inc``, ``dec``,
+        The site table holds, per pc, the chains the loop entered there,
+        then, per pc, the runs of its closure that raised.  Closures bind
+        everything through default arguments (locals, not cell lookups)
+        and do no cost accounting: charges and frequencies are derived
+        from the site table and :data:`_STATIC_CHARGES` at flush time
+        (:meth:`_drain_sites`).  Only the genuinely dynamic charges
+        (``reuse`` tokens, closure application) and the partial-charge
+        error corrections touch the counter dict while running.  Work on
+        an unboxed ``int`` makes no runtime call: ``inc``/``dec`` of one
+        bump ``inc_ops``/``dec_ops`` in place, and tags are read inline.
+        Every closure that takes or drops a reference (``inc``, ``dec``,
         ``int_inc``, ``dec_dec``, ``dec_inc``, ``inc_rtcall`` and the
-        projections) handles a live ``CtorObject`` inline as well: an
-        ``inc`` adds to ``rc``, and a ``dec`` with ``rc > count`` lowers it
-        (a freed cell's ``rc`` is 0), each bumping the statistic.  A freed
-        cell, a ``dec`` that would free or underflow, and every other heap
-        kind go through ``Heap.inc``/``Heap.dec``, which raise and free.
+        projections) handles a live ``CtorObject`` inline as well, and
+        the ``inc`` family a live ``ArrayObject``: an ``inc`` adds to
+        ``rc``, and a ``dec`` with ``rc > count`` lowers it (a freed
+        cell's ``rc`` is 0), each bumping the statistic.  A freed object,
+        a ``dec`` that would free or underflow, and every other heap kind
+        go through ``Heap.inc``/``Heap.dec``, which raise and free.
         """
         code = fn.code
         length = len(code)
-        sites = [0] * length
+        sites = [0] * (2 * length)
+        falls = [False] * length
         ops: List[Callable] = [None] * length
         # How many closures a chain entered at each pc runs nested.
         depth = [0] * length
+        steps = self._chain_steps
         counts = self._counts
         ctx = self.ctx
         heap = ctx.heap
@@ -1950,35 +1996,31 @@ class VirtualMachine:
                 depth[pc] = 1
             elif pc + 1 < length and depth[pc + 1] < CHAIN_LIMIT:
                 nxt = ops[pc + 1]
+                falls[pc + 1] = True
                 depth[pc] = depth[pc + 1] + 1
             else:
                 nxt = _goto(pc + 1)
                 depth[pc] = 1
             if opcode == OP_BINARITH or opcode == OP_CMP:
-                def op(regs, s=sites, i=pc, d=ins[1], f=ins[2], a=ins[3],
-                       b=ins[4], n=nxt):
-                    s[i] += 1
+                def op(regs, d=ins[1], f=ins[2], a=ins[3], b=ins[4], n=nxt):
                     regs[d] = f(regs[a], regs[b])
                     return n(regs)
             elif opcode == OP_JMP:
                 if not ins[2]:
-                    def op(regs, s=sites, i=pc, t=ins[1], ch=charge):
-                        s[i] += 1
+                    def op(regs, t=ins[1], ch=charge):
                         if ch is not None:
                             ch()
                         return t
                 elif len(ins[2]) == 1:
-                    def op(regs, s=sites, i=pc, t=ins[1], a=ins[2][0],
-                           d=ins[3][0], ch=charge):
-                        s[i] += 1
+                    def op(regs, t=ins[1], a=ins[2][0], d=ins[3][0],
+                           ch=charge):
                         if ch is not None:
                             ch()
                         regs[d] = regs[a]
                         return t
                 else:
-                    def op(regs, s=sites, i=pc, t=ins[1], srcs=ins[2],
-                           dsts=ins[3], ch=charge):
-                        s[i] += 1
+                    def op(regs, t=ins[1], srcs=ins[2], dsts=ins[3],
+                           ch=charge):
                         if ch is not None:
                             ch()
                         values = [regs[x] for x in srcs]
@@ -1987,17 +2029,13 @@ class VirtualMachine:
                         return t
             elif opcode == OP_CONDBR:
                 if not ins[3] and not ins[6]:
-                    def op(regs, s=sites, i=pc, c=ins[1], tpc=ins[2],
-                           fpc=ins[5], ch=charge):
-                        s[i] += 1
+                    def op(regs, c=ins[1], tpc=ins[2], fpc=ins[5], ch=charge):
                         if ch is not None:
                             ch()
                         return tpc if regs[c] else fpc
                 else:
-                    def op(regs, s=sites, i=pc, c=ins[1], tpc=ins[2],
-                           ts=ins[3], td=ins[4], fpc=ins[5], fs=ins[6],
-                           fd=ins[7], ch=charge):
-                        s[i] += 1
+                    def op(regs, c=ins[1], tpc=ins[2], ts=ins[3], td=ins[4],
+                           fpc=ins[5], fs=ins[6], fd=ins[7], ch=charge):
                         if ch is not None:
                             ch()
                         if regs[c]:
@@ -2010,10 +2048,9 @@ class VirtualMachine:
                                 regs[dst] = moved
                         return target
             elif opcode == OP_CASE:
-                def op(regs, s=sites, i=pc, src=ins[1], table=ins[2],
-                       default=ins[3], ch=charge, err=error, tg=tag_of,
-                       int_=int, ctor=CtorObject):
-                    s[i] += 1
+                def op(regs, src=ins[1], table=ins[2], default=ins[3],
+                       ch=charge, err=error, tg=tag_of, int_=int,
+                       ctor=CtorObject):
                     value = regs[src]
                     cls = value.__class__
                     tag = (value if cls is int_ else
@@ -2025,18 +2062,16 @@ class VirtualMachine:
                         ch()
                     return target
             elif opcode == OP_SWITCH:
-                def op(regs, s=sites, i=pc, flag=ins[1], table=ins[2],
-                       default=ins[3], ch=charge):
-                    s[i] += 1
+                def op(regs, flag=ins[1], table=ins[2], default=ins[3],
+                       ch=charge):
                     if ch is not None:
                         ch()
                     return table.get(regs[flag], default)
             elif opcode == OP_CONST_CMP_CONDBR:
                 if not ins[8] and not ins[11]:
-                    def op(regs, s=sites, i=pc, cd=ins[1], v=ins[2],
-                           d=ins[3], f=ins[4], a=ins[5], b=ins[6],
-                           tpc=ins[7], fpc=ins[10], ch=charge):
-                        s[i] += 1
+                    def op(regs, cd=ins[1], v=ins[2], d=ins[3], f=ins[4],
+                           a=ins[5], b=ins[6], tpc=ins[7], fpc=ins[10],
+                           ch=charge):
                         regs[cd] = v
                         value = f(regs[a], regs[b])
                         regs[d] = value
@@ -2044,11 +2079,10 @@ class VirtualMachine:
                             ch()
                         return tpc if value else fpc
                 else:
-                    def op(regs, s=sites, i=pc, cd=ins[1], v=ins[2],
-                           d=ins[3], f=ins[4], a=ins[5], b=ins[6],
-                           tpc=ins[7], ts=ins[8], td=ins[9], fpc=ins[10],
-                           fs=ins[11], fd=ins[12], ch=charge):
-                        s[i] += 1
+                    def op(regs, cd=ins[1], v=ins[2], d=ins[3], f=ins[4],
+                           a=ins[5], b=ins[6], tpc=ins[7], ts=ins[8],
+                           td=ins[9], fpc=ins[10], fs=ins[11], fd=ins[12],
+                           ch=charge):
                         regs[cd] = v
                         value = f(regs[a], regs[b])
                         regs[d] = value
@@ -2068,11 +2102,9 @@ class VirtualMachine:
                 if _is_tag_dispatch(ins):
                     # Constructor-tag dispatch: the label equals the
                     # constant, compared here.
-                    def op(regs, s=sites, i=pc, gd=gd, gsrc=ins[2], cd=cd,
-                           v=ins[4], d=ins[5], tpc=ins[9], fpc=ins[12],
-                           ch=charge, cnt=counts, tg=tag_of, int_=int,
-                           ctor=CtorObject):
-                        s[i] += 1
+                    def op(regs, gd=gd, gsrc=ins[2], cd=cd, v=ins[4], d=ins[5],
+                           tpc=ins[9], fpc=ins[12], ch=charge, cnt=counts,
+                           tg=tag_of, int_=int, ctor=CtorObject):
                         value = regs[gsrc]
                         cls = value.__class__
                         if cls is int_:
@@ -2098,12 +2130,10 @@ class VirtualMachine:
                         regs[d] = 0
                         return fpc
                 else:
-                    def op(regs, s=sites, i=pc, gd=gd, gsrc=ins[2], cd=cd,
-                           v=ins[4], d=ins[5], f=f, a=a, b=b, tpc=ins[9],
-                           ts=ins[10], td=ins[11], fpc=ins[12], fs=ins[13],
-                           fd=ins[14], ch=charge, cnt=counts, tg=tag_of,
-                           int_=int, ctor=CtorObject):
-                        s[i] += 1
+                    def op(regs, gd=gd, gsrc=ins[2], cd=cd, v=ins[4], d=ins[5],
+                           f=f, a=a, b=b, tpc=ins[9], ts=ins[10], td=ins[11],
+                           fpc=ins[12], fs=ins[13], fd=ins[14], ch=charge,
+                           cnt=counts, tg=tag_of, int_=int, ctor=CtorObject):
                         value = regs[gsrc]
                         cls = value.__class__
                         if cls is int_:
@@ -2134,33 +2164,31 @@ class VirtualMachine:
                                 regs[dst] = moved
                         return target
             elif opcode == OP_RTCALL_CMP_BR:
-                op = _rtcall_cmp_br_site(sites, pc, ins, ctx, counts, charge)
+                op = _rtcall_cmp_br_site(ins, ctx, counts, charge)
             elif opcode in _PROJ_RUNS:
-                op = _proj_site(sites, pc, ins, heap, counts, error, nxt)
+                op = _proj_site(ins, heap, counts, error, nxt)
             elif opcode == OP_INT_INC:
                 # Bind an unboxed constant; box a big one per execution.
                 box = None if -SCALAR_INT_LIMIT < ins[2] < SCALAR_INT_LIMIT \
                     else heap.alloc_int
-                def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], box=box,
-                       src=ins[3], k=ins[4], inc=heap.inc, st=stats,
-                       int_=int, ctor=CtorObject, n=nxt):
-                    s[i] += 1
+                def op(regs, d=ins[1], v=ins[2], box=box, src=ins[3], k=ins[4],
+                       inc=heap.inc, st=stats, int_=int, ctor=CtorObject,
+                       arr=ArrayObject, n=nxt):
                     regs[d] = v if box is None else box(v)
                     value = regs[src]
                     cls = value.__class__
                     if cls is int_:
                         st.inc_ops += 1
-                    elif cls is ctor and not value.freed:
+                    elif (cls is ctor or cls is arr) and not value.freed:
                         value.rc += k
                         st.inc_ops += 1
                     else:
                         inc(value, k)
                     return n(regs)
             elif opcode == OP_DEC_DEC:
-                def op(regs, s=sites, i=pc, s1=ins[1], c1=ins[2], s2=ins[3],
-                       c2=ins[4], dec=heap.dec, st=stats, cnt=counts,
-                       int_=int, ctor=CtorObject, n=nxt):
-                    s[i] += 1
+                def op(regs, s1=ins[1], c1=ins[2], s2=ins[3], c2=ins[4],
+                       dec=heap.dec, st=stats, cnt=counts, int_=int,
+                       ctor=CtorObject, n=nxt):
                     value = regs[s1]
                     cls = value.__class__
                     if cls is int_:
@@ -2186,10 +2214,9 @@ class VirtualMachine:
                         dec(value, c2)
                     return n(regs)
             elif opcode == OP_DEC_INC:
-                def op(regs, s=sites, i=pc, s1=ins[1], c1=ins[2], s2=ins[3],
-                       c2=ins[4], dec=heap.dec, inc=heap.inc, st=stats,
-                       cnt=counts, int_=int, ctor=CtorObject, n=nxt):
-                    s[i] += 1
+                def op(regs, s1=ins[1], c1=ins[2], s2=ins[3], c2=ins[4],
+                       dec=heap.dec, inc=heap.inc, st=stats, cnt=counts,
+                       int_=int, ctor=CtorObject, arr=ArrayObject, n=nxt):
                     value = regs[s1]
                     cls = value.__class__
                     if cls is int_:
@@ -2208,26 +2235,23 @@ class VirtualMachine:
                     cls = value.__class__
                     if cls is int_:
                         st.inc_ops += 1
-                    elif cls is ctor and not value.freed:
+                    elif (cls is ctor or cls is arr) and not value.freed:
                         value.rc += c2
                         st.inc_ops += 1
                     else:
                         inc(value, c2)
                     return n(regs)
             elif opcode == OP_INC_RTCALL:
-                op = _inc_rtcall_site(
-                    sites, pc, ins[1], ins[2], heap, counts,
-                    _rtcall_site(sites, pc, ins[3], ins[4], ins[5], ctx, nxt),
-                )
+                rtcall = _rtcall_site(ins[3], ins[4], ins[5], ctx, nxt)
+                steps.setdefault(rtcall.__code__, 1)
+                op = _inc_rtcall_site(ins[1], ins[2], heap, counts, rtcall)
             elif opcode == OP_RET:
                 if ins[1] >= 0:
-                    def op(regs, s=sites, i=pc, src=ins[1], ret=retslot):
-                        s[i] += 1
+                    def op(regs, src=ins[1], ret=retslot):
                         ret[0] = regs[src]
                         return -1
                 else:
-                    def op(regs, s=sites, i=pc, ret=retslot):
-                        s[i] += 1
+                    def op(regs, ret=retslot):
                         ret[0] = None
                         return -1
             elif opcode == OP_CALL or opcode == OP_TAILCALL:
@@ -2235,73 +2259,64 @@ class VirtualMachine:
                 callee, argr = (ins[1], ins[2]) if tail else (ins[2], ins[3])
                 if len(argr) != callee.num_params:
                     op = _bad_arity_site(
-                        sites, pc, callee, len(argr), counts, error, tail
+                        callee, len(argr), counts, error, tail
                     )
                 else:
                     op = _call_site(
-                        sites, pc, -1 if tail else ins[1], callee, argr,
+                        pc, -1 if tail else ins[1], callee, argr,
                         pending, -3 if tail else -2,
                     )
             elif opcode == OP_PROJ_CALL:
                 op = _proj_call_site(
-                    sites, pc, ins, heap, counts, error, pending
+                    pc, ins, heap, counts, error, pending
                 )
             elif opcode == OP_CONSTRUCT:
-                op = _construct_site(sites, pc, ins, heap, nxt)
+                op = _construct_site(ins, heap, nxt)
             elif opcode == OP_INT or opcode == OP_BIGINT:
                 if -SCALAR_INT_LIMIT < ins[2] < SCALAR_INT_LIMIT:
                     # Unboxed: alloc_int would return the constant itself.
-                    def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], n=nxt):
-                        s[i] += 1
+                    def op(regs, d=ins[1], v=ins[2], n=nxt):
                         regs[d] = v
                         return n(regs)
                 else:
-                    def op(regs, s=sites, i=pc, d=ins[1], v=ins[2],
-                           alloc=heap.alloc_int, n=nxt):
-                        s[i] += 1
+                    def op(regs, d=ins[1], v=ins[2], alloc=heap.alloc_int,
+                           n=nxt):
                         regs[d] = alloc(v)
                         return n(regs)
             elif opcode == OP_CONST:
-                def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], n=nxt):
-                    s[i] += 1
+                def op(regs, d=ins[1], v=ins[2], n=nxt):
                     regs[d] = v
                     return n(regs)
             elif opcode == OP_CONST_CMP:
-                def op(regs, s=sites, i=pc, cd=ins[1], v=ins[2], d=ins[3],
-                       f=ins[4], a=ins[5], b=ins[6], n=nxt):
-                    s[i] += 1
+                def op(regs, cd=ins[1], v=ins[2], d=ins[3], f=ins[4], a=ins[5],
+                       b=ins[6], n=nxt):
                     regs[cd] = v
                     regs[d] = f(regs[a], regs[b])
                     return n(regs)
             elif opcode == OP_GETLABEL:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], tg=tag_of,
-                       int_=int, ctor=CtorObject, n=nxt):
-                    s[i] += 1
+                def op(regs, d=ins[1], src=ins[2], tg=tag_of, int_=int,
+                       ctor=CtorObject, n=nxt):
                     value = regs[src]
                     cls = value.__class__
                     regs[d] = (value if cls is int_ else
                                value.tag if cls is ctor else tg(value))
                     return n(regs)
             elif opcode == OP_INC:
-                def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                       inc=heap.inc, st=stats, int_=int, ctor=CtorObject,
-                       n=nxt):
-                    s[i] += 1
+                def op(regs, src=ins[1], k=ins[2], inc=heap.inc, st=stats,
+                       int_=int, ctor=CtorObject, arr=ArrayObject, n=nxt):
                     value = regs[src]
                     cls = value.__class__
                     if cls is int_:
                         st.inc_ops += 1
-                    elif cls is ctor and not value.freed:
+                    elif (cls is ctor or cls is arr) and not value.freed:
                         value.rc += k
                         st.inc_ops += 1
                     else:
                         inc(value, k)
                     return n(regs)
             elif opcode == OP_DEC:
-                def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                       dec=heap.dec, st=stats, int_=int, ctor=CtorObject,
-                       n=nxt):
-                    s[i] += 1
+                def op(regs, src=ins[1], k=ins[2], dec=heap.dec, st=stats,
+                       int_=int, ctor=CtorObject, n=nxt):
                     value = regs[src]
                     cls = value.__class__
                     if cls is int_:
@@ -2313,36 +2328,29 @@ class VirtualMachine:
                         dec(value, k)
                     return n(regs)
             elif opcode == OP_SELECT:
-                def op(regs, s=sites, i=pc, d=ins[1], c=ins[2], a=ins[3],
-                       b=ins[4], n=nxt):
-                    s[i] += 1
+                def op(regs, d=ins[1], c=ins[2], a=ins[3], b=ins[4], n=nxt):
                     regs[d] = regs[a] if regs[c] else regs[b]
                     return n(regs)
             elif opcode == OP_RTCALL:
-                op = _rtcall_site(sites, pc, ins[1], ins[2], ins[3], ctx, nxt)
+                op = _rtcall_site(ins[1], ins[2], ins[3], ctx, nxt)
             elif opcode == OP_PAP:
                 if ins[3] is None:
-                    def op(regs, s=sites, i=pc, name=ins[2], err=error):
-                        s[i] += 1
+                    def op(regs, name=ins[2], err=error):
                         raise err(f"pap of unknown function {name}")
                 else:
-                    def op(regs, s=sites, i=pc, d=ins[1], name=ins[2],
-                           arity=ins[3], argr=ins[4], heap=heap,
-                           mk=make_closure, n=nxt):
-                        s[i] += 1
+                    def op(regs, d=ins[1], name=ins[2], arity=ins[3],
+                           argr=ins[4], heap=heap, mk=make_closure, n=nxt):
                         regs[d] = mk(heap, name, arity, [regs[r] for r in argr])
                         return n(regs)
             elif opcode == OP_PAPEXTEND:
-                def op(regs, s=sites, i=pc, d=ins[1], c=ins[2], argr=ins[3],
+                def op(regs, d=ins[1], c=ins[2], argr=ins[3],
                        apply=self._apply, r=pc + 1):
-                    s[i] += 1
                     return apply(regs, d, regs[c], [regs[x] for x in argr], r)
             elif opcode == OP_REUSE:
                 category = "alloc_ctor" if ins[4] else "move"
-                def op(regs, s=sites, i=pc, d=ins[1], tok=ins[2], tag=ins[3],
-                       fr=ins[4], heap=heap, cnt=counts, cat=category,
-                       ctor=CtorObject, n=nxt):
-                    s[i] += 1
+                def op(regs, d=ins[1], tok=ins[2], tag=ins[3], fr=ins[4],
+                       heap=heap, cnt=counts, cat=category, ctor=CtorObject,
+                       n=nxt):
                     token = regs[tok]
                     fields = [regs[r] for r in fr]
                     if isinstance(token, ctor):
@@ -2352,36 +2360,30 @@ class VirtualMachine:
                     regs[d] = heap.reuse(token, tag, fields)
                     return n(regs)
             elif opcode == OP_RESET:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2],
-                       reset=heap.reset, n=nxt):
-                    s[i] += 1
+                def op(regs, d=ins[1], src=ins[2], reset=heap.reset, n=nxt):
                     regs[d] = reset(regs[src])
                     return n(regs)
             elif opcode == OP_CAST:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], n=nxt):
-                    s[i] += 1
+                def op(regs, d=ins[1], src=ins[2], n=nxt):
                     regs[d] = regs[src]
                     return n(regs)
             elif opcode == OP_UNREACHABLE:
-                def op(regs, s=sites, i=pc, err=error, msg=ins[1]):
-                    s[i] += 1
+                def op(regs, err=error, msg=ins[1]):
                     raise err(msg)
             elif opcode == OP_BADCALL:
                 if flavor == "cfg":
                     message = f"call of unknown function @{ins[1]}"
                 else:
                     message = f"unknown function {ins[1]}"
-                def op(regs, s=sites, i=pc, err=error, msg=message):
-                    s[i] += 1
+                def op(regs, err=error, msg=message):
                     raise err(msg)
             else:
-                def op(regs, s=sites, i=pc, err=error, bad=opcode):
-                    s[i] += 1
+                def op(regs, err=error, bad=opcode):
                     raise err(f"invalid opcode {bad}")
             ops[pc] = op
-        self._threaded[fn] = ops
-        self._site_tables[fn] = sites
-        return ops
+            steps[op.__code__] = 0 if opcode == OP_INC_RTCALL else 1
+        entry = self._threaded[fn] = ops, sites, falls
+        return entry
 
 
 # ---------------------------------------------------------------------------

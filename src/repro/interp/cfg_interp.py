@@ -203,7 +203,7 @@ class CfgInterpreter:
             self.metrics.charge("proj")
             value = env[op.operands[0]]
             if not isinstance(value, CtorObject):
-                raise CfgInterpreterError(f"lp.project of non-constructor {value!r}")
+                raise CfgInterpreterError(f"projection from non-constructor {value!r}")
             field = value.fields[op.index]
             self.ctx.heap.inc(field)
             self.metrics.charge("rc")

@@ -71,6 +71,12 @@ def normalize(value) -> object:
     return value
 
 
+def _truncated_div(a: int, b: int) -> int:
+    """``a / b`` rounded towards zero, exact at any magnitude."""
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
+
+
 #: Pure implementations of the runtime builtins.
 def _bool(flag: bool) -> RefCtor:
     return RefCtor(1 if flag else 0, ())
@@ -85,8 +91,8 @@ _PURE_BUILTINS = {
     "lean_int_add": lambda a, b: a + b,
     "lean_int_sub": lambda a, b: a - b,
     "lean_int_mul": lambda a, b: a * b,
-    "lean_int_div": lambda a, b: int(a / b) if b else 0,
-    "lean_int_mod": lambda a, b: (a - int(a / b) * b) if b else a,
+    "lean_int_div": lambda a, b: _truncated_div(a, b) if b else 0,
+    "lean_int_mod": lambda a, b: (a - _truncated_div(a, b) * b) if b else a,
     "lean_int_neg": lambda a: -a,
     "lean_nat_to_int": lambda a: a,
     "lean_int_to_nat": lambda a: max(a, 0),

@@ -144,13 +144,18 @@ def nat_mod(a: int, b: int) -> int:
 
 
 def int_div(a: int, b: int) -> int:
-    """``Int`` division truncates towards zero; ``a / 0`` is 0."""
-    return int(a / b) if b else 0
+    """``Int`` division truncates towards zero; ``a / 0`` is 0.  Exact at
+    any magnitude: integer floor division of the magnitudes, signed."""
+    if not b:
+        return 0
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
 
 
 def int_mod(a: int, b: int) -> int:
-    """The remainder of :func:`int_div`; ``a % 0`` is ``a``."""
-    return a - int(a / b) * b if b else a
+    """The remainder of :func:`int_div`, with the sign of ``a``; ``a % 0``
+    is ``a``."""
+    return a - int_div(a, b) * b if b else a
 
 
 @builtin("lean_nat_div")

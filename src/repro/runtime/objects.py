@@ -203,20 +203,25 @@ class HeapStatistics:
 
 
 class Heap:
-    """Tracks live heap objects and implements reference counting."""
+    """Implements reference counting and counts the heap objects.
+
+    The heap keeps no index of its objects: an object is live from its
+    allocation to its free, so ``allocations - frees`` is the live count,
+    ``peak_live`` is its maximum (taken at each allocation) and the
+    balance check is ``allocations == frees``.  The VM's inline
+    ``construct`` closures count their allocations the same way.
+    """
 
     def __init__(self):
-        self.live: Dict[int, HeapObject] = {}
         self.stats = HeapStatistics()
 
     # -- allocation --------------------------------------------------------------
     def register(self, obj: HeapObject) -> HeapObject:
-        live = self.live
-        live[id(obj)] = obj
         stats = self.stats
         stats.allocations += 1
-        if len(live) > stats.peak_live:
-            stats.peak_live = len(live)
+        live = stats.allocations - stats.frees
+        if live > stats.peak_live:
+            stats.peak_live = live
         return obj
 
     def alloc_ctor(self, tag: int, fields: List[Value]) -> Value:
@@ -268,7 +273,6 @@ class Heap:
         """Free ``obj`` (at rc 0) and every object whose last reference it
         held."""
         obj.freed = True
-        self.live.pop(id(obj), None)
         self.stats.frees += 1
         self._drop(obj.fields if obj.__class__ is CtorObject else obj.children())
 
@@ -279,7 +283,6 @@ class Heap:
         An explicit worklist, not recursion: dropping a long constructor
         chain must not depend on Python's recursion limit.
         """
-        live = self.live
         stats = self.stats
         worklist = [values]
         while worklist:
@@ -296,7 +299,6 @@ class Heap:
                 child.rc -= 1
                 if child.rc == 0:
                     child.freed = True
-                    live.pop(id(child), None)
                     stats.frees += 1
                     worklist.append(
                         child.fields if child.__class__ is CtorObject
@@ -308,7 +310,7 @@ class Heap:
         """Consume one reference to ``value`` and produce a reuse token.
 
         A uniquely-owned constructor cell releases its fields and becomes a
-        live token (the cell stays registered and is recycled by
+        live token (the cell stays allocated and is recycled by
         :meth:`reuse`); anything else is decremented as a plain ``dec`` and
         yields the null token.
         """
@@ -348,14 +350,15 @@ class Heap:
     # -- diagnostics ----------------------------------------------------------------
     @property
     def live_count(self) -> int:
-        return len(self.live)
+        return self.stats.allocations - self.stats.frees
 
     def check_balanced(self) -> None:
         """Raise if any heap object is still live (a leak)."""
-        if self.live:
-            samples = list(self.live.values())[:5]
+        stats = self.stats
+        if stats.allocations != stats.frees:
             raise RuntimeError_(
-                f"heap leak: {len(self.live)} objects still live, e.g. {samples}"
+                f"heap leak: {self.live_count} objects still live "
+                f"({stats.allocations} allocations, {stats.frees} frees)"
             )
 
 

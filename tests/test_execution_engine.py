@@ -75,10 +75,12 @@ from repro.interp.bytecode import (
     FUSION_RULES,
     OPCODE_NAMES,
     SCALAR_RTCALLS,
+    CHAIN_LIMIT,
     BytecodeFunction,
     BytecodeProgram,
     EXECUTION_ENGINES,
     VirtualMachine,
+    base_frequencies,
     compile_cfg_module,
     compile_rc_program,
     fuse_code,
@@ -474,6 +476,24 @@ class TestVmErrors:
         with pytest.raises(RuntimeError_, match="expected 1"):
             vm.run_main([])
 
+    def test_cfg_projection_error_text_matches_tree(self):
+        module, func, builder = cfg_function(name="main")
+        scalar = builder.create(lp.IntOp, 9)
+        proj = builder.create(lp.ProjectOp, scalar.result(), 0)
+        builder.create(ReturnOp, [proj.result()])
+        failures = [
+            _failed_run(engine)
+            for engine in (
+                VirtualMachine(compile_cfg_module(module)),
+                VirtualMachine(compile_cfg_module(module, fuse=False)),
+                CfgInterpreter(module),
+            )
+        ]
+        assert failures[0] == failures[1] == failures[2]
+        assert failures[0][0] == (
+            "CfgInterpreterError", "projection from non-constructor 9"
+        )
+
 
 # ---------------------------------------------------------------------------
 # Differential: the VM against the tree-walking oracles
@@ -665,6 +685,66 @@ class TestResolvedArithmeticDrift:
             for a in self.GRID:
                 for b in self.GRID:
                     assert fn(a, b) == arith.evaluate_cmpi(predicate, a, b)
+
+
+#: ``Int`` operand pairs past a float's 53-bit mantissa (2**62 + 1) and
+#: its range (10**400), of every sign, and by zero.
+_INT_DIVISIONS = [
+    (2**62 + 1, 1), (2**62 + 1, -1), (-(2**62 + 1), 3), (2**62 + 1, 2**61),
+    (10**400, 7), (-(10**400), 7), (10**400, -(10**399) - 1),
+    (-7, 2), (7, -2), (-7, -2), (-6, 3), (-5, 0),
+]
+
+
+def _assert_truncating(a, b, quotient, remainder):
+    """``Int`` division rounds towards zero; the remainder takes the sign
+    of the dividend.  By zero: quotient 0, remainder ``a``."""
+    if b == 0:
+        assert (quotient, remainder) == (0, a)
+        return
+    assert a == quotient * b + remainder
+    assert abs(remainder) < abs(b)
+    assert remainder == 0 or (remainder < 0) == (a < 0)
+
+
+class TestExactIntDivision:
+    """``Int`` division and remainder are computed in integer arithmetic:
+    a float quotient rounds past 2**53 and overflows past 10**308."""
+
+    @pytest.mark.parametrize("a,b", _INT_DIVISIONS)
+    def test_runtime_and_arith_operators(self, a, b):
+        from repro.runtime.builtins import int_div, int_mod
+
+        _assert_truncating(a, b, int_div(a, b), int_mod(a, b))
+        assert SCALAR_RTCALLS["lean_int_div"][1] is int_div
+        assert SCALAR_RTCALLS["lean_int_mod"][1] is int_mod
+        if b:
+            for name, fn in (("arith.divsi", int_div), ("arith.remsi", int_mod)):
+                assert _BINARY_FNS[name](a, b) == fn(a, b)
+                assert arith.evaluate_binary(name, a, b) == fn(a, b)
+
+    def test_float_rounding_case(self):
+        from repro.runtime.builtins import int_div, int_mod
+
+        assert int_div(2**62 + 1, 1) == 2**62 + 1
+        assert int_mod(2**62 + 1, 2) == 1
+
+    @pytest.mark.parametrize("a,b", _INT_DIVISIONS)
+    def test_every_engine(self, a, b):
+        values = []
+        for operator_ in ("/", "%"):
+            source = (
+                f"def apply (a : Int) (b : Int) : Int := a {operator_} b\n"
+                f"def main : Int := apply ({a}) ({b})\n"
+            )
+            runs = [run_reference(source)] + [
+                run(source, PipelineOptions(execution_engine=engine)).value
+                for run in (run_mlir, run_baseline)
+                for engine in EXECUTION_ENGINES
+            ]
+            assert len(set(runs)) == 1, (operator_, runs)
+            values.append(runs[0])
+        _assert_truncating(a, b, *values)
 
 
 class TestSwitchDispatchTable:
@@ -2096,6 +2176,191 @@ class TestBlockChains:
             (OP_RET, 3),
         ], 4, 2, "projection from non-constructor 9")
         assert counts == {"call": 1, "const": 1, "move": 1, "proj": 1}
+
+
+# ---------------------------------------------------------------------------
+# Derived site counts: the loop counts chain entries, a raise its closure
+# ---------------------------------------------------------------------------
+
+#: The error of ``lean_nat_add`` applied to the cell ``c`` of
+#: :func:`_adder_run`.
+_NOT_AN_INT = "expected an integer value, got Ctor(tag=1, fields=1, rc=1)"
+
+
+def _adder_run(length, raise_at, *, inc_at=None, call_at=None):
+    """A λrc ``main`` whose body is one straight-line run of ``length``
+    ``lean_nat_add`` lets; the one at ``raise_at`` adds the cell ``c`` and
+    raises.  ``inc_at`` puts an ``inc`` ahead of that let (the pair fuses
+    into ``inc_rtcall``); ``call_at`` a call of ``identity`` (a chain end:
+    the next let is the pc the caller resumes at)."""
+    steps = [
+        ("let", "x", rc_ir.Lit(1)),
+        ("let", "c", rc_ir.Ctor(1, ["x"])),
+        ("let", "y0", rc_ir.Lit(0)),
+    ]
+    for i in range(length):
+        if i == inc_at:
+            steps.append(("inc", "x"))
+        if i == call_at:
+            steps.append(("let", "r", rc_ir.Call("identity", ["x"])))
+        operand = "c" if i == raise_at else f"y{i}"
+        steps.append(
+            ("let", f"y{i + 1}", rc_ir.Call("lean_nat_add", [operand, "x"]))
+        )
+    steps.append(("ret", f"y{length}"))
+    return rc_program(_rc_spine(*steps), extra=(
+        rc_ir.Function("identity", ["p"], rc_ir.Ret("p")),
+    ))
+
+
+def _assert_raising_runs_agree(program):
+    """The fused VM, the unfused VM and the tree-walker fail alike; the
+    fused frequencies decompose to the unfused ones, which count every
+    instruction up to the raising ``lean_nat_add`` of ``c``."""
+    fused = VirtualMachine(compile_rc_program(program))
+    unfused_program = compile_rc_program(program, fuse=False)
+    unfused = VirtualMachine(unfused_program)
+    outcomes = [
+        _failed_run(fused), _failed_run(unfused),
+        _failed_run(RcInterpreter(program)),
+    ]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][0] == ("RuntimeError_", _NOT_AN_INT)
+    assert base_frequencies(fused.instruction_frequencies()) == \
+        unfused.instruction_frequencies()
+    code = unfused_program.functions["main"].code
+    raising = next(pc for pc, ins in enumerate(code)
+                   if ins[0] == OP_RTCALL and ins[3][0] == 1)
+    expected = [0] * len(OPCODE_NAMES)
+    for ins in code[:raising + 1]:
+        expected[ins[0]] += 1
+        if ins[0] == OP_CALL:
+            expected[OP_RET] += 1  # the callee's
+    assert unfused.opcode_counts == expected
+
+
+class TestDerivedSiteCounts:
+    """The threaded loop counts the chains it enters; every other
+    execution of a site is derived from its predecessor's, less that
+    closure's raises.  A builtin that raises anywhere in a straight-line
+    run longer than :data:`CHAIN_LIMIT` leaves the counts of a closure
+    that counts itself."""
+
+    _LENGTH = CHAIN_LIMIT + 8
+
+    @pytest.mark.parametrize("raise_at", range(_LENGTH))
+    def test_raise_anywhere_around_a_goto_cut(self, raise_at):
+        # The run is cut once: the let CHAIN_LIMIT - 1 from its end opens
+        # the chain after the cut (one later in the fused layout, where
+        # the inc_rtcall pair is one instruction).
+        _assert_raising_runs_agree(
+            _adder_run(self._LENGTH, raise_at, inc_at=3)
+        )
+
+    @pytest.mark.parametrize("raise_at", (3, 4, 5, 30, 34))
+    def test_raise_at_and_after_the_resume_pc_of_a_call(self, raise_at):
+        # The call sits ahead of let 4: let 4 is the resume pc.
+        _assert_raising_runs_agree(
+            _adder_run(self._LENGTH, raise_at, inc_at=6, call_at=4)
+        )
+
+    @pytest.mark.parametrize("raise_at", (0, 1, 2))
+    def test_raise_in_and_after_an_inc_rtcall(self, raise_at):
+        # inc_rtcall runs its own site's rtcall closure: one site, two
+        # Python frames.
+        _assert_raising_runs_agree(
+            _adder_run(self._LENGTH, raise_at, inc_at=1)
+        )
+
+    @pytest.mark.parametrize("fuse", (False, True))
+    def test_raise_at_a_jump_target_that_is_also_fallen_into(self, fuse):
+        # pc 3 is fallen into from pc 2 on the first pass and entered by
+        # the jmp on the second, when pc 4's operand is the cell and it
+        # raises.  A run of consts pads the block past CHAIN_LIMIT.
+        # Fused, pcs 3 and 4 are one inc_rtcall.
+        pad = [(OP_CONST, 5, 7)] * CHAIN_LIMIT
+        code = [
+            (OP_INT, 0, 1),
+            (OP_CONSTRUCT, 1, 1, (0,), "alloc_ctor"),
+            (OP_INT, 2, 0),
+            (OP_INC, 0, 1),
+            (OP_RTCALL, 3, "lean_nat_add", (2, 0)),
+            *pad,
+            (OP_CAST, 2, 1),
+            (OP_JMP, 3, (), ()),
+        ]
+        program = _vm_program(code, 6)
+        if fuse:
+            fuse_program(program)
+            assert opcodes(program, "main")[3] == OP_INC_RTCALL
+        vm = VirtualMachine(program)
+        error, counts, heap = _failed_run(vm)
+        assert error == ("RuntimeError_", _NOT_AN_INT)
+        assert counts == {
+            "call": 1, "move": 2, "alloc_ctor": 1, "rc": 2,
+            "runtime_call": 2, "const": CHAIN_LIMIT, "arith": 1, "jump": 1,
+        }
+        assert base_frequencies(vm.instruction_frequencies()) == {
+            "int": 2, "construct": 1, "inc": 2, "rtcall": 2,
+            "const": CHAIN_LIMIT, "cast": 1, "jmp": 1,
+        }
+        assert heap["allocations"] == 1
+
+
+#: ``peak_live`` of each benchmark at its default size, per variant:
+#: (peak_live, allocations).  Every run ends with ``allocations ==
+#: frees`` and ``live_count == 0``.
+_HEAP_PEAKS = {
+    "default": {
+        "binarytrees": (63, 123), "binarytrees-int": (63, 123),
+        "const_fold": (27, 324), "deriv": (128, 1068), "digits": (1, 185),
+        "filter": (91, 127), "qsort": (2, 15), "rbmap_checkpoint": (30, 243),
+        "unionfind": (1, 1),
+    },
+    "rc-opt+reuse": {
+        "binarytrees": (63, 123), "binarytrees-int": (63, 123),
+        "const_fold": (27, 228), "deriv": (128, 956), "digits": (1, 10),
+        "filter": (91, 127), "qsort": (2, 15), "rbmap_checkpoint": (30, 191),
+        "unionfind": (1, 1),
+    },
+}
+
+
+class TestHeapCounters:
+    """The heap counts its live objects as ``allocations - frees``."""
+
+    @pytest.mark.parametrize("engine", EXECUTION_ENGINES)
+    @pytest.mark.parametrize("variant", sorted(_HEAP_PEAKS))
+    def test_benchmark_peaks(self, variant, engine):
+        for name, source in benchmark_sources().items():
+            options = (PipelineOptions() if variant == "default"
+                       else PipelineOptions.variant(variant))
+            module = MlirCompiler(options).compile(source).cfg_module
+            runner = (VirtualMachine(compile_cfg_module(module))
+                      if engine == "vm" else CfgInterpreter(module))
+            stats = runner.run_main().heap_stats
+            assert (stats["peak_live"], stats["allocations"]) == \
+                _HEAP_PEAKS[variant][name], name
+            assert stats["frees"] == stats["allocations"]
+            assert runner.ctx.heap.live_count == 0
+
+    @pytest.mark.parametrize("engine", ("vm", "tree"))
+    def test_leak_message_counts_allocations_and_frees(self, engine):
+        program = rc_program(_rc_spine(
+            ("let", "x", rc_ir.Lit(1)),
+            ("let", "a", rc_ir.Ctor(1, ["x"])),
+            ("let", "b", rc_ir.Ctor(2, ["x"])),
+            ("dec", "a"),
+            ("ret", "x"),
+        ))
+        runner = (VirtualMachine(compile_rc_program(program))
+                  if engine == "vm" else RcInterpreter(program))
+        with pytest.raises(RuntimeError_) as caught:
+            runner.run_main()
+        assert str(caught.value) == (
+            "heap leak: 1 objects still live (2 allocations, 1 frees)"
+        )
+        assert runner.ctx.heap.live_count == 1
 
 
 # ---------------------------------------------------------------------------
