@@ -144,38 +144,35 @@ OP_REUSE = 17       # (op, dst, token, tag, field_regs)
 OP_CALL = 18        # (op, dst, BytecodeFunction, arg_regs)
 OP_RTCALL = 19      # (op, dst, name, arg_regs)
 OP_BADCALL = 20     # (op, name)
-OP_BINARITH = 21    # (op, dst, fn, lhs, rhs)
-OP_CMP = 22         # (op, dst, fn, lhs, rhs)
-OP_SELECT = 23      # (op, dst, cond, t, f)
-OP_CAST = 24        # (op, dst, src)
+OP_CMP = 21         # (op, dst, fn, lhs, rhs)
 
 # Superinstructions (emitted only by the fusion peephole, never by the
 # frontends).  Each charges exactly the events of its unfused pair; the
 # first instruction's destination register is still written, so fusion
 # needs no liveness analysis.
-OP_CONST_CMP = 25         # (op, cdst, value, dst, fn, lhs, rhs)
-OP_PROJ_CALL = 26         # (op, pdst, psrc, pindex, cdst, BytecodeFunction, arg_regs)
+OP_CONST_CMP = 22         # (op, cdst, value, dst, fn, lhs, rhs)
+OP_PROJ_CALL = 23         # (op, pdst, psrc, pindex, cdst, BytecodeFunction, arg_regs)
 
 # Chain superinstructions — second-pass fusions over already-fused
 # opcodes (the peephole runs to fixpoint), covering the hottest dynamic
 # sequences of the benchmark suite: constructor-tag dispatch
 # (getlabel; const; cmp; cond_br) and RC/projection runs.
-OP_CONST_CMP_CONDBR = 27  # (op, cdst, value, dst, fn, lhs, rhs,
+OP_CONST_CMP_CONDBR = 24  # (op, cdst, value, dst, fn, lhs, rhs,
                           #  tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)
-OP_GETLABEL_CMP_CONDBR = 28  # (op, gdst, gsrc, cdst, value, dst, fn, lhs,
+OP_GETLABEL_CMP_CONDBR = 25  # (op, gdst, gsrc, cdst, value, dst, fn, lhs,
                              #  rhs, tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)
-OP_PROJ_PROJ = 29         # (op, d1, s1, i1, d2, s2, i2)
-OP_INT_INC = 30           # (op, dst, value, src, count)
-OP_DEC_DEC = 31           # (op, s1, c1, s2, c2)
-OP_INC_RTCALL = 32        # (op, src, count, dst, name, arg_regs)
-OP_DEC_INC = 33           # (op, dsrc, dcount, isrc, icount)
-OP_PROJ3 = 34             # (op, d1, s1, i1, d2, s2, i2, d3, s3, i3)
-OP_PROJ4 = 35             # (op, d1, s1, i1, ..., d4, s4, i4)
+OP_PROJ_PROJ = 26         # (op, d1, s1, i1, d2, s2, i2)
+OP_INT_INC = 27           # (op, dst, value, src, count)
+OP_DEC_DEC = 28           # (op, s1, c1, s2, c2)
+OP_INC_RTCALL = 29        # (op, src, count, dst, name, arg_regs)
+OP_DEC_INC = 30           # (op, dsrc, dcount, isrc, icount)
+OP_PROJ3 = 31             # (op, d1, s1, i1, d2, s2, i2, d3, s3, i3)
+OP_PROJ4 = 32             # (op, d1, s1, i1, ..., d4, s4, i4)
 # A call whose result the next instruction returns: the callee's frame
 # replaces the caller's instead of stacking on it.
-OP_TAILCALL = 36          # (op, BytecodeFunction, arg_regs)
+OP_TAILCALL = 33          # (op, BytecodeFunction, arg_regs)
 # A scalar-comparison rtcall whose Bool result a tag dispatch reads.
-OP_RTCALL_CMP_BR = 37     # (op, rdst, name, arg_regs) + the getlabel_cmp_br
+OP_RTCALL_CMP_BR = 34     # (op, rdst, name, arg_regs) + the getlabel_cmp_br
                           #  operands
 
 #: Human-readable opcode names (docs/EXECUTION.md and the unit tests).
@@ -186,8 +183,7 @@ OPCODE_NAMES = {
     OP_GETLABEL: "getlabel", OP_PROJ: "proj", OP_PAP: "pap",
     OP_PAPEXTEND: "papextend", OP_INC: "inc", OP_DEC: "dec",
     OP_RESET: "reset", OP_REUSE: "reuse", OP_CALL: "call",
-    OP_RTCALL: "rtcall", OP_BADCALL: "badcall", OP_BINARITH: "binarith",
-    OP_CMP: "cmp", OP_SELECT: "select", OP_CAST: "cast",
+    OP_RTCALL: "rtcall", OP_BADCALL: "badcall", OP_CMP: "cmp",
     OP_CONST_CMP: "const_cmp", OP_PROJ_CALL: "proj_call",
     OP_CONST_CMP_CONDBR: "const_cmp_br",
     OP_GETLABEL_CMP_CONDBR: "getlabel_cmp_br", OP_PROJ_PROJ: "proj_proj",
@@ -200,46 +196,10 @@ OPCODE_NAMES = {
 #: Size of the per-VM opcode frequency table.
 NUM_OPCODES = len(OPCODE_NAMES)
 
-def _divsi(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero in arith.divsi")
-    return int_div(a, b)
-
-
-def _remsi(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("remainder by zero in arith.remsi")
-    return int_mod(a, b)
-
-
-#: Binary arithmetic resolved to callables at compile time.  The semantics
-#: (including errors) must stay those of :func:`repro.dialects.arith.
-#: evaluate_binary` — the resolved tables exist only to skip its per-event
-#: name dispatch; a drift test compares every entry against the oracle.
-_BINARY_FNS: Dict[str, Callable[[int, int], int]] = {
-    arith.AddIOp.OP_NAME: lambda a, b: a + b,
-    arith.SubIOp.OP_NAME: lambda a, b: a - b,
-    arith.MulIOp.OP_NAME: lambda a, b: a * b,
-    arith.DivSIOp.OP_NAME: _divsi,
-    arith.RemSIOp.OP_NAME: _remsi,
-    arith.AndIOp.OP_NAME: lambda a, b: a & b,
-    arith.OrIOp.OP_NAME: lambda a, b: a | b,
-    arith.XorIOp.OP_NAME: lambda a, b: a ^ b,
-}
-
 #: Comparison predicates resolved to callables (semantics of
 #: :func:`repro.dialects.arith.evaluate_cmpi`; drift-tested likewise).
 _CMP_FNS: Dict[str, Callable[[int, int], int]] = {
     "eq": lambda a, b: 1 if a == b else 0,
-    "ne": lambda a, b: 1 if a != b else 0,
-    "slt": lambda a, b: 1 if a < b else 0,
-    "sle": lambda a, b: 1 if a <= b else 0,
-    "sgt": lambda a, b: 1 if a > b else 0,
-    "sge": lambda a, b: 1 if a >= b else 0,
-    "ult": lambda a, b: 1 if abs(a) < abs(b) else 0,
-    "ule": lambda a, b: 1 if abs(a) <= abs(b) else 0,
-    "ugt": lambda a, b: 1 if abs(a) > abs(b) else 0,
-    "uge": lambda a, b: 1 if abs(a) >= abs(b) else 0,
 }
 
 #: Runtime builtins whose threaded ``rtcall`` closure computes the result
@@ -1284,23 +1244,6 @@ class _CfgFunctionCompiler:
                 self.regs[op.operands[0]], self.regs[op.operands[1]],
             ))
             return
-        if isinstance(op, arith.SelectOp):
-            code.append((
-                OP_SELECT, self._reg(op.result()), self.regs[op.operands[0]],
-                self.regs[op.operands[1]], self.regs[op.operands[2]],
-            ))
-            return
-        binary = _BINARY_FNS.get(op.name)
-        if binary is not None:
-            code.append((
-                OP_BINARITH, self._reg(op.result()), binary,
-                self.regs[op.operands[0]], self.regs[op.operands[1]],
-            ))
-            return
-        if isinstance(op, (arith.TruncIOp, arith.ExtUIOp)):
-            code.append((OP_CAST, self._reg(op.result()), self.regs[op.operands[0]]))
-            return
-
         raise BytecodeError(f"cannot compile operation {op.name}")
 
 
@@ -1538,10 +1481,7 @@ _STATIC_CHARGES = {
     OP_CALL: ("call",),
     OP_RTCALL: ("runtime_call",),
     OP_BADCALL: (),
-    OP_BINARITH: ("arith",),
     OP_CMP: ("arith",),
-    OP_SELECT: ("arith",),
-    OP_CAST: ("arith",),
 }
 _STATIC_CHARGES.update(
     (opcode, sum((_STATIC_CHARGES[base] for base in _base_opcodes(opcode)), ()))
@@ -2001,7 +1941,7 @@ class VirtualMachine:
             else:
                 nxt = _goto(pc + 1)
                 depth[pc] = 1
-            if opcode == OP_BINARITH or opcode == OP_CMP:
+            if opcode == OP_CMP:
                 def op(regs, d=ins[1], f=ins[2], a=ins[3], b=ins[4], n=nxt):
                     regs[d] = f(regs[a], regs[b])
                     return n(regs)
@@ -2327,10 +2267,6 @@ class VirtualMachine:
                     else:
                         dec(value, k)
                     return n(regs)
-            elif opcode == OP_SELECT:
-                def op(regs, d=ins[1], c=ins[2], a=ins[3], b=ins[4], n=nxt):
-                    regs[d] = regs[a] if regs[c] else regs[b]
-                    return n(regs)
             elif opcode == OP_RTCALL:
                 op = _rtcall_site(ins[1], ins[2], ins[3], ctx, nxt)
             elif opcode == OP_PAP:
@@ -2363,10 +2299,6 @@ class VirtualMachine:
                 def op(regs, d=ins[1], src=ins[2], reset=heap.reset, n=nxt):
                     regs[d] = reset(regs[src])
                     return n(regs)
-            elif opcode == OP_CAST:
-                def op(regs, d=ins[1], src=ins[2], n=nxt):
-                    regs[d] = regs[src]
-                    return n(regs)
             elif opcode == OP_UNREACHABLE:
                 def op(regs, err=error, msg=ins[1]):
                     raise err(msg)
@@ -2384,16 +2316,3 @@ class VirtualMachine:
             steps[op.__code__] = 0 if opcode == OP_INC_RTCALL else 1
         entry = self._threaded[fn] = ops, sites, falls
         return entry
-
-
-# ---------------------------------------------------------------------------
-# Convenience wrapper (mirrors run_rc_program)
-# ---------------------------------------------------------------------------
-
-
-def run_rc_program_vm(
-    program: rc_ir.Program, *, check_heap: bool = True
-) -> RunResult:
-    """Compile a λrc ``program`` to bytecode and execute its main on the VM."""
-    bytecode = compile_rc_program(program)
-    return VirtualMachine(bytecode).run_main(check_heap=check_heap)

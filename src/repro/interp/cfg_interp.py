@@ -2,13 +2,14 @@
 
 After ``λrc → lp → rgn → cf`` lowering, every function consists of basic
 blocks holding lp data operations (constructors, projections, closures,
-reference counts), ``arith`` operations on machine integers, runtime calls
-and ``cf``/``func`` terminators.  This interpreter executes that IR against
-the simulated LEAN runtime, charging the shared cost model — it plays the
-role LLVM-compiled native code plays in the paper's evaluation.
+reference counts), ``arith`` constants and tag tests on machine integers,
+runtime calls and ``cf``/``func`` terminators.  This interpreter executes
+that IR against the simulated LEAN runtime, charging the shared cost model
+— it plays the role LLVM-compiled native code plays in the paper's
+evaluation.
 
 SSA values carry either *machine* integers (plain Python ints, produced by
-``arith.constant``, ``lp.getlabel``, ``arith.cmpi`` ...) or *boxed* runtime
+``arith.constant``, ``lp.getlabel``, ``arith.cmpi``) or *boxed* runtime
 values (``!lp.t``).
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..resilience.budgets import ExecutionBudget
-from .limits import recursion_limit
+from .limits import DEFAULT_RECURSION_LIMIT, recursion_limit
 
 from ..dialects import arith, cf, lp
 from ..dialects.builtin import ModuleOp
@@ -50,7 +51,6 @@ class CfgInterpreter:
         *,
         context: Optional[RuntimeContext] = None,
         metrics: Optional[ExecutionMetrics] = None,
-        recursion_limit: int = 200000,
         budget: Optional[ExecutionBudget] = None,
     ):
         self.module = module
@@ -63,7 +63,6 @@ class CfgInterpreter:
         #: built on first execution of each switch.  The tree-walker is the
         #: bytecode VM's differential oracle, so its hot paths still matter.
         self._switch_tables: Dict[Operation, Dict[int, Block]] = {}
-        self.recursion_limit = recursion_limit
         self.budget = budget
 
     # -- public API --------------------------------------------------------------
@@ -76,7 +75,7 @@ class CfgInterpreter:
     ) -> RunResult:
         if self.budget is not None:
             self.budget.start()
-        with recursion_limit(self.recursion_limit):
+        with recursion_limit(DEFAULT_RECURSION_LIMIT):
             result = self.call_function(main, list(args or []))
         snapshot = python_value(result) if result is not None else None
         if result is not None:
@@ -264,29 +263,4 @@ class CfgInterpreter:
                 op.predicate, env[op.operands[0]], env[op.operands[1]]
             )
             return None
-        if isinstance(op, arith.SelectOp):
-            self.metrics.charge("arith")
-            condition = env[op.operands[0]]
-            env[op.result()] = env[op.operands[1]] if condition else env[op.operands[2]]
-            return None
-        if op.name in (
-            arith.AddIOp.OP_NAME,
-            arith.SubIOp.OP_NAME,
-            arith.MulIOp.OP_NAME,
-            arith.DivSIOp.OP_NAME,
-            arith.RemSIOp.OP_NAME,
-            arith.AndIOp.OP_NAME,
-            arith.OrIOp.OP_NAME,
-            arith.XorIOp.OP_NAME,
-        ):
-            self.metrics.charge("arith")
-            env[op.result()] = arith.evaluate_binary(
-                op.name, env[op.operands[0]], env[op.operands[1]]
-            )
-            return None
-        if isinstance(op, (arith.TruncIOp, arith.ExtUIOp)):
-            self.metrics.charge("arith")
-            env[op.result()] = env[op.operands[0]]
-            return None
-
         raise CfgInterpreterError(f"cannot interpret operation {op.name}")

@@ -22,8 +22,8 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator
 
-#: Stack headroom the engines request by default; chosen for the deepest
-#: benchmark programs (the red-black tree workloads).
+#: Stack headroom each tree-walker's ``run_main`` requests; chosen for the
+#: deepest benchmark programs (the red-black tree workloads).
 DEFAULT_RECURSION_LIMIT = 200000
 
 

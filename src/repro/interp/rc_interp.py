@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..resilience.budgets import ExecutionBudget
-from .limits import recursion_limit
+from .limits import DEFAULT_RECURSION_LIMIT, recursion_limit
 
 from ..lambda_pure.ir import (
     App,
@@ -62,20 +62,18 @@ class RcInterpreter:
         *,
         context: Optional[RuntimeContext] = None,
         metrics: Optional[ExecutionMetrics] = None,
-        recursion_limit: int = 200000,
         budget: Optional[ExecutionBudget] = None,
     ):
         self.program = program
         self.ctx = context if context is not None else RuntimeContext()
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
-        self.recursion_limit = recursion_limit
         self.budget = budget
 
     # -- public API ------------------------------------------------------------
     def run_main(self, args: Optional[List[Value]] = None, *, check_heap: bool = True) -> RunResult:
         if self.budget is not None:
             self.budget.start()
-        with recursion_limit(self.recursion_limit):
+        with recursion_limit(DEFAULT_RECURSION_LIMIT):
             result = self.call(self.program.main, list(args or []))
         snapshot = python_value(result)
         # The driver owns the returned value; release it and check balance.

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..record import Record
 from ..resilience.budgets import ExecutionBudget
-from .limits import recursion_limit
+from .limits import DEFAULT_RECURSION_LIMIT, recursion_limit
 
 from ..lambda_pure.ir import (
     App,
@@ -121,18 +121,16 @@ class ReferenceInterpreter:
         self,
         program: Program,
         *,
-        recursion_limit: int = 200000,
         budget: Optional[ExecutionBudget] = None,
     ):
         self.program = program
-        self.recursion_limit = recursion_limit
         self.budget = budget
 
     # -- function calls ----------------------------------------------------------
     def run_main(self, args: Optional[List] = None):
         if self.budget is not None:
             self.budget.start()
-        with recursion_limit(self.recursion_limit):
+        with recursion_limit(DEFAULT_RECURSION_LIMIT):
             return self.call(self.program.main, list(args or []))
 
     def call(self, fn_name: str, args: List):

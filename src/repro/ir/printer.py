@@ -4,7 +4,7 @@ The printed form round-trips through :mod:`repro.ir.parser`:
 
 .. code-block:: text
 
-    %2 = "arith.addi"(%0, %1) : (i64, i64) -> i64
+    %2 = "arith.cmpi"(%0, %1) {predicate = "eq"} : (i64, i64) -> i1
     "cf.cond_br"(%c)[^bb1, ^bb2] : (i1) -> ()
     %r = "rgn.val"() ({
     ^bb0:

@@ -109,14 +109,10 @@ class PatternSet:
         self._by_name: Dict[str, List[RewritePattern]] = {}
         self._generic: List[RewritePattern] = []
         for p in ordered:
-            names = p.op_names if p.op_names is not None else (
-                frozenset((p.op_name,)) if p.op_name is not None else None
-            )
-            if names is None:
+            if p.op_name is None:
                 self._generic.append(p)
             else:
-                for name in names:
-                    self._by_name.setdefault(name, []).append(p)
+                self._by_name.setdefault(p.op_name, []).append(p)
 
     def candidates(
         self, op: Operation, result: Optional[GreedyRewriteResult] = None

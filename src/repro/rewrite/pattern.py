@@ -155,10 +155,7 @@ class RewritePattern:
 
     Attributes:
         op_name: if set, the driver only tries the pattern on operations with
-            this name (a cheap pre-filter).
-        op_names: like ``op_name`` but for patterns rooted at several
-            operation names (e.g. one fold covering all binary arith ops);
-            takes precedence over ``op_name``.  Patterns setting neither are
+            this name (a cheap pre-filter).  Patterns without one are
             *generic* and tried on every operation — expensive in a large
             unified pattern drain, so set a root filter whenever possible.
         num_operands: if set, the pattern can only match operations with
@@ -172,7 +169,6 @@ class RewritePattern:
     """
 
     op_name: Optional[str] = None
-    op_names: Optional[frozenset] = None
     num_operands: Optional[int] = None
     min_num_operands: int = 0
     benefit: int = 1

@@ -37,7 +37,6 @@ from repro.interp.bytecode import (
     OP_BIGINT,
     OP_CALL,
     OP_CASE,
-    OP_CAST,
     OP_CMP,
     OP_CONDBR,
     OP_CONST,
@@ -54,10 +53,8 @@ from repro.interp.bytecode import (
     OP_RET,
     OP_REUSE,
     OP_RTCALL,
-    OP_SELECT,
     OP_SWITCH,
     OP_UNREACHABLE,
-    OP_BINARITH,
     OP_CONST_CMP,
     OP_CONST_CMP_CONDBR,
     OP_DEC_DEC,
@@ -76,6 +73,7 @@ from repro.interp.bytecode import (
     OPCODE_NAMES,
     SCALAR_RTCALLS,
     CHAIN_LIMIT,
+    BytecodeError,
     BytecodeFunction,
     BytecodeProgram,
     EXECUTION_ENGINES,
@@ -87,7 +85,7 @@ from repro.interp.bytecode import (
     fuse_program,
 )
 from repro.interp.bytecode import _TARGET_FIELDS, _jump_targets, _remap_targets
-from repro.interp.bytecode import _BINARY_FNS, _CMP_FNS
+from repro.interp.bytecode import _CMP_FNS
 from repro.interp.cfg_interp import CfgInterpreter, CfgInterpreterError
 from repro.interp.rc_interp import RcInterpreter
 from repro.ir import Builder, FunctionType, InsertionPoint
@@ -239,24 +237,16 @@ class TestCfgCompilation:
         assert "lean_nat_add" not in compiled.functions  # declarations skipped
 
     def test_arith(self):
-        module, func, builder = cfg_function(results=(i64,))
+        module, func, builder = cfg_function(results=(i1,))
         one = builder.create(arith.ConstantOp, 1)
         two = builder.create(arith.ConstantOp, 2)
-        added = builder.create(arith.AddIOp, one.result(), two.result())
-        compared = builder.create(arith.CmpIOp, "slt", one.result(), two.result())
-        chosen = builder.create(
-            arith.SelectOp, compared.result(), added.result(), one.result()
-        )
-        cast = builder.create(arith.TruncIOp, chosen.result(), i64)
-        builder.create(ReturnOp, [cast.result()])
+        compared = builder.create(arith.CmpIOp, "eq", one.result(), two.result())
+        builder.create(ReturnOp, [compared.result()])
         code = compile_cfg_module(module, fuse=False).functions["f"].code
         assert code[0] == (OP_CONST, 0, 1)
         assert code[1] == (OP_CONST, 1, 2)
-        assert code[2][0] == OP_BINARITH and code[2][1:2] + code[2][3:] == (2, 0, 1)
-        assert code[2][2](4, 5) == 9  # resolved addi callable
-        assert code[3][0] == OP_CMP and code[3][2](1, 2) == 1
-        assert code[4] == (OP_SELECT, 4, 3, 2, 0)
-        assert code[5] == (OP_CAST, 5, 4)
+        assert code[2][0] == OP_CMP and code[2][1:2] + code[2][3:] == (2, 0, 1)
+        assert code[2][2](1, 2) == 0 and code[2][2](2, 2) == 1
 
     def test_branches_and_switch(self):
         module, func, builder = cfg_function(inputs=(i1,), results=(i64,))
@@ -463,6 +453,41 @@ class TestVmErrors:
         with pytest.raises(CfgInterpreterError, match="cf.unreachable"):
             VirtualMachine(compile_cfg_module(module)).run_main()
 
+    @pytest.mark.parametrize("line", [
+        '%1 = "arith.addi"(%0, %0) : (i64, i64) -> i64',
+        '%1 = "arith.trunci"(%0) : (i64) -> i64',
+        '%1 = "arith.select"(%c, %0, %0) : (i1, i64, i64) -> i64',
+    ], ids=["addi", "trunci", "select"])
+    def test_op_no_compile_emits_fails_in_both_executors(self, line):
+        # Arithmetic ops are not in the arith dialect, so they parse as
+        # generic ops; arith.select is lowered by rgn→cf and has no
+        # execution path.  Either executor refuses, naming the op.
+        from repro.ir.parser import parse_module
+
+        name = line.split('"')[1]
+        module = parse_module(
+            '"builtin.module"() ({\n^bb0:\n  "func.func"() ({\n  ^bb1:\n'
+            '    %0 = "arith.constant"() {value = 1 : i64} : () -> i64\n'
+            '    %c = "arith.cmpi"(%0, %0) {predicate = "eq"} : (i64, i64) -> i1\n'
+            f"    {line}\n"
+            '    "func.return"(%1) : (i64) -> ()\n'
+            '  }) {function_type = () -> i64, sym_name = "main"} : () -> ()\n'
+            "}) : () -> ()\n"
+        )
+        with pytest.raises(BytecodeError, match=f"cannot compile operation {name}"):
+            compile_cfg_module(module)
+        with pytest.raises(
+            CfgInterpreterError, match=f"cannot interpret operation {name}"
+        ):
+            CfgInterpreter(module).run_main()
+
+    def test_cmpi_predicate_is_eq_only(self):
+        one = arith.ConstantOp(1)
+        with pytest.raises(ValueError, match="unknown cmpi predicate 'slt'"):
+            arith.CmpIOp("slt", one.result(), one.result())
+        with pytest.raises(ValueError, match="unknown cmpi predicate 'ult'"):
+            arith.evaluate_cmpi("ult", -1, 2)
+
     def test_case_without_alternative_raises(self):
         body = rc_ir.Case("n", alts=[rc_ir.CaseAlt(7, "seven", rc_ir.Ret("n"))])
         program = rc_program(body, params=("n",))
@@ -662,21 +687,6 @@ class TestResolvedArithmeticDrift:
 
     GRID = [-7, -2, -1, 0, 1, 2, 3, 7, 10]
 
-    def test_binary_fns_match_evaluate_binary(self):
-        from repro.interp.bytecode import _BINARY_FNS
-
-        for name, fn in _BINARY_FNS.items():
-            for a in self.GRID:
-                for b in self.GRID:
-                    try:
-                        expected = arith.evaluate_binary(name, a, b)
-                    except ZeroDivisionError as oracle_error:
-                        with pytest.raises(ZeroDivisionError) as info:
-                            fn(a, b)
-                        assert str(info.value) == str(oracle_error)
-                        continue
-                    assert fn(a, b) == expected, (name, a, b)
-
     def test_cmp_fns_match_evaluate_cmpi(self):
         from repro.interp.bytecode import _CMP_FNS
 
@@ -712,16 +722,12 @@ class TestExactIntDivision:
     a float quotient rounds past 2**53 and overflows past 10**308."""
 
     @pytest.mark.parametrize("a,b", _INT_DIVISIONS)
-    def test_runtime_and_arith_operators(self, a, b):
+    def test_runtime_operators(self, a, b):
         from repro.runtime.builtins import int_div, int_mod
 
         _assert_truncating(a, b, int_div(a, b), int_mod(a, b))
         assert SCALAR_RTCALLS["lean_int_div"][1] is int_div
         assert SCALAR_RTCALLS["lean_int_mod"][1] is int_mod
-        if b:
-            for name, fn in (("arith.divsi", int_div), ("arith.remsi", int_mod)):
-                assert _BINARY_FNS[name](a, b) == fn(a, b)
-                assert arith.evaluate_binary(name, a, b) == fn(a, b)
 
     def test_float_rounding_case(self):
         from repro.runtime.builtins import int_div, int_mod
@@ -783,9 +789,6 @@ def _identity_callee():
 
 
 _EQ = _CMP_FNS["eq"]
-_LT = _CMP_FNS["slt"]
-_ADD = _BINARY_FNS["arith.addi"]
-_MUL = _BINARY_FNS["arith.muli"]
 
 
 def _superinstruction_cases():
@@ -939,17 +942,17 @@ def _superinstruction_cases():
         (OP_CONST, 4, 1),
         (OP_CMP, 5, _EQ, 3, 4),
         (OP_CONDBR, 5, 5, (), (), 5, (), ()),
-        (OP_BINARITH, 6, _ADD, 2, 3),
-        (OP_BINARITH, 6, _ADD, 6, 4),
-        (OP_BINARITH, 6, _ADD, 6, 5),
+        (OP_RTCALL, 6, "lean_nat_add", (2, 3)),
+        (OP_RTCALL, 6, "lean_nat_add", (6, 4)),
+        (OP_RTCALL, 6, "lean_nat_add", (6, 5)),
         (OP_RET, 6),
     ], 7, num_params=2), [
         ((1, 2), ("ok", 4, {
-            "runtime_call": 1, "getlabel": 1, "const": 1, "arith": 4,
+            "runtime_call": 4, "getlabel": 1, "const": 1, "arith": 1,
             "branch": 1, "call": 1, "return": 1,
         })),
         ((2, 1), ("ok", 1, {
-            "runtime_call": 1, "getlabel": 1, "const": 1, "arith": 4,
+            "runtime_call": 4, "getlabel": 1, "const": 1, "arith": 1,
             "branch": 1, "call": 1, "return": 1,
         })),
     ]))
@@ -997,24 +1000,17 @@ def _unfused_pair_cases():
     """
     cases = []
     cases.append(("cmp+cond_br", lambda: _vm_program([
-        (OP_CMP, 2, _LT, 0, 1),
+        (OP_CMP, 2, _EQ, 0, 1),
         (OP_CONDBR, 2, 2, (), (), 4, (), ()),
         (OP_CONST, 3, 42), (OP_RET, 3),
         (OP_CONST, 3, 7), (OP_RET, 3),
     ], 4, num_params=2), [
-        ((1, 2), ("ok", 42, {
+        ((1, 1), ("ok", 42, {
             "arith": 1, "branch": 1, "call": 1, "return": 1, "const": 1,
         })),
         ((2, 1), ("ok", 7, {
             "arith": 1, "branch": 1, "call": 1, "return": 1, "const": 1,
         })),
-    ]))
-    cases.append(("const+binarith", lambda: _vm_program([
-        (OP_CONST, 1, 5),
-        (OP_BINARITH, 2, _ADD, 0, 1),
-        (OP_RET, 2),
-    ], 3, num_params=1), [
-        ((4,), ("ok", 9, {"arith": 1, "call": 1, "return": 1, "const": 1})),
     ]))
     cases.append(("getlabel+switch", lambda: _vm_program([
         (OP_CONSTRUCT, 0, 1, (), "move"),
@@ -1153,9 +1149,18 @@ class TestSuperinstructions:
         assert _jump_targets([proj]) == set()
         assert _remap_targets(proj, mapping) is proj
 
+    #: Base opcodes no compiled program emits: no program has a case of
+    #: three or more alternatives (``switch``; the match compiler emits
+    #: two-way cases only) and none calls an undefined function
+    #: (``badcall``).
+    NEVER_EMITTED = ("badcall", "switch")
+
     def test_every_fusion_rule_fires_on_compiled_programs(self, monkeypatch):
         """A rule that no compiled program exercises is dead weight: the
-        unfused pair already runs it with the same charges."""
+        unfused pair already runs it with the same charges.  The same
+        sweep is the census of what compiles emit: every base opcode
+        outside :attr:`NEVER_EMITTED` in some unfused compile, and every
+        registered arith op in some captured ``rgn`` module."""
         applied = {rule.opcode: 0 for rule in FUSION_RULES}
         for rule in FUSION_RULES:
             def counted(a, b, build=rule.build, opcode=rule.opcode):
@@ -1167,21 +1172,39 @@ class TestSuperinstructions:
         sources += [source for _, source in load_corpus()]
         sources.append(PROJ_CALL_PROGRAM)
         session = CompilationSession()
-        mlir = [
-            MlirCompiler(measurement_options(variant), session=session)
-            for variant in LP_VARIANTS
-        ]
+        mlir = []
+        for variant in LP_VARIANTS:
+            options = measurement_options(variant)
+            options.capture_ir = ("rgn",)
+            mlir.append(MlirCompiler(options, session=session))
         baseline = [
             BaselineCompiler(PipelineOptions(rc_mode=mode), session=session)
             for mode in RC_MODES
         ]
+        emitted, arith_ops = set(), set()
+
+        def census(program):
+            for fn in program.functions.values():
+                emitted.update(OPCODE_NAMES[ins[0]] for ins in fn.code)
+            fuse_program(program)
+
         for source in sources:
             for compiler in mlir:
-                compile_cfg_module(compiler.compile(source).cfg_module)
+                artifacts = compiler.compile(source)
+                arith_ops.update(
+                    re.findall(r'"(arith\.\w+)"', artifacts.captured_ir["rgn"])
+                )
+                census(compile_cfg_module(artifacts.cfg_module, fuse=False))
             for compiler in baseline:
-                compile_rc_program(compiler.compile(source).rc_program)
+                rc_program_ = compiler.compile(source).rc_program
+                census(compile_rc_program(rc_program_, fuse=False))
         never = [OPCODE_NAMES[op] for op, count in applied.items() if not count]
         assert never == []
+        base = set(OPCODE_NAMES.values()) - set(FUSED_OPCODE_BASES)
+        assert sorted(base - emitted) == list(self.NEVER_EMITTED)
+        assert arith_ops == {
+            op.OP_NAME for op in arith.arith_dialect.operations
+        }
 
     def test_fusion_rules_are_declarative_and_unique(self):
         pairs = [(rule.first, rule.second) for rule in FUSION_RULES]
@@ -1482,8 +1505,8 @@ def _digits_callee(arity):
     for index in range(arity):
         code += [
             (OP_CONST, arity + 1, 10 ** index),
-            (OP_BINARITH, arity + 2, _MUL, index, arity + 1),
-            (OP_BINARITH, acc, _ADD, acc, arity + 2),
+            (OP_RTCALL, arity + 2, "lean_nat_mul", (index, arity + 1)),
+            (OP_RTCALL, acc, "lean_nat_add", (acc, arity + 2)),
         ]
     callee.code = code + [(OP_RET, acc)]
     callee.num_regs = arity + 3
@@ -1503,9 +1526,9 @@ def _call_program(arity, *, tail, proj=False):
         ]
     code.append((OP_CALL, arity + 2, callee, tuple(range(arity))))
     if not tail:
-        code.append((OP_CAST, arity + 2, arity + 2))
+        code.append((OP_CONST, arity + 3, 0))
     code.append((OP_RET, arity + 2))
-    return _vm_program(code, arity + 3, extras=(callee,))
+    return _vm_program(code, arity + 4, extras=(callee,))
 
 
 def _fused_opcodes(program):
@@ -2097,7 +2120,7 @@ class TestBlockChains:
         # 10,000 straight-line instructions; the chain is cut every
         # CHAIN_LIMIT closures, so 100 frames of headroom are enough.
         code = [(OP_CONST, 0, 0), (OP_CONST, 1, 1)]
-        code += [(OP_BINARITH, 0, _ADD, 0, 1)] * 10_000
+        code += [(OP_RTCALL, 0, "lean_nat_add", (0, 1))] * 10_000
         code.append((OP_RET, 0))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_stack_depth() + 100)
@@ -2108,7 +2131,7 @@ class TestBlockChains:
             sys.setrecursionlimit(limit)
         assert run.value == 10_000
         assert run.metrics.counts == {
-            "const": 2, "arith": 10_000, "call": 1, "return": 1,
+            "const": 2, "runtime_call": 10_000, "call": 1, "return": 1,
         }
 
     def test_call_mid_chain_resumes_after_the_call(self):
@@ -2116,14 +2139,14 @@ class TestBlockChains:
         factory = lambda: _vm_program([
             (OP_CONST, 0, 2),
             (OP_CALL, 1, callee, (0,)),
-            (OP_BINARITH, 2, _ADD, 1, 0),
+            (OP_RTCALL, 2, "lean_nat_add", (1, 0)),
             (OP_CALL, 3, callee, (2,)),
             (OP_CONST, 4, 10),
-            (OP_BINARITH, 5, _MUL, 3, 4),
+            (OP_RTCALL, 5, "lean_nat_mul", (3, 4)),
             (OP_RET, 5),
         ], 6, extras=(callee,))
         _assert_outcome(factory, (), ("ok", 40, {
-            "const": 2, "call": 3, "arith": 2, "return": 3,
+            "const": 2, "call": 3, "runtime_call": 2, "return": 3,
         }))
 
     def test_saturating_papextend_mid_chain_resumes_after_it(self):
@@ -2132,12 +2155,12 @@ class TestBlockChains:
             (OP_CONST, 0, 7),
             (OP_PAP, 1, "callee", 1, ()),
             (OP_PAPEXTEND, 2, 1, (0,)),
-            (OP_BINARITH, 3, _ADD, 2, 0),
+            (OP_RTCALL, 3, "lean_nat_add", (2, 0)),
             (OP_RET, 3),
         ], 4, extras=(callee,))
         _assert_outcome(factory, (), ("ok", 14, {
             "const": 1, "alloc_closure": 1, "apply": 1, "call": 2,
-            "arith": 1, "return": 2,
+            "runtime_call": 1, "return": 2,
         }))
 
     def _assert_charged_through(self, code, num_regs, raising_pc, message):
@@ -2286,8 +2309,7 @@ class TestDerivedSiteCounts:
             (OP_INC, 0, 1),
             (OP_RTCALL, 3, "lean_nat_add", (2, 0)),
             *pad,
-            (OP_CAST, 2, 1),
-            (OP_JMP, 3, (), ()),
+            (OP_JMP, 3, (1,), (2,)),
         ]
         program = _vm_program(code, 6)
         if fuse:
@@ -2298,11 +2320,11 @@ class TestDerivedSiteCounts:
         assert error == ("RuntimeError_", _NOT_AN_INT)
         assert counts == {
             "call": 1, "move": 2, "alloc_ctor": 1, "rc": 2,
-            "runtime_call": 2, "const": CHAIN_LIMIT, "arith": 1, "jump": 1,
+            "runtime_call": 2, "const": CHAIN_LIMIT, "jump": 1,
         }
         assert base_frequencies(vm.instruction_frequencies()) == {
             "int": 2, "construct": 1, "inc": 2, "rtcall": 2,
-            "const": CHAIN_LIMIT, "cast": 1, "jmp": 1,
+            "const": CHAIN_LIMIT, "jmp": 1,
         }
         assert heap["allocations"] == 1
 

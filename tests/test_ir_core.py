@@ -32,24 +32,24 @@ class TestValuesAndUses:
 
     def test_use_tracking(self):
         c = arith.ConstantOp(1)
-        add = arith.AddIOp(c.result(), c.result())
+        cmp = arith.CmpIOp("eq", c.result(), c.result())
         assert c.result().num_uses == 2
-        assert add in c.result().users()
+        assert cmp in c.result().users()
 
     def test_replace_all_uses_with(self):
         a = arith.ConstantOp(1)
         b = arith.ConstantOp(2)
-        add = arith.AddIOp(a.result(), a.result())
+        cmp = arith.CmpIOp("eq", a.result(), a.result())
         a.result().replace_all_uses_with(b.result())
         assert a.result().num_uses == 0
         assert b.result().num_uses == 2
-        assert add.operands[0] is b.result()
+        assert cmp.operands[0] is b.result()
 
     def test_set_operand_updates_uses(self):
         a = arith.ConstantOp(1)
         b = arith.ConstantOp(2)
-        add = arith.AddIOp(a.result(), a.result())
-        add.set_operand(0, b.result())
+        cmp = arith.CmpIOp("eq", a.result(), a.result())
+        cmp.set_operand(0, b.result())
         assert a.result().num_uses == 1
         assert b.result().num_uses == 1
 
@@ -62,22 +62,22 @@ class TestValuesAndUses:
 
     def test_users_distinct(self):
         a = arith.ConstantOp(1)
-        add = arith.AddIOp(a.result(), a.result())
-        assert a.result().users() == [add]
+        cmp = arith.CmpIOp("eq", a.result(), a.result())
+        assert a.result().users() == [cmp]
 
 
 class TestOperationStructure:
     def test_erase_requires_no_uses(self):
         a = arith.ConstantOp(1)
-        arith.AddIOp(a.result(), a.result())
+        arith.CmpIOp("eq", a.result(), a.result())
         with pytest.raises(ValueError):
             a.erase()
 
     def test_erase_drops_operand_uses(self):
         block = Block()
         a = block.append(arith.ConstantOp(1))
-        add = block.append(arith.AddIOp(a.result(), a.result()))
-        add.erase()
+        cmp = block.append(arith.CmpIOp("eq", a.result(), a.result()))
+        cmp.erase()
         assert a.result().num_uses == 0
         assert len(block.operations) == 1
 
@@ -139,10 +139,10 @@ class TestClone:
     def test_clone_with_mapping(self):
         a = arith.ConstantOp(1)
         b = arith.ConstantOp(2)
-        add = arith.AddIOp(a.result(), a.result())
+        cmp = arith.CmpIOp("eq", a.result(), a.result())
         mapping = IRMapping()
         mapping.map_value(a.result(), b.result())
-        clone = add.clone(mapping)
+        clone = cmp.clone(mapping)
         assert clone.operands[0] is b.result()
         assert clone.operands[1] is b.result()
 

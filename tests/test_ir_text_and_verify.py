@@ -193,11 +193,11 @@ class TestVerifier:
         module.append(func)
         block = func.entry_block
         c = arith.ConstantOp(1)
-        add = arith.AddIOp(c.result(), c.result())
+        cmp = arith.CmpIOp("eq", c.result(), c.result())
         # Insert the use before the definition.
-        block.append(add)
+        block.append(cmp)
         block.append(c)
-        block.append(ReturnOp([add.result()]))
+        block.append(ReturnOp([cmp.result()]))
         errors = collect_errors(module)
         assert any("dominate" in e for e in errors)
 
@@ -210,10 +210,10 @@ class TestVerifier:
         first = FuncOp("f", FunctionType([], [i64]))
         module.append(first)
         c = arith.ConstantOp(1)
-        add = arith.AddIOp(c.result(), c.result())
-        first.entry_block.append(add)
+        cmp = arith.CmpIOp("eq", c.result(), c.result())
+        first.entry_block.append(cmp)
         first.entry_block.append(c)
-        first.entry_block.append(ReturnOp([add.result()]))
+        first.entry_block.append(ReturnOp([cmp.result()]))
         second = FuncOp("g", FunctionType([], [i64]))
         module.append(second)
         second.entry_block.append(arith.ConstantOp(2))
@@ -481,10 +481,10 @@ class TestScopedVerifier:
         value.body_block.append(arith.ConstantOp(3))
         first.entry_block.append(value)
         c = arith.ConstantOp(1)
-        add = arith.AddIOp(c.result(), c.result())
-        first.entry_block.append(add)
+        cmp = arith.CmpIOp("eq", c.result(), c.result())
+        first.entry_block.append(cmp)
         first.entry_block.append(c)
-        first.entry_block.append(ReturnOp([add.result()]))
+        first.entry_block.append(ReturnOp([cmp.result()]))
         first.entry_block.append(arith.ConstantOp(2))
         second = FuncOp("g", FunctionType([], [i64]))
         module.append(second)
@@ -496,6 +496,6 @@ class TestScopedVerifier:
             "rgn.val: block does not end with a terminator "
             "(last op is arith.constant)",
             "func.func: empty block requires a terminator",
-            "arith.addi: operand 0 does not dominate its use",
-            "arith.addi: operand 1 does not dominate its use",
+            "arith.cmpi: operand 0 does not dominate its use",
+            "arith.cmpi: operand 1 does not dominate its use",
         ]

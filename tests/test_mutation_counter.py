@@ -29,6 +29,7 @@ from repro.ir import (
     InsertionPoint,
     IntegerAttr,
     Region,
+    i1,
     i64,
 )
 from repro.ir.core import mutation_count
@@ -44,16 +45,16 @@ from repro.telemetry import telemetry_session
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-def func_with_add():
-    """``f(a) = (1 + a)``: a module, its function's block and the ops."""
+def func_with_cmp():
+    """``f(a) = (1 == a)``: a module, its function's block and the ops."""
     module = ModuleOp()
-    func = FuncOp("f", FunctionType([i64], [i64]))
+    func = FuncOp("f", FunctionType([i64], [i1]))
     module.append(func)
     builder = Builder(InsertionPoint.at_end(func.entry_block))
     one = builder.create(arith.ConstantOp, 1)
-    add = builder.create(arith.AddIOp, one.result(), func.arguments[0])
-    builder.create(ReturnOp, [add.result()])
-    return module, func.entry_block, one, add
+    cmp = builder.create(arith.CmpIOp, "eq", one.result(), func.arguments[0])
+    builder.create(ReturnOp, [cmp.result()])
+    return module, func.entry_block, one, cmp
 
 
 # ---------------------------------------------------------------------------
@@ -61,58 +62,58 @@ def func_with_add():
 # ---------------------------------------------------------------------------
 
 
-def _set_operand(block, one, add):
-    add.set_operand(0, block.arguments[0])
+def _set_operand(block, one, cmp):
+    cmp.set_operand(0, block.arguments[0])
 
 
-def _replace_all_uses(block, one, add):
+def _replace_all_uses(block, one, cmp):
     one.replace_all_uses_with([block.arguments[0]])
 
 
-def _set_operands(block, one, add):
-    add.set_operands([block.arguments[0], block.arguments[0]])
+def _set_operands(block, one, cmp):
+    cmp.set_operands([block.arguments[0], block.arguments[0]])
 
 
-def _set_attr(block, one, add):
+def _set_attr(block, one, cmp):
     one.set_attr("value", IntegerAttr(2))
 
 
-def _remove_attr(block, one, add):
+def _remove_attr(block, one, cmp):
     one.remove_attr("value")
 
 
-def _link(block, one, add):
+def _link(block, one, cmp):
     detached = arith.ConstantOp(5)
     return lambda: block.prepend(detached)
 
 
-def _unlink(block, one, add):
+def _unlink(block, one, cmp):
     one.detach()
 
 
-def _add_argument(block, one, add):
+def _add_argument(block, one, cmp):
     block.add_argument(i64)
 
 
-def _erase_argument(block, one, add):
+def _erase_argument(block, one, cmp):
     block.add_argument(i64)
     return lambda: block.erase_argument(1)
 
 
-def _drop_all_ops(block, one, add):
+def _drop_all_ops(block, one, cmp):
     block.drop_all_ops()
 
 
-def _erase_block(block, one, add):
+def _erase_block(block, one, cmp):
     block.erase()
 
 
-def _add_block(block, one, add):
+def _add_block(block, one, cmp):
     fresh = Block()
     return lambda: block.parent.add_block(fresh)
 
 
-def _insert_block(block, one, add):
+def _insert_block(block, one, cmp):
     fresh = Block()
     return lambda: block.parent.insert_block(0, fresh)
 
@@ -139,20 +140,20 @@ PRIMITIVES = {
 class TestPrimitivesBump:
     @pytest.mark.parametrize("case", sorted(PRIMITIVES))
     def test_primitive_moves_the_count(self, case):
-        _, block, one, add = func_with_add()
+        _, block, one, cmp = func_with_cmp()
         before = mutation_count()
-        deferred = PRIMITIVES[case](block, one, add)
+        deferred = PRIMITIVES[case](block, one, cmp)
         if deferred is not None:
             before = mutation_count()
             deferred()
         assert mutation_count() > before
 
     def test_reading_ir_does_not_move_the_count(self):
-        module, block, one, add = func_with_add()
+        module, block, one, cmp = func_with_cmp()
         before = mutation_count()
         print_module(module)
         list(module.walk())
-        one.is_before_in_block(add)
+        one.is_before_in_block(cmp)
         assert mutation_count() == before
 
     def test_building_detached_ops_does_not_move_the_count(self):
@@ -343,7 +344,7 @@ def verify_calls(monkeypatch):
 
 class TestVerifyOnce:
     def test_unchanged_states_are_verified_once(self, verify_calls):
-        module, *_ = func_with_add()
+        module, *_ = func_with_cmp()
         PassManager(
             [NoOpPass(), NoOpPass(), AddConstantPass(), NoOpPass()]
         ).run(module)
@@ -351,26 +352,26 @@ class TestVerifyOnce:
         assert len(verify_calls) == 2
 
     def test_every_run_verifies_its_first_pass(self, verify_calls):
-        module, *_ = func_with_add()
+        module, *_ = func_with_cmp()
         manager = PassManager([NoOpPass()])
         manager.run(module)
         manager.run(module)
         assert len(verify_calls) == 2
 
     def test_verify_each_off_never_verifies(self, verify_calls):
-        module, *_ = func_with_add()
+        module, *_ = func_with_cmp()
         PassManager([AddConstantPass()], verify_each=False).run(module)
         assert verify_calls == []
 
     def test_silent_pass_breaking_dominance_is_caught(self):
-        module, *_ = func_with_add()
+        module, *_ = func_with_cmp()
         manager = PassManager([NoOpPass(), BreakDominancePass()])
         with pytest.raises(VerificationError, match="dominate"):
             manager.run(module)
         assert manager.statistics["break-dominance"].counters == {}
 
     def test_skipped_verification_opens_no_span(self):
-        module, *_ = func_with_add()
+        module, *_ = func_with_cmp()
         with telemetry_session() as telemetry:
             PassManager([NoOpPass(), NoOpPass(), AddConstantPass()]).run(module)
         names = [span.name for span in telemetry.tracer.all_spans()]
@@ -380,7 +381,7 @@ class TestVerifyOnce:
 
 class TestFunctionPassTargets:
     def test_visits_each_top_level_function_once(self):
-        module, *_ = func_with_add()
+        module, *_ = func_with_cmp()
         second = FuncOp("g", FunctionType([], []))
         module.append(second)
         Builder(InsertionPoint.at_end(second.entry_block)).create(ReturnOp, [])
@@ -394,7 +395,7 @@ class TestFunctionPassTargets:
         assert seen == ["f", "g"]
 
     def test_runs_on_a_function_directly(self):
-        _, block, *_ = func_with_add()
+        _, block, *_ = func_with_cmp()
         seen = []
 
         class Recording(FunctionPass):

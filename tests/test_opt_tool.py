@@ -204,14 +204,14 @@ def only_family(family: str) -> str:
 
 
 class TestPerPassFileCheck:
-    def test_constant_fold_folds_addition(self, tmp_path, capsys):
-        # tests/test_transforms.py::TestConstantFolding::test_folds_addition,
+    def test_constant_fold_folds_comparison(self, tmp_path, capsys):
+        # tests/test_transforms.py::TestConstantFolding::test_folds_comparison,
         # as a textual per-pass regression.
         def build(module):
-            _, builder = new_func(module, "f", [], [i64])
-            a = builder.create(arith.ConstantOp, 20)
-            b = builder.create(arith.ConstantOp, 22)
-            s = builder.create(arith.AddIOp, a.result(), b.result())
+            _, builder = new_func(module, "f", [], [i1])
+            a = builder.create(arith.ConstantOp, 42)
+            b = builder.create(arith.ConstantOp, 42)
+            s = builder.create(arith.CmpIOp, "eq", a.result(), b.result())
             builder.create(ReturnOp, [s.result()])
 
         path = tmp_path / "fold.mlir"
@@ -222,8 +222,8 @@ class TestPerPassFileCheck:
         assert code == 0
         filecheck(out, """
             CHECK: "func.func"
-            CHECK: value = 42
-            CHECK-NOT: "arith.addi"
+            CHECK: value = 1 : i1
+            CHECK-NOT: "arith.cmpi"
             CHECK: "func.return"
         """)
 
@@ -286,7 +286,7 @@ class TestPerPassFileCheck:
             _, builder = new_func(module, "f", [], [i64])
             a = builder.create(arith.ConstantOp, 7)
             b = builder.create(arith.ConstantOp, 7)
-            s = builder.create(arith.AddIOp, a.result(), b.result())
+            s = builder.create(arith.CmpIOp, "eq", a.result(), b.result())
             builder.create(ReturnOp, [s.result()])
 
         path = tmp_path / "cse.mlir"

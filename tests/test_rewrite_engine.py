@@ -6,7 +6,7 @@ import pytest
 from repro.dialects import arith, lp, rgn
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
-from repro.ir import Builder, FunctionType, InsertionPoint, i64
+from repro.ir import Builder, FunctionType, InsertionPoint, i1, i64
 from repro.ir.core import Operation
 from repro.rewrite import (
     NonConvergenceError,
@@ -29,13 +29,13 @@ def new_func(module, name="f", inputs=(i64,), results=(i64,)):
 
 
 def fold_chain_func(depth=6):
-    """((1 + 2) + 3) + ... — a constant-fold cascade."""
+    """((1 == 0) == 1) == ... — a constant-fold cascade."""
     module = ModuleOp()
-    func, builder = new_func(module)
-    acc = builder.create(arith.ConstantOp, 1)
+    func, builder = new_func(module, results=(i1,))
+    acc = builder.create(arith.ConstantOp, 1, i1)
     for i in range(2, depth + 2):
-        rhs = builder.create(arith.ConstantOp, i)
-        acc = builder.create(arith.AddIOp, acc.result(), rhs.result())
+        rhs = builder.create(arith.ConstantOp, i % 2, i1)
+        acc = builder.create(arith.CmpIOp, "eq", acc.result(), rhs.result())
     builder.create(ReturnOp, [acc.result()])
     return module, func
 
@@ -93,7 +93,7 @@ class TestWorklist:
         must not cause repeated re-matching within one driver run."""
 
         class NoisyFold(RewritePattern):
-            op_name = arith.AddIOp.OP_NAME
+            op_name = arith.CmpIOp.OP_NAME
             benefit = 2
 
             def match_and_rewrite(self, op, rewriter):
@@ -104,7 +104,8 @@ class TestWorklist:
                 if not isinstance(rhs, arith.ConstantOp):
                     return False
                 folded = rewriter.create(
-                    arith.ConstantOp, lhs.value + rhs.value, op.results[0].type
+                    arith.ConstantOp, int(lhs.value == rhs.value),
+                    op.results[0].type,
                 )
                 # Report the replacement op many times over.
                 for _ in range(10):
@@ -147,8 +148,8 @@ class TestNotifications:
         constants = [
             op for op in func.walk() if isinstance(op, arith.ConstantOp)
         ]
-        adds = [op for op in func.walk() if isinstance(op, arith.AddIOp)]
-        assert not adds  # the whole chain folded in one drain
+        cmps = [op for op in func.walk() if isinstance(op, arith.CmpIOp)]
+        assert not cmps  # the whole chain folded in one drain
         assert result.iterations == 1
 
     def test_erase_notifies_single_use_transition(self):
@@ -229,9 +230,9 @@ class TestNotifications:
         # Dead intermediate constants remain (no DCE pattern here), but no
         # erased op was ever re-matched: every attempt targets a live op.
         live = sum(1 for op in func.walk() if op is not func)
-        # 4 seed constants + 3 folded constants + return; the 3 adds erased.
+        # 4 seed constants + 3 folded constants + return; the 3 cmps erased.
         assert live == 8
-        assert not any(op.name == arith.AddIOp.OP_NAME for op in func.walk())
+        assert not any(op.name == arith.CmpIOp.OP_NAME for op in func.walk())
 
 
 class TestConvergence:
@@ -304,8 +305,8 @@ class TestPatternSet:
         func, builder = new_func(module)
         c = builder.create(arith.ConstantOp, 1)
         assert list(patterns.candidates(c)) == [named, high, low]
-        add = builder.create(arith.AddIOp, c.result(), c.result())
-        assert list(patterns.candidates(add)) == [high, low]
+        cmp = builder.create(arith.CmpIOp, "eq", c.result(), c.result())
+        assert list(patterns.candidates(cmp)) == [high, low]
 
 
 class TestOperandArityPrefilter:
@@ -343,10 +344,10 @@ class TestOperandArityPrefilter:
         module = ModuleOp()
         func, builder = new_func(module)
         constant = builder.create(arith.ConstantOp, 1)
-        add = builder.create(arith.AddIOp, constant.result(), constant.result())
+        cmp = builder.create(arith.CmpIOp, "eq", constant.result(), constant.result())
         result = GreedyRewriteResult()
         assert list(patterns.candidates(constant, result)) == []
-        assert list(patterns.candidates(add, result)) == [generic]
+        assert list(patterns.candidates(cmp, result)) == [generic]
         assert result.prefilter_skips == 1
 
     def test_driver_never_attempts_prefiltered_patterns(self):

@@ -64,7 +64,7 @@ def test_hint_collision_suffix_roundtrips():
         "^bb0:\n"
         '  %x = "arith.constant"() {value = 1 : i64} : () -> i64\n'
         '  %x$1 = "arith.constant"() {value = 2 : i64} : () -> i64\n'
-        '  %0 = "arith.addi"(%x, %x$1) : (i64, i64) -> i64\n'
+        '  %0 = "arith.cmpi"(%x, %x$1) {predicate = "eq"} : (i64, i64) -> i1\n'
         "}) : () -> ()\n"
     )
     module = parse_module(text)

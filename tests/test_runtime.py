@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.interp.bytecode import run_rc_program_vm
+from repro.interp.bytecode import VirtualMachine, compile_rc_program
 from repro.lambda_pure import ir as rc_ir
 from repro.runtime import (
     BUILTINS,
@@ -180,9 +180,8 @@ class TestDeepFree:
 
     def test_vm_frees_a_long_chain(self):
         with _default_recursion_limit():
-            result = run_rc_program_vm(
-                _chain_program(self.CELLS), check_heap=True
-            )
+            vm = VirtualMachine(compile_rc_program(_chain_program(self.CELLS)))
+            result = vm.run_main(check_heap=True)
         assert result.value == 0
         assert result.heap_stats["allocations"] == self.CELLS
         assert result.heap_stats["frees"] == self.CELLS
