@@ -90,10 +90,10 @@ def build_stress_module(
     """A tower of transitively dead join points.
 
     Each level is a ``rgn.val`` whose body runs the previous level's region
-    from *two* sites (so the inliner's single-use gate never fires) plus
-    ``filler`` payload ops; the topmost value is unused.  Dead region
-    elimination must therefore cascade strictly backwards — erasing level
-    ``i`` is what makes level ``i-1`` dead — which the worklist engine
+    from *two* sites (so ``InlineRunOfKnownRegion``'s single-use gate never
+    fires) plus ``filler`` payload ops; the topmost value is unused.  Dead
+    region elimination must therefore cascade strictly backwards — erasing
+    level ``i`` is what makes level ``i-1`` dead — which the worklist engine
     discovers through erase notifications in a single drain while the rescan
     engine pays one full module sweep per level.
     """

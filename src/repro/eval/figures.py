@@ -70,7 +70,8 @@ FIGURE11_ROWS = [
     ("Constant folding", "hand-written (λpure simplifier)", "rewrite patterns (canonicalize drain)"),
     ("CSE", "none", "builtin pass (cse, extended by region-gvn)"),
     ("DCE", "hand-written", "builtin pass (dce)"),
-    ("Inliner", "hand-written join inlining", "builtin pass (inline)"),
+    ("Inliner", "hand-written join inlining",
+     "region inlining: rgn.run of a single-use rgn.val (canonicalize)"),
     ("Test minimization", "none",
      "crash bundle cut at the failing pass + hypothesis program shrinking"),
     ("Debug information", "none", "value name hints preserved end-to-end"),

@@ -1239,6 +1239,8 @@ class _CfgFunctionCompiler:
             code.append((OP_CONST, self._reg(op.result()), op.value))
             return
         if isinstance(op, arith.CmpIOp):
+            if op.predicate not in _CMP_FNS:
+                raise ValueError(f"unknown cmpi predicate {op.predicate!r}")
             code.append((
                 OP_CMP, self._reg(op.result()), _CMP_FNS[op.predicate],
                 self.regs[op.operands[0]], self.regs[op.operands[1]],

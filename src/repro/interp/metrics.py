@@ -59,13 +59,6 @@ class ExecutionMetrics(Record):
             for category, count in self.counts.items()
         )
 
-    def merged_with(self, other: "ExecutionMetrics") -> "ExecutionMetrics":
-        merged = ExecutionMetrics(costs=dict(self.costs))
-        for source in (self, other):
-            for category, count in source.counts.items():
-                merged.counts[category] = merged.counts.get(category, 0) + count
-        return merged
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "counts": dict(self.counts),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Block, Operation, Region
+from .core import Block, Operation
 
 
 class InsertionPoint:
@@ -80,11 +80,3 @@ class Builder:
     def create(self, op_class, *args, **kwargs) -> Operation:
         """Construct ``op_class(*args, **kwargs)`` and insert it."""
         return self.insert(op_class(*args, **kwargs))
-
-    # -- block creation -----------------------------------------------------------
-    def create_block(self, region: Region, arg_types=()) -> Block:
-        """Append a new block to ``region`` and move the insertion point to it."""
-        block = Block(arg_types)
-        region.add_block(block)
-        self.set_insertion_point_to_end(block)
-        return block

@@ -177,14 +177,8 @@ class IRMapping:
     def map_value(self, old: Value, new: Value) -> None:
         self.value_map[old] = new
 
-    def map_block(self, old: "Block", new: "Block") -> None:
-        self.block_map[old] = new
-
     def lookup(self, value: Value) -> Value:
         return self.value_map.get(value, value)
-
-    def lookup_block(self, block: "Block") -> "Block":
-        return self.block_map.get(block, block)
 
 
 class Operation:
@@ -277,11 +271,6 @@ class Operation:
         for v in values:
             self._append_operand(v)
 
-    def erase_operand(self, index: int) -> None:
-        values = list(self._operands)
-        del values[index]
-        self.set_operands(values)
-
     def drop_operand_uses(self) -> None:
         for i, v in enumerate(self._operands):
             v.remove_use(self, i)
@@ -323,11 +312,6 @@ class Operation:
         global _mutations
         _mutations += 1
         self.attributes[name] = attr
-
-    def remove_attr(self, name: str) -> None:
-        global _mutations
-        _mutations += 1
-        self.attributes.pop(name, None)
 
     # -- structure ---------------------------------------------------------
     @property
@@ -591,16 +575,6 @@ class Block:
         self.arguments.append(arg)
         return arg
 
-    def erase_argument(self, index: int) -> None:
-        global _mutations
-        arg = self.arguments[index]
-        if arg.has_uses:
-            raise ValueError("erasing block argument that still has uses")
-        _mutations += 1
-        del self.arguments[index]
-        for i, a in enumerate(self.arguments):
-            a.index = i
-
     # -- intrusive list plumbing ---------------------------------------------
     def _link(
         self,
@@ -781,24 +755,6 @@ class Block:
     def parent_op(self) -> Optional[Operation]:
         return self.parent.parent if self.parent is not None else None
 
-    def index_in_region(self) -> int:
-        return self.parent.blocks.index(self)
-
-    def split_before(self, op: Operation) -> "Block":
-        """Split this block into two: ``op`` and everything after it move to a
-        new block appended right after this one in the region."""
-        if op.parent is not self:
-            raise ValueError("split point is not in this block")
-        new_block = Block()
-        self.parent.insert_block(self.index_in_region() + 1, new_block)
-        current = op
-        while current is not None:
-            next_op = current.next_op
-            self._unlink(current)
-            new_block.append(current)
-            current = next_op
-        return new_block
-
     def drop_all_ops(self) -> None:
         global _mutations
         _mutations += 1
@@ -887,13 +843,6 @@ class Region:
         block = block if block is not None else Block()
         block.parent = self
         self.blocks.append(block)
-        return block
-
-    def insert_block(self, index: int, block: Block) -> Block:
-        global _mutations
-        _mutations += 1
-        block.parent = self
-        self.blocks.insert(index, block)
         return block
 
     @property

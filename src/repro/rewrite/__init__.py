@@ -8,7 +8,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "ENGINES", "GreedyRewriteResult", "NonConvergenceError",
         "PatternSet", "Worklist", "apply_patterns_greedily",
     ),
-    ".pass_manager": ("FunctionPass", "ModulePass", "Pass", "PassManager"),
+    ".pass_manager": ("FunctionPass", "Pass", "PassManager"),
     ".pattern": ("PatternRewriter", "RewritePattern"),
     ".registry": (
         "PassInvocation", "PassOption", "PipelineSpecError", "RegisteredPass",

@@ -116,10 +116,6 @@ class Pass:
         raise NotImplementedError
 
 
-class ModulePass(Pass):
-    """A pass operating on the whole module at once."""
-
-
 class FunctionPass(Pass):
     """A pass applied independently to every ``func.func`` in the module.
 
@@ -195,10 +191,6 @@ class PassManager:
 
     def add(self, pass_: Pass) -> "PassManager":
         self.passes.append(pass_)
-        return self
-
-    def add_instrumentation(self, instr: PassInstrumentation) -> "PassManager":
-        self.instrumentations.append(instr)
         return self
 
     def _notify_failed(self, pass_: Pass, module: Operation, error: Exception):
@@ -344,10 +336,6 @@ class PassManager:
             for instr in self.instrumentations:
                 instr.run_after_pass(pass_, module)
         return module
-
-    def total_rewrites(self) -> int:
-        """Total rewrite count across every pass that has run."""
-        return sum(stats.total() for stats in self.statistics.values())
 
     def describe(self) -> str:
         """Textual pipeline description, e.g. ``cse,dce,region-gvn``."""

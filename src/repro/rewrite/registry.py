@@ -15,13 +15,14 @@ Grammar (whitespace is insignificant outside names and values)::
 Options are validated against the pass's declared :class:`PassOption` list before
 the pass is constructed, so unknown passes, unknown options, duplicate
 non-repeatable options and out-of-choice values all fail with a
-:class:`PipelineSpecError` naming the offending spec fragment.
+:class:`PipelineSpecError` naming the offending spec fragment.  Every
+option declares its closed set of values, so a pass constructor never
+sees a value the registry has not checked.
 
 :func:`build_pipeline` turns a spec into a ready
 :class:`~repro.rewrite.pass_manager.PassManager`;
 :func:`pipeline_fingerprint` hashes the *canonical* form of a spec, which
-is what keys version-sensitive caches (the session's incremental
-rgn-opt cache, and eventually the on-disk artifact cache).
+is what keys the session's incremental rgn-opt cache.
 """
 
 from __future__ import annotations
@@ -47,14 +48,15 @@ class PassOption(FrozenRecord):
         name: str,
         help: str = "",
         repeatable: bool = False,
-        choices: Optional[Tuple[str, ...]] = None,
+        *,
+        choices: Tuple[str, ...],
         default: str = "",
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "help", help)
         #: May the option appear more than once (values accumulate)?
         object.__setattr__(self, "repeatable", repeatable)
-        #: Closed set of accepted values (None accepts any value).
+        #: Closed set of accepted values.
         object.__setattr__(self, "choices", choices)
         #: Value documented as the default when the option is omitted.
         object.__setattr__(self, "default", default)
@@ -153,7 +155,7 @@ class PassInvocation(Record):
         options: Optional[Dict[str, List[str]]] = None,
     ):
         self.name = name
-        #: key -> values, in spec order.  Flags carry the single value "true".
+        #: key -> values, in spec order.
         self.options = {} if options is None else options
 
     def spec(self) -> str:
@@ -247,13 +249,12 @@ def _validate_options(
                 f"option {key!r} of pass {registered.name!r} given "
                 f"{len(values)} times but is not repeatable"
             )
-        if option.choices is not None:
-            for value in values:
-                if value not in option.choices:
-                    raise PipelineSpecError(
-                        f"option {key}={value!r} of pass {registered.name!r} "
-                        f"not in {option.choices}"
-                    )
+        for value in values:
+            if value not in option.choices:
+                raise PipelineSpecError(
+                    f"option {key}={value!r} of pass {registered.name!r} "
+                    f"not in {option.choices}"
+                )
 
 
 def resolve_pipeline(spec: str) -> List[Tuple[RegisteredPass, PassInvocation]]:
@@ -276,16 +277,7 @@ def build_passes(spec: str) -> List[Pass]:
     """Construct the pass instances a spec describes."""
     passes = []
     for registered, invocation in resolve_pipeline(spec):
-        try:
-            instance = registered.pass_class.from_spec_options(
-                invocation.options
-            )
-        except PipelineSpecError:
-            raise
-        except ValueError as error:
-            raise PipelineSpecError(
-                f"pass {registered.name!r}: {error}"
-            ) from error
+        instance = registered.pass_class.from_spec_options(invocation.options)
         # Remember the canonical one-pass spec so crash bundles can record
         # a replayable remaining pipeline (options included).
         instance.spec = invocation.spec()
@@ -317,8 +309,9 @@ def canonical_pipeline_spec(spec: str) -> str:
 
 
 #: Version salt for :func:`pipeline_fingerprint`.  Bump when a pass changes
-#: behaviour without changing its spec surface, so persisted caches keyed by
-#: the fingerprint (the planned on-disk artifact cache) invalidate.
+#: behaviour without changing its spec surface, so a fingerprint recorded
+#: by an older tree (``repro.opt --show-pipeline`` prints one) stops
+#: matching.
 PIPELINE_HASH_VERSION = "repro/pipeline/v1"
 
 
@@ -344,9 +337,7 @@ def describe_registered_passes() -> str:
     for name, registered in registered_passes().items():
         lines.append(f"{name:28s} {registered.description}")
         for option in registered.options:
-            detail = option.help
-            if option.choices:
-                detail += f" (one of: {', '.join(option.choices)})"
+            detail = f"{option.help} (one of: {', '.join(option.choices)})"
             if option.default:
                 detail += f" [default: {option.default}]"
             lines.append(f"  {{{option.name}=...}}  {detail.strip()}")

@@ -4,7 +4,6 @@ Classical SSA passes
     * :class:`~repro.transforms.dce.DeadCodeEliminationPass`
     * :class:`~repro.transforms.cse.CSEPass`
     * :class:`~repro.transforms.canonicalize.CanonicalizePass`
-    * :class:`~repro.transforms.inliner.InlinerPass`
 
 Region passes (the paper's contribution, §IV-B)
     * :class:`~repro.transforms.region_gvn.RegionGVNPass`
@@ -15,6 +14,9 @@ Region passes (the paper's contribution, §IV-B)
       :mod:`~repro.transforms.dead_region`,
       :mod:`~repro.transforms.constant_fold`), selected with
       :func:`~repro.transforms.canonicalize.canonicalization_patterns`
+    * region inlining: ``rgn.run`` of a single-use ``rgn.val``
+      (:class:`~repro.transforms.case_elimination.InlineRunOfKnownRegion`,
+      in the case-elimination family)
 """
 
 from .canonicalize import CanonicalizePass, canonicalization_patterns
@@ -24,7 +26,6 @@ from .constant_fold import constant_fold_patterns
 from .cse import CSEPass
 from .dce import DeadCodeEliminationPass, eliminate_dead_code
 from .dead_region import dead_region_patterns
-from .inliner import InlinerPass
 from .region_gvn import (
     RegionFingerprinter,
     RegionGVNPass,
@@ -42,7 +43,6 @@ __all__ = [
     "DeadCodeEliminationPass",
     "eliminate_dead_code",
     "dead_region_patterns",
-    "InlinerPass",
     "RegionFingerprinter",
     "RegionGVNPass",
     "ValueNumbering",

@@ -2,8 +2,8 @@
 
 A randomly generated interleaving of ``insert_before`` / ``insert_after`` /
 ``append`` / ``prepend`` / ``erase`` / ``move_before`` / ``move_after`` /
-``split_before``+``take_ops_from`` is replayed against a plain Python list
-model; after every step the block must
+``detach``+``append`` / ``take_ops_from`` is replayed against a plain Python
+list model; after every step the block must
 
 * iterate (forwards and backwards) exactly like the model,
 * keep ``first_op``/``last_op``/``len`` consistent,
@@ -34,7 +34,7 @@ COMMANDS = (
     "move_before",
     "move_after",
     "detach_reappend",
-    "split_merge",
+    "take_ops_from",
 )
 
 command_lists = st.lists(
@@ -71,12 +71,7 @@ class TestInterleavedMutations:
     @settings(max_examples=60, deadline=None)
     @given(commands=command_lists)
     def test_block_matches_list_model(self, commands):
-        # split_before needs a region parent, so host the block in a
-        # function region.
-        module = ModuleOp()
-        func = FuncOp("f", FunctionType([], []))
-        module.append(func)
-        block = func.body.add_block(Block())
+        block = Block()
         model: list = []
         erased: list = []
         counter = [0]
@@ -122,18 +117,14 @@ class TestInterleavedMutations:
                 assert not op.attached and op.prev_op is None and op.next_op is None
                 block.append(op)
                 model.append(op)
-            elif command == "split_merge" and model:
-                # Split the suffix into a sibling block, check both halves,
-                # then splice the suffix back — net effect is order-neutral.
-                split_at = model[a % len(model)]
-                idx = model.index(split_at)
-                tail = block.split_before(split_at)
-                block.check_invariants()
-                tail.check_invariants()
-                assert list(block) == model[:idx]
-                assert list(tail) == model[idx:]
-                block.take_ops_from(tail)
-                tail.erase()
+            elif command == "take_ops_from":
+                # Splice a second block's ops onto the end; it is left empty.
+                source = Block()
+                taken = [source.append(_new_op(counter)) for _ in range(a % 4)]
+                block.take_ops_from(source)
+                source.check_invariants()
+                assert source.is_empty
+                model.extend(taken)
             _check_against_model(block, model)
             for op in erased:
                 assert op.erased and not op.attached

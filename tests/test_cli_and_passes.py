@@ -226,7 +226,6 @@ class TestPassStatistics:
         manager = PassManager([DeadCodeEliminationPass()])
         manager.run(module)
         assert list(manager.statistics) == ["dce"]
-        assert manager.total_rewrites() >= 0
 
     def test_span_tree_shows_every_ran_pass(self):
         artifacts = MlirCompiler(PipelineOptions()).compile(SOURCE)

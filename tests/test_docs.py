@@ -237,7 +237,9 @@ FIGURE11_CODE = {
         "hand-written join inlining": (
             "repro.lambda_pure.simplifier.Simplifier._inline_join",
         ),
-        "builtin pass (inline)": ("repro.transforms.inliner.InlinerPass",),
+        "region inlining: rgn.run of a single-use rgn.val (canonicalize)": (
+            "repro.transforms.case_elimination.InlineRunOfKnownRegion",
+        ),
     },
     "Test minimization": {
         "crash bundle cut at the failing pass + hypothesis program shrinking": (

@@ -41,15 +41,6 @@ class TestMetrics:
         assert metrics.total_operations() == 5
         assert metrics.total_cost() == 2 * DEFAULT_COSTS["call"] + 3 * DEFAULT_COSTS["rc"]
 
-    def test_merge(self):
-        a = ExecutionMetrics()
-        a.charge("call")
-        b = ExecutionMetrics()
-        b.charge("call")
-        b.charge("rc")
-        merged = a.merged_with(b)
-        assert merged.counts["call"] == 2 and merged.counts["rc"] == 1
-
     def test_constants_are_free(self):
         assert DEFAULT_COSTS["const"] == 0
 

@@ -488,6 +488,27 @@ class TestVmErrors:
         with pytest.raises(ValueError, match="unknown cmpi predicate 'ult'"):
             arith.evaluate_cmpi("ult", -1, 2)
 
+    def test_parsed_unknown_cmpi_predicate_fails_in_both_executors(self):
+        # The parser skips CmpIOp's constructor check and only the verifier
+        # rejects the predicate, so an unverified module reaches both
+        # executors: compiling it fails as evaluating it does.
+        from repro.ir.parser import parse_module
+
+        module = parse_module(
+            '"builtin.module"() ({\n^bb0:\n  "func.func"() ({\n  ^bb1:\n'
+            '    %0 = "arith.constant"() {value = 1 : i64} : () -> i64\n'
+            '    %c = "arith.cmpi"(%0, %0) {predicate = "slt"} : (i64, i64) -> i1\n'
+            '    "func.return"(%c) : (i1) -> ()\n'
+            '  }) {function_type = () -> i1, sym_name = "main"} : () -> ()\n'
+            "}) : () -> ()\n"
+        )
+        for run in (
+            lambda: compile_cfg_module(module),
+            lambda: CfgInterpreter(module).run_main(),
+        ):
+            with pytest.raises(ValueError, match="unknown cmpi predicate 'slt'"):
+                run()
+
     def test_case_without_alternative_raises(self):
         body = rc_ir.Case("n", alts=[rc_ir.CaseAlt(7, "seven", rc_ir.Ret("n"))])
         program = rc_program(body, params=("n",))
@@ -1817,47 +1838,6 @@ class TestMusttail:
             )
             with pytest.raises(VerificationError, match="musttail"):
                 verify(parse_module(bad))
-
-    def test_inliner_keeps_the_mark_only_in_tail_position(self):
-        from repro.ir.parser import parse_module
-        from repro.ir.verifier import verify
-        from repro.transforms.inliner import InlinerPass
-
-        text = (
-            '"builtin.module"() ({\n'
-            '  "func.func"() ({\n'
-            '  ^bb0(%x: !lp.t):\n'
-            '    %a = "func.call"(%x) {callee = @wrap} : (!lp.t) -> !lp.t\n'
-            '    %b = "func.call"(%a) {callee = @wrap, musttail = unit} '
-            ': (!lp.t) -> !lp.t\n'
-            '    "func.return"(%b) : (!lp.t) -> ()\n'
-            '  }) {function_type = (!lp.t) -> !lp.t, sym_name = "f"} '
-            ': () -> ()\n'
-            '  "func.func"() ({\n'
-            '  ^bb0(%y: !lp.t):\n'
-            '    %r = "func.call"(%y) {callee = @leaf, musttail = unit} '
-            ': (!lp.t) -> !lp.t\n'
-            '    "func.return"(%r) : (!lp.t) -> ()\n'
-            '  }) {function_type = (!lp.t) -> !lp.t, sym_name = "wrap"} '
-            ': () -> ()\n'
-            '  "func.func"() ({\n'
-            '  ^bb0(%z: !lp.t):\n'
-            '    "func.return"(%z) : (!lp.t) -> ()\n'
-            '  }) {function_type = (!lp.t) -> !lp.t, sym_name = "leaf"} '
-            ': () -> ()\n'
-            '}) : () -> ()\n'
-        )
-        module = parse_module(text)
-        pass_ = InlinerPass()
-        pass_.run(module)
-        verify(module)
-        f = next(fn for fn in module.functions() if fn.sym_name == "f")
-        calls = [op for op in f.walk() if isinstance(op, CallOp)]
-        # @wrap's tail call of @leaf, inlined at both sites: the first copy
-        # feeds the second call, the second is still returned.
-        assert [(c.callee, c.is_musttail) for c in calls] == [
-            ("leaf", False), ("leaf", True),
-        ]
 
 
 class TestVm2SessionCache:

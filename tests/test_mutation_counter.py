@@ -78,10 +78,6 @@ def _set_attr(block, one, cmp):
     one.set_attr("value", IntegerAttr(2))
 
 
-def _remove_attr(block, one, cmp):
-    one.remove_attr("value")
-
-
 def _link(block, one, cmp):
     detached = arith.ConstantOp(5)
     return lambda: block.prepend(detached)
@@ -93,11 +89,6 @@ def _unlink(block, one, cmp):
 
 def _add_argument(block, one, cmp):
     block.add_argument(i64)
-
-
-def _erase_argument(block, one, cmp):
-    block.add_argument(i64)
-    return lambda: block.erase_argument(1)
 
 
 def _drop_all_ops(block, one, cmp):
@@ -113,11 +104,6 @@ def _add_block(block, one, cmp):
     return lambda: block.parent.add_block(fresh)
 
 
-def _insert_block(block, one, cmp):
-    fresh = Block()
-    return lambda: block.parent.insert_block(0, fresh)
-
-
 #: Each case mutates IR once.  A case that returns a callable did set-up
 #: work first; the callable is the mutation under test.
 PRIMITIVES = {
@@ -125,15 +111,12 @@ PRIMITIVES = {
     "replace_all_uses_with": _replace_all_uses,
     "set_operands": _set_operands,
     "set_attr": _set_attr,
-    "remove_attr": _remove_attr,
     "link": _link,
     "unlink": _unlink,
     "add_argument": _add_argument,
-    "erase_argument": _erase_argument,
     "drop_all_ops": _drop_all_ops,
     "block_erase": _erase_block,
     "region_add_block": _add_block,
-    "region_insert_block": _insert_block,
 }
 
 

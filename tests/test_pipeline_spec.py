@@ -6,8 +6,9 @@ incremental-recompilation cache keys, so each side gets direct coverage:
 
 * syntax — valid specs, option payloads, whitespace tolerance, and the
   exact error for every malformed shape,
-* registry resolution — unknown passes / options, repeatability, choice
-  sets, and pass-constructor validation (``inline{max-callee-ops=...}``),
+* registry resolution — unknown passes / options, repeatability, and
+  choice sets (every option declares one, so no value reaches a pass
+  constructor unchecked),
 * canonical form + fingerprint stability (equivalent specs share one
   fingerprint, different pipelines never do),
 * a docs drift guard: every registered pass name appears in
@@ -27,8 +28,9 @@ from repro.backend.pipeline import (
 from repro.backend.rgn_to_cf import lower_rgn_to_cf
 from repro.interp.bytecode import VirtualMachine, compile_cfg_module
 from repro.ir.parser import parse_module
-from repro.rewrite import PassManager
+from repro.rewrite import FunctionPass, PassManager
 from repro.rewrite.registry import (
+    PassOption,
     PipelineSpecError,
     build_passes,
     build_pipeline,
@@ -38,7 +40,6 @@ from repro.rewrite.registry import (
     registered_passes,
 )
 from repro.transforms import CanonicalizePass, CSEPass
-from repro.transforms.inliner import InlinerPass
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PASSES_MD = REPO_ROOT / "docs" / "PASSES.md"
@@ -50,7 +51,6 @@ EXPECTED_PASSES = [
     "canonicalize",
     "cse",
     "dce",
-    "inline",
     "lp-rc-fusion",
     "region-gvn",
 ]
@@ -156,10 +156,10 @@ class TestResolution:
         assert isinstance(pipeline, PassManager)
         assert [p.name for p in pipeline.passes] == ["cse", "dce"]
 
-    def test_inline_option_reaches_constructor(self):
-        (inline,) = build_passes("inline{max-callee-ops=3}")
-        assert isinstance(inline, InlinerPass)
-        assert inline.max_callee_ops == 3
+    def test_option_reaches_constructor(self):
+        (canonicalize,) = build_passes("canonicalize{engine=rescan}")
+        assert isinstance(canonicalize, CanonicalizePass)
+        assert canonicalize.engine == "rescan"
 
     def test_canonicalize_ablation_drops_family(self):
         (full,) = build_passes("canonicalize")
@@ -191,11 +191,42 @@ class TestResolution:
             build_passes("canonicalize{engine=worklist,engine=rescan}")
 
     def test_constructor_validation_is_a_spec_error(self):
+        # The registry checks the value against the option's choices, so
+        # the pass constructor never sees it.
         with pytest.raises(
             PipelineSpecError,
-            match=re.escape("pass 'inline': max-callee-ops='zz' is not an integer"),
+            match=re.escape(
+                "option engine='zz' of pass 'canonicalize' not in "
+                "('worklist', 'rescan')"
+            ),
         ):
-            build_passes("inline{max-callee-ops=zz}")
+            build_passes("canonicalize{engine=zz}")
+
+    @pytest.mark.parametrize("name", EXPECTED_PASSES)
+    def test_every_pass_is_a_function_pass(self, name):
+        (instance,) = build_passes(name)
+        assert isinstance(instance, FunctionPass)
+
+    @pytest.mark.parametrize(
+        "name, option, choice",
+        [
+            (name, option.name, choice)
+            for name, registered in registered_passes().items()
+            for option in registered.options
+            for choice in option.choices
+        ],
+    )
+    def test_every_declared_choice_builds(self, name, option, choice):
+        # A constructor ValueError is no longer turned into a spec error,
+        # so every value the registry accepts must construct cleanly.
+        spec = f"{name}{{{option}={choice}}}"
+        (instance,) = build_passes(spec)
+        assert isinstance(instance, registered_passes()[name].pass_class)
+        assert instance.spec == spec
+
+    def test_pass_option_requires_choices(self):
+        with pytest.raises(TypeError, match="choices"):
+            PassOption("free-form", "any value")
 
 
 class TestCanonicalisation:

@@ -400,12 +400,17 @@ class TestOneSnapshotPerRun:
                 self.pre_pass_ir.append(print_module(module))
 
         runs = []
-        real_build = pipeline_module.build_spec_pipeline
 
         def build(spec, options):
-            manager = real_build(spec, options)
-            runs.append((manager, Snapshots()))
-            manager.add_instrumentation(runs[-1][1])
+            snapshots = Snapshots()
+            manager = build_pipeline(
+                spec,
+                verify_each=options.verify_each,
+                instrumentations=[
+                    *pipeline_module.pass_instrumentations(options), snapshots,
+                ],
+            )
+            runs.append((manager, snapshots))
             return manager
 
         monkeypatch.setattr(pipeline_module, "build_spec_pipeline", build)
@@ -495,10 +500,10 @@ class TestOneSnapshotPerRun:
         self, rgn_ir, tmp_path
     ):
         from repro.ir.parser import parse_module
-        from repro.rewrite.pass_manager import ModulePass, PassManager
+        from repro.rewrite.pass_manager import Pass, PassManager
         from repro.rewrite.registry import build_passes
 
-        class HandBuilt(ModulePass):
+        class HandBuilt(Pass):
             name = "hand-built"
 
             def run(self, module):

@@ -392,7 +392,7 @@ class TestPassManagerStatistics:
         manager = PassManager([CountingPass(), CountingPass()], verify_each=False)
         manager.run(module)
         assert manager.statistics["counting"].get("runs") == 2
-        assert manager.total_rewrites() == 22
+        assert manager.statistics["counting"].total() == 22
 
     def test_repeated_run_accumulates_statistics_and_spans(self):
         module = ModuleOp()

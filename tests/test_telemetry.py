@@ -306,13 +306,6 @@ class TestPassInstrumentation:
             ("before", "nop"), ("after", "nop"),
         ]
 
-    def test_add_instrumentation_chains(self):
-        recorder = RecordingInstrumentation()
-        pm = PassManager([NopPass()])
-        assert pm.add_instrumentation(recorder) is pm
-        pm.run(valid_module())
-        assert recorder.events == [("before", "nop"), ("after", "nop")]
-
     def test_raising_pass_fires_failure_hook(self):
         recorder = RecordingInstrumentation()
         pm = PassManager([RaisingPass()], instrumentations=[recorder])

@@ -11,7 +11,6 @@ from repro.transforms import (
     CanonicalizePass,
     CSEPass,
     DeadCodeEliminationPass,
-    InlinerPass,
     RegionGVNPass,
     case_elimination_patterns,
     common_branch_patterns,
@@ -312,29 +311,54 @@ class TestCanonicalizeAndInline:
         names = ops_by_name(func)
         assert names == ["lp.int", "lp.return"]
 
-    def test_inliner_inlines_small_function(self):
+    # Region inlining (``InlineRunOfKnownRegion`` in the canonicalize drain)
+    # is the inlining compiled programs get: the body of a single-use
+    # ``rgn.val`` replaces the ``rgn.run`` that executes it.
+
+    def _identity_callee(self, module):
+        callee, cbuilder = new_func(module, "g", [box], [box])
+        cbuilder.create(ReturnOp, [callee.arguments[0]])
+
+    def _run_region_calling_g(self, module, musttail=False):
+        self._identity_callee(module)
+        func, builder = new_func(module, "f", [box], [box])
+        val = builder.create(rgn.ValOp, [box])
+        inner = Builder(InsertionPoint.at_end(val.body_block))
+        call = inner.create(
+            CallOp, "g", [val.body_block.arguments[0]], [box], musttail=musttail
+        )
+        inner.create(lp.ReturnOp, call.result())
+        builder.create(rgn.RunOp, val.result(), [func.arguments[0]])
+        return func
+
+    def test_run_of_single_use_region_inlines_its_body(self):
         module = ModuleOp()
-        callee, cbuilder = new_func(module, "isone", [i64], [i1])
-        one = cbuilder.create(arith.ConstantOp, 1)
-        s = cbuilder.create(arith.CmpIOp, "eq", callee.arguments[0], one.result())
-        cbuilder.create(ReturnOp, [s.result()])
-        caller, builder = new_func(module, "caller", [i64], [i1])
-        call = builder.create(CallOp, "isone", [caller.arguments[0]], [i1])
-        builder.create(ReturnOp, [call.result()])
-        InlinerPass().run(module)
-        assert not any(isinstance(op, CallOp) for op in caller.walk())
+        func = self._run_region_calling_g(module)
+        CanonicalizePass(case_elimination_patterns()).run(module)
+        assert ops_by_name(func) == ["func.call", "lp.return"]
+        (call,) = [op for op in func.walk() if isinstance(op, CallOp)]
+        # The run argument replaced the region's block argument.
+        assert call.operands == (func.arguments[0],)
         verify(module)
 
-    def test_inliner_skips_recursive_function(self):
+    def test_inlined_tail_call_keeps_its_musttail_mark(self):
         module = ModuleOp()
-        rec, rbuilder = new_func(module, "rec", [i64], [i64])
-        call = rbuilder.create(CallOp, "rec", [rec.arguments[0]], [i64])
-        rbuilder.create(ReturnOp, [call.result()])
-        caller, builder = new_func(module, "caller", [i64], [i64])
-        c = builder.create(CallOp, "rec", [caller.arguments[0]], [i64])
-        builder.create(ReturnOp, [c.result()])
-        InlinerPass().run(module)
-        assert any(isinstance(op, CallOp) for op in caller.walk())
+        func = self._run_region_calling_g(module, musttail=True)
+        CanonicalizePass(case_elimination_patterns()).run(module)
+        (call,) = [op for op in func.walk() if isinstance(op, CallOp)]
+        assert call.parent is func.entry_block
+        assert call.is_musttail and call.in_tail_position
+        verify(module)
+
+    def test_run_with_mismatched_arity_not_inlined(self):
+        module = ModuleOp()
+        func, builder = new_func(module, "f", [], [box])
+        val = builder.create(rgn.ValOp, [box])
+        inner = Builder(InsertionPoint.at_end(val.body_block))
+        inner.create(lp.ReturnOp, val.body_block.arguments[0])
+        builder.create(rgn.RunOp, val.result())
+        CanonicalizePass(case_elimination_patterns()).run(module)
+        assert [op.name for op in func.entry_block] == ["rgn.val", "rgn.run"]
 
 
 class TestGreedyDriverAndPassManager:
